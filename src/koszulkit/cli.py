@@ -74,14 +74,6 @@ def _emit(report, args) -> int:
     return 0 if status in ("ok", "warning") else 2
 
 
-def _threads() -> int:
-    raw = os.environ.get("KOSZULKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="koszulkit",
@@ -128,7 +120,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify-ade":
             types = [t.strip() for t in args.types.split(",") if t.strip()]
             chars = [int(c) for c in args.chars.split(",") if c.strip()]
-            log = verify_ade(types, chars, threads=_threads())
+            log = verify_ade(types, chars,
+                             threads=os.environ.get("KOSZULKIT_THREADS", "1"))
             doc = {
                 "schema": "koszulkit-verify/1",
                 "tool_version": __version__,

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from .homology import BimoduleHomology, CalculusSpaces, HigherSpaces
 from .koszul import Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A
-from .linalg import LinearMap, SparseVec, image
+from .linalg import LinearMap, SparseVec
 
 
 class NotPreprojectiveError(ValueError):
@@ -208,8 +208,8 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
         for rep in coh.representatives(p):
             cols.append({k: c for k, c in enumerate(hom.class_of(theta(kd, rep, w0)))
                          if not field.is_zero(c)})
-        rank = image(LinearMap(dim_c, dim_h, cols, field)).dim
-        report.record("H(theta) bijective", rank == dim_c == dim_h, f"p={p} rank {rank}")
+        r = LinearMap(dim_c, dim_h, cols, field).rank()
+        report.record("H(theta) bijective", r == dim_c == dim_h, f"p={p} rank {r}")
 
     # fundamental class: the duality image of the unit 0-class
     if module == MODULE_A:

@@ -15,16 +15,39 @@ class FieldMismatchError(ValueError):
     """Raised when scalars tagged with different fields are combined."""
 
 
+#: Miller-Rabin with these bases decides primality exactly below the bound
+#: (Sorenson and Webster, Math. Comp. 86, 2017); trial division above it
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_BOUND:
+        d = 43
+        while d * d <= p:
+            if p % d == 0:
+                return False
+            d += 2
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import Elem, GradedAlgebra
 from .homology import CalculusSpaces
 from .koszul import Chain, Cochain, KoszulCalculus
-from .linalg import (LinearMap, SparseVec, echelonize, image, kernel,
+from .linalg import (LinearMap, SparseVec, echelonize, image, kernel, rank,
                      vec_add_scaled, zero_subspace)
 
 
@@ -394,7 +394,7 @@ def cartan_kernel_dim(algebra: GradedAlgebra) -> int:
     n = len(cart)
     cols = [{r: field.from_int(cart[r][c]) for r in range(n)
              if not field.is_zero(field.from_int(cart[r][c]))} for c in range(n)]
-    return kernel(LinearMap(n, n, cols, field)).dim
+    return n - rank(cols, n, field)
 
 
 class Degree2Comparison:
@@ -457,7 +457,7 @@ class Degree2Comparison:
         # weight-0 part of ker(delta_up) against the Cartan kernel
         w0_rows = [row for row in ker_up.rows
                    if all(dcoords[k][0] == 0 for k in row)]
-        self.ker_up_weight0_dim = echelonize(w0_rows, len(dcoords), field).dim
+        self.ker_up_weight0_dim = rank(w0_rows, len(dcoords), field)
         self.cartan_kernel_dim = cartan_kernel_dim(alg)
 
 
@@ -568,7 +568,7 @@ class BarOracle:
 
         b1 = LinearMap(len(c0), len(c1), [b1_column(t) for t in c0], field)
         b2 = LinearMap(len(c1), len(c2), [b2_column(p) for p in c1], field)
-        rank_b1 = image(b1).dim
-        rank_b2 = image(b2).dim
+        rank_b1 = b1.rank()
+        rank_b2 = b2.rank()
         self.hh0_dim = len(c0) - rank_b1
         self.hh1_dim = len(c1) - rank_b2 - rank_b1

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A, MODULE_K, NotClosedError
 from .linalg import (LinearMap, QuotientSpace, SparseVec, echelonize, image,
-                     kernel, zero_subspace)
+                     kernel, rank, zero_subspace)
 
 
 class CoordSpace:
@@ -473,8 +473,7 @@ class BimoduleHomology:
                                 col[k] = cur
                     cols.append(col)
                 ambient = len(coords[p - 1][n])
-                rank = echelonize(cols, ambient, field).dim
-                ranks[(p, n)] = ranks.get((p, n), 0) + rank
+                ranks[(p, n)] = ranks.get((p, n), 0) + rank(cols, ambient, field)
 
     def homology_dim(self, p: int, n: int) -> int:
         return (self.dims.get((p, n), 0) - self.ranks.get((p, n), 0)

@@ -1,27 +1,30 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Vectors are sparse maps ``index -> scalar`` (zeros never stored); matrices
-are lists of sparse rows or columns.  Row reduction is deterministic —
-leftmost nonzero pivot, rows processed in input order — so every derived
-basis (kernels, intersections, quotient representatives) is reproducible
-byte for byte.  Dense prime-field eliminations are delegated to the
-compiled kernel selected in :mod:`koszulkit.backend`; small systems and all
-rational ones also have a dense path below the ``DENSE_LIMIT`` ambient.
+are lists of sparse rows or columns.  Every elimination is sparse and has
+two entry points:
+
+- ``rank(rows, ambient, field)`` runs the forward phase only and returns the
+  dimension of the row span; no basis is built;
+- ``rref(rows, ambient, field)`` adds back-substitution and returns the
+  reduced row echelon basis (keys ascending) with its pivot columns.
+
+Rows are taken in input order and each is reduced on its leftmost nonzero
+column, so every derived basis (kernels, intersections, quotient
+representatives) is reproducible byte for byte.  Prime fields go to the
+kernels in :mod:`koszulkit.backend`; the rational kernel is here and keeps
+``Fraction`` values.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import backend
 from .fields import Field, PrimeField
 
 SparseVec = Dict[int, object]
-
-#: below this ambient dimension every elimination goes dense
-DENSE_LIMIT = 64
-#: prime-field eliminations go through the dense kernel up to this ambient
-DENSE_MOD_LIMIT = 8192
 
 
 class AmbientMismatchError(ValueError):
@@ -62,87 +65,76 @@ def vec_neg(v: SparseVec, field: Field) -> SparseVec:
     return {i: field.neg(x) for i, x in v.items()}
 
 
-def vec_from_dense(row: Sequence, field: Field) -> SparseVec:
-    return {i: x for i, x in enumerate(row) if not field.is_zero(x)}
-
-
-def vec_to_dense(v: SparseVec, ambient: int, field: Field) -> list:
-    out = [field.zero] * ambient
-    for i, x in v.items():
-        out[i] = x
-    return out
-
-
 def vec_equal(u: SparseVec, v: SparseVec, field: Field) -> bool:
     return vec_is_zero(vec_sub(u, v, field))
 
 
-def _rref_sparse(rows: Iterable[SparseVec], field: Field) -> Tuple[List[SparseVec], List[int]]:
-    """Sparse reduced row echelon form; deterministic in the input order."""
+def _echelon_rational(rows: Iterable[SparseVec]) -> Dict[int, SparseVec]:
+    """Forward elimination over Q: echelon rows keyed by pivot, leading 1."""
     by_pivot: Dict[int, SparseVec] = {}
     for row in rows:
-        row = dict(row)
+        row = {c: x for c, x in row.items() if x}
         while row:
             lead = min(row)
             piv = by_pivot.get(lead)
             if piv is None:
+                inv = 1 / Fraction(row[lead])
+                if inv != 1:
+                    row = {c: x * inv for c, x in row.items()}
+                by_pivot[lead] = row
                 break
-            row = vec_add_scaled(row, piv, field.neg(row[lead]), field)
-        if not row:
-            continue
-        lead = min(row)
-        inv = field.inv(row[lead])
-        row = vec_scale(row, inv, field)
-        by_pivot[lead] = row
+            _sub_multiple(row, piv, row[lead])
+    return by_pivot
+
+
+def _sub_multiple(row: SparseVec, piv: SparseVec, f) -> None:
+    """row -= f * piv in place, dropping the entries that cancel."""
+    for c, y in piv.items():
+        x = row.get(c)
+        x = -f * y if x is None else x - f * y
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)
+
+
+def _rref_rational(rows: Iterable[SparseVec]) -> Tuple[List[SparseVec], List[int]]:
+    """Reduced row echelon form over Q: forward phase, then back-substitution."""
+    by_pivot = _echelon_rational(rows)
     pivots = sorted(by_pivot)
-    # back-substitute to the reduced form
+    out: List[SparseVec] = [{}] * len(pivots)
+    # a row only meets pivots right of its own, which are reduced already
     for k in range(len(pivots) - 1, -1, -1):
-        piv_col = pivots[k]
-        row = by_pivot[piv_col]
-        for other_col in list(row):
-            if other_col != piv_col and other_col in by_pivot:
-                row = vec_add_scaled(row, by_pivot[other_col], field.neg(row[other_col]), field)
-        by_pivot[piv_col] = row
-    return [by_pivot[c] for c in pivots], pivots
+        c = pivots[k]
+        row = by_pivot[c]
+        for other in sorted(o for o in row if o != c and o in by_pivot):
+            _sub_multiple(row, by_pivot[other], row[other])
+        out[k] = {j: row[j] for j in sorted(row)}
+    return out, pivots
 
 
-def _rref_dense_rational(rows: List[SparseVec], ambient: int, field: Field):
-    m = [vec_to_dense(r, ambient, field) for r in rows]
-    nrows = len(m)
-    pivots: List[int] = []
-    r = 0
-    for c in range(ambient):
-        if r >= nrows:
-            break
-        rr = next((i for i in range(r, nrows) if not field.is_zero(m[i][c])), -1)
-        if rr < 0:
-            continue
-        if rr != r:
-            m[r], m[rr] = m[rr], m[r]
-        inv = field.inv(m[r][c])
-        if inv != field.one:
-            m[r] = [field.mul(x, inv) for x in m[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return [vec_from_dense(m[i], field) for i in range(r)], pivots
+def _check_ambient(rows: Sequence[SparseVec], ambient: int) -> None:
+    for row in rows:
+        if row and (min(row) < 0 or max(row) >= ambient):
+            raise AmbientMismatchError(
+                f"coordinates {min(row)}..{max(row)} outside ambient {ambient}")
 
 
 def rref(rows: Sequence[SparseVec], ambient: int, field: Field) -> Tuple[List[SparseVec], List[int]]:
-    """Reduced row echelon form; routes to the dense kernel when worthwhile."""
+    """Reduced row echelon basis of the row span and its pivot columns."""
     rows = list(rows)
-    if not rows:
-        return [], []
-    if isinstance(field, PrimeField) and ambient <= DENSE_MOD_LIMIT:
-        dense = [vec_to_dense(r, ambient, field) for r in rows]
-        red, pivots = backend.rref_mod(dense, ambient, field.p)
-        return [vec_from_dense(r, field) for r in red], pivots
-    if ambient <= DENSE_LIMIT:
-        return _rref_dense_rational(rows, ambient, field)
-    return _rref_sparse(rows, field)
+    if isinstance(field, PrimeField):
+        return backend.rref_mod(rows, ambient, field.p)
+    return _rref_rational(rows)
+
+
+def rank(rows: Iterable[SparseVec], ambient: int, field: Field) -> int:
+    """Dimension of the row span; forward elimination only, no basis built."""
+    rows = list(rows)
+    _check_ambient(rows, ambient)
+    if isinstance(field, PrimeField):
+        return backend.rank_mod(rows, field.p)
+    return len(_echelon_rational(rows))
 
 
 class Subspace:
@@ -188,10 +180,7 @@ class Subspace:
 def echelonize(rows: Iterable[SparseVec], ambient: int, field: Field) -> Subspace:
     """Reduced echelon subspace spanned by the given rows."""
     rows = list(rows)
-    for row in rows:
-        for i in row:
-            if i < 0 or i >= ambient:
-                raise AmbientMismatchError(f"coordinate {i} outside ambient {ambient}")
+    _check_ambient(rows, ambient)
     red, pivots = rref(rows, ambient, field)
     return Subspace(ambient, field, red, pivots)
 
@@ -247,7 +236,7 @@ class LinearMap:
         return LinearMap(inner.domain_dim, self.codomain_dim, cols, self.field)
 
     def rank(self) -> int:
-        return image(self).dim
+        return rank(self.cols, self.codomain_dim, self.field)
 
 
 def kernel(m: LinearMap) -> Subspace:
@@ -319,7 +308,7 @@ class SpanSolver:
             row = dict(vec)
             row[ambient + k] = field.one
             shifted.append(row)
-        self._red, self._pivots = _rref_sparse(shifted, field)
+        self._red, self._pivots = rref(shifted, ambient + n, field)
         self._n = n
 
     def solve(self, target: SparseVec) -> Optional[List[object]]:

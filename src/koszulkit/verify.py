@@ -11,6 +11,7 @@ independent descriptions of the degree-0 spaces).
 
 from __future__ import annotations
 
+import os
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +23,7 @@ from .fields import GF, QQ, Field
 from .frobenius import Degree2Comparison, FrobeniusStructure, cartan_kernel_dim
 from .homology import CalculusSpaces, HigherSpaces, higher_calculus, koszul_homology
 from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A
-from .linalg import LinearMap, SparseVec, echelonize, kernel
+from .linalg import LinearMap, SparseVec, kernel, rank
 from .presets import (NamedGenerators, Preset, expected_nakayama_on_arrows,
                       nakayama_graph_permutation, socle_generators)
 
@@ -136,9 +137,9 @@ def verify_type_char(name: str, char: int, log: Optional[CheckLog] = None,
             vec = comp.coh.class_of(f)
             class_vectors[lbl] = vec
             rows.append({k: c for k, c in enumerate(vec) if not field.is_zero(c)})
-        rank = echelonize(rows, max(dim, 1), field).dim
-        log.record(f"{key}.HK{p}.generators-form-basis", rank == dim == len(labels),
-                   f"rank {rank} of {len(labels)} classes in dimension {dim}")
+        r = rank(rows, dim, field)
+        log.record(f"{key}.HK{p}.generators-form-basis", r == dim == len(labels),
+                   f"rank {r} of {len(labels)} classes in dimension {dim}")
 
     # class-level cup products against the table
     table = adedata.expected_cup_table(name, char)
@@ -238,7 +239,7 @@ def hochschild2_checks(name: str, char: int, log: Optional[CheckLog] = None,
             rows.append(svec)
             if not cmp2.hh2_subspace.contains(svec):
                 inside = False
-        span_dim = echelonize(rows, max(dim2, 1), field).dim
+        span_dim = rank(rows, dim2, field)
         log.record(f"{key}.HH2.basis", inside and span_dim == cmp2.hh2_dim,
                    f"tabulated span {span_dim}, computed dim {cmp2.hh2_dim}, "
                    f"contained: {inside}")
@@ -263,7 +264,7 @@ def hochschild2_checks(name: str, char: int, log: Optional[CheckLog] = None,
             rows.append(svec)
             if not cmp2.killed_subspace.contains(svec):
                 inside = False
-        span_dim = echelonize(rows, max(dimh2, 1), field).dim
+        span_dim = rank(rows, dimh2, field)
         log.record(f"{key}.HH_2.killed-span",
                    inside and span_dim == cmp2.killed_subspace.dim,
                    f"tabulated span {span_dim}, computed "
@@ -274,29 +275,50 @@ def hochschild2_checks(name: str, char: int, log: Optional[CheckLog] = None,
     return log
 
 
-def _run_verify_job(args: Tuple[str, int]) -> List[Tuple[str, bool, str]]:
+def _run_verify_job(args: Tuple[str, int]) -> Tuple[List[Tuple[str, bool, str]],
+                                                   Tuple[int, int, int]]:
+    """Table checks for one (type, char) and its computed invariant triple."""
     name, char = args
-    log = verify_type_char(name, char)
-    return log.entries
+    comp = TypeCharComputation(name, char, with_frobenius=False)
+    log = verify_type_char(name, char, comp=comp)
+    return log.entries, comp.invariant_triple()
+
+
+def pool_size(requested, n_jobs: int, cpus: Optional[int]) -> int:
+    """Worker processes for ``n_jobs`` jobs on ``cpus`` processors.
+
+    ``requested`` is a count or the raw ``KOSZULKIT_THREADS`` string.  It is
+    clamped to ``min(cpus, n_jobs)`` and to at least 1; a non-numeric
+    request means 1.
+    """
+    try:
+        n = int(requested)
+    except (TypeError, ValueError):
+        n = 1
+    return max(1, min(n, cpus or 1, n_jobs))
 
 
 def verify_ade(types: Sequence[str], chars: Sequence[int],
-               threads: int = 1) -> CheckLog:
-    """Tables plus the invariant-triple theorem across the given types."""
+               threads=1) -> CheckLog:
+    """Tables plus the invariant-triple theorem across the given types.
+
+    ``threads`` asks for that many worker processes (see ``pool_size``).
+    """
     log = CheckLog()
     jobs = [(t, c) for t in types for c in chars]
-    if threads > 1:
+    workers = pool_size(threads, len(jobs), os.cpu_count())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for entries in pool.map(_run_verify_job, jobs):
-                log.entries.extend(entries)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_verify_job, jobs))
     else:
-        for job in jobs:
-            log.entries.extend(_run_verify_job(job))
+        results = [_run_verify_job(job) for job in jobs]
+    computed: Dict[Tuple[str, int], Tuple[int, int, int]] = {}
+    for job, (entries, triple) in zip(jobs, results):
+        log.entries.extend(entries)
+        computed[job] = triple
     for char in chars:
-        triples = {}
-        for t in types:
-            triples[t] = tuple(adedata.expected_higher_dims(t, char))
+        triples = {t: computed[(t, char)] for t in types}
         # distinguishability among the computed set
         seen: Dict[Tuple[int, int, int], str] = {}
         for t, tri in triples.items():
@@ -574,8 +596,8 @@ class PropertySuite:
             f = kd.cochain_on_vertices(values)
             vec = self.coh.class_of(f)
             rows.append({k: c for k, c in enumerate(vec) if not field.is_zero(c)})
-        rank = echelonize(rows, max(dim0, 1), field).dim
-        self.log.record("HK0 = center", rank == dim0 == len(center),
+        r = rank(rows, dim0, field)
+        self.log.record("HK0 = center", r == dim0 == len(center),
                         f"center dim {len(center)}, HK0 dim {dim0}")
         # degree-0 higher space versus the direct linear description
         hi0 = HigherSpaces(self.coh, kd.fundamental_cocycle()).dim(0)
@@ -624,4 +646,4 @@ def direct_higher0_dim(alg) -> int:
             cols[col][i] = c
     ker = kernel(LinearMap(n_unknowns, len(eq_index), cols, field))
     proj = [{k: c for k, c in vec.items() if k < len(center)} for vec in ker.rows]
-    return echelonize(proj, max(len(center), 1), field).dim
+    return rank(proj, len(center), field)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from koszulkit import adedata
 from koszulkit.cli import main
 from koszulkit.report import RunConfig, render, run
 
@@ -104,6 +105,28 @@ def test_verify_ade_subcommand(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["ok"] is True and doc["checks"] > 100
+
+
+def test_verify_ade_checks_computed_triples(monkeypatch):
+    import koszulkit.verify as ver
+    # A3 and A5 are a documented char-0 near-collision with distinct tabulated triples
+    assert ("A3", "A5") in adedata.documented_triple_collisions(0)
+    assert adedata.expected_higher_dims("A3", 0) != adedata.expected_higher_dims("A5", 0)
+    monkeypatch.setattr(ver, "_run_verify_job", lambda job: ([], (7, 7, 7)))
+    log = ver.verify_ade(["A3", "A5"], [0], threads=1)
+    got = {key: (ok, detail) for key, ok, detail in log.entries}
+    assert got["triples.char0.distinct"] == (False, "A3 and A5 share (7, 7, 7)")
+    assert got["triples.char0.collision.A3-A5"] == (False, "A3:(7, 7, 7) A5:(7, 7, 7)")
+
+
+@pytest.mark.parametrize("requested, n_jobs, cpus, want", [
+    (1, 10, 8, 1), (4, 10, 8, 4), (64, 10, 8, 8), (64, 3, 8, 3), ("4", 10, 2, 2),
+    (0, 10, 8, 1), (-3, 10, 8, 1), ("", 10, 8, 1), ("many", 10, 8, 1), (None, 10, 8, 1),
+    (4, 0, 8, 1), (4, 10, None, 1),
+])
+def test_pool_size_clamp(requested, n_jobs, cpus, want):
+    from koszulkit.verify import pool_size
+    assert pool_size(requested, n_jobs, cpus) == want
 
 
 def test_rational_e8_guard():

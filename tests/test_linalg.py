@@ -188,13 +188,83 @@ def test_span_solver_consistency():
     assert solver.solve({0: Fraction(1)}) is not None
 
 
-def test_backends_agree():
-    from koszulkit import _modkernel_py
-    from koszulkit import backend
-    rng = random.Random(11)
-    for _ in range(20):
-        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
-        rows = [[rng.randrange(5) for _ in range(ncols)] for _ in range(nrows)]
-        pure = _modkernel_py.rref_mod([r[:] for r in rows], ncols, 5)
-        via_backend = backend.rref_mod([r[:] for r in rows], ncols, 5)
-        assert pure == via_backend
+def test_prime_test_matches_trial_division():
+    from koszulkit.fields import _is_prime
+
+    def by_trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(_is_prime(n) == by_trial(n) for n in range(-3, 5000))
+    # strong pseudoprimes to the first few prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
+
+
+def _dense_rref(rows, ambient, field):
+    """Textbook dense Gauss-Jordan: the reference for the sparse kernels."""
+    m = [[row.get(j, field.zero) for j in range(ambient)] for row in rows]
+    pivots, r = [], 0
+    for c in range(ambient):
+        k = next((i for i in range(r, len(m)) if not field.is_zero(m[i][c])), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(x, inv) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not field.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return [{j: x for j, x in enumerate(m[i]) if not field.is_zero(x)}
+            for i in range(r)], pivots
+
+
+KERNEL_FIELDS = [GF(2), GF(3), GF(2**31 - 1), GF(2**61 - 1), QQ]
+
+
+@st.composite
+def _row_systems(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    ambient = draw(st.sampled_from([1, 3, 9, 65, 130]))
+    # most rows live in one window of columns, so that pivots interact
+    width = draw(st.integers(1, min(ambient, 10)))
+    offset = draw(st.integers(0, ambient - width))
+    scalar = st.integers(-3, 3).map(field.from_int)
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["window", "window", "wide", "empty", "duplicate",
+                                     "combination"]))
+        if kind == "empty" or (kind in ("duplicate", "combination") and not rows):
+            row = {}
+        elif kind == "duplicate":
+            row = dict(draw(st.sampled_from(rows)))
+        elif kind == "combination":
+            row = la.vec_add_scaled(draw(st.sampled_from(rows)), draw(st.sampled_from(rows)),
+                                    draw(scalar), field)
+        else:
+            cols = (st.integers(offset, offset + width - 1) if kind == "window"
+                    else st.integers(0, ambient - 1))
+            row = draw(st.dictionaries(cols, scalar, max_size=6))
+        rows.append({j: c for j, c in row.items() if not field.is_zero(c)})
+    return field, ambient, rows
+
+
+@given(_row_systems())
+@settings(max_examples=150, deadline=None)
+def test_kernels_match_dense_reference(system):
+    field, ambient, rows = system
+    want_rows, want_pivots = _dense_rref(rows, ambient, field)
+    got_rows, got_pivots = la.rref(rows, ambient, field)
+    assert got_pivots == want_pivots
+    assert got_rows == want_rows
+    assert la.rank(rows, ambient, field) == len(got_pivots)
+    for row in got_rows:
+        assert list(row) == sorted(row)
+        if field == QQ:
+            assert all(type(x) is Fraction for x in row.values())
+        else:
+            assert all(type(x) is int and 0 < x < field.p for x in row.values())
