@@ -10,7 +10,7 @@ product pairs, taken in right-factor-most-significant path order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linalg import LinearMap, SparseVec, echelonize, kernel
 from .quiver import Path, QuadraticPresentation, QuiverError
@@ -175,9 +175,6 @@ class GradedAlgebra:
 
     # -- element helpers ---------------------------------------------------
 
-    def zero_elem(self) -> Elem:
-        return {}
-
     def unit_elem(self) -> Elem:
         return {(0, i): self.field.one for i in range(self.quiver.n_vertices)}
 
@@ -217,6 +214,11 @@ class GradedAlgebra:
             return True
         raise WeightOverflowError(
             f"weight {m} exceeds cutoff {self.cutoff} of a non-vanishing algebra")
+
+    def rmul_table(self, m: int) -> Dict[Tuple[int, int], SparseVec]:
+        """Normal forms of (weight-m monomial) * arrow over weight m+1 positions,
+        keyed by (position, arrow); empty when weight m+1 is not computed."""
+        return self._rmul[m] if m < len(self._rmul) else {}
 
     def rmul_arrow(self, x: Elem, a: int) -> Elem:
         """Normal form of x * a (the arrow acts first)."""
@@ -309,28 +311,8 @@ class GradedAlgebra:
                 return {}
         return cur
 
-    def element_from_paths(self, terms: Sequence[Tuple[object, Path]]) -> Elem:
-        out: Elem = {}
-        for c, path in terms:
-            out = self.elem_add(out, self.path_normal_form(path), c)
-        return out
-
     def elem_weights(self, x: Elem) -> List[int]:
         return sorted({m for (m, _pos) in x})
-
-    def elem_block(self, x: Elem) -> Optional[Tuple[int, int]]:
-        """The (target, source) pair if x is vertex-pair homogeneous."""
-        blocks = {self.block_of[m][pos] for (m, pos) in x}
-        return blocks.pop() if len(blocks) == 1 else None
-
-    def elem_to_str(self, x: Elem) -> str:
-        if not x:
-            return "0"
-        parts = []
-        for (m, pos) in sorted(x):
-            c = x[(m, pos)]
-            parts.append(f"({c})*{self.monomials[m][pos].name()}")
-        return " + ".join(parts)
 
     # -- center and socle ---------------------------------------------------
 

@@ -5,14 +5,23 @@ homogeneous (degree +1, coefficient weight +1 on cochains; degree -1,
 coefficient weight +1 on chains), so each (degree, weight) block is an
 independent exact-linear-algebra problem.  Representatives follow the
 deterministic quotient rule of :mod:`koszulkit.linalg`.
+
+Every matrix here is read off the term table of
+:meth:`koszulkit.koszul.KoszulCalculus.terms` (its conventions are in the
+:mod:`koszulkit.koszul` docstring).  The (co)chain blocks of b_K use all of
+its terms; the higher calculus, e_A cup - on cochains and e_A cap - (left)
+on chains, uses the left-acting terms with their sign flipped; the bimodule
+complex A (x) W_p (x) A uses the chain terms, a right-acting term
+multiplying the left coefficient slot on its right and a left-acting term
+multiplying the right slot on its left.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A, MODULE_K, NotClosedError
-from .linalg import (LinearMap, QuotientSpace, SparseVec, echelonize, image,
+from .linalg import (LinearMap, QuotientSpace, SparseVec, full_subspace, image,
                      kernel, rank, zero_subspace)
 
 
@@ -75,18 +84,52 @@ class CoordSpace:
             return Cochain(self.kd, self.p, self.module, values)
         return Chain(self.kd, self.p, self.module, values)
 
-    def unit(self, k: int):
-        return self.unflatten({k: self.kd.field.one})
 
-
-def _differential_matrix(src: CoordSpace, dst: CoordSpace) -> LinearMap:
+def _block_images(src: CoordSpace, dst: CoordSpace, vecs: Sequence[SparseVec],
+                  higher: bool = False) -> List[SparseVec]:
+    """Images in dst coordinates of src coordinate vectors under b_K, or,
+    when ``higher``, under e_A cup - / e_A cap - (left-acting terms negated)."""
+    if src.module != MODULE_A:
+        return [{} for _ in vecs]  # arrows act by zero on k
     kd = src.kd
-    cols: List[SparseVec] = []
-    for k in range(src.dim):
-        obj = src.unit(k)
-        img = kd.apply_bK(obj) if src.side == "coh" else kd.apply_bK_chain(obj)
-        cols.append(dst.flatten(img))
-    return LinearMap(src.dim, dst.dim, cols, kd.field)
+    field = kd.field
+    add, mul, neg, is_zero, zero = field.add, field.mul, field.neg, field.is_zero, field.zero
+    m = src.m
+    terms = kd.terms(src.p, src.side)
+    rmul = kd.algebra.rmul_table(m)
+    lmul = kd.algebra.lmul_arrow_mono
+    index = dst.index
+    out: List[SparseVec] = []
+    for vec in vecs:
+        col: SparseVec = {}
+        for k, x in vec.items():
+            flat, pos = src.coords[k]
+            for right, a, t, c in terms[flat]:
+                if right:
+                    if higher:
+                        continue
+                    prod = rmul.get((pos, a))
+                else:
+                    prod = lmul(a, m, pos)
+                    if higher:
+                        c = neg(c)
+                if not prod:
+                    continue
+                xc = mul(x, c)
+                for npos, w in prod.items():
+                    kk = index[(t, npos)]
+                    cur = add(col.get(kk, zero), mul(xc, w))
+                    if is_zero(cur):
+                        col.pop(kk, None)
+                    else:
+                        col[kk] = cur
+        out.append(col)
+    return out
+
+
+def _shifted(m: Optional[int], dm: int) -> Optional[int]:
+    """Coefficient weight m + dm; None (the module k) stays None."""
+    return None if m is None else m + dm
 
 
 class HomologyBlock:
@@ -120,60 +163,37 @@ class CalculusSpaces:
             return list(range(alg.max_weight))
         return list(range(alg.max_weight + 1))
 
-    def _space(self, p: int, m: Optional[int]) -> CoordSpace:
-        return CoordSpace(self.kd, p, m, self.module, self.side)
-
     def _compute(self) -> None:
         kd = self.kd
-        weights = self._weights()
+        field = kd.field
+        one = field.one
+        step = 1 if self.side == "coh" else -1
+        top = self.p_max + 1
         spaces: Dict[Tuple[int, Optional[int]], CoordSpace] = {}
-        for p in range(self.p_max + 2):
-            for m in weights:
-                spaces[(p, m)] = self._space(p, m)
 
-        def shifted(m: Optional[int], dm: int) -> Optional[int]:
-            return None if m is None else m + dm
+        def space(p: int, m: Optional[int]) -> CoordSpace:
+            if (p, m) not in spaces:
+                spaces[(p, m)] = CoordSpace(kd, p, m, self.module, self.side)
+            return spaces[(p, m)]
 
+        # b_K out of every block that a kernel or an image below needs
         mats: Dict[Tuple[int, Optional[int]], LinearMap] = {}
-        if self.side == "coh":
-            for p in range(self.p_max + 1):
-                for m in weights:
-                    dst_m = shifted(m, 1)
-                    dst = spaces.get((p + 1, dst_m))
-                    if dst is None:
-                        dst = self._space(p + 1, dst_m) if dst_m is not None else spaces[(p + 1, None)]
-                    mats[(p, m)] = _differential_matrix(spaces[(p, m)], dst)
-            for p in range(self.p_max + 1):
-                for m in weights:
-                    z = kernel(mats[(p, m)])
-                    prev_m = shifted(m, -1)
-                    if p == 0 or (prev_m is not None and prev_m < 0):
-                        b = zero_subspace(spaces[(p, m)].dim, kd.field)
-                    else:
-                        b = image(mats[(p - 1, prev_m)])
-                    self.blocks[(p, m)] = HomologyBlock(spaces[(p, m)], QuotientSpace(z, b))
-        else:
-            for q in range(1, self.p_max + 2):
-                for n in weights:
-                    dst_n = shifted(n, 1)
-                    dst = spaces.get((q - 1, dst_n))
-                    if dst is None:
-                        dst = self._space(q - 1, dst_n)
-                    mats[(q, n)] = _differential_matrix(spaces[(q, n)], dst)
-            for q in range(self.p_max + 1):
-                for n in weights:
-                    if q == 0:
-                        sp = spaces[(q, n)]
-                        z = echelonize([{k: kd.field.one} for k in range(sp.dim)],
-                                       sp.dim, kd.field)
-                    else:
-                        z = kernel(mats[(q, n)])
-                    prev_n = shifted(n, -1)
-                    if prev_n is not None and prev_n < 0:
-                        b = zero_subspace(spaces[(q, n)].dim, kd.field)
-                    else:
-                        b = image(mats[(q + 1, prev_n)])
-                    self.blocks[(q, n)] = HomologyBlock(spaces[(q, n)], QuotientSpace(z, b))
+        for p in range(top + 1):
+            if not 0 <= p + step <= top:
+                continue
+            for m in self._weights():
+                src, dst = space(p, m), space(p + step, _shifted(m, 1))
+                units = [{k: one} for k in range(src.dim)]
+                mats[(p, m)] = LinearMap(src.dim, dst.dim, _block_images(src, dst, units),
+                                         field)
+        for p in range(self.p_max + 1):
+            for m in self._weights():
+                sp = space(p, m)
+                d_out = mats.get((p, m))
+                d_in = mats.get((p - step, _shifted(m, -1)))
+                z = kernel(d_out) if d_out is not None else full_subspace(sp.dim, field)
+                b = image(d_in) if d_in is not None else zero_subspace(sp.dim, field)
+                self.blocks[(p, m)] = HomologyBlock(sp, QuotientSpace(z, b))
 
     # -- dimensions ---------------------------------------------------------
 
@@ -258,74 +278,30 @@ def koszul_homology(kd: KoszulCalculus, module: str, side: str,
 # -- higher Koszul calculus ---------------------------------------------------
 
 
-class HigherBlock:
-    def __init__(self, quotient: QuotientSpace, basis_labels):
-        self.quotient = quotient
-        self.basis_labels = basis_labels
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
-
-
 class HigherSpaces:
-    """Homology of the class-level complexes (HK, cup/cap with the
-    fundamental 1-class)."""
+    """Homology of the class-level complexes of the fundamental 1-cocycle:
+    e_A cup - on HK^ and e_A cap - (left) on HK_."""
 
-    def __init__(self, spaces: CalculusSpaces, eA: Cochain):
+    def __init__(self, spaces: CalculusSpaces):
         self.spaces = spaces
-        kd = spaces.kd
-        field = kd.field
-        self.blocks: Dict[Tuple[int, Optional[int]], HigherBlock] = {}
-        weights = spaces._weights()
-        p_max = spaces.p_max
-        side = spaces.side
-
-        def block_dim(p: int, m) -> int:
-            blk = spaces.blocks.get((p, m))
-            return blk.dim if blk else 0
-
-        # class-level matrices of the fundamental differential per biweight
+        field = spaces.kd.field
+        step = 1 if spaces.side == "coh" else -1
+        self.blocks: Dict[Tuple[int, Optional[int]], QuotientSpace] = {}
         mats: Dict[Tuple[int, Optional[int]], LinearMap] = {}
-        for p in range(p_max + 1):
-            for m in weights:
-                blk = spaces.blocks.get((p, m))
-                if blk is None:
-                    continue
-                if side == "coh":
-                    tp, tm = p + 1, (None if m is None else m + 1)
-                else:
-                    tp, tm = p - 1, (None if m is None else m + 1)
-                tdim = block_dim(tp, tm) if tp >= 0 else 0
-                cols: List[SparseVec] = []
-                for rep in blk.reps:
-                    if tp < 0 or tdim == 0:
-                        cols.append({})
-                        continue
-                    if side == "coh":
-                        img = kd.cup(eA, rep)
-                    else:
-                        img = kd.cap(eA, rep, "left")
-                    tblk = spaces.blocks[(tp, tm)]
-                    vec = tblk.space.flatten(img if tm is None else img.weight_component(tm))
-                    cols.append({k: c for k, c in enumerate(tblk.quotient.coords(vec))
-                                 if not field.is_zero(c)})
-                mats[(p, m)] = LinearMap(blk.dim, tdim, cols, field)
-        for p in range(p_max + 1):
-            for m in weights:
-                blk = spaces.blocks.get((p, m))
-                if blk is None:
-                    continue
-                mat = mats.get((p, m))
-                z = kernel(mat) if mat is not None else echelonize(
-                    [{k: field.one} for k in range(blk.dim)], blk.dim, field)
-                if side == "coh":
-                    sp, sm = p - 1, (None if m is None else m - 1)
-                else:
-                    sp, sm = p + 1, (None if m is None else m - 1)
-                src = mats.get((sp, sm)) if sp >= 0 and (sm is None or sm >= 0) else None
-                b = image(src) if src is not None else zero_subspace(blk.dim, field)
-                self.blocks[(p, m)] = HigherBlock(QuotientSpace(z, b), None)
+        for (p, m), blk in spaces.blocks.items():
+            tblk = spaces.blocks.get((p + step, _shifted(m, 1)))
+            if tblk is None or tblk.dim == 0:
+                mats[(p, m)] = LinearMap.zero(blk.dim, 0, field)
+                continue
+            imgs = _block_images(blk.space, tblk.space, blk.quotient.representatives,
+                                 higher=True)
+            cols = [{k: c for k, c in enumerate(tblk.quotient.coords(img))
+                     if not field.is_zero(c)} for img in imgs]
+            mats[(p, m)] = LinearMap(blk.dim, tblk.dim, cols, field)
+        for (p, m), blk in spaces.blocks.items():
+            d_in = mats.get((p - step, _shifted(m, -1)))
+            b = image(d_in) if d_in is not None else zero_subspace(blk.dim, field)
+            self.blocks[(p, m)] = QuotientSpace(kernel(mats[(p, m)]), b)
 
     def dim(self, p: int) -> int:
         return sum(blk.dim for (pp, _m), blk in self.blocks.items() if pp == p)
@@ -353,13 +329,13 @@ class HigherSpaces:
                 continue
             seg = [coords[k] for k, (mm, _i) in enumerate(basis) if mm == m]
             vec = {i: c for i, c in enumerate(seg) if not field.is_zero(c)}
-            if vec and not blk.quotient.z.contains(vec):
+            if vec and not blk.z.contains(vec):
                 return False
         return True
 
 
-def higher_calculus(spaces: CalculusSpaces, eA: Cochain) -> HigherSpaces:
-    return HigherSpaces(spaces, eA)
+def higher_calculus(spaces: CalculusSpaces) -> HigherSpaces:
+    return HigherSpaces(spaces)
 
 
 # -- homology of the bimodule Koszul complex ----------------------------------
@@ -391,23 +367,17 @@ class BimoduleHomology:
 
     def _coords(self, p: int, u: int, v: int) -> Dict[int, List[Tuple[int, int, int, int]]]:
         """Coordinates (wflat, posL, posR, r) of e_u K_p e_v grouped by total weight."""
-        kd = self.kd
-        alg = kd.algebra
-        ws = kd.w(p)
+        alg = self.kd.algebra
+        weights = range(alg.max_weight + 1)
         out: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        for flat_idx in range(ws.dim):
-            j, i = ws.block_of(flat_idx)
-            for r in range(alg.max_weight + 1):
-                left = alg.block_positions(r, u, j)
-                if not left:
-                    continue
-                for s in range(alg.max_weight + 1):
-                    n = r + p + s
-                    if n > self.weight_cutoff:
-                        break
-                    right = alg.block_positions(s, i, v)
-                    if not right:
-                        continue
+        for (j, i), flats in self.kd.w(p).flat_of_block.items():
+            lefts = [alg.block_positions(r, u, j) for r in weights]
+            rights = [alg.block_positions(s, i, v) for s in weights]
+            # (left weight, total weight, left positions, right positions)
+            slots = [(r, r + p + s, lefts[r], rights[s]) for r in weights for s in weights
+                     if lefts[r] and rights[s] and r + p + s <= self.weight_cutoff]
+            for flat_idx in flats:
+                for r, n, left, right in slots:
                     bucket = out.setdefault(n, [])
                     for posL in left:
                         for posR in right:
@@ -418,6 +388,8 @@ class BimoduleHomology:
         kd = self.kd
         alg = kd.algebra
         field = kd.field
+        add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
+        lmul = alg.lmul_arrow_mono
         coords = {p: self._coords(p, u, v) for p in range(self.p_max + 2)}
         # index keys carry the left weight: a bare position is ambiguous
         index = {p: {n: {(c[0], c[3], c[1], c[2]): k for k, c in enumerate(cs)}
@@ -427,53 +399,34 @@ class BimoduleHomology:
             for n, cs in coords[p].items():
                 dims[(p, n)] = dims.get((p, n), 0) + len(cs)
         for p in range(1, self.p_max + 2):
-            ws = kd.w(p)
+            terms = kd.terms(p, "hom")
             for n, cs in coords[p].items():
-                tgt_index = index[p - 1].get(n, {})
+                tgt_index = index[p - 1].get(n)
                 if not tgt_index:
-                    if cs:
-                        ranks.setdefault((p, n), ranks.get((p, n), 0))
                     continue
-                sign = field.one if p % 2 == 0 else field.neg(field.one)
                 cols: List[SparseVec] = []
                 for (wflat, posL, posR, r) in cs:
                     col: SparseVec = {}
-                    # (aL x1) (x) rest (x) aR
-                    for (alpha, y), c in ws.left_fact[wflat].items():
-                        prod = alg._rmul[r].get((posL, alpha)) if r < len(alg._rmul) else None
+                    rmul = alg.rmul_table(r)
+                    s = n - p - r
+                    # a right-acting term multiplies the left slot on its right,
+                    # a left-acting term the right slot on its left
+                    for right, a, y, c in terms[wflat]:
+                        prod = rmul.get((posL, a)) if right else lmul(a, s, posR)
                         if not prod:
                             continue
                         for npos, w in prod.items():
-                            key = (y, r + 1, npos, posR)
-                            k = tgt_index.get(key)
+                            k = tgt_index.get((y, r + 1, npos, posR) if right
+                                              else (y, r, posL, npos))
                             if k is None:
                                 continue
-                            cur = field.add(col.get(k, field.zero),
-                                            field.mul(c, w))
-                            if field.is_zero(cur):
-                                col.pop(k, None)
-                            else:
-                                col[k] = cur
-                    # (-1)^p aL (x) rest (x) (x_p aR)
-                    sweight = n - p - r
-                    for (y2, beta), c in ws.right_fact[wflat].items():
-                        prod = alg.lmul_arrow_mono(beta, sweight, posR)
-                        if not prod:
-                            continue
-                        for npos, w in prod.items():
-                            key = (y2, r, posL, npos)
-                            k = tgt_index.get(key)
-                            if k is None:
-                                continue
-                            cur = field.add(col.get(k, field.zero),
-                                            field.mul(field.mul(sign, c), w))
-                            if field.is_zero(cur):
+                            cur = add(col.get(k, zero), mul(c, w))
+                            if is_zero(cur):
                                 col.pop(k, None)
                             else:
                                 col[k] = cur
                     cols.append(col)
-                ambient = len(coords[p - 1][n])
-                ranks[(p, n)] = ranks.get((p, n), 0) + rank(cols, ambient, field)
+                ranks[(p, n)] = ranks.get((p, n), 0) + rank(cols, len(coords[p - 1][n]), field)
 
     def homology_dim(self, p: int, n: int) -> int:
         return (self.dims.get((p, n), 0) - self.ranks.get((p, n), 0)

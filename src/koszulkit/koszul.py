@@ -12,6 +12,24 @@ Cochains assign to each W_p basis vector a value in the coefficient module
 coefficient with a W_p basis vector in the transposed vertex block.
 Everything is graded by the biweight (homological degree, coefficient
 weight); homology is computed blockwise in that grading.
+
+The differential b_K is stated once, as a term table
+(:meth:`KoszulCalculus.terms`): for each W_p basis index it lists
+``(right, arrow, target W index, signed c)``, meaning "multiply the
+coefficient by the arrow (on its right if ``right``, else on its left),
+scale by c and add it at the target".
+
+- Chains (and the bimodule complex A (x) W_p (x) A) read the
+  factorizations of x in W_p: each ``(a, y): c`` of ``a (x) W_{p-1}`` gives
+  ``(True, a, y, c)`` (m -> m a), each ``(y, a): c`` of ``W_{p-1} (x) a``
+  gives ``(False, a, y, (-1)^p c)`` (m -> a m).
+- Cochains read the factorizations of every z in W_{p+1}, transposed: each
+  ``(y, a): c`` of ``W_p (x) a`` gives ``(True, a, z, c)`` (f(y) a), each
+  ``(a, y): c`` of ``a (x) W_p`` gives ``(False, a, z, -(-1)^p c)`` (a f(y)).
+
+Since b_K = -[e_A, -] for the fundamental 1-cocycle e_A, the left-acting
+terms (``right`` false) with their sign flipped are e_A cup f on cochains
+and e_A cap z (left) on chains: the higher calculus reads the same table.
 """
 
 from __future__ import annotations
@@ -37,6 +55,9 @@ class DegreeError(ValueError):
 
 MODULE_A = "A"
 MODULE_K = "k"
+
+#: one differential term: (right, arrow, target W index, signed coefficient)
+DiffTerm = Tuple[bool, int, int, object]
 
 
 class WSpace:
@@ -89,6 +110,7 @@ class KoszulCalculus:
         self.p_max = p_max
         self.wspaces: List[WSpace] = []
         self._split_memo: Dict[Tuple[int, int], List[Dict[Tuple[int, int], object]]] = {}
+        self._terms_memo: Dict[Tuple[int, str], List[List[DiffTerm]]] = {}
         self._build_wspaces(pres)
 
     # -- W spaces ----------------------------------------------------------
@@ -104,6 +126,8 @@ class KoszulCalculus:
             w0.block_paths[key] = [Path.trivial(q, i)]
             w0.block_path_index[key] = {(): 0}
             w0.block_basis[key] = [{0: field.one}]
+            w0.left_fact.append({})
+            w0.right_fact.append({})
         w0.finish()
         self.wspaces.append(w0)
         if self.p_max == 0:
@@ -244,6 +268,8 @@ class KoszulCalculus:
             self.wspaces.append(ws)
 
     def w(self, p: int) -> WSpace:
+        if p < 0:
+            raise DegreeError(f"no W space in negative degree {p}")
         if p < len(self.wspaces):
             return self.wspaces[p]
         ws = WSpace(p)
@@ -254,17 +280,6 @@ class KoszulCalculus:
         return [ws.dim for ws in self.wspaces]
 
     # -- coefficient modules -------------------------------------------------
-
-    def _mod_rmul(self, module: str, value, arrow: int):
-        """value * arrow in the module."""
-        if module == MODULE_A:
-            return self.algebra.rmul_arrow(value, arrow)
-        return None  # arrows act by zero on k
-
-    def _mod_lmul(self, module: str, arrow: int, value):
-        if module == MODULE_A:
-            return self.algebra.lmul_arrow(arrow, value)
-        return None
 
     def _mod_is_zero(self, module: str, value) -> bool:
         if value is None:
@@ -285,13 +300,6 @@ class KoszulCalculus:
         return add
 
     # -- cochains and chains --------------------------------------------------
-
-    def zero_cochain(self, p: int, module: str = MODULE_A) -> "Cochain":
-        return Cochain(self, p, module, {})
-
-    def cochain_from_values(self, p: int, values: Dict[int, object],
-                            module: str = MODULE_A) -> "Cochain":
-        return Cochain(self, p, module, dict(values))
 
     def cochain_on_relations(self, rel_values: Dict[int, Elem],
                              module: str = MODULE_A) -> "Cochain":
@@ -389,52 +397,61 @@ class KoszulCalculus:
 
     # -- differentials ---------------------------------------------------------
 
+    def terms(self, p: int, side: str) -> List[List[DiffTerm]]:
+        """The differential on degree p as (right, arrow, target, signed c) per W_p index.
+
+        ``side="hom"`` (chains, bimodule complex) targets W_{p-1};
+        ``side="coh"`` (cochains) targets W_{p+1}.  See the module docstring.
+        """
+        key = (p, side)
+        table = self._terms_memo.get(key)
+        if table is not None:
+            return table
+        field = self.field
+        minus = field.neg(field.one)
+        table = [[] for _ in range(self.w(p).dim)]
+        if side == "hom":
+            ws = self.w(p)
+            sign = field.one if p % 2 == 0 else minus
+            for x in range(ws.dim):
+                for (a, y), c in ws.left_fact[x].items():
+                    table[x].append((True, a, y, c))
+                for (y, a), c in ws.right_fact[x].items():
+                    table[x].append((False, a, y, field.mul(sign, c)))
+        elif side == "coh":
+            ws = self.w(p + 1)
+            sign = minus if p % 2 == 0 else field.one
+            for z in range(ws.dim):
+                for (y, a), c in ws.right_fact[z].items():
+                    table[y].append((True, a, z, c))
+                for (a, y), c in ws.left_fact[z].items():
+                    table[y].append((False, a, z, field.mul(sign, c)))
+        else:
+            raise ValueError("side must be 'coh' or 'hom'")
+        self._terms_memo[key] = table
+        return table
+
+    def _apply(self, obj: "KoszulElement", side: str) -> Dict[int, object]:
+        """Values of b_K obj, read off the term table from obj's support."""
+        if obj.module != MODULE_A:
+            return {}  # arrows act by zero on k
+        alg = self.algebra
+        terms = self.terms(obj.degree, side)
+        values: Dict[int, object] = {}
+        for x, val in obj.values.items():
+            for right, a, t, c in terms[x]:
+                part = alg.rmul_arrow(val, a) if right else alg.lmul_arrow(a, val)
+                if part:
+                    values[t] = alg.elem_add(values.get(t, {}), part, c)
+        return {t: v for t, v in values.items() if v}
+
     def apply_bK(self, f: "Cochain") -> "Cochain":
         """Cochain differential: f(x_1..x_p).x_{p+1} - (-1)^p x_1.f(x_2..x_{p+1})."""
-        p = f.p
-        ws_next = self.w(p + 1)
-        field = self.field
-        sign = field.neg(field.one) if p % 2 == 0 else field.one
-        values: Dict[int, object] = {}
-        for z in range(ws_next.dim):
-            val = None
-            for (y, beta), c in ws_next.right_fact[z].items():
-                fy = f.values.get(y)
-                if fy is None:
-                    continue
-                val = self._mod_add(f.module, val, self._mod_rmul(f.module, fy, beta), c)
-            for (alpha, y2), c in ws_next.left_fact[z].items():
-                fy = f.values.get(y2)
-                if fy is None:
-                    continue
-                val = self._mod_add(f.module, val,
-                                    self._mod_lmul(f.module, alpha, fy),
-                                    field.mul(sign, c))
-            if not self._mod_is_zero(f.module, val):
-                values[z] = val
-        return Cochain(self, p + 1, f.module, values)
+        return Cochain(self, f.p + 1, f.module, self._apply(f, "coh"))
 
     def apply_bK_chain(self, z: "Chain") -> "Chain":
         """Chain differential: m.x_1 (x) x_2..x_q + (-1)^q x_q.m (x) x_1..x_{q-1}."""
-        q = z.q
-        if q == 0:
-            return self.zero_chain(0, z.module)
-        ws = self.w(q)
-        field = self.field
-        sign = field.one if q % 2 == 0 else field.neg(field.one)
-        values: Dict[int, object] = {}
-        for wflat, melem in z.values.items():
-            for (alpha, y), c in ws.left_fact[wflat].items():
-                part = self._mod_rmul(z.module, melem, alpha)
-                if not self._mod_is_zero(z.module, part):
-                    values[y] = self._mod_add(z.module, values.get(y), part, c)
-            for (y2, beta), c in ws.right_fact[wflat].items():
-                part = self._mod_lmul(z.module, beta, melem)
-                if not self._mod_is_zero(z.module, part):
-                    values[y2] = self._mod_add(z.module, values.get(y2), part,
-                                               field.mul(sign, c))
-        values = {k: v for k, v in values.items() if not self._mod_is_zero(z.module, v)}
-        return Chain(self, q - 1, z.module, values)
+        return Chain(self, z.q - 1, z.module, self._apply(z, "hom"))
 
     # -- splits and products -----------------------------------------------------
 
@@ -659,21 +676,26 @@ class KoszulCalculus:
         return self.cap(f, z, "left").add(self.cap(f, z, "right"), self.field.neg(sign))
 
 
-class Cochain:
-    """Element of Hom_{k^e}(W_p, M), stored by W-basis index."""
+class KoszulElement:
+    """A cochain or chain: values in the coefficient module by W-basis index."""
 
-    def __init__(self, kd: KoszulCalculus, p: int, module: str, values: Dict[int, object]):
+    def __init__(self, kd: KoszulCalculus, degree: int, module: str,
+                 values: Dict[int, object]):
         self.kd = kd
-        self.p = p
+        self.degree = degree
         self.module = module
         self.values = values
+
+    def _with(self, values: Dict[int, object]):
+        return type(self)(self.kd, self.degree, self.module, values)
 
     def is_zero(self) -> bool:
         return not self.values
 
-    def add(self, other: "Cochain", c=None) -> "Cochain":
-        if other.p != self.p or other.module != self.module:
-            raise DegreeError("cochain mismatch in addition")
+    def add(self, other, c=None):
+        if (type(other) is not type(self) or other.degree != self.degree
+                or other.module != self.module):
+            raise DegreeError(f"{type(self).__name__.lower()} mismatch in addition")
         kd = self.kd
         if c is None:
             c = kd.field.one
@@ -684,18 +706,16 @@ class Cochain:
                 values.pop(k, None)
             else:
                 values[k] = cur
-        return Cochain(kd, self.p, self.module, values)
+        return self._with(values)
 
-    def scale(self, c) -> "Cochain":
+    def scale(self, c):
         kd = self.kd
         if kd.field.is_zero(c):
-            return Cochain(kd, self.p, self.module, {})
-        values = {}
-        for k, v in self.values.items():
-            values[k] = kd._mod_add(self.module, None, v, c)
-        return Cochain(kd, self.p, self.module, values)
+            return self._with({})
+        return self._with({k: kd._mod_add(self.module, None, v, c)
+                           for k, v in self.values.items()})
 
-    def equals(self, other: "Cochain") -> bool:
+    def equals(self, other) -> bool:
         return self.add(other, self.kd.field.neg(self.kd.field.one)).is_zero()
 
     def coefficient_weights(self) -> List[int]:
@@ -706,7 +726,7 @@ class Cochain:
             out.update(m for (m, _pos) in v)
         return sorted(out)
 
-    def weight_component(self, m: int) -> "Cochain":
+    def weight_component(self, m: int):
         if self.module != MODULE_A:
             return self
         values = {}
@@ -714,66 +734,26 @@ class Cochain:
             part = {t: c for t, c in v.items() if t[0] == m}
             if part:
                 values[k] = part
-        return Cochain(self.kd, self.p, self.module, values)
+        return self._with(values)
+
+
+class Cochain(KoszulElement):
+    """Element of Hom_{k^e}(W_p, M), stored by W-basis index."""
+
+    @property
+    def p(self) -> int:
+        return self.degree
 
     def is_cocycle(self) -> bool:
         return self.kd.apply_bK(self).is_zero()
 
 
-class Chain:
+class Chain(KoszulElement):
     """Element of M (x)_{k^e} W_q, stored by W-basis index."""
 
-    def __init__(self, kd: KoszulCalculus, q: int, module: str, values: Dict[int, object]):
-        self.kd = kd
-        self.q = q
-        self.module = module
-        self.values = values
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def add(self, other: "Chain", c=None) -> "Chain":
-        if other.q != self.q or other.module != self.module:
-            raise DegreeError("chain mismatch in addition")
-        kd = self.kd
-        if c is None:
-            c = kd.field.one
-        values = dict(self.values)
-        for k, v in other.values.items():
-            cur = kd._mod_add(self.module, values.get(k), v, c)
-            if kd._mod_is_zero(self.module, cur):
-                values.pop(k, None)
-            else:
-                values[k] = cur
-        return Chain(kd, self.q, self.module, values)
-
-    def scale(self, c) -> "Chain":
-        kd = self.kd
-        if kd.field.is_zero(c):
-            return Chain(kd, self.q, self.module, {})
-        return Chain(kd, self.q, self.module,
-                     {k: kd._mod_add(self.module, None, v, c) for k, v in self.values.items()})
-
-    def equals(self, other: "Chain") -> bool:
-        return self.add(other, self.kd.field.neg(self.kd.field.one)).is_zero()
-
-    def coefficient_weights(self) -> List[int]:
-        if self.module != MODULE_A:
-            return []
-        out = set()
-        for v in self.values.values():
-            out.update(m for (m, _pos) in v)
-        return sorted(out)
-
-    def weight_component(self, n: int) -> "Chain":
-        if self.module != MODULE_A:
-            return self
-        values = {}
-        for k, v in self.values.items():
-            part = {t: c for t, c in v.items() if t[0] == n}
-            if part:
-                values[k] = part
-        return Chain(self.kd, self.q, self.module, values)
+    @property
+    def q(self) -> int:
+        return self.degree
 
     def is_cycle(self) -> bool:
         return self.kd.apply_bK_chain(self).is_zero()

@@ -35,12 +35,6 @@ def vec_is_zero(v: SparseVec) -> bool:
     return not v
 
 
-def vec_scale(v: SparseVec, c, field: Field) -> SparseVec:
-    if field.is_zero(c):
-        return {}
-    return {i: field.mul(x, c) for i, x in v.items()}
-
-
 def vec_add_scaled(u: SparseVec, v: SparseVec, c, field: Field) -> SparseVec:
     """u + c*v as a new sparse vector."""
     out = dict(u)
@@ -57,16 +51,8 @@ def vec_add(u: SparseVec, v: SparseVec, field: Field) -> SparseVec:
     return vec_add_scaled(u, v, field.one, field)
 
 
-def vec_sub(u: SparseVec, v: SparseVec, field: Field) -> SparseVec:
-    return vec_add_scaled(u, v, field.neg(field.one), field)
-
-
 def vec_neg(v: SparseVec, field: Field) -> SparseVec:
     return {i: field.neg(x) for i, x in v.items()}
-
-
-def vec_equal(u: SparseVec, v: SparseVec, field: Field) -> bool:
-    return vec_is_zero(vec_sub(u, v, field))
 
 
 def _echelon_rational(rows: Iterable[SparseVec]) -> Dict[int, SparseVec]:
@@ -227,14 +213,6 @@ class LinearMap:
                 out[i][j] = x
         return out
 
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        """self o inner."""
-        self.field.require_same(inner.field)
-        if inner.codomain_dim != self.domain_dim:
-            raise AmbientMismatchError("composition dimension mismatch")
-        cols = [self.apply(c) for c in inner.cols]
-        return LinearMap(inner.domain_dim, self.codomain_dim, cols, self.field)
-
     def rank(self) -> int:
         return rank(self.cols, self.codomain_dim, self.field)
 
@@ -373,6 +351,3 @@ class QuotientSpace:
             out = vec_add_scaled(out, rep, c, field)
         return out
 
-
-def quotient_coords(q: QuotientSpace, v: SparseVec) -> List[object]:
-    return q.coords(v)

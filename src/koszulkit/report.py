@@ -297,9 +297,8 @@ def run(config: RunConfig) -> Dict:
 
     if "higher" in analyses and coh is not None and module == MODULE_A:
         with timings.measure("higher"):
-            eA = kd.fundamental_cocycle()
-            hi_coh = higher_calculus(coh, eA)
-            hi_hom = higher_calculus(hom, eA)
+            hi_coh = higher_calculus(coh)
+            hi_hom = higher_calculus(hom)
         report["higher"] = {
             "cohomology": {"dims": hi_coh.dims(),
                            "bigraded": {str(p): {str(m): d for m, d

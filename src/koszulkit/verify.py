@@ -58,9 +58,8 @@ class TypeCharComputation:
         self.kd = KoszulCalculus(self.preset.algebra, 3)
         self.coh = koszul_homology(self.kd, MODULE_A, "coh")
         self.hom = koszul_homology(self.kd, MODULE_A, "hom")
-        self.eA = self.kd.fundamental_cocycle()
-        self.hi_coh = higher_calculus(self.coh, self.eA)
-        self.hi_hom = higher_calculus(self.hom, self.eA)
+        self.hi_coh = higher_calculus(self.coh)
+        self.hi_hom = higher_calculus(self.hom)
         self.gens = NamedGenerators(self.preset, self.kd, self.coh)
         self._frob: Optional[FrobeniusStructure] = None
         if with_frobenius:
@@ -600,7 +599,7 @@ class PropertySuite:
         self.log.record("HK0 = center", r == dim0 == len(center),
                         f"center dim {len(center)}, HK0 dim {dim0}")
         # degree-0 higher space versus the direct linear description
-        hi0 = HigherSpaces(self.coh, kd.fundamental_cocycle()).dim(0)
+        hi0 = HigherSpaces(self.coh).dim(0)
         direct = direct_higher0_dim(alg)
         self.log.record("HK0_hi = direct solution set", hi0 == direct,
                         f"higher {hi0}, direct {direct}")

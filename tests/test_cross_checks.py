@@ -49,7 +49,7 @@ def test_top_weight_higher_degree0_is_spanned_by_top_cycles(name, field):
     top = alg.max_weight
     kd = KoszulCalculus(alg, 3)
     coh = koszul_homology(kd, MODULE_A, "coh")
-    hi = higher_calculus(coh, kd.fundamental_cocycle())
+    hi = higher_calculus(coh)
     diag_top = sum(len(alg.block_positions(top, i, i))
                    for i in range(alg.quiver.n_vertices))
     assert hi.bigraded_dims(0).get(top, 0) == diag_top

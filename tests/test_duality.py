@@ -98,9 +98,8 @@ def test_full_duality_suite(name, field):
     kd = KoszulCalculus(pr.algebra, 3)
     coh = koszul_homology(kd, MODULE_A, "coh")
     hom = koszul_homology(kd, MODULE_A, "hom")
-    eA = kd.fundamental_cocycle()
     rep = du.verify_duality(kd, coh, hom, MODULE_A,
-                            higher_calculus(coh, eA), higher_calculus(hom, eA))
+                            higher_calculus(coh), higher_calculus(hom))
     assert rep.ok, rep.failures[:5]
 
 

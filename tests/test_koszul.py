@@ -274,9 +274,8 @@ def test_higher_calculus_a3_and_a4():
         kd = KoszulCalculus(pr.algebra, 3)
         coh = koszul_homology(kd, MODULE_A, "coh")
         hom = koszul_homology(kd, MODULE_A, "hom")
-        eA = kd.fundamental_cocycle()
-        assert higher_calculus(coh, eA).dims() == exp_coh
-        assert higher_calculus(hom, eA).dims() == exp_hom
+        assert higher_calculus(coh).dims() == exp_coh
+        assert higher_calculus(hom).dims() == exp_hom
 
 
 def test_higher_degree0_weight0_is_the_ground_ring():
@@ -285,8 +284,7 @@ def test_higher_degree0_weight0_is_the_ground_ring():
         pr = Preset(name, QQ, cutoff=6 if "~" in name else None)
         kd = KoszulCalculus(pr.algebra, 3)
         hom = koszul_homology(kd, MODULE_A, "hom")
-        eA = kd.fundamental_cocycle()
-        hih = higher_calculus(hom, eA)
+        hih = higher_calculus(hom)
         assert hih.blocks[(0, 0)].dim == pr.quiver.n_vertices
 
 
@@ -353,3 +351,91 @@ def test_bimodule_homology_non_dynkin_koszul():
     # degree zero reproduces the algebra's graded dimensions
     for n, d in table[0].items():
         assert d == len(pr.algebra.monomials[n])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("name,cutoff", [("A3", None), ("D4", None), ("E6", None),
+                                         ("A~2", 6), ("D~4", 7)])
+def test_block_assembler_matches_differentials_and_products(name, cutoff, field):
+    """Every assembled column equals the flattened image of its basis element:
+    under b_K for the differential blocks, and under e_A cup - / e_A cap -
+    (computed through split_coords and multiply) for the higher half."""
+    from koszulkit.homology import CoordSpace, _block_images
+    pr = Preset(name, field, cutoff=cutoff)
+    alg = pr.algebra
+    kd = KoszulCalculus(alg, 3)
+    eA = kd.fundamental_cocycle()
+    weights = range(alg.max_weight if alg.truncated else alg.max_weight + 1)
+    checked = 0
+    for side, degrees, step in (("coh", range(0, 4), 1), ("hom", range(1, 5), -1)):
+        for p in degrees:
+            for m in weights:
+                src = CoordSpace(kd, p, m, MODULE_A, side)
+                dst = CoordSpace(kd, p + step, m + 1, MODULE_A, side)
+                units = [{k: field.one} for k in range(src.dim)]
+                cols = _block_images(src, dst, units)
+                halves = _block_images(src, dst, units, higher=True)
+                for unit, col, half in zip(units, cols, halves):
+                    u = src.unflatten(unit)
+                    if side == "coh":
+                        diff, prod = kd.apply_bK(u), kd.cup(eA, u)
+                    else:
+                        diff, prod = kd.apply_bK_chain(u), kd.cap(eA, u, "left")
+                    assert col == dst.flatten(diff), (side, p, m, unit)
+                    assert half == dst.flatten(prod), (side, p, m, unit)
+                    checked += 1
+    assert checked > 0
+
+
+def test_negative_degree_has_no_w_space():
+    pr = Preset("A3", QQ)
+    kd = KoszulCalculus(pr.algebra, 1)
+    assert kd.w(2).p == 2 and kd.w(2).dim == 3
+    with pytest.raises(DegreeError):
+        kd.w(-1)
+
+
+#: homology tables and nonzero ranks of the bimodule complex, recorded
+#: before its assembly was moved onto the differential term table
+BIMODULE_TABLES = {
+    ("D4", 3, None): (
+        {0: {0: 4, 1: 6, 2: 8, 3: 6, 4: 4}, 1: {}, 2: {6: 4, 7: 6, 8: 8, 9: 6, 10: 4},
+         3: {}},
+        {(1, 1): 6, (1, 2): 20, (1, 3): 30, (1, 4): 44, (1, 5): 36, (1, 6): 28,
+         (1, 7): 12, (1, 8): 4, (2, 2): 4, (2, 3): 12, (2, 4): 28, (2, 5): 36,
+         (2, 6): 44, (2, 7): 30, (2, 8): 20, (2, 9): 6}),
+    ("E6", 2, None): (
+        {0: {0: 6, 1: 10, 2: 14, 3: 18, 4: 20, 5: 20, 6: 20, 7: 18, 8: 14, 9: 10, 10: 6},
+         1: {},
+         2: {12: 6, 13: 10, 14: 14, 15: 18, 16: 20, 17: 20, 18: 20, 19: 18, 20: 14,
+             21: 10, 22: 6},
+         3: {}},
+        {(1, 1): 10, (1, 2): 34, (1, 3): 74, (1, 4): 128, (1, 5): 192, (1, 6): 268,
+         (1, 7): 338, (1, 8): 400, (1, 9): 446, (1, 10): 474, (1, 11): 456,
+         (1, 12): 414, (1, 13): 356, (1, 14): 288, (1, 15): 212, (1, 16): 148,
+         (1, 17): 92, (1, 18): 48, (1, 19): 20, (1, 20): 6, (2, 2): 6, (2, 3): 20,
+         (2, 4): 48, (2, 5): 92, (2, 6): 148, (2, 7): 212, (2, 8): 288, (2, 9): 356,
+         (2, 10): 414, (2, 11): 456, (2, 12): 474, (2, 13): 446, (2, 14): 400,
+         (2, 15): 338, (2, 16): 268, (2, 17): 192, (2, 18): 128, (2, 19): 74,
+         (2, 20): 34, (2, 21): 10}),
+    ("D~4", 0, 6): (
+        {0: {0: 5, 1: 8, 2: 15, 3: 16, 4: 25, 5: 24, 6: 35}, 1: {}, 2: {}, 3: {}},
+        {(1, 1): 8, (1, 2): 35, (1, 3): 64, (1, 4): 150, (1, 5): 200, (1, 6): 385,
+         (2, 2): 5, (2, 3): 16, (2, 4): 50, (2, 5): 80, (2, 6): 175}),
+    ("A~2", 3, 8): (
+        {0: {0: 3, 1: 6, 2: 9, 3: 12, 4: 15, 5: 18, 6: 21, 7: 24, 8: 27}, 1: {}, 2: {},
+         3: {}},
+        {(1, 1): 6, (1, 2): 21, (1, 3): 48, (1, 4): 90, (1, 5): 150, (1, 6): 231,
+         (1, 7): 336, (1, 8): 468, (2, 2): 3, (2, 3): 12, (2, 4): 30, (2, 5): 60,
+         (2, 6): 105, (2, 7): 168, (2, 8): 252}),
+}
+
+
+@pytest.mark.parametrize("key", list(BIMODULE_TABLES), ids=lambda k: f"{k[0]}-char{k[1]}")
+def test_bimodule_tables_pinned(key):
+    name, char, cutoff = key
+    pr = Preset(name, GF(char) if char else QQ, cutoff=cutoff)
+    bh = BimoduleHomology(KoszulCalculus(pr.algebra, 3), 3, weight_cutoff=cutoff)
+    table, ranks = BIMODULE_TABLES[key]
+    assert bh.homology_table() == table
+    assert {k: r for k, r in bh.ranks.items() if r} == ranks
