@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from .homology import BimoduleHomology, CalculusSpaces, HigherSpaces
 from .koszul import Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A
-from .linalg import LinearMap, SparseVec
+from .linalg import LinearMap
 
 
 class NotPreprojectiveError(ValueError):
@@ -33,23 +33,8 @@ def _preprojective_data(kd: KoszulCalculus):
 def omega0(kd: KoszulCalculus) -> Chain:
     """The fundamental 2-cycle: sum over vertices of e_i tensor sigma_i."""
     pres, _spec = _preprojective_data(kd)
-    field = kd.field
-    ws = kd.w(2)
-    pairs = []
-    for r, rel in enumerate(pres.relations):
-        i = pres.sigma_vertices[r]
-        key = pres.relation_blocks[r]
-        vec: SparseVec = {}
-        idx = ws.block_path_index[key]
-        for coeff, pair in rel:
-            t = idx[pair]
-            cur = field.add(vec.get(t, field.zero), coeff)
-            if field.is_zero(cur):
-                vec.pop(t, None)
-            else:
-                vec[t] = cur
-        pairs.append((kd.algebra.vertex_elem(i), vec, key))
-    return kd.chain_from_pairs(2, pairs)
+    return kd.chain_on_relations([(kd.algebra.vertex_elem(i), r)
+                                  for r, i in enumerate(pres.sigma_vertices)])
 
 
 def theta(kd: KoszulCalculus, f: Cochain, w0: Optional[Chain] = None) -> Chain:

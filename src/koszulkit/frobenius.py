@@ -6,6 +6,13 @@ spanned by a chosen socle generator.  The bilinear form pairs y with x
 through the coefficient of the socle generator of x's column in the
 product yx; the Nakayama automorphism is solved from the form and then
 cross-checked as an algebra automorphism.
+
+:class:`FrobeniusStructure` derives each piece of this data once and keeps
+it on the instance: the basis indices of each (weight, target, source)
+block in ``_by_block`` (built with the basis), the dual basis in ``_dual``
+(each Gram block inverted by ``linalg.rref`` on ``[G | I]``), and the
+Nakayama scalars ``{arrow: (beta, c)}`` in ``_nu_scalars``, from which
+``nakayama_on_elem`` extends nu along paths without touching the form.
 """
 
 from __future__ import annotations
@@ -15,8 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import Elem, GradedAlgebra
 from .homology import CalculusSpaces
 from .koszul import Chain, Cochain, KoszulCalculus
-from .linalg import (LinearMap, SparseVec, echelonize, image, kernel, rank,
-                     vec_add_scaled, zero_subspace)
+from .linalg import LinearMap, SparseVec, echelonize, image, kernel, rank, rref
 
 
 class FrobeniusError(ValueError):
@@ -61,6 +67,7 @@ class FrobeniusStructure:
         # adapted basis: all monomials, top ones rescaled to the socle generators
         self.basis: List[Elem] = []
         self.basis_block: List[Tuple[int, int, int]] = []  # (weight, tgt, src)
+        self._by_block: Dict[Tuple[int, int, int], List[int]] = {}
         for m in range(top + 1):
             for pos, path in enumerate(algebra.monomials[m]):
                 j, i = algebra.block_of[m][pos]
@@ -68,9 +75,11 @@ class FrobeniusStructure:
                     self.basis.append(self.pi[i])
                 else:
                     self.basis.append({(m, pos): self.field.one})
+                self._by_block.setdefault((m, j, i), []).append(len(self.basis_block))
                 self.basis_block.append((m, j, i))
         self.dim = len(self.basis)
         self._dual: Optional[List[Elem]] = None
+        self._nu_scalars: Optional[Dict[int, Tuple[int, object]]] = None
 
     # -- the bilinear form ---------------------------------------------------
 
@@ -84,64 +93,60 @@ class FrobeniusStructure:
         prod = self.algebra.multiply(y, x)
         return self.pi_coefficient(prod, src)
 
-    def form_on_basis(self, w: int, v: int):
-        _mv, _jv, iv = self.basis_block[v]
-        return self.form(self.basis[w], self.basis[v], iv)
-
-    def gram_entries(self) -> Dict[Tuple[int, int], object]:
-        """All nonzero form values on basis pairs (block-sparse)."""
-        out: Dict[Tuple[int, int], object] = {}
-        by_block: Dict[Tuple[int, int, int], List[int]] = {}
-        for k, blk in enumerate(self.basis_block):
-            by_block.setdefault(blk, []).append(k)
-        for (mv, jv, iv), vs in by_block.items():
-            wkey = (self.top - mv, self.nu_bar[iv], jv)
-            ws = by_block.get(wkey, [])
-            for v in vs:
-                for w in ws:
-                    val = self.form_on_basis(w, v)
-                    if not self.field.is_zero(val):
-                        out[(w, v)] = val
-        return out
+    def _paired_block(self, block: Tuple[int, int, int]) -> List[int]:
+        """Basis indices w whose form (basis[w], basis[v]) can be nonzero for v in block."""
+        m, j, i = block
+        return self._by_block.get((self.top - m, self.nu_bar[i], j), [])
 
     def dual_basis(self) -> List[Elem]:
         """Basis with (dual[v], basis[w]) = delta_{vw}; errors if degenerate."""
         if self._dual is not None:
             return self._dual
         field = self.field
-        by_block: Dict[Tuple[int, int, int], List[int]] = {}
-        for k, blk in enumerate(self.basis_block):
-            by_block.setdefault(blk, []).append(k)
-        dual: List[Optional[Elem]] = [None] * self.dim
-        for (mv, jv, iv), vs in by_block.items():
-            wkey = (self.top - mv, self.nu_bar[iv], jv)
-            ws = by_block.get(wkey, [])
-            if len(ws) != len(vs):
+        dual: List[Elem] = [{}] * self.dim
+        for blk, vs in self._by_block.items():
+            ws = self._paired_block(blk)
+            n = len(ws)
+            if n != len(vs):
                 raise FrobeniusError("degenerate form: unbalanced paired blocks")
             # want dual[v] = sum_w c_w basis[w] with (dual[v], basis[v']) = delta;
-            # the Gram block G[v'][w] = (basis[w], basis[v']) is inverted densely
-            gt_rows = [[self.form_on_basis(w, vp) for w in ws] for vp in vs]
-            inv = _dense_inverse(gt_rows, field)
-            if inv is None:
+            # row v' of [G | I] holds G[v'][w] = (basis[w], basis[v']), and its
+            # reduced form is [I | G^-1] exactly when G is invertible
+            rows = []
+            for r, vp in enumerate(vs):
+                row = {}
+                for k, w in enumerate(ws):
+                    val = self.form(self.basis[w], self.basis[vp], blk[2])
+                    if not field.is_zero(val):
+                        row[k] = val
+                row[n + r] = field.one
+                rows.append(row)
+            reduced, pivots = rref(rows, 2 * n, field)
+            if pivots[-1] >= n:
                 raise FrobeniusError("degenerate form: singular Gram block")
             for col_v, v in enumerate(vs):
                 d: Elem = {}
                 for k, w in enumerate(ws):
-                    c = inv[k][col_v]
-                    if not field.is_zero(c):
+                    c = reduced[k].get(n + col_v)
+                    if c is not None:
                         d = self.algebra.elem_add(d, self.basis[w], c)
                 dual[v] = d
-        assert all(d is not None for d in dual)
-        self._dual = [d for d in dual]  # type: ignore[misc]
-        return self._dual
+        self._dual = dual
+        return dual
 
     # -- Nakayama automorphism -------------------------------------------------
 
-    def nakayama_on_arrows(self) -> Dict[int, Elem]:
-        """Solve (nu(x), y) = (y, x) for each arrow x; checks consistency."""
+    def nakayama_arrow_scalars(self) -> Dict[int, Tuple[int, object]]:
+        """nu(a) = c * beta as {a: (beta, c)}, solved once from (nu(x), y) = (y, x).
+
+        Every basis element y is read, so the solve also checks that the form
+        determines nu on each arrow and that all the ratios agree.
+        """
+        if self._nu_scalars is not None:
+            return self._nu_scalars
         q = self.algebra.quiver
         field = self.field
-        out: Dict[int, Elem] = {}
+        out: Dict[int, Tuple[int, object]] = {}
         for a in range(q.n_arrows):
             s, t = q.source[a], q.target[a]
             ns, nt = self.nu_bar[s], self.nu_bar[t]
@@ -167,18 +172,10 @@ class FrobeniusStructure:
                     c = ratio
                 elif c != ratio:
                     raise FrobeniusError("inconsistent Nakayama solution on an arrow")
-            if c is None:
+            if c is None or field.is_zero(c):
                 raise FrobeniusError("degenerate pairing against an arrow")
-            out[a] = self.algebra.elem_scale(bel, c)
-        return out
-
-    def nakayama_arrow_scalars(self) -> Dict[int, Tuple[int, object]]:
-        """nu(a) = c * beta as (beta, c) per arrow."""
-        out = {}
-        for a, el in self.nakayama_on_arrows().items():
-            ((m, pos), c), = el.items()
-            assert m == 1
-            out[a] = (pos, c)
+            out[a] = (beta, c)
+        self._nu_scalars = out
         return out
 
     def nakayama_on_elem(self, x: Elem) -> Elem:
@@ -246,15 +243,10 @@ class FrobeniusStructure:
 
     def form_is_nakayama_symmetric(self) -> bool:
         """(y, x) = (nu(x), y) on all basis pairs, block-sparsely."""
-        field = self.field
-        by_block: Dict[Tuple[int, int, int], List[int]] = {}
-        for k, blk in enumerate(self.basis_block):
-            by_block.setdefault(blk, []).append(k)
         for v in range(self.dim):
-            mv, jv, iv = self.basis_block[v]
+            iv = self.basis_block[v][2]
             nx = self.nakayama_on_elem(self.basis[v])
-            ws = by_block.get((self.top - mv, self.nu_bar[iv], jv), [])
-            for w in ws:
+            for w in self._paired_block(self.basis_block[v]):
                 _mw, _jw, iw = self.basis_block[w]
                 if self.form(self.basis[w], self.basis[v], iv) != \
                         self.form(nx, self.basis[w], iw):
@@ -368,26 +360,6 @@ class FrobeniusStructure:
         return out
 
 
-def _dense_inverse(rows: List[List[object]], field):
-    """Inverse of a small dense matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + [field.one if i == k else field.zero for k in range(n)]
-           for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not field.is_zero(aug[r][c])), None)
-        if piv is None:
-            return None
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-        inv = field.inv(aug[c][c])
-        aug[c] = [field.mul(v, inv) for v in aug[c]]
-        for r in range(n):
-            if r != c and not field.is_zero(aug[r][c]):
-                f = aug[r][c]
-                aug[r] = [field.sub(v, field.mul(f, w)) for v, w in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def cartan_kernel_dim(algebra: GradedAlgebra) -> int:
     field = algebra.field
     cart = algebra.cartan_matrix()
@@ -441,9 +413,8 @@ class Degree2Comparison:
             for k, c in row.items():
                 m, pos = dcoords[k]
                 i = alg.block_of[m][pos][0]
-                r = rel_of_vertex[i]
-                pairs.append(({(m, pos): c}, r, pres.relation_blocks[r]))
-            z = _chain_from_relation_mix(kd, pairs)
+                pairs.append(({(m, pos): c}, rel_of_vertex[i]))
+            z = kd.chain_on_relations(pairs)
             self.delta3_image_cycles.append(z)
             if not z.is_cycle():
                 raise FrobeniusError("transported degree-3 image is not a cycle")
@@ -459,26 +430,6 @@ class Degree2Comparison:
                    if all(dcoords[k][0] == 0 for k in row)]
         self.ker_up_weight0_dim = rank(w0_rows, len(dcoords), field)
         self.cartan_kernel_dim = cartan_kernel_dim(alg)
-
-
-def _chain_from_relation_mix(kd: KoszulCalculus, pairs) -> Chain:
-    """Chain sum of m (x) sigma_r from (coefficient, relation, block) triples."""
-    field = kd.field
-    pres = kd.algebra.presentation
-    ws = kd.w(2)
-    triples = []
-    for m_elem, r, key in pairs:
-        idx = ws.block_path_index[key]
-        vec: SparseVec = {}
-        for coeff, pair in pres.relations[r]:
-            t = idx[pair]
-            cur = field.add(vec.get(t, field.zero), coeff)
-            if field.is_zero(cur):
-                vec.pop(t, None)
-            else:
-                vec[t] = cur
-        triples.append((m_elem, vec, key))
-    return kd.chain_from_pairs(2, triples)
 
 
 class BarOracle:

@@ -443,9 +443,6 @@ class BimoduleHomology:
             out[p] = row
         return out
 
-    def total_homology_dim(self, p: int) -> int:
-        return sum(self.homology_table().get(p, {}).values())
-
     def koszul_up_to_cutoff(self, p_from: int = 2) -> bool:
         table = self.homology_table()
         return all(not table.get(p) for p in range(p_from, self.p_max + 1))

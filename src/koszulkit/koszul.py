@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Elem, GradedAlgebra
 from .linalg import SparseVec, SpanSolver, echelonize, intersect
-from .quiver import Path, paths_of_weight
+from .quiver import Path, paths_of_weight, relation_vector
 
 
 class ModuleError(ValueError):
@@ -190,30 +190,27 @@ class KoszulCalculus:
                             vec = {idx[ypaths[t].arrows + (a,)]: c for t, c in yvec.items()}
                             right_span.setdefault(key, []).append(((yflat, a), vec))
             if p == 2:
-                # W_2 is the relation space itself
+                # W_2 is the relation space itself; each basis vector also
+                # gets its coordinates over the input relations, appended in
+                # block_keys order, which is the flat order finish() lays out
                 rel_by_block: Dict[Tuple[int, int], List[int]] = {}
                 for r, key in enumerate(pres.relation_blocks):
                     rel_by_block.setdefault(key, []).append(r)
-                for key in sorted(blocks):
-                    rels = rel_by_block.get(key, [])
-                    if not rels:
-                        continue
-                    idx = ws.block_path_index[key]
-                    vecs = []
-                    for r in rels:
-                        vec: SparseVec = {}
-                        for coeff, pair in pres.relations[r]:
-                            t = idx[pair]
-                            cur = field.add(vec.get(t, field.zero), coeff)
-                            if field.is_zero(cur):
-                                vec.pop(t, None)
-                            else:
-                                vec[t] = cur
-                        vecs.append(vec)
-                    sub = echelonize(vecs, len(blocks[key]), field)
+                for key in sorted(rel_by_block):
+                    rels = rel_by_block[key]
+                    vecs = [relation_vector(pres, r, ws.block_path_index[key])
+                            for r in rels]
+                    ambient = len(blocks[key])
+                    sub = echelonize(vecs, ambient, field)
                     if sub.dim:
                         ws.block_keys.append(key)
                         ws.block_basis[key] = sub.basis_checked()
+                        solver = SpanSolver(vecs, ambient, field)
+                        for vec in ws.block_basis[key]:
+                            sol = solver.solve(vec)
+                            ws.relation_coords.append(
+                                {rels[t]: c for t, c in enumerate(sol)
+                                 if not field.is_zero(c)})
             else:
                 for key in sorted(blocks):
                     ambient = len(blocks[key])
@@ -243,28 +240,6 @@ class KoszulCalculus:
                                          if not field.is_zero(c)})
                     ws.right_fact.append({rpairs[t][0]: c for t, c in enumerate(rsol)
                                           if not field.is_zero(c)})
-            if p == 2:
-                # coordinates of each basis vector over the input relations
-                rel_vec_by_block: Dict[Tuple[int, int], List[Tuple[int, SparseVec]]] = {}
-                for r, key in enumerate(pres.relation_blocks):
-                    idx = ws.block_path_index[key]
-                    vec = {}
-                    for coeff, pair in pres.relations[r]:
-                        t = idx[pair]
-                        cur = field.add(vec.get(t, field.zero), coeff)
-                        if field.is_zero(cur):
-                            vec.pop(t, None)
-                        else:
-                            vec[t] = cur
-                    rel_vec_by_block.setdefault(key, []).append((r, vec))
-                for flat_idx, (j, i, k) in enumerate(ws.flat):
-                    pairs = rel_vec_by_block.get((j, i), [])
-                    solver = SpanSolver([v for _r, v in pairs],
-                                        len(ws.block_paths[(j, i)]), field)
-                    sol = solver.solve(ws.block_basis[(j, i)][k])
-                    ws.relation_coords.append(
-                        {pairs[t][0]: c for t, c in enumerate(sol)
-                         if not field.is_zero(c)})
             self.wspaces.append(ws)
 
     def w(self, p: int) -> WSpace:
@@ -394,6 +369,16 @@ class KoszulCalculus:
                 values[flat_idx] = self._mod_add(module, values.get(flat_idx), coeff, c)
         values = {k: v for k, v in values.items() if not self._mod_is_zero(module, v)}
         return Chain(self, q, module, values)
+
+    def chain_on_relations(self, pairs: Sequence[Tuple[Elem, int]]) -> "Chain":
+        """Degree-2 chain sum of m (x) sigma_r over (coefficient m, relation r) pairs."""
+        pres = self.algebra.presentation
+        ws = self.w(2)
+        triples = []
+        for m, r in pairs:
+            key = pres.relation_blocks[r]
+            triples.append((m, relation_vector(pres, r, ws.block_path_index[key]), key))
+        return self.chain_from_pairs(2, triples)
 
     # -- differentials ---------------------------------------------------------
 

@@ -199,13 +199,6 @@ class LinearMap:
     def identity(cls, dim: int, field: Field) -> "LinearMap":
         return cls(dim, dim, [{i: field.one} for i in range(dim)], field)
 
-    def apply(self, v: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        field = self.field
-        for i, c in v.items():
-            out = vec_add_scaled(out, self.cols[i], c, field)
-        return out
-
     def rows(self) -> List[SparseVec]:
         out: List[SparseVec] = [dict() for _ in range(self.codomain_dim)]
         for j, col in enumerate(self.cols):
@@ -343,11 +336,3 @@ class QuotientSpace:
             raise NotInSubspaceError("not a cocycle/cycle: vector outside the numerator")
         reduced = self.b.reduce(v)
         return [reduced.get(c, self.z.field.zero) for c in self.rep_pivots]
-
-    def lift(self, coords: Sequence) -> SparseVec:
-        field = self.z.field
-        out: SparseVec = {}
-        for c, rep in zip(coords, self.representatives):
-            out = vec_add_scaled(out, rep, c, field)
-        return out
-

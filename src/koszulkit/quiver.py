@@ -159,12 +159,6 @@ class QuadraticPresentation:
     def n_relations(self) -> int:
         return len(self.relations)
 
-    def relation_paths(self) -> List[List[Tuple[object, Path]]]:
-        out = []
-        for rel in self.relations:
-            out.append([(c, Path.from_arrows(self.quiver, pair)) for c, pair in rel])
-        return out
-
 
 class Graph:
     """An unlabelled undirected graph (multiple edges and loops allowed)."""

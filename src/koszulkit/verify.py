@@ -20,7 +20,7 @@ from .adedata import ExpectedCombo
 from .algebra import Elem
 from .duality import omega0, verify_duality
 from .fields import GF, QQ, Field
-from .frobenius import Degree2Comparison, FrobeniusStructure, cartan_kernel_dim
+from .frobenius import Degree2Comparison, FrobeniusStructure
 from .homology import CalculusSpaces, HigherSpaces, higher_calculus, koszul_homology
 from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A
 from .linalg import LinearMap, SparseVec, kernel, rank
@@ -77,15 +77,6 @@ class TypeCharComputation:
 
     def invariant_triple(self) -> Tuple[int, int, int]:
         return (self.hi_coh.dim(0), self.hi_coh.dim(1), self.hi_coh.dim(2))
-
-
-def _class_matrix(comp: TypeCharComputation, labels: Sequence[str], degree: int):
-    coh = comp.coh
-    vecs = []
-    for lbl in labels:
-        f = comp.gens.cochain(lbl)
-        vecs.append(coh.class_of(f))
-    return vecs
 
 
 def _combo_vector(comp: TypeCharComputation, combo: ExpectedCombo,
