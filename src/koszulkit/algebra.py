@@ -44,6 +44,9 @@ class GradedAlgebra:
         # rmul[m][(pos, arrow)] = normal form of monomial*arrow at weight m+1
         self._rmul: List[Dict[Tuple[int, int], SparseVec]] = []
         self._lmul_memo: Dict[Tuple[int, int, int], SparseVec] = {}
+        # prod[(m, pos, n, qos)] = normal form of the product of two composable
+        # monomials of positive weight, over weight m+n positions; filled on demand
+        self._prod: Dict[Tuple[int, int, int, int], SparseVec] = {}
         self.finite = False
         self.truncated = False
         self.top_weight: Optional[int] = None
@@ -239,6 +242,22 @@ class GradedAlgebra:
                     out[t] = cur
         return out
 
+    def _rmul_vec(self, vec: SparseVec, m: int, a: int) -> SparseVec:
+        """Normal form of vec * a, for vec over weight-m positions."""
+        if not vec or self._beyond(m + 1):
+            return {}
+        field = self.field
+        table = self._rmul[m]
+        out: SparseVec = {}
+        for pos, c in vec.items():
+            for npos, w in table.get((pos, a), {}).items():
+                cur = field.add(out.get(npos, field.zero), field.mul(c, w))
+                if field.is_zero(cur):
+                    out.pop(npos, None)
+                else:
+                    out[npos] = cur
+        return out
+
     def lmul_arrow_mono(self, a: int, m: int, pos: int) -> SparseVec:
         """Normal form of a * (monomial) as a vector over weight m+1 positions."""
         key = (a, m, pos)
@@ -255,16 +274,7 @@ class GradedAlgebra:
             self._lmul_memo[key] = out
             return out
         parent, last = self.parents[m][pos]
-        inner = self.lmul_arrow_mono(a, m - 1, parent)
-        out: SparseVec = {}
-        for ppos, c in inner.items():
-            nf = self._rmul[m].get((ppos, last), {})
-            for npos, w in nf.items():
-                cur = field.add(out.get(npos, field.zero), field.mul(c, w))
-                if field.is_zero(cur):
-                    out.pop(npos, None)
-                else:
-                    out[npos] = cur
+        out = self._rmul_vec(self.lmul_arrow_mono(a, m - 1, parent), m, last)
         self._lmul_memo[key] = out
         return out
 
@@ -283,24 +293,46 @@ class GradedAlgebra:
                     out[t] = cur
         return out
 
+    def _mono_product(self, m: int, pos: int, n: int, qos: int) -> SparseVec:
+        """Normal form of monomial (m, pos) times the composable monomial
+        (n, qos), over weight m+n positions.  The table is filled along the
+        right factor's monomial tree, x (y' a) = (x y') a, one rmul step per
+        entry; zero products are not stored."""
+        if n == 0:
+            return {pos: self.field.one}
+        if m == 0:
+            return {qos: self.field.one}
+        key = (m, pos, n, qos)
+        nf = self._prod.get(key)
+        if nf is None:
+            parent, a = self.parents[n][qos]
+            nf = self._rmul_vec(self._mono_product(m, pos, n - 1, parent), m + n - 1, a)
+            if nf:
+                self._prod[key] = nf
+        return nf
+
     def multiply(self, x: Elem, y: Elem) -> Elem:
-        """Normal form of the product x y (y acts first)."""
+        """Normal form of the product x y (y acts first), bilinear in the
+        monomial products.  Pairs that are not composable, or whose weights
+        sum past the top of a finite algebra, are zero without a lookup; on a
+        truncated algebra a product beyond the cutoff raises."""
         field = self.field
+        block_of = self.block_of
+        top = self.top_weight
         out: Elem = {}
-        for (m, pos), c in y.items():
-            if m == 0:
-                # right multiplication by an idempotent: keep matching sources
-                part = {t: v for t, v in x.items() if self.block_of[t[0]][t[1]][1] == pos}
-                out = self.elem_add(out, part, c)
-                continue
-            mono = self.monomials[m][pos]
-            cur = x
-            for a in mono.arrows:
-                cur = self.rmul_arrow(cur, a)
-                if not cur:
-                    break
-            if cur:
-                out = self.elem_add(out, cur, c)
+        for (n, qos), d in y.items():
+            tgt = block_of[n][qos][0]
+            for (m, pos), c in x.items():
+                if block_of[m][pos][1] != tgt or (top is not None and m + n > top):
+                    continue
+                cd = field.mul(c, d)
+                for npos, w in self._mono_product(m, pos, n, qos).items():
+                    t = (m + n, npos)
+                    cur = field.add(out.get(t, field.zero), field.mul(cd, w))
+                    if field.is_zero(cur):
+                        out.pop(t, None)
+                    else:
+                        out[t] = cur
         return out
 
     def path_normal_form(self, path: Path) -> Elem:

@@ -31,7 +31,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight-cutoff", type=int, default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--force-rational", action="store_true",
-                   help="allow the rational run of E8")
+                   help="allow the rational E8 bimodule complex (Ae, koszulity)")
     p.add_argument("--compact", action="store_true", help="single-line JSON")
 
 

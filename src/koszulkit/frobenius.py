@@ -465,8 +465,6 @@ class BarOracle:
         c1_index = {c: k for k, c in enumerate(c1)}
         c2_index = {c: k for k, c in enumerate(c2)}
         pairs = sorted({(x1, x2) for (x1, x2, _y) in c2})
-        prod_memo = {pq: alg.multiply({pq[0]: field.one}, {pq[1]: field.one})
-                     for pq in pairs}
 
         def b1_column(t) -> SparseVec:
             # f = unit at diagonal t; (b f)(a) = f(e_{t(a)}) a - a f(e_{s(a)})
@@ -501,7 +499,7 @@ class BarOracle:
                 val: Elem = {}
                 if a1 == x0:
                     val = alg.elem_add(val, alg.multiply({y0: field.one}, {a2: field.one}))
-                c = prod_memo[(a1, a2)].get(x0)
+                c = alg.multiply({a1: field.one}, {a2: field.one}).get(x0)
                 if c is not None and not field.is_zero(c):
                     val = alg.elem_add(val, {y0: c}, field.neg(field.one))
                 if a2 == x0:

@@ -206,10 +206,11 @@ def run(config: RunConfig) -> Dict:
         preset = None
         if config.preset is not None:
             name = normalize_preset_name(config.preset)
-            if name == "E8" and field.char == 0 and not config.force_rational:
+            if (name == "E8" and field.char == 0 and not config.force_rational
+                    and (config.coefficients == "Ae" or "koszulity" in config.analyses)):
                 raise RunError(
-                    "rational E8 runs are the cost ceiling; pass force_rational "
-                    "to insist")
+                    "the rational E8 bimodule complex is the cost ceiling; pass "
+                    "force_rational to insist")
             preset = Preset(name, field, cutoff=config.weight_cutoff)
             algebra = preset.algebra
             pres = preset.presentation

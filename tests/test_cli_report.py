@@ -130,7 +130,18 @@ def test_pool_size_clamp(requested, n_jobs, cpus, want):
 
 
 def test_rational_e8_guard():
-    assert main(["calculus", "--preset", "E8", "--field", "Q"]) == 3
+    assert main(["calculus", "--preset", "E8", "--field", "Q",
+                 "--analyses", "koszulity"]) == 3
+
+
+def test_rational_e8_calculus_runs_without_the_flag(tmp_path):
+    out = tmp_path / "e8.json"
+    assert main(["calculus", "--preset", "E8", "--field", "Q",
+                 "--analyses", "calculus", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["force_rational"] is False
+    assert doc["calculus"]["cohomology"]["dims"][:3] == \
+        list(adedata.expected_hk_dims("E8", 0))
 
 
 def test_bad_preset_exit_code():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,36 @@ def test_full_duality_suite(name, field):
     rep = du.verify_duality(kd, coh, hom, MODULE_A,
                             higher_calculus(coh), higher_calculus(hom))
     assert rep.ok, rep.failures[:5]
+
+
+@pytest.mark.parametrize("name,field,n_basis,pairs", [
+    ("D5", QQ, [16, 24, 16], 2112),
+    ("E6", GF(3), [32, 56, 32], 9792),
+], ids=["D5-Q", "E6-F3"])
+def test_module_identities_cover_every_basis_pair(monkeypatch, name, field, n_basis, pairs):
+    alg = Preset(name, field).algebra
+    kd = KoszulCalculus(alg, 3)
+    got = []
+    for p in range(3):
+        ws = kd.w(p)
+        got.append(sum(len(alg.block_positions(m, *ws.block_of(k)))
+                       for k in range(ws.dim) for m in range(alg.max_weight + 1)))
+    assert got == n_basis
+    assert sum(n_basis[p] * n_basis[q] for p in range(3) for q in range(3 - p)) == pairs
+    counts = Counter()
+    record = du.DualityReport.record
+
+    def counting_record(self, check, ok, detail=""):
+        counts[check] += 1
+        record(self, check, ok, detail)
+
+    monkeypatch.setattr(du.DualityReport, "record", counting_record)
+    coh = koszul_homology(kd, MODULE_A, "coh")
+    hom = koszul_homology(kd, MODULE_A, "hom")
+    rep = du.verify_duality(kd, coh, hom, MODULE_A)
+    assert rep.ok, rep.failures[:3]
+    assert counts["theta(f cup g) = theta(f) cap g"] == pairs
+    assert counts["theta(f cup g) = f cap theta(g)"] == pairs
 
 
 def test_duality_with_trivial_coefficients(a3):

@@ -206,12 +206,68 @@ def test_normal_form_is_projection():
         assert alg.elem_equal(elem, again)
 
 
+def _reference_multiply(alg, x, y):
+    """The arrow-by-arrow product: x times each monomial of y, one
+    ``rmul_arrow`` step per arrow of the monomial."""
+    out = {}
+    for (m, pos), c in y.items():
+        if m == 0:
+            part = {t: v for t, v in x.items() if alg.block_of[t[0]][t[1]][1] == pos}
+            out = alg.elem_add(out, part, c)
+            continue
+        cur = x
+        for a in alg.monomials[m][pos].arrows:
+            cur = alg.rmul_arrow(cur, a)
+            if not cur:
+                break
+        if cur:
+            out = alg.elem_add(out, cur, c)
+    return out
+
+
+def _monomials(alg):
+    return [(m, pos) for m in range(alg.max_weight + 1)
+            for pos in range(len(alg.monomials[m]))]
+
+
+@pytest.mark.parametrize("name,cutoff", [("A3", None), ("D4", None), ("E6", None),
+                                         ("A~2", 6)])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+def test_multiply_matches_arrow_by_arrow_reference(name, cutoff, field):
+    if cutoff is None:
+        alg = Preset(name, field).algebra
+    else:
+        pres = preprojective_presentation(PreprojectiveSpec(preset_graph(name)), field)
+        alg = build_graded_algebra(pres, cutoff)
+    one = field.one
+    overflows = 0
+    for x in _monomials(alg):
+        for y in _monomials(alg):
+            if alg.block_of[x[0]][x[1]][1] != alg.block_of[y[0]][y[1]][0]:
+                continue
+            try:
+                want = _reference_multiply(alg, {x: one}, {y: one})
+            except WeightOverflowError:
+                overflows += 1
+                with pytest.raises(WeightOverflowError):
+                    alg.multiply({x: one}, {y: one})
+                continue
+            assert alg.multiply({x: one}, {y: one}) == want, (x, y)
+    # only the truncated algebra has products beyond its computed weights
+    assert (overflows > 0) == alg.truncated
+
+
 def test_multiply_associative_and_bilinear():
     pr = Preset("D4", GF(3))
     alg = pr.algebra
     rng = random.Random(9)
-    terms = [(m, pos) for m in range(alg.max_weight + 1)
-             for pos in range(len(alg.monomials[m]))]
+    terms = _monomials(alg)
+    one = alg.field.one
+    prods = {(x, y): alg.multiply({x: one}, {y: one}) for x in terms for y in terms}
+    for (x, y), xy in prods.items():
+        for z in terms:
+            assert alg.elem_equal(alg.multiply(xy, {z: one}),
+                                  alg.multiply({x: one}, prods[(y, z)])), (x, y, z)
 
     def rand_elem():
         out = {}
