@@ -98,11 +98,8 @@ class GradedAlgebra:
                                 continue
                             for xpos, w in yu.items():
                                 idx = pair_index[(xpos, right)]
-                                cur = field.add(gen.get(idx, field.zero), field.mul(coeff, w))
-                                if field.is_zero(cur):
-                                    gen.pop(idx, None)
-                                else:
-                                    gen[idx] = cur
+                                gen[idx] = gen.get(idx, 0) + coeff * w
+                        gen = field.settle(gen)
                         if gen:
                             gens.append(gen)
             sub = echelonize(gens, len(pairs), field)
@@ -188,16 +185,8 @@ class GradedAlgebra:
         return {(1, a): self.field.one}
 
     def elem_add(self, x: Elem, y: Elem, c=None) -> Elem:
-        field = self.field
-        if c is None:
-            c = field.one
         out = dict(x)
-        for t, v in y.items():
-            cur = field.add(out.get(t, field.zero), field.mul(c, v))
-            if field.is_zero(cur):
-                out.pop(t, None)
-            else:
-                out[t] = cur
+        self.field.add_into(out, y, self.field.one if c is None else c)
         return out
 
     def elem_scale(self, x: Elem, c) -> Elem:
@@ -225,8 +214,7 @@ class GradedAlgebra:
 
     def rmul_arrow(self, x: Elem, a: int) -> Elem:
         """Normal form of x * a (the arrow acts first)."""
-        field = self.field
-        out: Elem = {}
+        acc: Elem = {}
         for (m, pos), c in x.items():
             if self._beyond(m + 1):
                 continue
@@ -235,28 +223,19 @@ class GradedAlgebra:
                 continue
             for npos, w in nf.items():
                 t = (m + 1, npos)
-                cur = field.add(out.get(t, field.zero), field.mul(c, w))
-                if field.is_zero(cur):
-                    out.pop(t, None)
-                else:
-                    out[t] = cur
-        return out
+                acc[t] = acc.get(t, 0) + c * w
+        return self.field.settle(acc)
 
     def _rmul_vec(self, vec: SparseVec, m: int, a: int) -> SparseVec:
         """Normal form of vec * a, for vec over weight-m positions."""
         if not vec or self._beyond(m + 1):
             return {}
-        field = self.field
         table = self._rmul[m]
-        out: SparseVec = {}
+        acc: SparseVec = {}
         for pos, c in vec.items():
             for npos, w in table.get((pos, a), {}).items():
-                cur = field.add(out.get(npos, field.zero), field.mul(c, w))
-                if field.is_zero(cur):
-                    out.pop(npos, None)
-                else:
-                    out[npos] = cur
-        return out
+                acc[npos] = acc.get(npos, 0) + c * w
+        return self.field.settle(acc)
 
     def lmul_arrow_mono(self, a: int, m: int, pos: int) -> SparseVec:
         """Normal form of a * (monomial) as a vector over weight m+1 positions."""
@@ -279,19 +258,14 @@ class GradedAlgebra:
         return out
 
     def lmul_arrow(self, a: int, x: Elem) -> Elem:
-        field = self.field
-        out: Elem = {}
+        acc: Elem = {}
         for (m, pos), c in x.items():
             if self._beyond(m + 1):
                 continue
             for npos, w in self.lmul_arrow_mono(a, m, pos).items():
                 t = (m + 1, npos)
-                cur = field.add(out.get(t, field.zero), field.mul(c, w))
-                if field.is_zero(cur):
-                    out.pop(t, None)
-                else:
-                    out[t] = cur
-        return out
+                acc[t] = acc.get(t, 0) + c * w
+        return self.field.settle(acc)
 
     def _mono_product(self, m: int, pos: int, n: int, qos: int) -> SparseVec:
         """Normal form of monomial (m, pos) times the composable monomial
@@ -316,24 +290,19 @@ class GradedAlgebra:
         monomial products.  Pairs that are not composable, or whose weights
         sum past the top of a finite algebra, are zero without a lookup; on a
         truncated algebra a product beyond the cutoff raises."""
-        field = self.field
         block_of = self.block_of
         top = self.top_weight
-        out: Elem = {}
+        acc: Elem = {}
         for (n, qos), d in y.items():
             tgt = block_of[n][qos][0]
             for (m, pos), c in x.items():
                 if block_of[m][pos][1] != tgt or (top is not None and m + n > top):
                     continue
-                cd = field.mul(c, d)
+                cd = c * d
                 for npos, w in self._mono_product(m, pos, n, qos).items():
                     t = (m + n, npos)
-                    cur = field.add(out.get(t, field.zero), field.mul(cd, w))
-                    if field.is_zero(cur):
-                        out.pop(t, None)
-                    else:
-                        out[t] = cur
-        return out
+                    acc[t] = acc.get(t, 0) + cd * w
+        return self.field.settle(acc)
 
     def path_normal_form(self, path: Path) -> Elem:
         cur = self.vertex_elem(path.target)

@@ -1,9 +1,16 @@
 """Exact scalar arithmetic: the rationals and prime fields.
 
-Scalars are plain Python values (``fractions.Fraction`` over the rationals,
-``int`` in ``[0, p)`` over a prime field); a field object carries the
-operations.  Every linear-algebra routine receives the field explicitly and
-refuses to mix scalars from different fields.
+Scalars are plain Python values; a field object carries the operations.
+Over the rationals a scalar is an ``int`` until a division leaves a
+non-integer, and only then a ``fractions.Fraction``: ``zero``, ``one`` and
+``from_int`` are ints, and ``inv``, ``div`` and ``parse`` give an int
+whenever the result is whole.  Over a prime field a scalar is an ``int`` in
+``[0, p)``.  Every linear-algebra routine receives
+the field explicitly and refuses to mix scalars from different fields.
+
+Hot loops accumulate with plain ``+`` and ``*``, which both kinds of scalar
+support, and hand the sums to the field once: ``add_into`` adds a scaled
+vector in place, ``settle`` reduces a vector of unreduced sums.
 """
 
 from __future__ import annotations
@@ -51,10 +58,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def whole(q: Fraction):
+    """q as an int when it is one, else q."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Field:
     """Common interface; concrete fields are Rationals and PrimeField."""
 
     char: int
+    zero = 0
+    one = 1
 
     def require_same(self, other: "Field") -> None:
         if self != other:
@@ -73,16 +87,8 @@ class Rationals(Field):
     def __hash__(self) -> int:
         return hash("QQ")
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
     def add(self, a, b):
         return a + b
@@ -99,20 +105,37 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        if a == 1 or a == -1:
+            return int(a)
+        return whole(1 / Fraction(a))
 
     def div(self, a, b):
-        return Fraction(a) / b
+        return whole(Fraction(a) / b)
 
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s)
+    def parse(self, s: str):
+        return whole(Fraction(s))
 
     def to_json(self, a) -> str:
+        if type(a) is int:
+            return str(a)
         a = Fraction(a)
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
+
+    def add_into(self, out: dict, vec: dict, c) -> None:
+        """out += c * vec in place, dropping the entries that cancel."""
+        for k, x in vec.items():
+            y = out.get(k, 0) + c * x
+            if y:
+                out[k] = y
+            else:
+                out.pop(k, None)
+
+    def settle(self, acc: dict) -> dict:
+        """The sparse vector of sums accumulated with plain + and *, zeros dropped."""
+        return {k: x for k, x in acc.items() if x}
 
 
 class PrimeField(Field):
@@ -130,14 +153,6 @@ class PrimeField(Field):
 
     def __hash__(self) -> int:
         return hash(("GF", self.p))
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1 % self.p
 
     def from_int(self, n: int) -> int:
         return n % self.p
@@ -174,6 +189,22 @@ class PrimeField(Field):
 
     def to_json(self, a) -> int:
         return a % self.p
+
+    def add_into(self, out: dict, vec: dict, c) -> None:
+        """out += c * vec mod p in place, dropping the entries that cancel."""
+        p = self.p
+        for k, x in vec.items():
+            y = (out.get(k, 0) + c * x) % p
+            if y:
+                out[k] = y
+            else:
+                out.pop(k, None)
+
+    def settle(self, acc: dict) -> dict:
+        """The sparse vector of sums accumulated with plain + and *, reduced
+        mod p, zeros dropped."""
+        p = self.p
+        return {k: r for k, x in acc.items() if (r := x % p)}
 
 
 QQ = Rationals()

@@ -328,12 +328,8 @@ class FrobeniusStructure:
                     if idx is None:
                         # products outside the expected columns must vanish
                         raise FrobeniusError("degree-3 image escaped its target")
-                    cur = field.add(col.get(idx, field.zero), c)
-                    if field.is_zero(cur):
-                        col.pop(idx, None)
-                    else:
-                        col[idx] = cur
-            return col
+                    col[idx] = col.get(idx, 0) + c
+            return field.settle(col)
 
         up_cols = [column({dc: field.one}, True) for dc in dcoords]
         down_cols = [column({tc: field.one}, False) for tc in tcoords]

@@ -93,7 +93,6 @@ def _block_images(src: CoordSpace, dst: CoordSpace, vecs: Sequence[SparseVec],
         return [{} for _ in vecs]  # arrows act by zero on k
     kd = src.kd
     field = kd.field
-    add, mul, neg, is_zero, zero = field.add, field.mul, field.neg, field.is_zero, field.zero
     m = src.m
     terms = kd.terms(src.p, src.side)
     rmul = kd.algebra.rmul_table(m)
@@ -112,18 +111,14 @@ def _block_images(src: CoordSpace, dst: CoordSpace, vecs: Sequence[SparseVec],
                 else:
                     prod = lmul(a, m, pos)
                     if higher:
-                        c = neg(c)
+                        c = -c
                 if not prod:
                     continue
-                xc = mul(x, c)
+                xc = x * c
                 for npos, w in prod.items():
                     kk = index[(t, npos)]
-                    cur = add(col.get(kk, zero), mul(xc, w))
-                    if is_zero(cur):
-                        col.pop(kk, None)
-                    else:
-                        col[kk] = cur
-        out.append(col)
+                    col[kk] = col.get(kk, 0) + xc * w
+        out.append(field.settle(col))
     return out
 
 
@@ -152,6 +147,7 @@ class CalculusSpaces:
         self.side = side
         self.p_max = p_max
         self.blocks: Dict[Tuple[int, Optional[int]], HomologyBlock] = {}
+        self._layouts: Dict[int, Tuple[int, Dict[Optional[int], Tuple[int, HomologyBlock]]]] = {}
         self._compute()
 
     def _weights(self) -> List[Optional[int]]:
@@ -227,7 +223,10 @@ class CalculusSpaces:
         return out
 
     def class_of(self, obj) -> List[object]:
-        """Coordinates of a closed cochain/chain in the representative basis."""
+        """Coordinates of a closed cochain/chain in the representative basis.
+
+        Closedness is checked on the whole element first; then only the
+        weight blocks it touches are solved, and the others read zero."""
         kd = self.kd
         if self.side == "coh":
             if not isinstance(obj, Cochain) or obj.p > self.p_max:
@@ -240,15 +239,33 @@ class CalculusSpaces:
             if not kd.apply_bK_chain(obj).is_zero():
                 raise NotClosedError("not a cycle: differential is nonzero")
         p = obj.p if self.side == "coh" else obj.q
-        coords: List[object] = []
-        for m in self._weights():
-            blk = self.blocks.get((p, m))
-            if blk is None or blk.space.dim == 0:
+        total, offsets = self._layout(p)
+        coords: List[object] = [kd.field.zero] * total
+        touched = obj.coefficient_weights() if self.module == MODULE_A else [None]
+        for m in touched:
+            hit = offsets.get(m)
+            if hit is None:
                 continue
-            comp = obj if m is None else obj.weight_component(m)
-            vec = blk.space.flatten(comp)
-            coords.extend(blk.quotient.coords(vec))
+            start, blk = hit
+            comp = obj if len(touched) == 1 else obj.weight_component(m)
+            coords[start:start + blk.dim] = blk.quotient.coords(blk.space.flatten(comp))
         return coords
+
+    def _layout(self, p: int) -> Tuple[int, Dict[Optional[int], Tuple[int, HomologyBlock]]]:
+        """Length of the class coordinates of degree p, and the offset of each
+        weight block with a nonzero cochain or chain space, in class_basis order."""
+        layout = self._layouts.get(p)
+        if layout is None:
+            offsets: Dict[Optional[int], Tuple[int, HomologyBlock]] = {}
+            total = 0
+            for m in self._weights():
+                blk = self.blocks.get((p, m))
+                if blk is None or blk.space.dim == 0:
+                    continue
+                offsets[m] = (total, blk)
+                total += blk.dim
+            layout = self._layouts[p] = (total, offsets)
+        return layout
 
     def zero_class(self, p: int) -> List[object]:
         return [self.kd.field.zero] * len(self.class_basis(p))
@@ -388,7 +405,6 @@ class BimoduleHomology:
         kd = self.kd
         alg = kd.algebra
         field = kd.field
-        add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
         lmul = alg.lmul_arrow_mono
         coords = {p: self._coords(p, u, v) for p in range(self.p_max + 2)}
         # index keys carry the left weight: a bare position is ambiguous
@@ -418,14 +434,9 @@ class BimoduleHomology:
                         for npos, w in prod.items():
                             k = tgt_index.get((y, r + 1, npos, posR) if right
                                               else (y, r, posL, npos))
-                            if k is None:
-                                continue
-                            cur = add(col.get(k, zero), mul(c, w))
-                            if is_zero(cur):
-                                col.pop(k, None)
-                            else:
-                                col[k] = cur
-                    cols.append(col)
+                            if k is not None:
+                                col[k] = col.get(k, 0) + c * w
+                    cols.append(field.settle(col))
                 ranks[(p, n)] = ranks.get((p, n), 0) + rank(cols, len(coords[p - 1][n]), field)
 
     def homology_dim(self, p: int, n: int) -> int:

@@ -274,6 +274,29 @@ class KoszulCalculus:
         add = self.field.add(self.field.zero if x is None else x, self.field.mul(c, y))
         return add
 
+    def _mod_accumulate(self, module: str, acc: Dict[int, object], k: int, y, c) -> None:
+        """acc[k] += c*y with plain + and *; _mod_settle reduces the sums."""
+        if module == MODULE_A:
+            out = acc.setdefault(k, {})
+            for t, w in y.items():
+                out[t] = out.get(t, 0) + c * w
+        else:
+            acc[k] = acc.get(k, 0) + c * y
+
+    def _mod_settle(self, module: str, acc: Dict[int, object]) -> Dict[int, object]:
+        """The accumulated values reduced by the field, zero values dropped."""
+        if not acc:
+            return acc
+        settle = self.field.settle
+        if module != MODULE_A:
+            return settle(acc)
+        values: Dict[int, object] = {}
+        for k, v in acc.items():
+            v = settle(v)
+            if v:
+                values[k] = v
+        return values
+
     # -- cochains and chains --------------------------------------------------
 
     def cochain_on_relations(self, rel_values: Dict[int, Elem],
@@ -422,13 +445,13 @@ class KoszulCalculus:
             return {}  # arrows act by zero on k
         alg = self.algebra
         terms = self.terms(obj.degree, side)
-        values: Dict[int, object] = {}
+        acc: Dict[int, object] = {}
         for x, val in obj.values.items():
             for right, a, t, c in terms[x]:
                 part = alg.rmul_arrow(val, a) if right else alg.lmul_arrow(a, val)
                 if part:
-                    values[t] = alg.elem_add(values.get(t, {}), part, c)
-        return {t: v for t, v in values.items() if v}
+                    self._mod_accumulate(MODULE_A, acc, t, part, c)
+        return self._mod_settle(MODULE_A, acc)
 
     def apply_bK(self, f: "Cochain") -> "Cochain":
         """Cochain differential: f(x_1..x_p).x_{p+1} - (-1)^p x_1.f(x_2..x_{p+1})."""
@@ -534,7 +557,7 @@ class KoszulCalculus:
         ws_out = self.w(p + q)
         w0 = self.w(0)
         sign = field.one if (p * q) % 2 == 0 else field.neg(field.one)
-        values: Dict[int, object] = {}
+        acc: Dict[int, object] = {}
         if p == 0 or q == 0:
             inner = g if p == 0 else f
             ws_in = self.w(inner.p)
@@ -549,12 +572,11 @@ class KoszulCalculus:
                     mod, prod = self._mod_product(f.module, g.module, val, gv,
                                                   (j, i), (i, i))
                 if not self._mod_is_zero(out_module, prod):
-                    values[z] = self._mod_add(out_module, values.get(z), prod, sign)
+                    self._mod_accumulate(out_module, acc, z, prod, sign)
         else:
             splits = self.split_coords(p, q)
             wp, wq = self.w(p), self.w(q)
             for z in range(ws_out.dim):
-                val = None
                 for (x, y), c in splits[z].items():
                     fv = f.values.get(x)
                     gv = g.values.get(y)
@@ -562,13 +584,9 @@ class KoszulCalculus:
                         continue
                     _mod, prod = self._mod_product(f.module, g.module, fv, gv,
                                                    wp.block_of(x), wq.block_of(y))
-                    if self._mod_is_zero(out_module, prod):
-                        continue
-                    val = self._mod_add(out_module, val, prod, c)
-                if not self._mod_is_zero(out_module, val):
-                    values[z] = self._mod_add(out_module, None, val, sign)
-        values = {k: v for k, v in values.items() if not self._mod_is_zero(out_module, v)}
-        return Cochain(self, p + q, out_module, values)
+                    if not self._mod_is_zero(out_module, prod):
+                        self._mod_accumulate(out_module, acc, z, prod, sign * c)
+        return Cochain(self, p + q, out_module, self._mod_settle(out_module, acc))
 
     def cap(self, f: "Cochain", z: "Chain", side: str = "left") -> "Chain":
         """Cap products.
@@ -592,13 +610,11 @@ class KoszulCalculus:
             sign = field.one if (p * q) % 2 == 0 else field.neg(field.one)
         else:
             raise ValueError("side must be 'left' or 'right'")
-        values: Dict[int, object] = {}
+        acc: Dict[int, object] = {}
 
         def add(out_flat: int, prod, c) -> None:
-            if self._mod_is_zero(out_module, prod):
-                return
-            values[out_flat] = self._mod_add(out_module, values.get(out_flat), prod,
-                                             field.mul(sign, c))
+            if not self._mod_is_zero(out_module, prod):
+                self._mod_accumulate(out_module, acc, out_flat, prod, sign * c)
 
         for wflat, melem in z.values.items():
             j, i = ws_in.block_of(wflat)  # coefficient melem lies in e_i M e_j
@@ -649,8 +665,7 @@ class KoszulCalculus:
                     _m, prod = self._mod_product(z.module, f.module, melem, fv,
                                                  (i, j), (j, mid))
                     add(u, prod, c)
-        values = {k: v for k, v in values.items() if not self._mod_is_zero(out_module, v)}
-        return Chain(self, q - p, out_module, values)
+        return Chain(self, q - p, out_module, self._mod_settle(out_module, acc))
 
     def cup_bracket(self, f: "Cochain", g: "Cochain") -> "Cochain":
         sign = self.field.one if (f.p * g.p) % 2 == 0 else self.field.neg(self.field.one)

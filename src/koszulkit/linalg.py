@@ -12,8 +12,9 @@ two entry points:
 Rows are taken in input order and each is reduced on its leftmost nonzero
 column, so every derived basis (kernels, intersections, quotient
 representatives) is reproducible byte for byte.  Prime fields go to the
-kernels in :mod:`koszulkit.backend`; the rational kernel is here and keeps
-``Fraction`` values.
+kernels in :mod:`koszulkit.backend`; the rational kernel is here.  Its
+scalars follow :mod:`koszulkit.fields`: ints, with a ``Fraction`` only where
+scaling a row to a leading 1 divides by a pivot other than +-1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import backend
-from .fields import Field, PrimeField
+from .fields import Field, PrimeField, whole
 
 SparseVec = Dict[int, object]
 
@@ -38,12 +39,7 @@ def vec_is_zero(v: SparseVec) -> bool:
 def vec_add_scaled(u: SparseVec, v: SparseVec, c, field: Field) -> SparseVec:
     """u + c*v as a new sparse vector."""
     out = dict(u)
-    for i, x in v.items():
-        y = field.add(out.get(i, field.zero), field.mul(c, x))
-        if field.is_zero(y):
-            out.pop(i, None)
-        else:
-            out[i] = y
+    field.add_into(out, v, c)
     return out
 
 
@@ -64,9 +60,12 @@ def _echelon_rational(rows: Iterable[SparseVec]) -> Dict[int, SparseVec]:
             lead = min(row)
             piv = by_pivot.get(lead)
             if piv is None:
-                inv = 1 / Fraction(row[lead])
-                if inv != 1:
-                    row = {c: x * inv for c, x in row.items()}
+                x = row[lead]
+                if x == -1:
+                    row = {c: -y for c, y in row.items()}
+                elif x != 1:
+                    inv = 1 / Fraction(x)
+                    row = {c: whole(y * inv) for c, y in row.items()}
                 by_pivot[lead] = row
                 break
             _sub_multiple(row, piv, row[lead])
@@ -141,13 +140,16 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient} over {self.field})"
 
     def reduce(self, v: SparseVec) -> SparseVec:
-        """Eliminate this subspace's pivots from v; zero iff v is a member."""
+        """Eliminate this subspace's pivots from v; zero iff v is a member.
+
+        One in-place pass over the pivots that v meets, ascending: a reduced
+        echelon row is zero at every other pivot, so a step never touches
+        the pivot entries that the later steps read."""
         v = dict(v)
         field = self.field
-        for c in self.pivots:
-            x = v.get(c)
-            if x is not None:
-                v = vec_add_scaled(v, self.rows[self._pivot_pos[c]], field.neg(x), field)
+        pos = self._pivot_pos
+        for c in sorted(c for c in v if c in pos):
+            field.add_into(v, self.rows[pos[c]], field.neg(v[c]))
         return v
 
     def contains(self, v: SparseVec) -> bool:
@@ -249,7 +251,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
         vec: SparseVec = {}
         for i, c in w.items():
             if i < u.dim:
-                vec = vec_add_scaled(vec, u.rows[i], c, field)
+                field.add_into(vec, u.rows[i], c)
         vecs.append(vec)
     return echelonize(vecs, u.ambient, field)
 
@@ -279,24 +281,28 @@ class SpanSolver:
             row = dict(vec)
             row[ambient + k] = field.one
             shifted.append(row)
-        self._red, self._pivots = rref(shifted, ambient + n, field)
+        red, pivots = rref(shifted, ambient + n, field)
         self._n = n
+        # per pivot inside the ambient space: the row's ambient part and its
+        # transform part, shifted back to vector indices
+        self._split = {c: ({i: y for i, y in row.items() if i < ambient},
+                           {i - ambient: y for i, y in row.items() if i >= ambient})
+                       for row, c in zip(red, pivots) if c < ambient}
 
     def solve(self, target: SparseVec) -> Optional[List[object]]:
-        """Coefficients c with sum c_k * vectors[k] = target, or None."""
+        """Coefficients c with sum c_k * vectors[k] = target, or None.
+
+        Reduces in place over the pivots that target meets, as
+        :meth:`Subspace.reduce` does."""
         field = self.field
+        split = self._split
         v = dict(target)
         coeffs: SparseVec = {}
-        for k, c in enumerate(self._pivots):
-            if c >= self.ambient:
-                break
-            x = v.get(c)
-            if x is not None:
-                row = self._red[k]
-                v = vec_add_scaled(v, {i: y for i, y in row.items() if i < self.ambient},
-                                   field.neg(x), field)
-                coeffs = vec_add_scaled(coeffs, {i - self.ambient: y for i, y in row.items()
-                                                 if i >= self.ambient}, x, field)
+        for c in sorted(c for c in v if c in split):
+            x = v[c]
+            head, tail = split[c]
+            field.add_into(v, head, field.neg(x))
+            field.add_into(coeffs, tail, x)
         if v:
             return None
         return [coeffs.get(k, field.zero) for k in range(self._n)]

@@ -417,13 +417,7 @@ class PropertySuite:
         field = self.kd.field
         vec: SparseVec = {}
         for row in sub.rows:
-            c = self._rand_scalar()
-            for k, v in row.items():
-                cur = field.add(vec.get(k, field.zero), field.mul(c, v))
-                if field.is_zero(cur):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = cur
+            field.add_into(vec, row, self._rand_scalar())
         return vec
 
     # identity checks -----------------------------------------------------------

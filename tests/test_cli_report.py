@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -21,6 +22,28 @@ def test_report_deterministic_modulo_timings():
     first = render(_strip_timings(run(cfg)))
     second = render(_strip_timings(run(cfg)))
     assert first == second
+
+
+#: sha256 of the rendered report without ``timings``, recorded before rational
+#: scalars became ints and ``class_of`` went block by block; a change of
+#: ``tool_version`` changes every digest
+RECORDED_DIGESTS = {
+    ("A3", "Q"): "7d2587b69b208f162f85b3d797db25d5544027d3abea42fbcbfaaa33d6dd97f1",
+    ("A3", "F:3"): "480004fd43092d1d698edb00f40b978ee8c4707bc52bc6779ad9a275e47f3724",
+    ("D4", "Q"): "7489b1ea33580d3b4f3ea919bbe5e74f275679e3775c2c851b39cd3cd446a7f9",
+    ("D4", "F:3"): "3ba6d9b5bbe7b9eefc66e3d10947638ede712cb3cdad0ea46035c2c0620fb49d",
+    ("E6", "Q"): "5c8118b3dcb97c649d4d4f0e742e3df85575f37f6cdb1eb31adb1690d017ed16",
+    ("E6", "F:3"): "7c14257e008c5769c6a0d2d78705735fb95282a8d78798761d90b3518453fc7a",
+}
+
+
+@pytest.mark.parametrize("name,tag", sorted(RECORDED_DIGESTS),
+                         ids=[f"{n}-{t}" for n, t in sorted(RECORDED_DIGESTS)])
+def test_reports_byte_identical_to_recorded_digests(name, tag):
+    """The byte-identity contract: reports stay the same once timings are dropped."""
+    cfg = RunConfig(preset=name, field_tag=tag, analyses=("calculus", "higher", "duality"))
+    text = render(_strip_timings(run(cfg)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RECORDED_DIGESTS[(name, tag)]
 
 
 def test_a3_report_contents(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from koszulkit.algebra import build_graded_algebra
 from koszulkit.fields import GF, QQ
 from koszulkit.homology import BimoduleHomology, higher_calculus, koszul_homology
-from koszulkit.koszul import (Cochain, DegreeError, KoszulCalculus, MODULE_A,
+from koszulkit.koszul import (Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A,
                               MODULE_K, ModuleError, NotClosedError)
 from koszulkit.linalg import echelonize
 from koszulkit.presets import Preset, preset_graph
@@ -230,6 +230,46 @@ def test_class_extraction_examples(a3, a3_spaces):
     assert coh.class_of(eA) == [2 * c for c in coh.class_of(zeta0)]
     with pytest.raises(NotClosedError):
         coh.class_of(kd.cochain_on_vertices({0: alg.arrow_elem(0)}))
+
+
+@pytest.mark.parametrize("name,field", [("D4", QQ), ("E6", GF(3))], ids=["D4-Q", "E6-F3"])
+def test_class_of_by_weight_block(name, field):
+    """class_of solves only the weight blocks an element touches: it stays
+    additive across blocks and still refuses an element that is not closed."""
+    pr = Preset(name, field)
+    alg, q = pr.algebra, pr.quiver
+    kd = KoszulCalculus(alg, 3)
+    coh = koszul_homology(kd, MODULE_A, "coh")
+    hom = koszul_homology(kd, MODULE_A, "hom")
+    two = field.from_int(2)
+    pairs = 0
+    for spaces in (coh, hom):
+        for p in range(3):
+            # one representative per coefficient weight
+            first = {}
+            for (m, _k), rep in zip(spaces.class_basis(p), spaces.representatives(p)):
+                first.setdefault(m, rep)
+            reps = list(first.values())
+            for f, g in zip(reps, reps[1:]):
+                assert f.coefficient_weights() != g.coefficient_weights()
+                want = [field.add(field.mul(two, a), b)
+                        for a, b in zip(spaces.class_of(f), spaces.class_of(g))]
+                assert spaces.class_of(f.scale(two).add(g)) == want
+                pairs += 1
+    assert pairs > 0
+    # not closed, and supported in weight 0 only
+    g = kd.cochain_on_vertices({0: alg.vertex_elem(0)})
+    assert g.coefficient_weights() == [0] and not g.is_cocycle()
+    with pytest.raises(NotClosedError):
+        coh.class_of(g)
+    # b* (x) b for an arrow b: a chain supported in weight 1 only
+    chains = [Chain(kd, 1, MODULE_A, {kd.arrow_flat[b]: alg.arrow_elem(c)})
+              for b in range(q.n_arrows) for c in range(q.n_arrows)
+              if (q.source[c], q.target[c]) == (q.target[b], q.source[b])]
+    z = next(z for z in chains if not z.is_cycle())
+    assert z.coefficient_weights() == [1]
+    with pytest.raises(NotClosedError):
+        hom.class_of(z)
 
 
 def test_cap_examples(a3, a3_spaces):

@@ -226,6 +226,15 @@ def _dense_rref(rows, ambient, field):
 KERNEL_FIELDS = [GF(2), GF(3), GF(2**31 - 1), GF(2**61 - 1), QQ]
 
 
+def _scalars(field):
+    scalar = st.integers(-3, 3).map(field.from_int)
+    if field == QQ:
+        # ints and non-integral Fractions, so that pivots of +-1 and others occur
+        scalar = st.one_of(scalar, st.sampled_from([Fraction(1, 2), Fraction(-1, 2),
+                                                    Fraction(2, 3)]))
+    return scalar
+
+
 @st.composite
 def _row_systems(draw):
     field = draw(st.sampled_from(KERNEL_FIELDS))
@@ -233,7 +242,7 @@ def _row_systems(draw):
     # most rows live in one window of columns, so that pivots interact
     width = draw(st.integers(1, min(ambient, 10)))
     offset = draw(st.integers(0, ambient - width))
-    scalar = st.integers(-3, 3).map(field.from_int)
+    scalar = _scalars(field)
     rows = []
     for _ in range(draw(st.integers(0, 9))):
         kind = draw(st.sampled_from(["window", "window", "wide", "empty", "duplicate",
@@ -265,6 +274,77 @@ def test_kernels_match_dense_reference(system):
     for row in got_rows:
         assert list(row) == sorted(row)
         if field == QQ:
-            assert all(type(x) is Fraction for x in row.values())
+            # integers until a division: int or Fraction, never float or bool
+            assert all(type(x) in (int, Fraction) for x in row.values())
         else:
             assert all(type(x) is int and 0 < x < field.p for x in row.values())
+
+
+def _reduce_reference(sub, v):
+    """Subspace.reduce as it was: the vector is copied for every pivot it meets."""
+    field = sub.field
+    for k, c in enumerate(sub.pivots):
+        x = v.get(c)
+        if x is not None:
+            v = la.vec_add_scaled(v, sub.rows[k], field.neg(x), field)
+    return v
+
+
+def _combination(vecs, coeffs, field):
+    out: dict = {}
+    for c, v in zip(coeffs, vecs):
+        out = la.vec_add_scaled(out, v, c, field)
+    return out
+
+
+@st.composite
+def _spans_with_vectors(draw):
+    """A spanning list, a sub-list of it, members of its span and arbitrary vectors."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(2**61 - 1)]))
+    ambient = draw(st.integers(1, 12))
+    scalar = _scalars(field)
+    vec = st.dictionaries(st.integers(0, ambient - 1), scalar, max_size=6).map(
+        lambda r: {j: c for j, c in r.items() if not field.is_zero(c)})
+    span = draw(st.lists(vec, max_size=7))
+    sub_span = [v for v in span if draw(st.booleans())]
+    members = [_combination(span, draw(st.lists(scalar, min_size=len(span),
+                                                 max_size=len(span))), field)
+               for _ in range(3)]
+    return field, ambient, span, sub_span, members, draw(st.lists(vec, max_size=3))
+
+
+@given(_spans_with_vectors())
+@settings(max_examples=120, deadline=None)
+def test_in_place_reduce_and_solve_match_copy_per_pivot(case):
+    field, ambient, span, sub_span, members, others = case
+    z = la.echelonize(span, ambient, field)
+    for v in members + others:
+        before = dict(v)
+        got = z.reduce(v)
+        assert v == before
+        assert got == _reduce_reference(z, v)
+        assert z.contains(v) == (not got)
+    for v in members:
+        coords = z.coords(v)
+        assert _combination(z.rows, coords, field) == v
+    # SpanSolver reduces the same way, tracking the coefficients
+    solver = la.SpanSolver(span, ambient, field)
+    for v in members + others:
+        sol = solver.solve(v)
+        assert (sol is None) == (not z.contains(v))
+        if sol is not None:
+            assert _combination(span, sol, field) == v
+    # QuotientSpace.coords round trip: sum coords * representatives, plus
+    # the part of v that reducing modulo B removes (a member of B), is v
+    b = la.echelonize(sub_span, ambient, field)
+    q = la.QuotientSpace(z, b)
+    for v in members:
+        coords = q.coords(v)
+        assert len(coords) == q.dim
+        in_b = la.vec_add_scaled(v, b.reduce(v), field.neg(field.one), field)
+        assert b.contains(in_b)
+        assert la.vec_add(_combination(q.representatives, coords, field), in_b, field) == v
+    for v in others:
+        if not z.contains(v):
+            with pytest.raises(la.NotInSubspaceError):
+                q.coords(v)
