@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Term
-from .homology import BimoduleHomology, CalculusSpaces, HigherSpaces
+from .homology import BimoduleHomology, CalculusSpaces, CoordSpace, HigherSpaces
 from .koszul import Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A
 from .linalg import LinearMap
 
@@ -50,45 +50,31 @@ def theta(kd: KoszulCalculus, f: Cochain, w0: Optional[Chain] = None) -> Chain:
 def eta(kd: KoszulCalculus, z: Chain) -> Cochain:
     """Explicit inverse of the duality map, degreewise."""
     pres, spec = _preprojective_data(kd)
-    field = kd.field
+    acc: Dict[int, object] = {}
     if z.q == 2:
         # m (x) sigma_i  ->  (e_j -> delta_ij e_j m e_i)
         ws = kd.w(2)
-        vertex_values: Dict[int, object] = {}
         for flat_idx, m in z.values.items():
             for r, c in ws.relation_coords[flat_idx].items():
-                i = pres.sigma_vertices[r]
-                cur = kd._mod_add(z.module, vertex_values.get(i), m, c)
-                if kd._mod_is_zero(z.module, cur):
-                    vertex_values.pop(i, None)
-                else:
-                    vertex_values[i] = cur
-        return kd.cochain_on_vertices(vertex_values, z.module)
+                kd._mod_accumulate(z.module, acc, pres.sigma_vertices[r], m, c)
+        return kd.cochain_on_vertices(acc, z.module)
     if z.q == 1:
         # m (x) a  ->  (b -> delta_{b,a*} eps(b) t(b) m s(b))
         ws = kd.w(1)
-        arrow_values: Dict[int, object] = {}
         for flat_idx, m in z.values.items():
             j, i, k = ws.flat[flat_idx]
-            a = ws.block_paths[(j, i)][k].arrows[0]
-            b = spec.star[a]
-            coeff = field.from_int(spec.eps[b])
-            cur = kd._mod_add(z.module, arrow_values.get(b), m, coeff)
-            if kd._mod_is_zero(z.module, cur):
-                arrow_values.pop(b, None)
-            else:
-                arrow_values[b] = cur
-        return kd.cochain_on_arrows(arrow_values, z.module)
+            b = spec.star[ws.block_paths[(j, i)][k].arrows[0]]
+            kd._mod_accumulate(z.module, acc, b, m, kd.field.from_int(spec.eps[b]))
+        return kd.cochain_on_arrows(acc, z.module)
     if z.q == 0:
         # m (x) e_i  ->  (sigma_j -> delta_ij e_j m e_i)
         ws = kd.w(0)
-        rel_values: Dict[int, object] = {}
         for flat_idx, m in z.values.items():
             i = ws.block_of(flat_idx)[0]
             for r, v in enumerate(pres.sigma_vertices):
                 if v == i:
-                    rel_values[r] = kd._mod_add(z.module, rel_values.get(r), m, field.one)
-        return kd.cochain_on_relations(rel_values, z.module)
+                    kd._mod_accumulate(z.module, acc, r, m, kd.field.one)
+        return kd.cochain_on_relations(acc, z.module)
     raise DegreeError("duality is defined in degrees 0..2")
 
 
@@ -122,27 +108,19 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
     w0 = omega0(kd)
     report.record("omega0 is a cycle", w0.is_cycle())
 
-    # theta is stored as its columns: one cap per basis cochain
+    # theta is stored as its columns: one cap per basis cochain, laid out
+    # weight by weight in the coordinates of each biweight
     basis_cochains: Dict[int, List[Cochain]] = {}
     basis_index: Dict[int, Dict[Tuple[int, Term], int]] = {}
     for p in range(3):
-        units = []
-        index = {}
-        ws = kd.w(p)
-        for flat_idx in range(ws.dim):
-            j, i = ws.block_of(flat_idx)
-            tgt, src = (j, i)
-            if module == MODULE_A:
-                for m in range(kd.algebra.max_weight + 1):
-                    for pos in kd.algebra.block_positions(m, tgt, src):
-                        index[(flat_idx, (m, pos))] = len(units)
-                        units.append(Cochain(kd, p, module,
-                                             {flat_idx: {(m, pos): field.one}}))
-            else:
-                if j == i:
-                    units.append(Cochain(kd, p, module, {flat_idx: field.one}))
+        units: List[Cochain] = []
+        index = basis_index[p] = {}
+        for m in coh.weights():
+            space = CoordSpace(kd, p, m, module, "coh")
+            for k, (flat_idx, pos) in enumerate(space.coords):
+                index[(flat_idx, (m, pos))] = len(units)
+                units.append(space.unflatten({k: field.one}))
         basis_cochains[p] = units
-        basis_index[p] = index
     theta_cols = {p: [theta(kd, f, w0) for f in basis_cochains[p]] for p in range(3)}
 
     def theta_of(f: Cochain) -> Chain:
@@ -150,11 +128,12 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
         values are read: on k, the cochains passed here (b_K f) are zero."""
         index = basis_index[f.p]
         cols = theta_cols[f.p]
-        out = Chain(kd, 2 - f.p, f.module, {})
+        acc: Dict[int, object] = {}
         for flat_idx, val in f.values.items():
             for t, c in val.items():
-                out = out.add(cols[index[(flat_idx, t)]], c)
-        return out
+                for k, v in cols[index[(flat_idx, t)]].values.items():
+                    kd._mod_accumulate(f.module, acc, k, v, c)
+        return Chain(kd, 2 - f.p, f.module, kd._mod_settle(f.module, acc))
 
     # (a) chain map and (b) mutual inversion, on full cochain bases
     for p in range(3):
@@ -171,20 +150,12 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
             report.record("f cap w0 = w0 cap f", left.equals(tf), f"degree {p}")
     # theta o eta = id on chain bases
     for q in range(3):
-        ws = kd.w(q)
-        for flat_idx in range(ws.dim):
-            j, i = ws.block_of(flat_idx)
-            if module == MODULE_A:
-                for m in range(kd.algebra.max_weight + 1):
-                    for pos in kd.algebra.block_positions(m, i, j):
-                        z = Chain(kd, q, module, {flat_idx: {(m, pos): field.one}})
-                        again = theta(kd, eta(kd, z), w0)
-                        report.record("theta o eta = id", again.equals(z), f"degree {q}")
-            else:
-                if j == i:
-                    z = Chain(kd, q, module, {flat_idx: field.one})
-                    again = theta(kd, eta(kd, z), w0)
-                    report.record("theta o eta = id", again.equals(z), f"degree {q}")
+        for m in hom.weights():
+            space = CoordSpace(kd, q, m, module, "hom")
+            for k in range(space.dim):
+                z = space.unflatten({k: field.one})
+                again = theta(kd, eta(kd, z), w0)
+                report.record("theta o eta = id", again.equals(z), f"degree {q}")
 
     # (d) module identities theta(f cup g) = theta(f) cap g = f cap theta(g)
     if module == MODULE_A:

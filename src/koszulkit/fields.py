@@ -74,6 +74,10 @@ class Field:
         if self != other:
             raise FieldMismatchError(f"mixed field tags: {self} vs {other}")
 
+    def sign(self, n: int):
+        """The scalar (-1)^n."""
+        return self.one if n % 2 == 0 else self.neg(self.one)
+
 
 class Rationals(Field):
     char = 0

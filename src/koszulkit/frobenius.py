@@ -211,20 +211,15 @@ class FrobeniusStructure:
         for r, rel in enumerate(pres.relations):
             vec = {}
             for coeff, (left, right) in rel:
-                vec[(left, right)] = field.add(vec.get((left, right), field.zero), coeff)
-            paths2[r] = vec
+                vec[(left, right)] = vec.get((left, right), 0) + coeff
+            paths2[r] = field.settle(vec)
         for r, rel in enumerate(pres.relations):
             img: Dict[Tuple[int, int], object] = {}
             for coeff, (left, right) in rel:
                 bl, cl = scalars[left]
                 br, cr = scalars[right]
-                key = (bl, br)
-                c = field.mul(coeff, field.mul(cl, cr))
-                cur = field.add(img.get(key, field.zero), c)
-                if field.is_zero(cur):
-                    img.pop(key, None)
-                else:
-                    img[key] = cur
+                img[(bl, br)] = img.get((bl, br), 0) + coeff * cl * cr
+            img = field.settle(img)
             i = pres.sigma_vertices[r]
             target = next(rr for rr, v in enumerate(pres.sigma_vertices)
                           if v == self.nu_bar[i])
@@ -462,28 +457,21 @@ class BarOracle:
         c2_index = {c: k for k, c in enumerate(c2)}
         pairs = sorted({(x1, x2) for (x1, x2, _y) in c2})
 
+        one, minus = field.one, field.neg(field.one)
+
         def b1_column(t) -> SparseVec:
             # f = unit at diagonal t; (b f)(a) = f(e_{t(a)}) a - a f(e_{s(a)})
             col: SparseVec = {}
-            f_elem = {t: field.one}
             i = blocks[t][0]
             for a in terms:
                 ja, ia = blocks[a]
                 val: Elem = {}
                 if ja == i:
-                    val = alg.elem_add(val, alg.multiply(f_elem, {a: field.one}))
+                    field.add_into(val, alg.multiply({t: one}, {a: one}), one)
                 if ia == i:
-                    val = alg.elem_add(val, alg.multiply({a: field.one}, f_elem),
-                                       field.neg(field.one))
-                for tt, c in val.items():
-                    k = c1_index.get((a, tt))
-                    if k is None:
-                        continue
-                    cur = field.add(col.get(k, field.zero), c)
-                    if field.is_zero(cur):
-                        col.pop(k, None)
-                    else:
-                        col[k] = cur
+                    field.add_into(val, alg.multiply({a: one}, {t: one}), minus)
+                field.add_into(col, {c1_index[(a, tt)]: c for tt, c in val.items()
+                                     if (a, tt) in c1_index}, one)
             return col
 
         def b2_column(pair) -> SparseVec:
@@ -494,21 +482,14 @@ class BarOracle:
             for (a1, a2) in pairs:
                 val: Elem = {}
                 if a1 == x0:
-                    val = alg.elem_add(val, alg.multiply({y0: field.one}, {a2: field.one}))
-                c = alg.multiply({a1: field.one}, {a2: field.one}).get(x0)
-                if c is not None and not field.is_zero(c):
-                    val = alg.elem_add(val, {y0: c}, field.neg(field.one))
+                    field.add_into(val, alg.multiply({y0: one}, {a2: one}), one)
+                c = alg.multiply({a1: one}, {a2: one}).get(x0)
+                if c:
+                    field.add_into(val, {y0: c}, minus)
                 if a2 == x0:
-                    val = alg.elem_add(val, alg.multiply({a1: field.one}, {y0: field.one}))
-                for tt, c in val.items():
-                    k = c2_index.get((a1, a2, tt))
-                    if k is None:
-                        continue
-                    cur = field.add(col.get(k, field.zero), c)
-                    if field.is_zero(cur):
-                        col.pop(k, None)
-                    else:
-                        col[k] = cur
+                    field.add_into(val, alg.multiply({a1: one}, {y0: one}), one)
+                field.add_into(col, {c2_index[(a1, a2, tt)]: c for tt, c in val.items()
+                                     if (a1, a2, tt) in c2_index}, one)
             return col
 
         b1 = LinearMap(len(c0), len(c1), [b1_column(t) for t in c0], field)

@@ -127,6 +127,38 @@ def _shifted(m: Optional[int], dm: int) -> Optional[int]:
     return None if m is None else m + dm
 
 
+def _homology(mats: Dict[Tuple[int, Optional[int]], LinearMap], p: int,
+              m: Optional[int], step: int, dim: int, field) -> QuotientSpace:
+    """ker(d out of block (p, m)) / im(d into it), for the maps of a complex
+    of degree ``step`` and weight +1 keyed by source block; a missing map
+    is zero."""
+    d_out = mats.get((p, m))
+    d_in = mats.get((p - step, _shifted(m, -1)))
+    z = kernel(d_out) if d_out is not None else full_subspace(dim, field)
+    b = image(d_in) if d_in is not None else zero_subspace(dim, field)
+    return QuotientSpace(z, b)
+
+
+class _GradedDims:
+    """Dimensions of a family of (degree, weight) blocks, each with a dim."""
+
+    blocks: Dict[Tuple[int, Optional[int]], object]
+    p_max: int
+
+    def dim(self, p: int) -> int:
+        return sum(blk.dim for (pp, _m), blk in self.blocks.items() if pp == p)
+
+    def dims(self) -> List[int]:
+        return [self.dim(p) for p in range(self.p_max + 1)]
+
+    def bigraded_dims(self, p: int) -> Dict[Optional[int], int]:
+        out = {}
+        for (pp, m), blk in sorted(self.blocks.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
+            if pp == p and blk.dim:
+                out[m] = blk.dim
+        return out
+
+
 class HomologyBlock:
     def __init__(self, space: CoordSpace, quotient: QuotientSpace):
         self.space = space
@@ -138,7 +170,7 @@ class HomologyBlock:
         return self.quotient.dim
 
 
-class CalculusSpaces:
+class CalculusSpaces(_GradedDims):
     """HK^p(A, M) or HK_p(A, M) with biweight grading and representatives."""
 
     def __init__(self, kd: KoszulCalculus, module: str, side: str, p_max: int):
@@ -150,7 +182,8 @@ class CalculusSpaces:
         self._layouts: Dict[int, Tuple[int, Dict[Optional[int], Tuple[int, HomologyBlock]]]] = {}
         self._compute()
 
-    def _weights(self) -> List[Optional[int]]:
+    def weights(self) -> List[Optional[int]]:
+        """Coefficient weights of the blocks, ascending; [None] for k."""
         if self.module == MODULE_K:
             return [None]
         alg = self.kd.algebra
@@ -177,40 +210,22 @@ class CalculusSpaces:
         for p in range(top + 1):
             if not 0 <= p + step <= top:
                 continue
-            for m in self._weights():
+            for m in self.weights():
                 src, dst = space(p, m), space(p + step, _shifted(m, 1))
                 units = [{k: one} for k in range(src.dim)]
                 mats[(p, m)] = LinearMap(src.dim, dst.dim, _block_images(src, dst, units),
                                          field)
         for p in range(self.p_max + 1):
-            for m in self._weights():
+            for m in self.weights():
                 sp = space(p, m)
-                d_out = mats.get((p, m))
-                d_in = mats.get((p - step, _shifted(m, -1)))
-                z = kernel(d_out) if d_out is not None else full_subspace(sp.dim, field)
-                b = image(d_in) if d_in is not None else zero_subspace(sp.dim, field)
-                self.blocks[(p, m)] = HomologyBlock(sp, QuotientSpace(z, b))
-
-    # -- dimensions ---------------------------------------------------------
-
-    def dim(self, p: int) -> int:
-        return sum(blk.dim for (pp, _m), blk in self.blocks.items() if pp == p)
-
-    def dims(self) -> List[int]:
-        return [self.dim(p) for p in range(self.p_max + 1)]
-
-    def bigraded_dims(self, p: int) -> Dict[Optional[int], int]:
-        out = {}
-        for (pp, m), blk in sorted(self.blocks.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
-            if pp == p and blk.dim:
-                out[m] = blk.dim
-        return out
+                self.blocks[(p, m)] = HomologyBlock(
+                    sp, _homology(mats, p, m, step, sp.dim, field))
 
     # -- classes ------------------------------------------------------------
 
     def class_basis(self, p: int) -> List[Tuple[Optional[int], int]]:
         out = []
-        for m in self._weights():
+        for m in self.weights():
             blk = self.blocks.get((p, m))
             if blk:
                 out.extend((m, k) for k in range(blk.dim))
@@ -258,7 +273,7 @@ class CalculusSpaces:
         if layout is None:
             offsets: Dict[Optional[int], Tuple[int, HomologyBlock]] = {}
             total = 0
-            for m in self._weights():
+            for m in self.weights():
                 blk = self.blocks.get((p, m))
                 if blk is None or blk.space.dim == 0:
                     continue
@@ -295,12 +310,13 @@ def koszul_homology(kd: KoszulCalculus, module: str, side: str,
 # -- higher Koszul calculus ---------------------------------------------------
 
 
-class HigherSpaces:
+class HigherSpaces(_GradedDims):
     """Homology of the class-level complexes of the fundamental 1-cocycle:
     e_A cup - on HK^ and e_A cap - (left) on HK_."""
 
     def __init__(self, spaces: CalculusSpaces):
         self.spaces = spaces
+        self.p_max = spaces.p_max
         field = spaces.kd.field
         step = 1 if spaces.side == "coh" else -1
         self.blocks: Dict[Tuple[int, Optional[int]], QuotientSpace] = {}
@@ -316,37 +332,19 @@ class HigherSpaces:
                      if not field.is_zero(c)} for img in imgs]
             mats[(p, m)] = LinearMap(blk.dim, tblk.dim, cols, field)
         for (p, m), blk in spaces.blocks.items():
-            d_in = mats.get((p - step, _shifted(m, -1)))
-            b = image(d_in) if d_in is not None else zero_subspace(blk.dim, field)
-            self.blocks[(p, m)] = QuotientSpace(kernel(mats[(p, m)]), b)
-
-    def dim(self, p: int) -> int:
-        return sum(blk.dim for (pp, _m), blk in self.blocks.items() if pp == p)
-
-    def dims(self) -> List[int]:
-        return [self.dim(p) for p in range(self.spaces.p_max + 1)]
-
-    def bigraded_dims(self, p: int) -> Dict[Optional[int], int]:
-        out = {}
-        for (pp, m), blk in sorted(self.blocks.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
-            if pp == p and blk.dim:
-                out[m] = blk.dim
-        return out
+            self.blocks[(p, m)] = _homology(mats, p, m, step, blk.dim, field)
 
     def class_in_kernel(self, obj) -> bool:
         """Whether a closed element's higher differential vanishes at class level."""
         spaces = self.spaces
         coords = spaces.class_of(obj)
-        p = obj.p if spaces.side == "coh" else obj.q
-        basis = spaces.class_basis(p)
         field = spaces.kd.field
-        # reconstruct the blockwise kernel membership
-        for (pp, m), blk in self.blocks.items():
-            if pp != p:
-                continue
-            seg = [coords[k] for k, (mm, _i) in enumerate(basis) if mm == m]
-            vec = {i: c for i, c in enumerate(seg) if not field.is_zero(c)}
-            if vec and not blk.z.contains(vec):
+        # blockwise kernel membership, over the class coordinate segments
+        _total, offsets = spaces._layout(obj.degree)
+        for m, (start, blk) in offsets.items():
+            vec = {i: c for i, c in enumerate(coords[start:start + blk.dim])
+                   if not field.is_zero(c)}
+            if vec and not self.blocks[(obj.degree, m)].z.contains(vec):
                 return False
         return True
 

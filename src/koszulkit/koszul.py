@@ -30,6 +30,15 @@ scale by c and add it at the target".
 Since b_K = -[e_A, -] for the fundamental 1-cocycle e_A, the left-acting
 terms (``right`` false) with their sign flipped are e_A cup f on cochains
 and e_A cap z (left) on chains: the higher calculus reads the same table.
+
+The cup and cap products are stated once as well, over the split table
+(:meth:`KoszulCalculus.split_coords`): the coordinates of each W_{p+q} basis
+vector in W_p (x) W_q.  It covers every p, q >= 0; a split with a degree-0
+factor is the trivial one, e_j (x) z or z (x) e_i at the target j or the
+source i of z.  So cup is one loop over the table, read from the W_p side,
+and cap one loop per side, with no per-degree case.  Module values are
+summed one way, with plain + and * through ``_mod_accumulate``, and reduced
+once by ``_mod_settle``.
 """
 
 from __future__ import annotations
@@ -110,6 +119,7 @@ class KoszulCalculus:
         self.p_max = p_max
         self.wspaces: List[WSpace] = []
         self._split_memo: Dict[Tuple[int, int], List[Dict[Tuple[int, int], object]]] = {}
+        self._prefix_memo: Dict[Tuple[int, int], List[List[Tuple[int, int, object]]]] = {}
         self._terms_memo: Dict[Tuple[int, str], List[List[DiffTerm]]] = {}
         self._build_wspaces(pres)
 
@@ -256,24 +266,6 @@ class KoszulCalculus:
 
     # -- coefficient modules -------------------------------------------------
 
-    def _mod_is_zero(self, module: str, value) -> bool:
-        if value is None:
-            return True
-        if module == MODULE_A:
-            return not value
-        return self.field.is_zero(value)
-
-    def _mod_add(self, module: str, x, y, c):
-        """x + c*y in the module (either argument may be None for zero)."""
-        if self._mod_is_zero(module, y):
-            return x
-        if module == MODULE_A:
-            if x is None:
-                x = {}
-            return self.algebra.elem_add(x, y, c)
-        add = self.field.add(self.field.zero if x is None else x, self.field.mul(c, y))
-        return add
-
     def _mod_accumulate(self, module: str, acc: Dict[int, object], k: int, y, c) -> None:
         """acc[k] += c*y with plain + and *; _mod_settle reduces the sums."""
         if module == MODULE_A:
@@ -299,36 +291,30 @@ class KoszulCalculus:
 
     # -- cochains and chains --------------------------------------------------
 
+    # The constructors below take module values as sums from _mod_accumulate
+    # or as field elements, and settle them: zero values are dropped.
+
     def cochain_on_relations(self, rel_values: Dict[int, Elem],
                              module: str = MODULE_A) -> "Cochain":
         """Degree-2 cochain from its values on the presentation's relations."""
         ws = self.w(2)
-        values: Dict[int, object] = {}
+        acc: Dict[int, object] = {}
         for flat_idx in range(ws.dim):
-            val = None
             for r, c in ws.relation_coords[flat_idx].items():
                 if r in rel_values:
-                    val = self._mod_add(module, val, rel_values[r], c)
-            if not self._mod_is_zero(module, val):
-                values[flat_idx] = val
-        return Cochain(self, 2, module, values)
+                    self._mod_accumulate(module, acc, flat_idx, rel_values[r], c)
+        return Cochain(self, 2, module, self._mod_settle(module, acc))
 
     def cochain_on_arrows(self, arrow_values: Dict[int, Elem],
                           module: str = MODULE_A) -> "Cochain":
-        values = {}
-        for a, val in arrow_values.items():
-            if not self._mod_is_zero(module, val):
-                values[self.arrow_flat[a]] = val
-        return Cochain(self, 1, module, values)
+        return Cochain(self, 1, module, self._mod_settle(
+            module, {self.arrow_flat[a]: val for a, val in arrow_values.items()}))
 
     def cochain_on_vertices(self, vertex_values: Dict[int, Elem],
                             module: str = MODULE_A) -> "Cochain":
-        values = {}
-        w0 = self.w(0)
-        for i, val in vertex_values.items():
-            if not self._mod_is_zero(module, val):
-                values[w0.flat_of_block[(i, i)][0]] = val
-        return Cochain(self, 0, module, values)
+        flat = self.w(0).flat_of_block
+        return Cochain(self, 0, module, self._mod_settle(
+            module, {flat[(i, i)][0]: val for i, val in vertex_values.items()}))
 
     def fundamental_cocycle(self) -> "Cochain":
         """The identity map on the arrow space, as a 1-cochain."""
@@ -374,7 +360,7 @@ class KoszulCalculus:
                          module: str = MODULE_A) -> "Chain":
         """Build a chain from (coefficient, W_q vector in block path coords, block)."""
         ws = self.w(q)
-        values: Dict[int, object] = {}
+        acc: Dict[int, object] = {}
         for coeff, wvec, key in pairs:
             basis = ws.block_basis.get(key)
             if basis is None:
@@ -386,12 +372,9 @@ class KoszulCalculus:
             if sol is None:
                 raise ValueError("W component outside the computed space")
             for k, c in enumerate(sol):
-                if self.field.is_zero(c):
-                    continue
-                flat_idx = ws.flat_of_block[key][k]
-                values[flat_idx] = self._mod_add(module, values.get(flat_idx), coeff, c)
-        values = {k: v for k, v in values.items() if not self._mod_is_zero(module, v)}
-        return Chain(self, q, module, values)
+                if not self.field.is_zero(c):
+                    self._mod_accumulate(module, acc, ws.flat_of_block[key][k], coeff, c)
+        return Chain(self, q, module, self._mod_settle(module, acc))
 
     def chain_on_relations(self, pairs: Sequence[Tuple[Elem, int]]) -> "Chain":
         """Degree-2 chain sum of m (x) sigma_r over (coefficient m, relation r) pairs."""
@@ -416,11 +399,10 @@ class KoszulCalculus:
         if table is not None:
             return table
         field = self.field
-        minus = field.neg(field.one)
         table = [[] for _ in range(self.w(p).dim)]
         if side == "hom":
             ws = self.w(p)
-            sign = field.one if p % 2 == 0 else minus
+            sign = field.sign(p)
             for x in range(ws.dim):
                 for (a, y), c in ws.left_fact[x].items():
                     table[x].append((True, a, y, c))
@@ -428,7 +410,7 @@ class KoszulCalculus:
                     table[x].append((False, a, y, field.mul(sign, c)))
         elif side == "coh":
             ws = self.w(p + 1)
-            sign = minus if p % 2 == 0 else field.one
+            sign = field.sign(p + 1)
             for z in range(ws.dim):
                 for (y, a), c in ws.right_fact[z].items():
                     table[y].append((True, a, z, c))
@@ -464,15 +446,25 @@ class KoszulCalculus:
     # -- splits and products -----------------------------------------------------
 
     def split_coords(self, p: int, q: int) -> List[Dict[Tuple[int, int], object]]:
-        """Coordinates of each W_{p+q} basis vector in W_p (x) W_q."""
-        if p < 1 or q < 1:
-            raise DegreeError("split requires positive degrees on both sides")
+        """Coordinates of each W_{p+q} basis vector in W_p (x) W_q.
+
+        A degree-0 factor splits trivially: z in the vertex block (j, i) is
+        e_j (x) z when p = 0 and z (x) e_i when q = 0."""
+        if p < 0 or q < 0:
+            raise DegreeError("split requires nonnegative degrees on both sides")
         memo = self._split_memo.get((p, q))
         if memo is not None:
             return memo
         field = self.field
         wp, wq, wpq = self.w(p), self.w(q), self.w(p + q)
         out: List[Dict[Tuple[int, int], object]] = []
+        if p == 0 or q == 0:
+            vertex = self.w(0).flat_of_block
+            for z, (j, i, _k) in enumerate(wpq.flat):
+                out.append({(vertex[(j, j)][0], z) if p == 0 else (z, vertex[(i, i)][0]):
+                            field.one})
+            self._split_memo[(p, q)] = out
+            return out
         # solvers over W_p blocks (prefix side) and W_q blocks (suffix side)
         psolvers: Dict[Tuple[int, int], SpanSolver] = {}
         qsolvers: Dict[Tuple[int, int], SpanSolver] = {}
@@ -526,66 +518,54 @@ class KoszulCalculus:
         self._split_memo[(p, q)] = out
         return out
 
+    def _splits_by_prefix(self, p: int, q: int) -> List[List[Tuple[int, int, object]]]:
+        """The split table read from the W_p side: for each W_p index x, the
+        ``(y, z, c)`` with ``(x, y): c`` in the split of z."""
+        rows = self._prefix_memo.get((p, q))
+        if rows is None:
+            rows = self._prefix_memo[(p, q)] = [[] for _ in range(self.w(p).dim)]
+            for z, coords in enumerate(self.split_coords(p, q)):
+                for (x, y), c in coords.items():
+                    rows[x].append((y, z, c))
+        return rows
+
+    def _out_module(self, mod_f: str, mod_g: str) -> str:
+        """The coefficient module of a product: k if a factor is k, else A."""
+        if mod_f == MODULE_K and mod_g == MODULE_K:
+            raise ModuleError("at least one coefficient module must be the algebra")
+        return MODULE_K if MODULE_K in (mod_f, mod_g) else MODULE_A
+
     def _mod_product(self, mod_f: str, mod_g: str, fval, gval,
                      fblock: Tuple[int, int], gblock: Tuple[int, int]):
-        """Product in P (x)_A Q for modules in {A, k}; returns (module, value)."""
-        if fval is None or gval is None:
-            return (MODULE_A, None)
+        """fval gval in P (x)_A Q for modules in {A, k}, with fblock and gblock
+        the vertex blocks of the W basis vectors the two values sit on."""
         if mod_f == MODULE_A and mod_g == MODULE_A:
-            return (MODULE_A, self.algebra.multiply(fval, gval))
-        if mod_f == MODULE_A and mod_g == MODULE_K:
-            # A (x)_A k: augmentation of the A value at the joining vertex
+            return self.algebra.multiply(fval, gval)
+        # A (x)_A k: the augmentation of the A value at the joining vertex,
+        # nonzero only when the A value has a vertex component there
+        if mod_f == MODULE_A:
             mid = fblock[1]
-            eps = fval.get((0, mid), self.field.zero)
-            scalar = self.field.mul(eps, gval)
-            # nonzero only when the A value has a vertex component there
-            return (MODULE_K, scalar if fblock[0] == mid else self.field.zero)
-        if mod_f == MODULE_K and mod_g == MODULE_A:
-            mid = gblock[0]
-            eps = gval.get((0, mid), self.field.zero)
-            scalar = self.field.mul(fval, eps)
-            return (MODULE_K, scalar if gblock[1] == mid else self.field.zero)
-        raise ModuleError("at least one coefficient module must be the algebra")
+            return self.field.mul(fval.get((0, mid), 0), gval) if fblock[0] == mid else 0
+        mid = gblock[0]
+        return self.field.mul(fval, gval.get((0, mid), 0)) if gblock[1] == mid else 0
 
     def cup(self, f: "Cochain", g: "Cochain") -> "Cochain":
         """(f cup g)(x_1..x_{p+q}) = (-1)^{pq} f(x_1..x_p) g(x_{p+1}..)."""
         p, q = f.p, g.p
-        field = self.field
-        if f.module == MODULE_K and g.module == MODULE_K:
-            raise ModuleError("at least one coefficient module must be the algebra")
-        out_module = MODULE_K if MODULE_K in (f.module, g.module) else MODULE_A
-        ws_out = self.w(p + q)
-        w0 = self.w(0)
-        sign = field.one if (p * q) % 2 == 0 else field.neg(field.one)
+        out_module = self._out_module(f.module, g.module)
+        wp, wq = self.w(p), self.w(q)
+        sign = self.field.sign(p * q)
+        rows = self._splits_by_prefix(p, q)
         acc: Dict[int, object] = {}
-        if p == 0 or q == 0:
-            inner = g if p == 0 else f
-            ws_in = self.w(inner.p)
-            for z, val in inner.values.items():
-                j, i = ws_in.block_of(z)
-                if p == 0:
-                    fv = f.values.get(w0.flat_of_block[(j, j)][0])
-                    mod, prod = self._mod_product(f.module, g.module, fv, val,
-                                                  (j, j), (j, i))
-                else:
-                    gv = g.values.get(w0.flat_of_block[(i, i)][0])
-                    mod, prod = self._mod_product(f.module, g.module, val, gv,
-                                                  (j, i), (i, i))
-                if not self._mod_is_zero(out_module, prod):
-                    self._mod_accumulate(out_module, acc, z, prod, sign)
-        else:
-            splits = self.split_coords(p, q)
-            wp, wq = self.w(p), self.w(q)
-            for z in range(ws_out.dim):
-                for (x, y), c in splits[z].items():
-                    fv = f.values.get(x)
-                    gv = g.values.get(y)
-                    if fv is None or gv is None:
-                        continue
-                    _mod, prod = self._mod_product(f.module, g.module, fv, gv,
-                                                   wp.block_of(x), wq.block_of(y))
-                    if not self._mod_is_zero(out_module, prod):
-                        self._mod_accumulate(out_module, acc, z, prod, sign * c)
+        for x, fv in f.values.items():
+            fblock = wp.block_of(x)
+            for y, z, c in rows[x]:
+                gv = g.values.get(y)
+                if gv is None:
+                    continue
+                prod = self._mod_product(f.module, g.module, fv, gv, fblock, wq.block_of(y))
+                if prod:
+                    self._mod_accumulate(out_module, acc, z, prod, sign * c)
         return Cochain(self, p + q, out_module, self._mod_settle(out_module, acc))
 
     def cap(self, f: "Cochain", z: "Chain", side: str = "left") -> "Chain":
@@ -597,83 +577,47 @@ class KoszulCalculus:
         p, q = f.p, z.q
         if p > q:
             raise DegreeError("cap requires the cochain degree at most the chain degree")
-        if f.module == MODULE_K and z.module == MODULE_K:
-            raise ModuleError("at least one coefficient module must be the algebra")
-        out_module = MODULE_K if MODULE_K in (f.module, z.module) else MODULE_A
-        field = self.field
-        ws_in = self.w(q)
-        ws_out = self.w(q - p)
-        w0 = self.w(0)
-        if side == "left":
-            sign = field.one if ((q - p) * p) % 2 == 0 else field.neg(field.one)
-        elif side == "right":
-            sign = field.one if (p * q) % 2 == 0 else field.neg(field.one)
-        else:
-            raise ValueError("side must be 'left' or 'right'")
+        out_module = self._out_module(f.module, z.module)
+        wp, wq = self.w(p), self.w(q)
         acc: Dict[int, object] = {}
-
-        def add(out_flat: int, prod, c) -> None:
-            if not self._mod_is_zero(out_module, prod):
-                self._mod_accumulate(out_module, acc, out_flat, prod, sign * c)
-
-        for wflat, melem in z.values.items():
-            j, i = ws_in.block_of(wflat)  # coefficient melem lies in e_i M e_j
-            if p == 0:
-                if side == "left":
-                    fv = f.values.get(w0.flat_of_block[(i, i)][0])
-                    _m, prod = self._mod_product(f.module, z.module, fv, melem,
-                                                 (i, i), (i, j))
-                else:
-                    fv = f.values.get(w0.flat_of_block[(j, j)][0])
-                    _m, prod = self._mod_product(z.module, f.module, melem, fv,
-                                                 (i, j), (j, j))
-                add(wflat, prod, field.one)
-                continue
-            if p == q:
-                fv = f.values.get(wflat)
-                if fv is None:
-                    continue
-                out_block = (j, j) if side == "left" else (i, i)
-                out_flat = ws_out.flat_of_block.get(out_block, [None])[0]
-                if side == "left":
-                    _m, prod = self._mod_product(f.module, z.module, fv, melem,
-                                                 (j, i), (i, j))
-                else:
-                    _m, prod = self._mod_product(z.module, f.module, melem, fv,
-                                                 (i, j), (j, i))
-                add(out_flat, prod, field.one)
-                continue
-            if side == "left":
-                splits = self.split_coords(q - p, p)
-                wsuf = self.w(p)
+        if side == "left":
+            # split x = u (x) s with s in W_p: f(s) m on u
+            sign = self.field.sign((q - p) * p)
+            splits = self.split_coords(q - p, p)
+            for wflat, melem in z.values.items():
+                j, i = wq.block_of(wflat)  # coefficient melem lies in e_i M e_j
                 for (u, s), c in splits[wflat].items():
                     fv = f.values.get(s)
                     if fv is None:
                         continue
-                    mid = wsuf.block_of(s)[0]
-                    _m, prod = self._mod_product(f.module, z.module, fv, melem,
-                                                 (mid, i), (i, j))
-                    add(u, prod, c)
-            else:
-                splits = self.split_coords(p, q - p)
-                wpre = self.w(p)
+                    prod = self._mod_product(f.module, z.module, fv, melem,
+                                             wp.block_of(s), (i, j))
+                    if prod:
+                        self._mod_accumulate(out_module, acc, u, prod, sign * c)
+        elif side == "right":
+            # split x = s (x) u with s in W_p: m f(s) on u
+            sign = self.field.sign(p * q)
+            splits = self.split_coords(p, q - p)
+            for wflat, melem in z.values.items():
+                j, i = wq.block_of(wflat)
                 for (s, u), c in splits[wflat].items():
                     fv = f.values.get(s)
                     if fv is None:
                         continue
-                    mid = wpre.block_of(s)[1]
-                    _m, prod = self._mod_product(z.module, f.module, melem, fv,
-                                                 (i, j), (j, mid))
-                    add(u, prod, c)
+                    prod = self._mod_product(z.module, f.module, melem, fv,
+                                             (i, j), wp.block_of(s))
+                    if prod:
+                        self._mod_accumulate(out_module, acc, u, prod, sign * c)
+        else:
+            raise ValueError("side must be 'left' or 'right'")
         return Chain(self, q - p, out_module, self._mod_settle(out_module, acc))
 
     def cup_bracket(self, f: "Cochain", g: "Cochain") -> "Cochain":
-        sign = self.field.one if (f.p * g.p) % 2 == 0 else self.field.neg(self.field.one)
-        return self.cup(f, g).add(self.cup(g, f), self.field.neg(sign))
+        return self.cup(f, g).add(self.cup(g, f), self.field.sign(f.p * g.p + 1))
 
     def cap_bracket(self, f: "Cochain", z: "Chain") -> "Chain":
-        sign = self.field.one if (f.p * z.q) % 2 == 0 else self.field.neg(self.field.one)
-        return self.cap(f, z, "left").add(self.cap(f, z, "right"), self.field.neg(sign))
+        return self.cap(f, z, "left").add(self.cap(f, z, "right"),
+                                          self.field.sign(f.p * z.q + 1))
 
 
 class KoszulElement:
@@ -692,28 +636,24 @@ class KoszulElement:
     def is_zero(self) -> bool:
         return not self.values
 
+    def _combination(self, *terms) -> "KoszulElement":
+        """The sum of c * values over the (values, c) terms, settled once."""
+        kd = self.kd
+        acc: Dict[int, object] = {}
+        for values, c in terms:
+            for k, v in values.items():
+                kd._mod_accumulate(self.module, acc, k, v, c)
+        return self._with(kd._mod_settle(self.module, acc))
+
     def add(self, other, c=None):
         if (type(other) is not type(self) or other.degree != self.degree
                 or other.module != self.module):
             raise DegreeError(f"{type(self).__name__.lower()} mismatch in addition")
-        kd = self.kd
-        if c is None:
-            c = kd.field.one
-        values = dict(self.values)
-        for k, v in other.values.items():
-            cur = kd._mod_add(self.module, values.get(k), v, c)
-            if kd._mod_is_zero(self.module, cur):
-                values.pop(k, None)
-            else:
-                values[k] = cur
-        return self._with(values)
+        one = self.kd.field.one
+        return self._combination((self.values, one), (other.values, one if c is None else c))
 
     def scale(self, c):
-        kd = self.kd
-        if kd.field.is_zero(c):
-            return self._with({})
-        return self._with({k: kd._mod_add(self.module, None, v, c)
-                           for k, v in self.values.items()})
+        return self._combination((self.values, c))
 
     def equals(self, other) -> bool:
         return self.add(other, self.kd.field.neg(self.kd.field.one)).is_zero()

@@ -9,6 +9,7 @@ documents byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .duality import ae_coefficient_route, omega0, verify_duality
 from .fields import Field, field_from_tag
 from .frobenius import BarOracle, Degree2Comparison, FrobeniusStructure
 from .homology import CalculusSpaces, higher_calculus, koszul_homology
-from .koszul import KoszulCalculus, MODULE_A, MODULE_K
+from .koszul import Cochain, KoszulCalculus, MODULE_A, MODULE_K
 from .presets import Preset, normalize_preset_name, socle_generators
 from .quiver import (PreprojectiveSpec, graph_from_json,
                      presentation_from_json, preprojective_presentation)
@@ -74,17 +75,13 @@ class Timings:
     def __init__(self):
         self.data: Dict[str, float] = {}
 
+    @contextlib.contextmanager
     def measure(self, key: str):
-        outer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                outer.data[key] = round(time.perf_counter() - self.t0, 6)
-
-        return _Ctx()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.data[key] = round(time.perf_counter() - t0, 6)
 
 
 def _scalar(field: Field, value):
@@ -106,27 +103,18 @@ def _wvec_json(kd, p: int, flat_idx: int) -> Dict[str, object]:
     return {paths[t].name(): _scalar(kd.field, c) for t, c in sorted(vec.items())}
 
 
-def _cochain_json(kd, cochain) -> List[Dict]:
+def _element_json(kd, obj) -> List[Dict]:
+    """A cochain's values ("value") or a chain's coefficients ("coefficient")
+    on the W basis vectors, in W index order."""
+    key = "value" if isinstance(obj, Cochain) else "coefficient"
     out = []
-    for flat_idx in sorted(cochain.values):
-        val = cochain.values[flat_idx]
-        if cochain.module == MODULE_A:
+    for flat_idx in sorted(obj.values):
+        val = obj.values[flat_idx]
+        if obj.module == MODULE_A:
             value = _elem_json(kd.algebra, kd.field, val)
         else:
             value = _scalar(kd.field, val)
-        out.append({"on": _wvec_json(kd, cochain.p, flat_idx), "value": value})
-    return out
-
-
-def _chain_json(kd, chain) -> List[Dict]:
-    out = []
-    for flat_idx in sorted(chain.values):
-        val = chain.values[flat_idx]
-        if chain.module == MODULE_A:
-            value = _elem_json(kd.algebra, kd.field, val)
-        else:
-            value = _scalar(kd.field, val)
-        out.append({"coefficient": value, "on": _wvec_json(kd, chain.q, flat_idx)})
+        out.append({"on": _wvec_json(kd, obj.degree, flat_idx), key: value})
     return out
 
 
@@ -139,52 +127,23 @@ def _spaces_json(kd, spaces: CalculusSpaces, with_bases: bool) -> Dict:
     if with_bases:
         bases = {}
         for p in range(min(spaces.p_max, 3) + 1):
-            reps = spaces.representatives(p)
-            if spaces.side == "coh":
-                bases[str(p)] = [_cochain_json(kd, r) for r in reps]
-            else:
-                bases[str(p)] = [_chain_json(kd, r) for r in reps]
+            bases[str(p)] = [_element_json(kd, r) for r in spaces.representatives(p)]
         out["class_bases"] = bases
     return out
 
 
-def _structure_constants(kd, coh: CalculusSpaces) -> Dict[str, object]:
-    field = kd.field
+def _structure_constants(product, degrees, left: CalculusSpaces, right: CalculusSpaces,
+                         target: CalculusSpaces, sep: str) -> Dict[str, object]:
+    """Class coordinates in ``target`` of ``product(f, g)`` over the
+    representatives f of ``left`` and g of ``right``, per degree pair."""
+    field = target.kd.field
     out: Dict[str, object] = {}
-    for p1 in range(3):
-        for p2 in range(3 - p1):
-            reps1 = coh.representatives(p1)
-            reps2 = coh.representatives(p2)
-            if not reps1 or not reps2:
-                continue
-            tensor = []
-            for f in reps1:
-                row = []
-                for g in reps2:
-                    row.append([_scalar(field, c)
-                                for c in coh.class_of(kd.cup(f, g))])
-                tensor.append(row)
-            out[f"{p1}x{p2}"] = tensor
-    return out
-
-
-def _cap_structure_constants(kd, coh: CalculusSpaces, hom: CalculusSpaces) -> Dict[str, object]:
-    field = kd.field
-    out: Dict[str, object] = {}
-    for p in range(3):
-        for q in range(p, 3):
-            reps_f = coh.representatives(p)
-            reps_z = hom.representatives(q)
-            if not reps_f or not reps_z:
-                continue
-            tensor = []
-            for f in reps_f:
-                row = []
-                for z in reps_z:
-                    row.append([_scalar(field, c)
-                                for c in hom.class_of(kd.cap(f, z, "left"))])
-                tensor.append(row)
-            out[f"{p}cap{q}"] = tensor
+    for p, q in degrees:
+        reps1 = left.representatives(p)
+        reps2 = right.representatives(q)
+        if reps1 and reps2:
+            out[f"{p}{sep}{q}"] = [[[_scalar(field, c) for c in target.class_of(product(f, g))]
+                                    for g in reps2] for f in reps1]
     return out
 
 
@@ -287,8 +246,12 @@ def run(config: RunConfig) -> Dict:
         }
         if module == MODULE_A:
             with timings.measure("products"):
-                report["cup_structure_constants"] = _structure_constants(kd, coh)
-                report["cap_structure_constants"] = _cap_structure_constants(kd, coh, hom)
+                report["cup_structure_constants"] = _structure_constants(
+                    kd.cup, [(p, q) for p in range(3) for q in range(3 - p)],
+                    coh, coh, coh, "x")
+                report["cap_structure_constants"] = _structure_constants(
+                    lambda f, z: kd.cap(f, z, "left"),
+                    [(p, q) for p in range(3) for q in range(p, 3)], coh, hom, hom, "cap")
             eA = kd.fundamental_cocycle()
             ceA = coh.class_of(eA)
             report["fundamental_cocycle"] = {

@@ -21,7 +21,8 @@ from .algebra import Elem
 from .duality import omega0, verify_duality
 from .fields import GF, QQ, Field
 from .frobenius import Degree2Comparison, FrobeniusStructure
-from .homology import CalculusSpaces, HigherSpaces, higher_calculus, koszul_homology
+from .homology import (CalculusSpaces, CoordSpace, HigherSpaces, higher_calculus,
+                       koszul_homology)
 from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A
 from .linalg import LinearMap, SparseVec, kernel, rank
 from .presets import (NamedGenerators, Preset, expected_nakayama_on_arrows,
@@ -82,12 +83,10 @@ class TypeCharComputation:
 def _combo_vector(comp: TypeCharComputation, combo: ExpectedCombo,
                   class_vectors: Dict[str, List[object]], dim: int) -> List[object]:
     field = comp.field
-    out = [field.zero] * dim
+    acc: SparseVec = {}
     for lbl, coeff in combo.items():
-        vec = class_vectors[lbl]
-        c = field.from_int(coeff)
-        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, vec)]
-    return out
+        field.add_into(acc, dict(enumerate(class_vectors[lbl])), field.from_int(coeff))
+    return [acc.get(k, field.zero) for k in range(dim)]
 
 
 def verify_type_char(name: str, char: int, log: Optional[CheckLog] = None,
@@ -356,40 +355,23 @@ class PropertySuite:
         return field.from_int(self.rng.randrange(field.char))
 
     def random_cochain(self, p: int, m: Optional[int] = None) -> Cochain:
-        kd = self.kd
-        alg = kd.algebra
-        ws = kd.w(p)
-        if m is None:
-            m = self.rng.randrange(alg.max_weight + 1)
-        values: Dict[int, Elem] = {}
-        for flat_idx in range(ws.dim):
-            j, i = ws.block_of(flat_idx)
-            val: Elem = {}
-            for pos in alg.block_positions(m, j, i):
-                c = self._rand_scalar()
-                if not kd.field.is_zero(c):
-                    val[(m, pos)] = c
-            if val:
-                values[flat_idx] = val
-        return Cochain(kd, p, MODULE_A, values)
+        return self._random_element(p, m, "coh")
 
     def random_chain(self, q: int, n: Optional[int] = None) -> Chain:
-        kd = self.kd
-        alg = kd.algebra
-        ws = kd.w(q)
-        if n is None:
-            n = self.rng.randrange(alg.max_weight + 1)
-        values: Dict[int, Elem] = {}
-        for flat_idx in range(ws.dim):
-            j, i = ws.block_of(flat_idx)
-            val: Elem = {}
-            for pos in alg.block_positions(n, i, j):
-                c = self._rand_scalar()
-                if not kd.field.is_zero(c):
-                    val[(n, pos)] = c
-            if val:
-                values[flat_idx] = val
-        return Chain(kd, q, MODULE_A, values)
+        return self._random_element(q, n, "hom")
+
+    def _random_element(self, p: int, m: Optional[int], side: str):
+        """A random (co)chain of degree p in coefficient weight m (random
+        when None), one scalar drawn per coordinate in CoordSpace order."""
+        if m is None:
+            m = self.rng.randrange(self.kd.algebra.max_weight + 1)
+        space = CoordSpace(self.kd, p, m, MODULE_A, side)
+        vec: SparseVec = {}
+        for k in range(space.dim):
+            c = self._rand_scalar()
+            if not self.kd.field.is_zero(c):
+                vec[k] = c
+        return space.unflatten(vec)
 
     def random_cocycle(self, p: int) -> Optional[Cochain]:
         assert self.coh is not None
@@ -443,8 +425,8 @@ class PropertySuite:
             g1 = self.random_cochain(p1)
             g2 = self.random_cochain(p2)
             lhs = kd.apply_bK(kd.cup(g1, g2))
-            sign = field.one if p1 % 2 == 0 else field.neg(field.one)
-            rhs = kd.cup(kd.apply_bK(g1), g2).add(kd.cup(g1, kd.apply_bK(g2)), sign)
+            rhs = kd.cup(kd.apply_bK(g1), g2).add(kd.cup(g1, kd.apply_bK(g2)),
+                                                   field.sign(p1))
             return lhs.equals(rhs)
 
         repeat("Leibniz", leibniz)
@@ -496,7 +478,7 @@ class PropertySuite:
                         continue
                     ab = self.coh.class_of(kd.cup(fa, fb))
                     ba = self.coh.class_of(kd.cup(fb, fa))
-                    sign = field.one if (pa * pb) % 2 == 0 else field.neg(field.one)
+                    sign = field.sign(pa * pb)
                     return all(field.is_zero(field.sub(x, field.mul(sign, y)))
                                for x, y in zip(ab, ba))
 
@@ -512,7 +494,7 @@ class PropertySuite:
                         continue
                     left = self.hom.class_of(kd.cap(fa, zb, "left"))
                     right = self.hom.class_of(kd.cap(fa, zb, "right"))
-                    sign = field.one if (pa * qb) % 2 == 0 else field.neg(field.one)
+                    sign = field.sign(pa * qb)
                     return all(field.is_zero(field.sub(x, field.mul(sign, y)))
                                for x, y in zip(left, right))
 
@@ -596,38 +578,25 @@ def direct_higher0_dim(alg) -> int:
     center = alg.center_basis()
     terms = [(m, pos) for m in range(alg.max_weight + 1)
              for pos in range(len(alg.monomials[m]))]
-    tindex = {t: k for k, t in enumerate(terms)}
     n_unknowns = len(center) + len(terms)
-    rows_per_eq: Dict[Tuple[int, Tuple[int, int]], SparseVec] = {}
-
-    def add_entry(arrow: int, term: Tuple[int, int], col: int, c) -> None:
-        key = (arrow, term)
-        row = rows_per_eq.setdefault(key, {})
-        cur = field.add(row.get(col, field.zero), c)
-        if field.is_zero(cur):
-            row.pop(col, None)
-        else:
-            row[col] = cur
-
-    for k, zel in enumerate(center):
+    # column of each unknown, keyed by equation (arrow, term): a center
+    # element z gives z a, a monomial v gives -(v a - a v)
+    minus = field.neg(field.one)
+    keyed: List[Dict[Tuple[int, Tuple[int, int]], object]] = []
+    for zel in center:
+        keyed.append({(a, t): c for a in range(alg.quiver.n_arrows)
+                      for t, c in alg.rmul_arrow(zel, a).items()})
+    for t in terms:
+        col: Dict[Tuple[int, Tuple[int, int]], object] = {}
         for a in range(alg.quiver.n_arrows):
-            za = alg.rmul_arrow(zel, a)
-            for t, c in za.items():
-                add_entry(a, t, k, c)
-    for kk, t in enumerate(terms):
-        v = {t: field.one}
-        for a in range(alg.quiver.n_arrows):
-            comm = alg.elem_add(alg.rmul_arrow(v, a), alg.lmul_arrow(a, v),
-                                field.neg(field.one))
-            for tt, c in comm.items():
-                add_entry(a, tt, len(center) + kk, field.neg(c))
+            comm: Elem = {}
+            field.add_into(comm, alg.rmul_arrow({t: field.one}, a), minus)
+            field.add_into(comm, alg.lmul_arrow(a, {t: field.one}), field.one)
+            col.update(((a, tt), c) for tt, c in comm.items())
+        keyed.append(col)
     # kernel of the stacked system, projected to the center coordinates
-    eq_index = {key: i for i, key in enumerate(sorted(rows_per_eq))}
-    cols: List[SparseVec] = [{} for _ in range(n_unknowns)]
-    for key, row in rows_per_eq.items():
-        i = eq_index[key]
-        for col, c in row.items():
-            cols[col][i] = c
+    eq_index = {key: i for i, key in enumerate(sorted({key for col in keyed for key in col}))}
+    cols: List[SparseVec] = [{eq_index[key]: c for key, c in col.items()} for col in keyed]
     ker = kernel(LinearMap(n_unknowns, len(eq_index), cols, field))
     proj = [{k: c for k, c in vec.items() if k < len(center)} for vec in ker.rows]
     return rank(proj, len(center), field)

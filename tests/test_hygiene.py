@@ -1,4 +1,5 @@
-"""Source hygiene: every name a koszulkit module imports is used there."""
+"""Source hygiene: every name a koszulkit module imports is used there, and
+every private helper it defines is referenced somewhere in the package."""
 
 import ast
 import pathlib
@@ -35,3 +36,29 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def private_functions(tree: ast.Module):
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not (node.name.startswith("__") and node.name.endswith("__"))):
+            yield node.name, node.lineno
+
+
+def referenced_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_dead_private_helpers():
+    """Every _-prefixed function or method is referenced somewhere in the package."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    referenced = {name for tree in trees.values() for name in referenced_names(tree)}
+    dead = [f"{name} ({module}, line {line})" for module, tree in trees.items()
+            for name, line in private_functions(tree) if name not in referenced]
+    assert not dead, f"private helpers nothing in koszulkit references: {dead}"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -479,3 +480,182 @@ def test_bimodule_tables_pinned(key):
     table, ranks = BIMODULE_TABLES[key]
     assert bh.homology_table() == table
     assert {k: r for k, r in bh.ranks.items() if r} == ranks
+
+
+def _reference_product(kd, mod_f, mod_g, fval, gval, fblock, gblock):
+    """fval gval in P (x)_A Q, as the per-degree products computed it."""
+    field = kd.field
+    if mod_f == MODULE_A and mod_g == MODULE_A:
+        return kd.algebra.multiply(fval, gval)
+    if mod_f == MODULE_A:
+        mid = fblock[1]
+        return field.mul(fval.get((0, mid), 0), gval) if fblock[0] == mid else 0
+    mid = gblock[0]
+    return field.mul(fval, gval.get((0, mid), 0)) if gblock[1] == mid else 0
+
+
+def _reference_sum(kd, module, terms):
+    """Values of the sum of c * value over (index, value, c) terms, summed
+    one term at a time and reduced by the field."""
+    field = kd.field
+    values = {}
+    for k, val, c in terms:
+        if module == MODULE_A:
+            field.add_into(values.setdefault(k, {}), val, c)
+        else:
+            values[k] = field.add(values.get(k, 0), field.mul(c, val))
+    return {k: v for k, v in values.items()
+            if (v if module == MODULE_A else not field.is_zero(v))}
+
+
+def _reference_cup(kd, f, g):
+    """The cup product with separate degree-0 branches, as it was written
+    before the split table covered degree 0."""
+    p, q = f.p, g.p
+    out_module = MODULE_K if MODULE_K in (f.module, g.module) else MODULE_A
+    sign = kd.field.one if (p * q) % 2 == 0 else kd.field.neg(kd.field.one)
+    w0 = kd.w(0)
+    terms = []
+    if p == 0 or q == 0:
+        inner = g if p == 0 else f
+        for z, val in inner.values.items():
+            j, i = kd.w(inner.p).block_of(z)
+            if p == 0:
+                fv = f.values.get(w0.flat_of_block[(j, j)][0])
+                if fv is not None:
+                    terms.append((z, _reference_product(kd, f.module, g.module, fv, val,
+                                                        (j, j), (j, i)), sign))
+            else:
+                gv = g.values.get(w0.flat_of_block[(i, i)][0])
+                if gv is not None:
+                    terms.append((z, _reference_product(kd, f.module, g.module, val, gv,
+                                                        (j, i), (i, i)), sign))
+    else:
+        wp, wq = kd.w(p), kd.w(q)
+        for z, split in enumerate(kd.split_coords(p, q)):
+            for (x, y), c in split.items():
+                fv, gv = f.values.get(x), g.values.get(y)
+                if fv is not None and gv is not None:
+                    terms.append((z, _reference_product(kd, f.module, g.module, fv, gv,
+                                                        wp.block_of(x), wq.block_of(y)),
+                                  kd.field.mul(sign, c)))
+    return Cochain(kd, p + q, out_module, _reference_sum(kd, out_module, terms))
+
+
+def _reference_cap(kd, f, z, side):
+    """The cap product with separate p = 0 and p = q branches on each side,
+    as it was written before the split table covered degree 0."""
+    p, q = f.p, z.q
+    out_module = MODULE_K if MODULE_K in (f.module, z.module) else MODULE_A
+    field = kd.field
+    n = (q - p) * p if side == "left" else p * q
+    sign = field.one if n % 2 == 0 else field.neg(field.one)
+    ws_in, w0 = kd.w(q), kd.w(0)
+    terms = []
+
+    def left_product(fv, m, fblock, zblock):
+        return _reference_product(kd, f.module, z.module, fv, m, fblock, zblock)
+
+    def right_product(m, fv, zblock, fblock):
+        return _reference_product(kd, z.module, f.module, m, fv, zblock, fblock)
+
+    for wflat, m in z.values.items():
+        j, i = ws_in.block_of(wflat)
+        if p == 0:
+            if side == "left":
+                fv = f.values.get(w0.flat_of_block[(i, i)][0])
+                prod = None if fv is None else left_product(fv, m, (i, i), (i, j))
+            else:
+                fv = f.values.get(w0.flat_of_block[(j, j)][0])
+                prod = None if fv is None else right_product(m, fv, (i, j), (j, j))
+            if prod is not None:
+                terms.append((wflat, prod, sign))
+        elif p == q:
+            fv = f.values.get(wflat)
+            if fv is None:
+                continue
+            if side == "left":
+                terms.append((w0.flat_of_block[(j, j)][0],
+                              left_product(fv, m, (j, i), (i, j)), sign))
+            else:
+                terms.append((w0.flat_of_block[(i, i)][0],
+                              right_product(m, fv, (i, j), (j, i)), sign))
+        elif side == "left":
+            for (u, s), c in kd.split_coords(q - p, p)[wflat].items():
+                fv = f.values.get(s)
+                if fv is not None:
+                    mid = kd.w(p).block_of(s)[0]
+                    terms.append((u, left_product(fv, m, (mid, i), (i, j)),
+                                  field.mul(sign, c)))
+        else:
+            for (s, u), c in kd.split_coords(p, q - p)[wflat].items():
+                fv = f.values.get(s)
+                if fv is not None:
+                    mid = kd.w(p).block_of(s)[1]
+                    terms.append((u, right_product(m, fv, (i, j), (j, mid)),
+                                  field.mul(sign, c)))
+    return Chain(kd, q - p, out_module, _reference_sum(kd, out_module, terms))
+
+
+def _basis_elements(kd, p, module, side):
+    """Every basis (co)chain of degree p, weight by weight for the module A."""
+    from koszulkit.homology import CoordSpace
+    alg = kd.algebra
+    weights = range(alg.max_weight + 1) if module == MODULE_A else [None]
+    out = []
+    for m in weights:
+        space = CoordSpace(kd, p, m, module, side)
+        out.extend(space.unflatten({k: kd.field.one}) for k in range(space.dim))
+    return out
+
+
+@pytest.mark.parametrize("name,field", [("A3", QQ), ("D4", GF(3)), ("E6", GF(2))],
+                         ids=["A3-Q", "D4-F3", "E6-F2"])
+def test_products_match_per_degree_reference(name, field):
+    """cup and cap, one loop over the split table in every degree, against
+    the per-degree reference over every pair of basis (co)chains: cup with
+    p + q <= 2, cap with p <= q <= 2 on both sides, and the module pairs
+    A.A, A.k and k.A."""
+    kd = KoszulCalculus(Preset(name, field).algebra, 3)
+    basis = {(p, module, side): _basis_elements(kd, p, module, side)
+             for p in range(3) for module in (MODULE_A, MODULE_K)
+             for side in ("coh", "hom")}
+    pairs = [(MODULE_A, MODULE_A), (MODULE_A, MODULE_K), (MODULE_K, MODULE_A)]
+    counts = Counter()
+    for mod_f, mod_g in pairs:
+        for p in range(3):
+            for q in range(3 - p):
+                for f in basis[(p, mod_f, "coh")]:
+                    for g in basis[(q, mod_g, "coh")]:
+                        got, want = kd.cup(f, g), _reference_cup(kd, f, g)
+                        assert (got.module, got.degree) == (want.module, want.degree)
+                        assert got.values == want.values, ("cup", f.values, g.values)
+                        counts[("cup", p == 0 or q == 0, bool(got.values))] += 1
+            for q in range(p, 3):
+                for f in basis[(p, mod_f, "coh")]:
+                    for z in basis[(q, mod_g, "hom")]:
+                        for side in ("left", "right"):
+                            got, want = kd.cap(f, z, side), _reference_cap(kd, f, z, side)
+                            assert (got.module, got.degree) == (want.module, want.degree)
+                            assert got.values == want.values, (side, f.values, z.values)
+                            kind = "p=0" if p == 0 else "p=q" if p == q else "split"
+                            counts[(side, kind, bool(got.values))] += 1
+    # every branch of the reference met a nonzero product
+    for key in [("cup", True, True), ("cup", False, True)] + [
+            (side, kind, True) for side in ("left", "right")
+            for kind in ("p=0", "p=q", "split")]:
+        assert counts[key] > 0, key
+
+
+def test_degree0_splits_are_trivial():
+    kd = KoszulCalculus(Preset("D4", GF(3)).algebra, 3)
+    vertex = kd.w(0).flat_of_block
+    for q in range(4):
+        ws = kd.w(q)
+        assert kd.split_coords(0, q) == [{(vertex[(j, j)][0], z): 1}
+                                         for z, (j, _i, _k) in enumerate(ws.flat)]
+        assert kd.split_coords(q, 0) == [{(z, vertex[(i, i)][0]): 1}
+                                         for z, (_j, i, _k) in enumerate(ws.flat)]
+    for p, q in [(-1, 0), (0, -1), (-1, 2), (2, -1)]:
+        with pytest.raises(DegreeError):
+            kd.split_coords(p, q)
