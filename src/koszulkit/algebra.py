@@ -6,6 +6,11 @@ the images of (weight m-2 basis) x (relation space).  This avoids ever
 materializing the full path space, whose size grows exponentially with the
 weight, while still selecting a monomial (path) basis: the surviving
 product pairs, taken in right-factor-most-significant path order.
+
+Products come from one table of monomial products (``mono_product``),
+filled on demand along the right factor's monomial tree and storing zero
+products as well; ``multiply`` and left multiplication by an arrow both
+read it.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ class GradedAlgebra:
         self.parents: List[List[Tuple[int, int]]] = []
         # rmul[m][(pos, arrow)] = normal form of monomial*arrow at weight m+1
         self._rmul: List[Dict[Tuple[int, int], SparseVec]] = []
-        self._lmul_memo: Dict[Tuple[int, int, int], SparseVec] = {}
         # prod[(m, pos, n, qos)] = normal form of the product of two composable
-        # monomials of positive weight, over weight m+n positions; filled on demand
+        # monomials of positive weight, over weight m+n positions, zero products
+        # included; filled on demand
         self._prod: Dict[Tuple[int, int, int, int], SparseVec] = {}
         self.finite = False
         self.truncated = False
@@ -190,10 +195,7 @@ class GradedAlgebra:
         return out
 
     def elem_scale(self, x: Elem, c) -> Elem:
-        field = self.field
-        if field.is_zero(c):
-            return {}
-        return {t: field.mul(v, c) for t, v in x.items()}
+        return self.field.scale(x, c)
 
     def elem_equal(self, x: Elem, y: Elem) -> bool:
         return not self.elem_add(x, self.elem_scale(y, self.field.neg(self.field.one)))
@@ -237,41 +239,16 @@ class GradedAlgebra:
                 acc[npos] = acc.get(npos, 0) + c * w
         return self.field.settle(acc)
 
-    def lmul_arrow_mono(self, a: int, m: int, pos: int) -> SparseVec:
-        """Normal form of a * (monomial) as a vector over weight m+1 positions."""
-        key = (a, m, pos)
-        memo = self._lmul_memo.get(key)
-        if memo is not None:
-            return memo
-        field = self.field
-        if self._beyond(m + 1):
-            self._lmul_memo[key] = {}
-            return {}
-        if m == 0:
-            out = {a: field.one} if self.quiver.source[a] == pos else {}
-            # weight-1 monomials are the arrows in arrow order
-            self._lmul_memo[key] = out
-            return out
-        parent, last = self.parents[m][pos]
-        out = self._rmul_vec(self.lmul_arrow_mono(a, m - 1, parent), m, last)
-        self._lmul_memo[key] = out
-        return out
-
     def lmul_arrow(self, a: int, x: Elem) -> Elem:
-        acc: Elem = {}
-        for (m, pos), c in x.items():
-            if self._beyond(m + 1):
-                continue
-            for npos, w in self.lmul_arrow_mono(a, m, pos).items():
-                t = (m + 1, npos)
-                acc[t] = acc.get(t, 0) + c * w
-        return self.field.settle(acc)
+        """Normal form of a * x (the arrow acts last)."""
+        return self.multiply(self.arrow_elem(a), x)
 
-    def _mono_product(self, m: int, pos: int, n: int, qos: int) -> SparseVec:
+    def mono_product(self, m: int, pos: int, n: int, qos: int) -> SparseVec:
         """Normal form of monomial (m, pos) times the composable monomial
         (n, qos), over weight m+n positions.  The table is filled along the
         right factor's monomial tree, x (y' a) = (x y') a, one rmul step per
-        entry; zero products are not stored."""
+        entry; zero products are stored too, so a product that vanishes is
+        looked up, not recomputed."""
         if n == 0:
             return {pos: self.field.one}
         if m == 0:
@@ -280,9 +257,8 @@ class GradedAlgebra:
         nf = self._prod.get(key)
         if nf is None:
             parent, a = self.parents[n][qos]
-            nf = self._rmul_vec(self._mono_product(m, pos, n - 1, parent), m + n - 1, a)
-            if nf:
-                self._prod[key] = nf
+            nf = self._rmul_vec(self.mono_product(m, pos, n - 1, parent), m + n - 1, a)
+            self._prod[key] = nf
         return nf
 
     def multiply(self, x: Elem, y: Elem) -> Elem:
@@ -299,7 +275,7 @@ class GradedAlgebra:
                 if block_of[m][pos][1] != tgt or (top is not None and m + n > top):
                     continue
                 cd = c * d
-                for npos, w in self._mono_product(m, pos, n, qos).items():
+                for npos, w in self.mono_product(m, pos, n, qos).items():
                     t = (m + n, npos)
                     acc[t] = acc.get(t, 0) + cd * w
         return self.field.settle(acc)

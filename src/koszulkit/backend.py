@@ -1,19 +1,19 @@
-"""Sparse row reduction over prime fields.
+"""Sparse row reduction over GF(2) on bit rows.
 
-Rows are sparse maps ``column -> int``; zero entries may be absent or
-present, and values are reduced mod p on entry.  Two entry points share one
-forward elimination:
+A row comes in as a sparse map ``column -> int`` (zero entries may be absent
+or present, values are taken mod 2) and is packed into a Python int, one bit
+per column, eliminated by XOR with the pivot keyed by its lowest set bit (the
+packed-row idea of M4RI).  Two entry points share one forward elimination:
 
 - ``rref_mod(rows, ncols, p)`` returns ``(reduced_rows, pivot_cols)``: the
-  reduced row echelon basis (values in ``[0, p)``, keys ascending), rows
-  ordered by pivot column;
+  reduced row echelon basis (values 1, keys ascending), rows ordered by
+  pivot column;
 - ``rank_mod(rows, p)`` returns the rank and builds no reduced basis.
 
-Rows are taken in input order and each is reduced on its leftmost nonzero
-column, so the echelon form is deterministic; the reduced form is unique.
-Over GF(2) a row is a Python int, one bit per column, eliminated by XOR with
-the pivot keyed by its lowest set bit (the packed-row idea of M4RI).  Over
-odd p a row stays a dict and the arithmetic is inline ``% p``.
+Both refuse every p other than 2: odd p and the rationals go to the dict-row
+eliminator in :mod:`koszulkit.linalg`.  Rows are taken in input order and
+each is reduced on its leftmost nonzero column, so the echelon form is
+deterministic; the reduced form is unique.
 """
 
 from __future__ import annotations
@@ -25,21 +25,21 @@ KERNEL_KIND = "pure"
 Row = Dict[int, int]
 
 
+def _require_gf2(p: int) -> None:
+    if p != 2:
+        raise ValueError(f"the bit-row kernel works over GF(2) only, not GF({p})")
+
+
 def rank_mod(rows: Iterable[Row], p: int) -> int:
-    """Rank over GF(p) of the sparse rows."""
-    if p == 2:
-        return len(_echelon_gf2(rows))
-    return len(_echelon_odd(rows, p))
+    """Rank over GF(2) of the sparse rows."""
+    _require_gf2(p)
+    return len(_echelon_gf2(rows))
 
 
 def rref_mod(rows: Iterable[Row], ncols: int, p: int) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form over GF(p) of sparse rows in ``ncols`` columns."""
-    if p == 2:
-        return _rref_gf2(rows)
-    return _rref_odd(rows, p)
-
-
-# -- GF(2): bit rows ------------------------------------------------------------
+    """Reduced row echelon form over GF(2) of sparse rows in ``ncols`` columns."""
+    _require_gf2(p)
+    return _rref_gf2(rows)
 
 
 def _echelon_gf2(rows: Iterable[Row]) -> Dict[int, int]:
@@ -89,48 +89,3 @@ def _bits_to_row(x: int) -> Row:
         out[i] = 1
         i = bits.find("1", i + 1)
     return out
-
-
-# -- odd p: dict rows ------------------------------------------------------------
-
-
-def _echelon_odd(rows: Iterable[Row], p: int) -> Dict[int, Row]:
-    """Echelon rows keyed by pivot column, each scaled to a leading 1."""
-    by_pivot: Dict[int, Row] = {}
-    for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
-        while row:
-            lead = min(row)
-            piv = by_pivot.get(lead)
-            if piv is None:
-                inv = pow(row[lead], p - 2, p)
-                if inv != 1:
-                    row = {c: v * inv % p for c, v in row.items()}
-                by_pivot[lead] = row
-                break
-            _sub_multiple(row, piv, row[lead], p)
-    return by_pivot
-
-
-def _sub_multiple(row: Row, piv: Row, f: int, p: int) -> None:
-    """row -= f * piv mod p in place, dropping the entries that cancel."""
-    f = p - f
-    for c, v in piv.items():
-        x = (row.get(c, 0) + f * v) % p
-        if x:
-            row[c] = x
-        else:
-            row.pop(c, None)
-
-
-def _rref_odd(rows: Iterable[Row], p: int) -> Tuple[List[Row], List[int]]:
-    by_pivot = _echelon_odd(rows, p)
-    pivots = sorted(by_pivot)
-    out: List[Row] = [{}] * len(pivots)
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        row = by_pivot[c]
-        for other in sorted(o for o in row if o != c and o in by_pivot):
-            _sub_multiple(row, by_pivot[other], row[other], p)
-        out[k] = {j: row[j] for j in sorted(row)}
-    return out, pivots

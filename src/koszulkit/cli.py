@@ -44,7 +44,6 @@ def _config_from_args(args, analyses: List[str]) -> RunConfig:
         max_degree=args.max_degree,
         weight_cutoff=args.weight_cutoff,
         analyses=analyses,
-        out=args.out,
         force_rational=args.force_rational,
     )
 

@@ -10,7 +10,8 @@ the field explicitly and refuses to mix scalars from different fields.
 
 Hot loops accumulate with plain ``+`` and ``*``, which both kinds of scalar
 support, and hand the sums to the field once: ``add_into`` adds a scaled
-vector in place, ``settle`` reduces a vector of unreduced sums.
+vector in place, ``settle`` reduces a vector of unreduced sums, ``scale``
+returns a scaled copy.
 """
 
 from __future__ import annotations
@@ -141,6 +142,12 @@ class Rationals(Field):
         """The sparse vector of sums accumulated with plain + and *, zeros dropped."""
         return {k: x for k, x in acc.items() if x}
 
+    def scale(self, vec: dict, c) -> dict:
+        """c * vec as a new sparse vector, each entry an int when whole."""
+        if not c:
+            return {}
+        return {k: whole(x * c) for k, x in vec.items()}
+
 
 class PrimeField(Field):
     def __init__(self, p: int):
@@ -209,6 +216,13 @@ class PrimeField(Field):
         mod p, zeros dropped."""
         p = self.p
         return {k: r for k, x in acc.items() if (r := x % p)}
+
+    def scale(self, vec: dict, c) -> dict:
+        """c * vec mod p as a new sparse vector."""
+        p = self.p
+        if not c % p:
+            return {}
+        return {k: x * c % p for k, x in vec.items()}
 
 
 QQ = Rationals()

@@ -96,7 +96,7 @@ def _block_images(src: CoordSpace, dst: CoordSpace, vecs: Sequence[SparseVec],
     m = src.m
     terms = kd.terms(src.p, src.side)
     rmul = kd.algebra.rmul_table(m)
-    lmul = kd.algebra.lmul_arrow_mono
+    mono = kd.algebra.mono_product
     index = dst.index
     out: List[SparseVec] = []
     for vec in vecs:
@@ -109,7 +109,7 @@ def _block_images(src: CoordSpace, dst: CoordSpace, vecs: Sequence[SparseVec],
                         continue
                     prod = rmul.get((pos, a))
                 else:
-                    prod = lmul(a, m, pos)
+                    prod = mono(1, a, m, pos)
                     if higher:
                         c = -c
                 if not prod:
@@ -403,7 +403,7 @@ class BimoduleHomology:
         kd = self.kd
         alg = kd.algebra
         field = kd.field
-        lmul = alg.lmul_arrow_mono
+        mono = alg.mono_product
         coords = {p: self._coords(p, u, v) for p in range(self.p_max + 2)}
         # index keys carry the left weight: a bare position is ambiguous
         index = {p: {n: {(c[0], c[3], c[1], c[2]): k for k, c in enumerate(cs)}
@@ -426,7 +426,7 @@ class BimoduleHomology:
                     # a right-acting term multiplies the left slot on its right,
                     # a left-acting term the right slot on its left
                     for right, a, y, c in terms[wflat]:
-                        prod = rmul.get((posL, a)) if right else lmul(a, s, posR)
+                        prod = rmul.get((posL, a)) if right else mono(1, a, s, posR)
                         if not prod:
                             continue
                         for npos, w in prod.items():
@@ -452,6 +452,7 @@ class BimoduleHomology:
             out[p] = row
         return out
 
-    def koszul_up_to_cutoff(self, p_from: int = 2) -> bool:
+    def koszul_up_to_cutoff(self) -> bool:
+        """H_p of K(A) vanishes for every p >= 2 up to the weight cutoff."""
         table = self.homology_table()
-        return all(not table.get(p) for p in range(p_from, self.p_max + 1))
+        return all(not table.get(p) for p in range(2, self.p_max + 1))

@@ -11,19 +11,20 @@ two entry points:
 
 Rows are taken in input order and each is reduced on its leftmost nonzero
 column, so every derived basis (kernels, intersections, quotient
-representatives) is reproducible byte for byte.  Prime fields go to the
-kernels in :mod:`koszulkit.backend`; the rational kernel is here.  Its
-scalars follow :mod:`koszulkit.fields`: ints, with a ``Fraction`` only where
-scaling a row to a leading 1 divides by a pivot other than +-1.
+representatives) is reproducible byte for byte.  The one dict-row
+eliminator is here and serves Q and every odd p: a row enters through
+``Field.settle``, is reduced with ``Field.add_into`` and scaled to a leading
+1 with ``Field.scale``, so its scalars follow :mod:`koszulkit.fields` (over
+Q ints, with a ``Fraction`` only where a pivot other than +-1 divides).
+GF(2) goes to the bit-row kernel in :mod:`koszulkit.backend`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import backend
-from .fields import Field, PrimeField, whole
+from .fields import Field
 
 SparseVec = Dict[int, object]
 
@@ -47,45 +48,27 @@ def vec_add(u: SparseVec, v: SparseVec, field: Field) -> SparseVec:
     return vec_add_scaled(u, v, field.one, field)
 
 
-def vec_neg(v: SparseVec, field: Field) -> SparseVec:
-    return {i: field.neg(x) for i, x in v.items()}
-
-
-def _echelon_rational(rows: Iterable[SparseVec]) -> Dict[int, SparseVec]:
-    """Forward elimination over Q: echelon rows keyed by pivot, leading 1."""
+def _echelon(rows: Iterable[SparseVec], field: Field) -> Dict[int, SparseVec]:
+    """Forward elimination: echelon rows keyed by pivot, each with a leading 1."""
     by_pivot: Dict[int, SparseVec] = {}
     for row in rows:
-        row = {c: x for c, x in row.items() if x}
+        row = field.settle(row)
         while row:
             lead = min(row)
             piv = by_pivot.get(lead)
             if piv is None:
                 x = row[lead]
-                if x == -1:
-                    row = {c: -y for c, y in row.items()}
-                elif x != 1:
-                    inv = 1 / Fraction(x)
-                    row = {c: whole(y * inv) for c, y in row.items()}
+                if x != 1:
+                    row = field.scale(row, field.inv(x))
                 by_pivot[lead] = row
                 break
-            _sub_multiple(row, piv, row[lead])
+            field.add_into(row, piv, field.neg(row[lead]))
     return by_pivot
 
 
-def _sub_multiple(row: SparseVec, piv: SparseVec, f) -> None:
-    """row -= f * piv in place, dropping the entries that cancel."""
-    for c, y in piv.items():
-        x = row.get(c)
-        x = -f * y if x is None else x - f * y
-        if x:
-            row[c] = x
-        else:
-            row.pop(c, None)
-
-
-def _rref_rational(rows: Iterable[SparseVec]) -> Tuple[List[SparseVec], List[int]]:
-    """Reduced row echelon form over Q: forward phase, then back-substitution."""
-    by_pivot = _echelon_rational(rows)
+def _rref(rows: Iterable[SparseVec], field: Field) -> Tuple[List[SparseVec], List[int]]:
+    """Reduced row echelon form: forward phase, then back-substitution."""
+    by_pivot = _echelon(rows, field)
     pivots = sorted(by_pivot)
     out: List[SparseVec] = [{}] * len(pivots)
     # a row only meets pivots right of its own, which are reduced already
@@ -93,7 +76,7 @@ def _rref_rational(rows: Iterable[SparseVec]) -> Tuple[List[SparseVec], List[int
         c = pivots[k]
         row = by_pivot[c]
         for other in sorted(o for o in row if o != c and o in by_pivot):
-            _sub_multiple(row, by_pivot[other], row[other])
+            field.add_into(row, by_pivot[other], field.neg(row[other]))
         out[k] = {j: row[j] for j in sorted(row)}
     return out, pivots
 
@@ -107,19 +90,18 @@ def _check_ambient(rows: Sequence[SparseVec], ambient: int) -> None:
 
 def rref(rows: Sequence[SparseVec], ambient: int, field: Field) -> Tuple[List[SparseVec], List[int]]:
     """Reduced row echelon basis of the row span and its pivot columns."""
-    rows = list(rows)
-    if isinstance(field, PrimeField):
-        return backend.rref_mod(rows, ambient, field.p)
-    return _rref_rational(rows)
+    if field.char == 2:
+        return backend.rref_mod(rows, ambient, 2)
+    return _rref(rows, field)
 
 
 def rank(rows: Iterable[SparseVec], ambient: int, field: Field) -> int:
     """Dimension of the row span; forward elimination only, no basis built."""
     rows = list(rows)
     _check_ambient(rows, ambient)
-    if isinstance(field, PrimeField):
-        return backend.rank_mod(rows, field.p)
-    return len(_echelon_rational(rows))
+    if field.char == 2:
+        return backend.rank_mod(rows, 2)
+    return len(_echelon(rows, field))
 
 
 class Subspace:
@@ -243,7 +225,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
         return zero_subspace(u.ambient, field)
     # solve sum a_i u_i - sum b_j v_j = 0; columns indexed by (a, b)
     cols: List[SparseVec] = [dict(r) for r in u.rows]
-    cols += [vec_neg(r, field) for r in v.rows]
+    cols += [field.scale(r, field.neg(field.one)) for r in v.rows]
     m = LinearMap(u.dim + v.dim, u.ambient, cols, field)
     ker = kernel(m)
     vecs = []

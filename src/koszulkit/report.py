@@ -40,7 +40,6 @@ class RunConfig:
     max_degree: int = 3
     weight_cutoff: Optional[int] = None
     analyses: Sequence[str] = ("calculus", "higher", "duality")
-    out: Optional[str] = None
     force_rational: bool = False
     property_trials: int = 100
 
@@ -290,8 +289,10 @@ def run(config: RunConfig) -> Dict:
                 rep = verify_duality(kd, coh, hom, module, hi_coh, hi_hom)
             report["duality"] = {"checks": {k: v for k, v in sorted(rep.checks.items())},
                                  "ok": rep.ok, "failures": rep.failures}
-            w0class = hom.class_of(omega0(kd))
-            report["duality"]["fundamental_class"] = [_scalar(field, c) for c in w0class]
+            if module == MODULE_A:
+                # omega0 is valued in A; with k coefficients it has no class
+                w0class = hom.class_of(omega0(kd))
+                report["duality"]["fundamental_class"] = [_scalar(field, c) for c in w0class]
             if not rep.ok:
                 failures.extend(rep.failures)
 

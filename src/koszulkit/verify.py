@@ -90,7 +90,6 @@ def _combo_vector(comp: TypeCharComputation, combo: ExpectedCombo,
 
 
 def verify_type_char(name: str, char: int, log: Optional[CheckLog] = None,
-                     skip_duality: bool = False,
                      comp: Optional[TypeCharComputation] = None) -> CheckLog:
     """Compare one preset/characteristic against the expected tables."""
     if log is None:
@@ -172,10 +171,9 @@ def verify_type_char(name: str, char: int, log: Optional[CheckLog] = None,
         ok = comp.hi_coh.class_in_kernel(cochains[lbl])
         log.record(f"{key}.HKhi0.survivor.{lbl}", ok)
 
-    if not skip_duality:
-        rep = verify_duality(comp.kd, comp.coh, comp.hom, MODULE_A,
-                             comp.hi_coh, comp.hi_hom)
-        log.record(f"{key}.duality", rep.ok, "; ".join(rep.failures[:3]))
+    rep = verify_duality(comp.kd, comp.coh, comp.hom, MODULE_A,
+                         comp.hi_coh, comp.hi_hom)
+    log.record(f"{key}.duality", rep.ok, "; ".join(rep.failures[:3]))
     return log
 
 

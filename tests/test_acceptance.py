@@ -287,8 +287,10 @@ def test_ac9_documented_collisions():
 
 def test_ac9_triples_distinguish_all_pairs():
     """Criterion as stated.  The computed char-0 triples of the largest
-    listed D and E types coincide at (8, 0, 8), so this check records an
-    honest failure; see the decisions ledger for the analysis."""
+    listed D and E types coincide: D8 and E8 both give (8, 0, 8) over Q,
+    GF(2^31 - 1) and GF(7), while their HK dims differ ([11, 3, 8] for D8,
+    [12, 4, 8] for E8).  So this check records an honest failure; the
+    written account against the literature is ROADMAP item 4."""
     t0 = time.perf_counter()
     collisions = []
     for char in (0, 2):

@@ -121,6 +121,19 @@ def test_dualize_and_hochschild_subcommands(tmp_path):
     assert doc2["hochschild2"]["bar_oracle"] == {"hh0_dim": 2, "hh1_dim": 1}
 
 
+@pytest.mark.parametrize("name,tag", [("A3", "Q"), ("E6", "F:3")])
+def test_dualize_with_trivial_coefficients(tmp_path, name, tag):
+    """The fundamental class is an A-coefficient class; with k the report
+    runs the duality checklist and leaves that class out."""
+    out = tmp_path / "dk.json"
+    assert main(["dualize", "--preset", name, "--field", tag,
+                 "--coefficients", "k", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "ok"
+    assert doc["duality"]["ok"] is True
+    assert "fundamental_class" not in doc["duality"]
+
+
 def test_verify_ade_subcommand(tmp_path):
     out = tmp_path / "v.json"
     code = main(["verify-ade", "--types", "A3,A4", "--chars", "0,2",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulkit.fields import GF, QQ, FieldMismatchError
-from koszulkit import linalg as la
+from koszulkit import backend, linalg as la
 from koszulkit.quiver import Graph, PreprojectiveSpec, paths_of_weight, \
     preprojective_presentation
 
@@ -278,6 +278,16 @@ def test_kernels_match_dense_reference(system):
             assert all(type(x) in (int, Fraction) for x in row.values())
         else:
             assert all(type(x) is int and 0 < x < field.p for x in row.values())
+
+
+def test_bit_row_kernel_refuses_odd_p():
+    """Odd p goes to the dict-row eliminator in linalg, not to backend."""
+    rows = [{0: 1, 1: 2}, {1: 1}]
+    assert backend.rank_mod(rows, 2) == 2
+    with pytest.raises(ValueError):
+        backend.rref_mod(rows, 2, 3)
+    with pytest.raises(ValueError):
+        backend.rank_mod(rows, 3)
 
 
 def _reduce_reference(sub, v):

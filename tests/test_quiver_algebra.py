@@ -253,6 +253,17 @@ def test_multiply_matches_arrow_by_arrow_reference(name, cutoff, field):
                     alg.multiply({x: one}, {y: one})
                 continue
             assert alg.multiply({x: one}, {y: one}) == want, (x, y)
+    # left products by an arrow, composable or not
+    for a in range(alg.quiver.n_arrows):
+        for t in _monomials(alg):
+            try:
+                want = _reference_multiply(alg, alg.arrow_elem(a), {t: one})
+            except WeightOverflowError:
+                overflows += 1
+                with pytest.raises(WeightOverflowError):
+                    alg.lmul_arrow(a, {t: one})
+                continue
+            assert alg.lmul_arrow(a, {t: one}) == want, (a, t)
     # only the truncated algebra has products beyond its computed weights
     assert (overflows > 0) == alg.truncated
 
