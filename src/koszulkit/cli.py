@@ -3,7 +3,9 @@
 Subcommands: ``calculus`` (full runs), ``verify-ade`` (the Dynkin table
 suite), ``koszulity`` (bimodule-complex homology), ``hochschild2`` (the
 degree-2 comparison) and ``dualize`` (the duality checklist).  Reports are
-JSON documents; a short human summary goes to standard output.
+JSON documents, written to ``--out`` or else to standard output; the short
+human summary goes to standard output with ``--out`` and to standard error
+without it, so that standard output parses as JSON.
 ``KOSZULKIT_THREADS`` caps the parallelism of ``verify-ade``.
 """
 
@@ -16,7 +18,7 @@ from typing import List, Optional
 
 from . import __version__, adedata
 from .presets import PresetError
-from .report import ANALYSES, RunConfig, RunError, render, run, write_report
+from .report import ANALYSES, RunConfig, RunError, run, write_report
 from .verify import verify_ade
 
 
@@ -48,8 +50,13 @@ def _config_from_args(args, analyses: List[str]) -> RunConfig:
     )
 
 
+def _summary_stream(args):
+    """Standard output when the report goes to a file, else standard error,
+    so that standard output holds nothing but the JSON."""
+    return sys.stdout if args.out else sys.stderr
+
+
 def _emit(report, args) -> int:
-    write_report(report, args.out, pretty=not args.compact)
     dims = report.get("calculus", {}).get("cohomology", {}).get("dims")
     status = report.get("status")
     line = f"status: {status}"
@@ -61,11 +68,10 @@ def _emit(report, args) -> int:
     kz = report.get("koszulity")
     if kz:
         line += f"  koszul-up-to-cutoff: {kz['koszul_up_to_cutoff']}"
-    print(line)
+    print(line, file=_summary_stream(args))
+    write_report(report, args.out, pretty=not args.compact)
     if args.out:
         print(f"report written to {args.out}")
-    else:
-        sys.stdout.write(render(report, pretty=not args.compact))
     for w in report.get("warnings", []):
         print(f"warning: {w}", file=sys.stderr)
     for f in report.get("failures", []):
@@ -130,13 +136,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "ok": log.ok,
                 "failures": log.failures(),
             }
-            write_report(doc, args.out, pretty=not args.compact)
             ok_count = sum(1 for _k, ok, _d in log.entries if ok)
-            print(f"verify-ade: {ok_count}/{len(log.entries)} checks passed")
+            print(f"verify-ade: {ok_count}/{len(log.entries)} checks passed",
+                  file=_summary_stream(args))
+            write_report(doc, args.out, pretty=not args.compact)
             for f in log.failures()[:20]:
                 print(f"failure: {f}", file=sys.stderr)
-            if not args.out:
-                sys.stdout.write(render(doc, pretty=not args.compact))
             return 0 if log.ok else 2
     except (RunError, PresetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -86,7 +86,8 @@ class FrobeniusStructure:
     def pi_coefficient(self, x: Elem, i: int):
         """Coefficient of the socle generator of column i in x."""
         pos, c = self._pi_coeff[i]
-        return self.field.div(x.get((self.top, pos), self.field.zero), c)
+        top = x.get((self.top, pos))
+        return self.field.div(top, c) if top else self.field.zero
 
     def form(self, y: Elem, x: Elem, src: int):
         """(y, x) for x in the column of vertex src."""

@@ -39,6 +39,18 @@ source i of z.  So cup is one loop over the table, read from the W_p side,
 and cap one loop per side, with no per-degree case.  Module values are
 summed one way, with plain + and * through ``_mod_accumulate``, and reduced
 once by ``_mod_settle``.
+
+Products are computed as pair tables: :meth:`KoszulCalculus.cup_table`
+(fs, gs) and :meth:`KoszulCalculus.cap_table` (fs, zs, side) return the
+product of every pair from two lists of equal degree and module, keyed
+``(i, j)`` by the positions of the cochain f_i and the other factor.  A key
+is absent exactly when the product is zero.  The other list is indexed once
+by W support, and the split table is walked once per cochain f (cup) or per
+chain support entry (cap), meeting only the factors whose support holds the
+matching W index; a pair that is not composable costs nothing.  Each pair
+is accumulated in the order of the one-pair loop (f's or z's support, then
+the split entries, then the hits), so its settled values do not depend on
+the lists it came in.  ``cup`` and ``cap`` are the one-pair tables.
 """
 
 from __future__ import annotations
@@ -549,68 +561,109 @@ class KoszulCalculus:
         mid = gblock[0]
         return self.field.mul(fval, gval.get((0, mid), 0)) if gblock[1] == mid else 0
 
-    def cup(self, f: "Cochain", g: "Cochain") -> "Cochain":
-        """(f cup g)(x_1..x_{p+q}) = (-1)^{pq} f(x_1..x_p) g(x_{p+1}..)."""
-        p, q = f.p, g.p
-        out_module = self._out_module(f.module, g.module)
+    def _settled(self, module: str, accs: Dict[int, Dict[int, object]]):
+        """The (factor index, settled values) of the nonzero products among
+        the accumulators of one row of a product table."""
+        for n, acc in accs.items():
+            values = self._mod_settle(module, acc)
+            if values:
+                yield n, values
+
+    def cup_table(self, fs: Sequence["Cochain"],
+                  gs: Sequence["Cochain"]) -> Dict[Tuple[int, int], "Cochain"]:
+        """Every nonzero f_i cup g_j, keyed (i, j); see the module docstring."""
+        if not fs or not gs:
+            return {}
+        (p, mod_f), (q, mod_g) = _common_grading(fs), _common_grading(gs)
+        out_module = self._out_module(mod_f, mod_g)
         wp, wq = self.w(p), self.w(q)
         sign = self.field.sign(p * q)
         rows = self._splits_by_prefix(p, q)
-        acc: Dict[int, object] = {}
-        for x, fv in f.values.items():
-            fblock = wp.block_of(x)
-            for y, z, c in rows[x]:
-                gv = g.values.get(y)
-                if gv is None:
-                    continue
-                prod = self._mod_product(f.module, g.module, fv, gv, fblock, wq.block_of(y))
-                if prod:
-                    self._mod_accumulate(out_module, acc, z, prod, sign * c)
-        return Cochain(self, p + q, out_module, self._mod_settle(out_module, acc))
+        g_at = _by_support(gs)
+        product, accumulate = self._mod_product, self._mod_accumulate
+        table: Dict[Tuple[int, int], Cochain] = {}
+        for i, f in enumerate(fs):
+            accs: Dict[int, Dict[int, object]] = {}
+            for x, fv in f.values.items():
+                fblock = wp.block_of(x)
+                for y, z, c in rows[x]:
+                    hits = g_at.get(y)
+                    if hits is None:
+                        continue
+                    gblock = wq.block_of(y)
+                    for j, gv in hits:
+                        prod = product(mod_f, mod_g, fv, gv, fblock, gblock)
+                        if prod:
+                            accumulate(out_module, accs.setdefault(j, {}), z, prod, sign * c)
+            for j, values in self._settled(out_module, accs):
+                table[(i, j)] = Cochain(self, p + q, out_module, values)
+        return table
 
-    def cap(self, f: "Cochain", z: "Chain", side: str = "left") -> "Chain":
-        """Cap products.
+    def cap_table(self, fs: Sequence["Cochain"], zs: Sequence["Chain"],
+                  side: str = "left") -> Dict[Tuple[int, int], "Chain"]:
+        """Every nonzero cap of f_i with z_j on ``side``, keyed (i, j).
 
         side="left":  f cap z = (-1)^{(q-p)p} (f(x_{q-p+1}..x_q) m) (x) x_1..x_{q-p}
         side="right": z cap f = (-1)^{pq} (m f(x_1..x_p)) (x) x_{p+1}..x_q
         """
-        p, q = f.p, z.q
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        if not fs or not zs:
+            return {}
+        (p, mod_f), (q, mod_z) = _common_grading(fs), _common_grading(zs)
         if p > q:
             raise DegreeError("cap requires the cochain degree at most the chain degree")
-        out_module = self._out_module(f.module, z.module)
+        out_module = self._out_module(mod_f, mod_z)
         wp, wq = self.w(p), self.w(q)
-        acc: Dict[int, object] = {}
-        if side == "left":
+        left = side == "left"
+        if left:
             # split x = u (x) s with s in W_p: f(s) m on u
             sign = self.field.sign((q - p) * p)
             splits = self.split_coords(q - p, p)
-            for wflat, melem in z.values.items():
-                j, i = wq.block_of(wflat)  # coefficient melem lies in e_i M e_j
-                for (u, s), c in splits[wflat].items():
-                    fv = f.values.get(s)
-                    if fv is None:
-                        continue
-                    prod = self._mod_product(f.module, z.module, fv, melem,
-                                             wp.block_of(s), (i, j))
-                    if prod:
-                        self._mod_accumulate(out_module, acc, u, prod, sign * c)
-        elif side == "right":
+        else:
             # split x = s (x) u with s in W_p: m f(s) on u
             sign = self.field.sign(p * q)
             splits = self.split_coords(p, q - p)
+        f_at = _by_support(fs)
+        product, accumulate = self._mod_product, self._mod_accumulate
+        table: Dict[Tuple[int, int], Chain] = {}
+        for j, z in enumerate(zs):
+            accs: Dict[int, Dict[int, object]] = {}
             for wflat, melem in z.values.items():
-                j, i = wq.block_of(wflat)
-                for (s, u), c in splits[wflat].items():
-                    fv = f.values.get(s)
-                    if fv is None:
+                tgt, src = wq.block_of(wflat)
+                zblock = (src, tgt)  # the coefficient melem lies in e_src M e_tgt
+                for pair, c in splits[wflat].items():
+                    u, s = pair if left else pair[::-1]
+                    hits = f_at.get(s)
+                    if hits is None:
                         continue
-                    prod = self._mod_product(z.module, f.module, melem, fv,
-                                             (i, j), wp.block_of(s))
-                    if prod:
-                        self._mod_accumulate(out_module, acc, u, prod, sign * c)
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        return Chain(self, q - p, out_module, self._mod_settle(out_module, acc))
+                    fblock = wp.block_of(s)
+                    for i, fv in hits:
+                        if left:
+                            prod = product(mod_f, mod_z, fv, melem, fblock, zblock)
+                        else:
+                            prod = product(mod_z, mod_f, melem, fv, zblock, fblock)
+                        if prod:
+                            accumulate(out_module, accs.setdefault(i, {}), u, prod, sign * c)
+            for i, values in self._settled(out_module, accs):
+                table[(i, j)] = Chain(self, q - p, out_module, values)
+        return table
+
+    def cup(self, f: "Cochain", g: "Cochain") -> "Cochain":
+        """(f cup g)(x_1..x_{p+q}) = (-1)^{pq} f(x_1..x_p) g(x_{p+1}..), as
+        the one pair of :meth:`cup_table`."""
+        prod = self.cup_table([f], [g]).get((0, 0))
+        if prod is None:
+            prod = Cochain(self, f.p + g.p, self._out_module(f.module, g.module), {})
+        return prod
+
+    def cap(self, f: "Cochain", z: "Chain", side: str = "left") -> "Chain":
+        """The cap product of f with z on ``side``, as the one pair of
+        :meth:`cap_table`."""
+        prod = self.cap_table([f], [z], side).get((0, 0))
+        if prod is None:
+            prod = Chain(self, z.q - f.p, self._out_module(f.module, z.module), {})
+        return prod
 
     def cup_bracket(self, f: "Cochain", g: "Cochain") -> "Cochain":
         return self.cup(f, g).add(self.cup(g, f), self.field.sign(f.p * g.p + 1))
@@ -618,6 +671,24 @@ class KoszulCalculus:
     def cap_bracket(self, f: "Cochain", z: "Chain") -> "Chain":
         return self.cap(f, z, "left").add(self.cap(f, z, "right"),
                                           self.field.sign(f.p * z.q + 1))
+
+
+def _common_grading(elems: Sequence["KoszulElement"]) -> Tuple[int, str]:
+    """The degree and module shared by the factors of a product table."""
+    first = elems[0]
+    for e in elems:
+        if type(e) is not type(first) or e.degree != first.degree or e.module != first.module:
+            raise DegreeError("product table factors differ in type, degree or module")
+    return first.degree, first.module
+
+
+def _by_support(elems: Sequence["KoszulElement"]) -> Dict[int, List[Tuple[int, object]]]:
+    """For each W index, the (list index, value) of the elements whose support holds it."""
+    index: Dict[int, List[Tuple[int, object]]] = {}
+    for n, e in enumerate(elems):
+        for w, v in e.values.items():
+            index.setdefault(w, []).append((n, v))
+    return index
 
 
 class KoszulElement:
@@ -656,7 +727,17 @@ class KoszulElement:
         return self._combination((self.values, c))
 
     def equals(self, other) -> bool:
-        return self.add(other, self.kd.field.neg(self.kd.field.one)).is_zero()
+        """Equality, read off the settled value dicts.
+
+        The calculus settles every value dict it builds (reduced, zeros
+        dropped), so equal elements have equal dicts.  A dict left unreduced
+        or holding a zero can only make equal elements compare unequal, a
+        false failure; equal dicts always mean equal elements, so there is
+        no false pass."""
+        if (type(other) is not type(self) or other.degree != self.degree
+                or other.module != self.module):
+            raise DegreeError(f"{type(self).__name__.lower()} mismatch in comparison")
+        return self.values == other.values
 
     def coefficient_weights(self) -> List[int]:
         if self.module != MODULE_A:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import sys
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -131,18 +132,23 @@ def _spaces_json(kd, spaces: CalculusSpaces, with_bases: bool) -> Dict:
     return out
 
 
-def _structure_constants(product, degrees, left: CalculusSpaces, right: CalculusSpaces,
+def _structure_constants(table, degrees, left: CalculusSpaces, right: CalculusSpaces,
                          target: CalculusSpaces, sep: str) -> Dict[str, object]:
-    """Class coordinates in ``target`` of ``product(f, g)`` over the
-    representatives f of ``left`` and g of ``right``, per degree pair."""
+    """Class coordinates in ``target`` of the products in ``table(fs, gs)``
+    over the representatives fs of ``left`` and gs of ``right``, per
+    (p, q, product degree); a pair absent from the table is zero."""
     field = target.kd.field
     out: Dict[str, object] = {}
-    for p, q in degrees:
+    for p, q, degree in degrees:
         reps1 = left.representatives(p)
         reps2 = right.representatives(q)
         if reps1 and reps2:
-            out[f"{p}{sep}{q}"] = [[[_scalar(field, c) for c in target.class_of(product(f, g))]
-                                    for g in reps2] for f in reps1]
+            products = table(reps1, reps2)
+            zero = target.zero_class(degree)
+            out[f"{p}{sep}{q}"] = [
+                [[_scalar(field, c) for c in
+                  (target.class_of(products[(i, j)]) if (i, j) in products else zero)]
+                 for j in range(len(reps2))] for i in range(len(reps1))]
     return out
 
 
@@ -246,11 +252,12 @@ def run(config: RunConfig) -> Dict:
         if module == MODULE_A:
             with timings.measure("products"):
                 report["cup_structure_constants"] = _structure_constants(
-                    kd.cup, [(p, q) for p in range(3) for q in range(3 - p)],
+                    kd.cup_table, [(p, q, p + q) for p in range(3) for q in range(3 - p)],
                     coh, coh, coh, "x")
                 report["cap_structure_constants"] = _structure_constants(
-                    lambda f, z: kd.cap(f, z, "left"),
-                    [(p, q) for p in range(3) for q in range(p, 3)], coh, hom, hom, "cap")
+                    lambda fs, zs: kd.cap_table(fs, zs, "left"),
+                    [(p, q, q - p) for p in range(3) for q in range(p, 3)],
+                    coh, hom, hom, "cap")
             eA = kd.fundamental_cocycle()
             ceA = coh.class_of(eA)
             report["fundamental_cocycle"] = {
@@ -347,7 +354,10 @@ def render(report: Dict, pretty: bool = True) -> str:
 
 
 def write_report(report: Dict, path: Optional[str], pretty: bool = True) -> None:
+    """Render the report once and write it to ``path``, or to standard output."""
     text = render(report, pretty)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    else:
+        sys.stdout.write(text)

@@ -143,6 +143,21 @@ def test_verify_ade_subcommand(tmp_path):
     assert doc["ok"] is True and doc["checks"] > 100
 
 
+@pytest.mark.parametrize("argv", [
+    ["calculus", "--preset", "A3", "--compact"],
+    ["verify-ade", "--types", "A3", "--chars", "0"],
+], ids=["calculus", "verify-ade"])
+def test_stdout_is_the_json_report_without_out(capsys, argv):
+    """Without --out, standard output carries the report alone, written
+    once; the summary line goes to standard error."""
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert captured.out == render(doc, pretty="--compact" not in argv)
+    summary = "status: ok" if argv[0] == "calculus" else "verify-ade: "
+    assert captured.err.startswith(summary)
+
+
 def test_verify_ade_checks_computed_triples(monkeypatch):
     import koszulkit.verify as ver
     # A3 and A5 are a documented char-0 near-collision with distinct tabulated triples

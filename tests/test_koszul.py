@@ -609,42 +609,84 @@ def _basis_elements(kd, p, module, side):
     return out
 
 
+def _check_table(table, i, j, got, want, counts, key):
+    """One pair of a product table and its one-pair call against the
+    reference: equal values, and the key absent exactly when it is zero."""
+    assert (got.module, got.degree) == (want.module, want.degree)
+    assert got.values == want.values, (key, i, j)
+    entry = table.get((i, j))
+    assert (entry is None) == (not want.values), (key, i, j)
+    if entry is not None:
+        assert (entry.module, entry.degree, entry.values) == (
+            want.module, want.degree, want.values), (key, i, j)
+    counts[key + (bool(want.values),)] += 1
+
+
 @pytest.mark.parametrize("name,field", [("A3", QQ), ("D4", GF(3)), ("E6", GF(2))],
                          ids=["A3-Q", "D4-F3", "E6-F2"])
 def test_products_match_per_degree_reference(name, field):
-    """cup and cap, one loop over the split table in every degree, against
-    the per-degree reference over every pair of basis (co)chains: cup with
-    p + q <= 2, cap with p <= q <= 2 on both sides, and the module pairs
-    A.A, A.k and k.A."""
+    """cup_table and cap_table over whole lists, and cup and cap on each
+    pair, against the per-degree reference: cup with p + q <= 2, cap with
+    p <= q <= 2 on both sides, and the module pairs A.A, A.k and k.A.  Each
+    list holds every basis (co)chain and their sum, so a factor's support
+    can meet many others at one W index and a product can cancel."""
     kd = KoszulCalculus(Preset(name, field).algebra, 3)
-    basis = {(p, module, side): _basis_elements(kd, p, module, side)
-             for p in range(3) for module in (MODULE_A, MODULE_K)
-             for side in ("coh", "hom")}
+    basis = {}
+    for p in range(3):
+        for module in (MODULE_A, MODULE_K):
+            for side in ("coh", "hom"):
+                elems = _basis_elements(kd, p, module, side)
+                if elems:
+                    elems.append(elems[0]._combination(*[(e.values, 1) for e in elems]))
+                basis[(p, module, side)] = elems
     pairs = [(MODULE_A, MODULE_A), (MODULE_A, MODULE_K), (MODULE_K, MODULE_A)]
     counts = Counter()
     for mod_f, mod_g in pairs:
         for p in range(3):
+            fs = basis[(p, mod_f, "coh")]
             for q in range(3 - p):
-                for f in basis[(p, mod_f, "coh")]:
-                    for g in basis[(q, mod_g, "coh")]:
-                        got, want = kd.cup(f, g), _reference_cup(kd, f, g)
-                        assert (got.module, got.degree) == (want.module, want.degree)
-                        assert got.values == want.values, ("cup", f.values, g.values)
-                        counts[("cup", p == 0 or q == 0, bool(got.values))] += 1
+                gs = basis[(q, mod_g, "coh")]
+                table = kd.cup_table(fs, gs)
+                assert set(table) <= {(i, j) for i in range(len(fs)) for j in range(len(gs))}
+                for i, f in enumerate(fs):
+                    for j, g in enumerate(gs):
+                        _check_table(table, i, j, kd.cup(f, g), _reference_cup(kd, f, g),
+                                     counts, ("cup", p == 0 or q == 0))
             for q in range(p, 3):
-                for f in basis[(p, mod_f, "coh")]:
-                    for z in basis[(q, mod_g, "hom")]:
-                        for side in ("left", "right"):
-                            got, want = kd.cap(f, z, side), _reference_cap(kd, f, z, side)
-                            assert (got.module, got.degree) == (want.module, want.degree)
-                            assert got.values == want.values, (side, f.values, z.values)
-                            kind = "p=0" if p == 0 else "p=q" if p == q else "split"
-                            counts[(side, kind, bool(got.values))] += 1
+                zs = basis[(q, mod_g, "hom")]
+                for side in ("left", "right"):
+                    table = kd.cap_table(fs, zs, side)
+                    kind = "p=0" if p == 0 else "p=q" if p == q else "split"
+                    for i, f in enumerate(fs):
+                        for j, z in enumerate(zs):
+                            _check_table(table, i, j, kd.cap(f, z, side),
+                                         _reference_cap(kd, f, z, side), counts, (side, kind))
     # every branch of the reference met a nonzero product
     for key in [("cup", True, True), ("cup", False, True)] + [
             (side, kind, True) for side in ("left", "right")
             for kind in ("p=0", "p=q", "split")]:
         assert counts[key] > 0, key
+
+
+def test_product_tables_and_equals_refuse_mismatched_factors():
+    from koszulkit.duality import omega0, unit_cochain
+    kd = KoszulCalculus(Preset("A3", QQ).algebra, 3)
+    eA, one = kd.fundamental_cocycle(), unit_cochain(kd)
+    w0 = omega0(kd)
+    with pytest.raises(DegreeError):
+        kd.cup_table([eA, one], [eA])
+    with pytest.raises(DegreeError):
+        kd.cap_table([eA], [w0, kd.zero_chain(1)], "left")
+    with pytest.raises(DegreeError):
+        kd.cap_table([kd.cup(eA, eA)], [kd.zero_chain(1)], "left")
+    with pytest.raises(ValueError):
+        kd.cap_table([eA], [w0], "middle")
+    assert kd.cup_table([], [eA]) == {} and kd.cap_table([eA], [], "right") == {}
+    k_one = kd.cochain_on_vertices({i: 1 for i in range(kd.quiver.n_vertices)}, MODULE_K)
+    for other in (w0, one, k_one):
+        with pytest.raises(DegreeError):
+            eA.equals(other)
+    assert one.equals(unit_cochain(kd)) and not one.equals(one.scale(2))
 
 
 def test_degree0_splits_are_trivial():
