@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Term
-from .homology import BimoduleHomology, CalculusSpaces, CoordSpace, HigherSpaces
+from .homology import BimoduleHomology, CalculusSpaces, HigherSpaces
 from .koszul import Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A
 from .linalg import LinearMap
 
@@ -116,7 +116,7 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
         units: List[Cochain] = []
         index = basis_index[p] = {}
         for m in coh.weights():
-            space = CoordSpace(kd, p, m, module, "coh")
+            space = coh.blocks[(p, m)].space
             for k, (flat_idx, pos) in enumerate(space.coords):
                 index[(flat_idx, (m, pos))] = len(units)
                 units.append(space.unflatten({k: field.one}))
@@ -151,7 +151,7 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
     # theta o eta = id on chain bases
     for q in range(3):
         for m in hom.weights():
-            space = CoordSpace(kd, q, m, module, "hom")
+            space = hom.blocks[(q, m)].space
             for k in range(space.dim):
                 z = space.unflatten({k: field.one})
                 again = theta(kd, eta(kd, z), w0)

@@ -224,18 +224,13 @@ class CalculusSpaces(_GradedDims):
     # -- classes ------------------------------------------------------------
 
     def class_basis(self, p: int) -> List[Tuple[Optional[int], int]]:
-        out = []
-        for m in self.weights():
-            blk = self.blocks.get((p, m))
-            if blk:
-                out.extend((m, k) for k in range(blk.dim))
-        return out
+        """(weight, index in its block) of each class coordinate of degree p."""
+        _total, offsets = self._layout(p)
+        return [(m, k) for m, (_start, blk) in offsets.items() for k in range(blk.dim)]
 
     def representatives(self, p: int):
-        out = []
-        for m, k in self.class_basis(p):
-            out.append(self.blocks[(p, m)].reps[k])
-        return out
+        _total, offsets = self._layout(p)
+        return [rep for _start, blk in offsets.values() for rep in blk.reps]
 
     def class_of(self, obj) -> List[object]:
         """Coordinates of a closed cochain/chain in the representative basis.
@@ -268,7 +263,9 @@ class CalculusSpaces(_GradedDims):
 
     def _layout(self, p: int) -> Tuple[int, Dict[Optional[int], Tuple[int, HomologyBlock]]]:
         """Length of the class coordinates of degree p, and the offset of each
-        weight block with a nonzero cochain or chain space, in class_basis order."""
+        weight block with a nonzero cochain or chain space, weights ascending:
+        the one layout of the class coordinates, which class_basis,
+        representatives, zero_class and class_of all read."""
         layout = self._layouts.get(p)
         if layout is None:
             offsets: Dict[Optional[int], Tuple[int, HomologyBlock]] = {}
@@ -283,7 +280,7 @@ class CalculusSpaces(_GradedDims):
         return layout
 
     def zero_class(self, p: int) -> List[object]:
-        return [self.kd.field.zero] * len(self.class_basis(p))
+        return [self.kd.field.zero] * self._layout(p)[0]
 
 
 def koszul_homology(kd: KoszulCalculus, module: str, side: str,

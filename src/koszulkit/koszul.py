@@ -3,9 +3,10 @@
 The homological generators W_p live inside the weight-p path space; W_0 is
 the vertex space, W_1 the arrow space, W_2 the relation space, and each
 higher space is the intersection of the two shifted copies of the previous
-one.  Every basis vector is vertex-pair homogeneous and carries coordinates
-of its two factorizations (arrow tensor W_{p-1} and W_{p-1} tensor arrow),
-which is all the differentials and products ever need.
+one.  Every basis vector is vertex-pair homogeneous, and each vertex block
+of W_p is kept as the reduced echelon subspace of its path space
+(:class:`koszulkit.linalg.Subspace`), so a vector of W_p has its
+coordinates read at the block's pivots, with no elimination.
 
 Cochains assign to each W_p basis vector a value in the coefficient module
 (the algebra itself or the trivial module on the vertices); chains pair a
@@ -13,32 +14,38 @@ coefficient with a W_p basis vector in the transposed vertex block.
 Everything is graded by the biweight (homological degree, coefficient
 weight); homology is computed blockwise in that grading.
 
+The one factorization table is the split table
+(:meth:`KoszulCalculus.split_coords`): the coordinates of each W_{p+q} basis
+vector in W_p (x) W_q.  It covers every p, q >= 0; a split with a degree-0
+factor is the trivial one, e_j (x) z or z (x) e_i at the target j or the
+source i of z.  The differential reads the splits with a degree-1 factor,
+the cup and cap products all of them.
+
 The differential b_K is stated once, as a term table
 (:meth:`KoszulCalculus.terms`): for each W_p basis index it lists
 ``(right, arrow, target W index, signed c)``, meaning "multiply the
 coefficient by the arrow (on its right if ``right``, else on its left),
-scale by c and add it at the target".
+scale by c and add it at the target".  Below, a is the arrow of the W_1
+factor of a split.
 
-- Chains (and the bimodule complex A (x) W_p (x) A) read the
-  factorizations of x in W_p: each ``(a, y): c`` of ``a (x) W_{p-1}`` gives
-  ``(True, a, y, c)`` (m -> m a), each ``(y, a): c`` of ``W_{p-1} (x) a``
+- Chains (and the bimodule complex A (x) W_p (x) A) read the splits of x
+  in W_p: each ``(a, y): c`` of the (1, p-1) split gives
+  ``(True, a, y, c)`` (m -> m a), each ``(y, a): c`` of the (p-1, 1) split
   gives ``(False, a, y, (-1)^p c)`` (m -> a m).
-- Cochains read the factorizations of every z in W_{p+1}, transposed: each
-  ``(y, a): c`` of ``W_p (x) a`` gives ``(True, a, z, c)`` (f(y) a), each
-  ``(a, y): c`` of ``a (x) W_p`` gives ``(False, a, z, -(-1)^p c)`` (a f(y)).
+- Cochains read the splits of every z in W_{p+1}, transposed: each
+  ``(y, a): c`` of the (p, 1) split gives ``(True, a, z, c)`` (f(y) a),
+  each ``(a, y): c`` of the (1, p) split gives ``(False, a, z, -(-1)^p c)``
+  (a f(y)).
 
 Since b_K = -[e_A, -] for the fundamental 1-cocycle e_A, the left-acting
 terms (``right`` false) with their sign flipped are e_A cup f on cochains
 and e_A cap z (left) on chains: the higher calculus reads the same table.
 
-The cup and cap products are stated once as well, over the split table
-(:meth:`KoszulCalculus.split_coords`): the coordinates of each W_{p+q} basis
-vector in W_p (x) W_q.  It covers every p, q >= 0; a split with a degree-0
-factor is the trivial one, e_j (x) z or z (x) e_i at the target j or the
-source i of z.  So cup is one loop over the table, read from the W_p side,
-and cap one loop per side, with no per-degree case.  Module values are
-summed one way, with plain + and * through ``_mod_accumulate``, and reduced
-once by ``_mod_settle``.
+The cup and cap products are stated once as well, over the split table:
+cup is one loop over the table, read from the W_p side, and cap one loop
+per side, with no per-degree case.  Module values are summed one way, with
+plain + and * through ``_mod_accumulate``, and reduced once by
+``_mod_settle``.
 
 Products are computed as pair tables: :meth:`KoszulCalculus.cup_table`
 (fs, gs) and :meth:`KoszulCalculus.cap_table` (fs, zs, side) return the
@@ -58,7 +65,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Elem, GradedAlgebra
-from .linalg import SparseVec, SpanSolver, echelonize, intersect
+from .linalg import (SparseVec, SpanSolver, Subspace, echelonize, full_subspace,
+                     intersect)
 from .quiver import Path, paths_of_weight, relation_vector
 
 
@@ -82,19 +90,19 @@ DiffTerm = Tuple[bool, int, int, object]
 
 
 class WSpace:
-    """Basis of W_p blocked by (target, source) vertex pairs."""
+    """Basis of W_p blocked by (target, source) vertex pairs.
+
+    Each block is a reduced echelon subspace of its weight-p path space, so
+    the coordinates of a vector of W_p are read at the block's pivots."""
 
     def __init__(self, p: int):
         self.p = p
         self.block_keys: List[Tuple[int, int]] = []
         self.block_paths: Dict[Tuple[int, int], List[Path]] = {}
         self.block_path_index: Dict[Tuple[int, int], Dict[Tuple[int, ...], int]] = {}
-        self.block_basis: Dict[Tuple[int, int], List[SparseVec]] = {}
+        self.block_space: Dict[Tuple[int, int], Subspace] = {}
         self.flat: List[Tuple[int, int, int]] = []  # (tgt, src, local index)
         self.flat_of_block: Dict[Tuple[int, int], List[int]] = {}
-        # factorization coordinates, per flat basis index
-        self.left_fact: List[Dict[Tuple[int, int], object]] = []   # (arrow, prev flat)
-        self.right_fact: List[Dict[Tuple[int, int], object]] = []  # (prev flat, arrow)
         self.relation_coords: List[SparseVec] = []  # p == 2 only
 
     @property
@@ -104,7 +112,7 @@ class WSpace:
     def finish(self) -> None:
         for key in self.block_keys:
             idxs = []
-            for k in range(len(self.block_basis[key])):
+            for k in range(self.block_space[key].dim):
                 idxs.append(len(self.flat))
                 self.flat.append((key[0], key[1], k))
             self.flat_of_block[key] = idxs
@@ -114,8 +122,21 @@ class WSpace:
         return (j, i)
 
     def vector(self, flat_idx: int) -> SparseVec:
+        """The basis vector, in the path coordinates of its block."""
         j, i, k = self.flat[flat_idx]
-        return self.block_basis[(j, i)][k]
+        return self.block_space[(j, i)].rows[k]
+
+    def coords(self, key: Tuple[int, int], vec: SparseVec) -> List[Tuple[int, object]]:
+        """The nonzero (flat index, coefficient) of vec, a vector in the path
+        coordinates of block ``key``, over the basis of W_p."""
+        space = self.block_space.get(key)
+        if space is None and not vec:
+            return []
+        sol = None if space is None else space.coords(vec)
+        if sol is None:
+            raise ValueError(f"vector outside W_{self.p} in block {key}")
+        flats = self.flat_of_block[key]
+        return [(flats[k], c) for k, c in enumerate(sol) if c]
 
 
 class KoszulCalculus:
@@ -147,70 +168,35 @@ class KoszulCalculus:
             w0.block_keys.append(key)
             w0.block_paths[key] = [Path.trivial(q, i)]
             w0.block_path_index[key] = {(): 0}
-            w0.block_basis[key] = [{0: field.one}]
-            w0.left_fact.append({})
-            w0.right_fact.append({})
+            w0.block_space[key] = full_subspace(1, field)
         w0.finish()
         self.wspaces.append(w0)
-        if self.p_max == 0:
-            return
         # p = 1: the arrows
         w1 = WSpace(1)
-        arrow_flat: Dict[int, int] = {}
         for key in sorted({(q.target[a], q.source[a]) for a in range(q.n_arrows)}):
             arrows = [a for a in range(q.n_arrows)
                       if (q.target[a], q.source[a]) == key]
             w1.block_keys.append(key)
             w1.block_paths[key] = [Path.from_arrows(q, (a,)) for a in arrows]
             w1.block_path_index[key] = {(a,): k for k, a in enumerate(arrows)}
-            w1.block_basis[key] = [{k: field.one} for k in range(len(arrows))]
+            w1.block_space[key] = full_subspace(len(arrows), field)
         w1.finish()
-        for flat_idx, (j, i, k) in enumerate(w1.flat):
-            a = w1.block_paths[(j, i)][k].arrows[0]
-            arrow_flat[a] = flat_idx
-            w0_src = w0.flat_of_block[(i, i)][0]
-            w0_tgt = w0.flat_of_block[(j, j)][0]
-            w1.left_fact.append({(a, w0_src): field.one})
-            w1.right_fact.append({(w0_tgt, a): field.one})
-        self.arrow_flat = arrow_flat
+        self.arrow_flat: Dict[int, int] = {
+            w1.block_paths[(j, i)][k].arrows[0]: flat_idx
+            for flat_idx, (j, i, k) in enumerate(w1.flat)}
         self.wspaces.append(w1)
         # p >= 2
         for p in range(2, self.p_max + 2):
             prev = self.wspaces[p - 1]
-            if prev.dim == 0:
-                ws = WSpace(p)
-                ws.finish()
-                self.wspaces.append(ws)
-                continue
             ws = WSpace(p)
-            paths = paths_of_weight(q, p)
-            blocks: Dict[Tuple[int, int], List[Path]] = {}
-            for path in paths:
-                blocks.setdefault((path.target, path.source), []).append(path)
-            # spanning vectors of V (x) W_{p-1} and W_{p-1} (x) V per block
-            left_span: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], SparseVec]]] = {}
-            right_span: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], SparseVec]]] = {}
-            for key in sorted(blocks):
-                ws.block_paths[key] = blocks[key]
-                ws.block_path_index[key] = {pa.arrows: k for k, pa in enumerate(blocks[key])}
-            for yflat, (jy, iy, ky) in enumerate(prev.flat):
-                yvec = prev.block_basis[(jy, iy)][ky]
-                ypaths = prev.block_paths[(jy, iy)]
-                for a in range(q.n_arrows):
-                    # left: a (x) y, the arrow is the last applied
-                    if q.source[a] == jy:
-                        key = (q.target[a], iy)
-                        if key in blocks:
-                            idx = ws.block_path_index[key]
-                            vec = {idx[(a,) + ypaths[t].arrows]: c for t, c in yvec.items()}
-                            left_span.setdefault(key, []).append(((a, yflat), vec))
-                    # right: y (x) a, the arrow is applied first
-                    if q.target[a] == iy:
-                        key = (jy, q.source[a])
-                        if key in blocks:
-                            idx = ws.block_path_index[key]
-                            vec = {idx[ypaths[t].arrows + (a,)]: c for t, c in yvec.items()}
-                            right_span.setdefault(key, []).append(((yflat, a), vec))
+            self.wspaces.append(ws)
+            if prev.dim == 0:
+                ws.finish()
+                continue
+            for path in paths_of_weight(q, p):
+                ws.block_paths.setdefault((path.target, path.source), []).append(path)
+            for key, paths in ws.block_paths.items():
+                ws.block_path_index[key] = {pa.arrows: k for k, pa in enumerate(paths)}
             if p == 2:
                 # W_2 is the relation space itself; each basis vector also
                 # gets its coordinates over the input relations, appended in
@@ -222,47 +208,44 @@ class KoszulCalculus:
                     rels = rel_by_block[key]
                     vecs = [relation_vector(pres, r, ws.block_path_index[key])
                             for r in rels]
-                    ambient = len(blocks[key])
-                    sub = echelonize(vecs, ambient, field)
+                    sub = echelonize(vecs, len(ws.block_paths[key]), field)
                     if sub.dim:
                         ws.block_keys.append(key)
-                        ws.block_basis[key] = sub.basis_checked()
-                        solver = SpanSolver(vecs, ambient, field)
-                        for vec in ws.block_basis[key]:
+                        ws.block_space[key] = sub
+                        solver = SpanSolver(vecs, sub.ambient, field)
+                        for vec in sub.rows:
                             sol = solver.solve(vec)
                             ws.relation_coords.append(
                                 {rels[t]: c for t, c in enumerate(sol)
                                  if not field.is_zero(c)})
             else:
-                for key in sorted(blocks):
-                    ambient = len(blocks[key])
-                    lv = [v for _pair, v in left_span.get(key, [])]
-                    rv = [v for _pair, v in right_span.get(key, [])]
-                    if not lv or not rv:
+                # spanning vectors of V (x) W_{p-1} and W_{p-1} (x) V per block
+                left_span: Dict[Tuple[int, int], List[SparseVec]] = {}
+                right_span: Dict[Tuple[int, int], List[SparseVec]] = {}
+                for yflat, (jy, iy, _k) in enumerate(prev.flat):
+                    yvec = prev.vector(yflat)
+                    ypaths = prev.block_paths[(jy, iy)]
+                    for a in range(q.n_arrows):
+                        # left: a (x) y, the arrow is the last applied
+                        idx = ws.block_path_index.get((q.target[a], iy))
+                        if q.source[a] == jy and idx is not None:
+                            left_span.setdefault((q.target[a], iy), []).append(
+                                {idx[(a,) + ypaths[t].arrows]: c for t, c in yvec.items()})
+                        # right: y (x) a, the arrow is applied first
+                        idx = ws.block_path_index.get((jy, q.source[a]))
+                        if q.target[a] == iy and idx is not None:
+                            right_span.setdefault((jy, q.source[a]), []).append(
+                                {idx[ypaths[t].arrows + (a,)]: c for t, c in yvec.items()})
+                for key in sorted(ws.block_paths):
+                    if key not in left_span or key not in right_span:
                         continue
-                    sub = intersect(echelonize(lv, ambient, field),
-                                    echelonize(rv, ambient, field))
+                    ambient = len(ws.block_paths[key])
+                    sub = intersect(echelonize(left_span[key], ambient, field),
+                                    echelonize(right_span[key], ambient, field))
                     if sub.dim:
                         ws.block_keys.append(key)
-                        ws.block_basis[key] = sub.basis_checked()
+                        ws.block_space[key] = sub
             ws.finish()
-            # factorization coordinates in both product bases
-            for key in ws.block_keys:
-                ambient = len(ws.block_paths[key])
-                lpairs = left_span.get(key, [])
-                rpairs = right_span.get(key, [])
-                lsolver = SpanSolver([v for _pair, v in lpairs], ambient, field)
-                rsolver = SpanSolver([v for _pair, v in rpairs], ambient, field)
-                for vec in ws.block_basis[key]:
-                    lsol = lsolver.solve(vec)
-                    rsol = rsolver.solve(vec)
-                    if lsol is None or rsol is None:
-                        raise AssertionError("W basis vector escaped its factorizations")
-                    ws.left_fact.append({lpairs[t][0]: c for t, c in enumerate(lsol)
-                                         if not field.is_zero(c)})
-                    ws.right_fact.append({rpairs[t][0]: c for t, c in enumerate(rsol)
-                                          if not field.is_zero(c)})
-            self.wspaces.append(ws)
 
     def w(self, p: int) -> WSpace:
         if p < 0:
@@ -368,35 +351,17 @@ class KoszulCalculus:
     def zero_chain(self, q: int, module: str = MODULE_A) -> "Chain":
         return Chain(self, q, module, {})
 
-    def chain_from_pairs(self, q: int, pairs: Sequence[Tuple[Elem, SparseVec, Tuple[int, int]]],
-                         module: str = MODULE_A) -> "Chain":
-        """Build a chain from (coefficient, W_q vector in block path coords, block)."""
-        ws = self.w(q)
-        acc: Dict[int, object] = {}
-        for coeff, wvec, key in pairs:
-            basis = ws.block_basis.get(key)
-            if basis is None:
-                if wvec:
-                    raise ValueError("W component outside the computed space")
-                continue
-            solver = SpanSolver(basis, len(ws.block_paths[key]), self.field)
-            sol = solver.solve(wvec)
-            if sol is None:
-                raise ValueError("W component outside the computed space")
-            for k, c in enumerate(sol):
-                if not self.field.is_zero(c):
-                    self._mod_accumulate(module, acc, ws.flat_of_block[key][k], coeff, c)
-        return Chain(self, q, module, self._mod_settle(module, acc))
-
     def chain_on_relations(self, pairs: Sequence[Tuple[Elem, int]]) -> "Chain":
         """Degree-2 chain sum of m (x) sigma_r over (coefficient m, relation r) pairs."""
         pres = self.algebra.presentation
         ws = self.w(2)
-        triples = []
+        acc: Dict[int, object] = {}
         for m, r in pairs:
             key = pres.relation_blocks[r]
-            triples.append((m, relation_vector(pres, r, ws.block_path_index[key]), key))
-        return self.chain_from_pairs(2, triples)
+            vec = relation_vector(pres, r, ws.block_path_index[key])
+            for x, c in ws.coords(key, vec):
+                self._mod_accumulate(MODULE_A, acc, x, m, c)
+        return Chain(self, 2, MODULE_A, self._mod_settle(MODULE_A, acc))
 
     # -- differentials ---------------------------------------------------------
 
@@ -411,23 +376,27 @@ class KoszulCalculus:
         if table is not None:
             return table
         field = self.field
+        arrow_of = {u: a for a, u in self.arrow_flat.items()}
         table = [[] for _ in range(self.w(p).dim)]
         if side == "hom":
-            ws = self.w(p)
-            sign = field.sign(p)
-            for x in range(ws.dim):
-                for (a, y), c in ws.left_fact[x].items():
-                    table[x].append((True, a, y, c))
-                for (y, a), c in ws.right_fact[x].items():
-                    table[x].append((False, a, y, field.mul(sign, c)))
+            # x in W_p from its (1, p-1) and (p-1, 1) splits
+            if p > 0:
+                sign = field.sign(p)
+                lefts, rights = self.split_coords(1, p - 1), self.split_coords(p - 1, 1)
+                for x, row in enumerate(table):
+                    for (u, y), c in lefts[x].items():
+                        row.append((True, arrow_of[u], y, c))
+                    for (y, u), c in rights[x].items():
+                        row.append((False, arrow_of[u], y, field.mul(sign, c)))
         elif side == "coh":
-            ws = self.w(p + 1)
+            # every z in W_{p+1} from its (p, 1) and (1, p) splits
             sign = field.sign(p + 1)
-            for z in range(ws.dim):
-                for (y, a), c in ws.right_fact[z].items():
-                    table[y].append((True, a, z, c))
-                for (a, y), c in ws.left_fact[z].items():
-                    table[y].append((False, a, z, field.mul(sign, c)))
+            lefts, rights = self.split_coords(1, p), self.split_coords(p, 1)
+            for z in range(self.w(p + 1).dim):
+                for (y, u), c in rights[z].items():
+                    table[y].append((True, arrow_of[u], z, c))
+                for (u, y), c in lefts[z].items():
+                    table[y].append((False, arrow_of[u], z, field.mul(sign, c)))
         else:
             raise ValueError("side must be 'coh' or 'hom'")
         self._terms_memo[key] = table
@@ -477,55 +446,26 @@ class KoszulCalculus:
                             field.one})
             self._split_memo[(p, q)] = out
             return out
-        # solvers over W_p blocks (prefix side) and W_q blocks (suffix side)
-        psolvers: Dict[Tuple[int, int], SpanSolver] = {}
-        qsolvers: Dict[Tuple[int, int], SpanSolver] = {}
-        for key in wp.block_keys:
-            psolvers[key] = SpanSolver(wp.block_basis[key], len(wp.block_paths[key]), field)
-        for key in wq.block_keys:
-            qsolvers[key] = SpanSolver(wq.block_basis[key], len(wq.block_paths[key]), field)
-        for flat_idx, (j, i, k) in enumerate(wpq.flat):
-            vec = wpq.block_basis[(j, i)][k]
+        for z, (j, i, _k) in enumerate(wpq.flat):
             paths = wpq.block_paths[(j, i)]
             # group path coordinates by the suffix (last q arrows)
-            by_suffix: Dict[Tuple[int, ...], SparseVec] = {}
-            for t, c in vec.items():
+            by_suffix: Dict[Tuple[int, ...], Dict[Tuple[int, ...], object]] = {}
+            for t, c in wpq.vector(z).items():
                 arrows = paths[t].arrows
                 by_suffix.setdefault(arrows[p:], {})[arrows[:p]] = c
-            coords: Dict[Tuple[int, int], object] = {}
-            rows: Dict[int, SparseVec] = {}
+            # the prefixes in W_p, then each W_p coefficient's suffixes in W_q
+            rows: Dict[int, Dict[Tuple[int, ...], object]] = {}
             for suffix, pref_vec in by_suffix.items():
-                mid = self.quiver.target[suffix[0]]
-                pkey = (j, mid)
-                solver = psolvers.get(pkey)
-                if solver is None:
-                    raise AssertionError("prefix block missing from W_p")
-                local_index = wp.block_path_index[pkey]
-                target = {local_index[pref]: c for pref, c in pref_vec.items()}
-                sol = solver.solve(target)
-                if sol is None:
-                    raise AssertionError("prefix escaped W_p during split")
-                for kk, c in enumerate(sol):
-                    if field.is_zero(c):
-                        continue
-                    xflat = wp.flat_of_block[pkey][kk]
-                    rows.setdefault(xflat, {})[suffix] = c
-            for xflat, suffix_vec in rows.items():
-                mid = wp.flat[xflat][1]  # source vertex of the prefix
-                qkey = (mid, i)
-                solver = qsolvers.get(qkey)
-                if solver is None:
-                    raise AssertionError("suffix block missing from W_q")
-                local_index = wq.block_path_index[qkey]
-                target = {local_index[suf]: c for suf, c in suffix_vec.items()}
-                sol = solver.solve(target)
-                if sol is None:
-                    raise AssertionError("suffix escaped W_q during split")
-                for kk, c in enumerate(sol):
-                    if field.is_zero(c):
-                        continue
-                    yflat = wq.flat_of_block[qkey][kk]
-                    coords[(xflat, yflat)] = c
+                pkey = (j, self.quiver.target[suffix[0]])
+                index = wp.block_path_index[pkey]
+                for x, c in wp.coords(pkey, {index[pref]: c for pref, c in pref_vec.items()}):
+                    rows.setdefault(x, {})[suffix] = c
+            coords: Dict[Tuple[int, int], object] = {}
+            for x, suffix_vec in rows.items():
+                qkey = (wp.flat[x][1], i)  # from the source vertex of the prefix
+                index = wq.block_path_index[qkey]
+                for y, c in wq.coords(qkey, {index[suf]: c for suf, c in suffix_vec.items()}):
+                    coords[(x, y)] = c
             out.append(coords)
         self._split_memo[(p, q)] = out
         return out

@@ -143,9 +143,6 @@ class Subspace:
             return None
         return [v.get(c, self.field.zero) for c in self.pivots]
 
-    def basis_checked(self) -> List[SparseVec]:
-        return list(self.rows)
-
 
 def echelonize(rows: Iterable[SparseVec], ambient: int, field: Field) -> Subspace:
     """Reduced echelon subspace spanned by the given rows."""

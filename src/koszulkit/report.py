@@ -52,6 +52,9 @@ class RunConfig:
         for a in self.analyses:
             if a not in ANALYSES:
                 raise ValueError(f"unknown analysis {a!r}")
+        if self.max_degree < 2:
+            # the structure constants and the duality read degree 2
+            raise ValueError(f"max_degree must be at least 2, got {self.max_degree}")
 
     def to_json(self) -> Dict:
         return {
@@ -97,9 +100,8 @@ def _elem_json(algebra, field: Field, elem) -> Dict[str, object]:
 
 def _wvec_json(kd, p: int, flat_idx: int) -> Dict[str, object]:
     ws = kd.w(p)
-    j, i, k = ws.flat[flat_idx]
-    vec = ws.block_basis[(j, i)][k]
-    paths = ws.block_paths[(j, i)]
+    paths = ws.block_paths[ws.block_of(flat_idx)]
+    vec = ws.vector(flat_idx)
     return {paths[t].name(): _scalar(kd.field, c) for t, c in sorted(vec.items())}
 
 

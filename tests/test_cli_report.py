@@ -199,6 +199,15 @@ def test_bad_preset_exit_code():
     assert main(["calculus", "--preset", "Z9"]) == 3
 
 
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_max_degree_below_two_is_refused(capsys, degree):
+    """The structure constants and the duality read degree 2."""
+    assert main(["calculus", "--preset", "A3", "--max-degree", degree]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max_degree must be at least 2, got {degree}\n"
+
+
 def test_ae_coefficients_route(tmp_path):
     out = tmp_path / "ae.json"
     code = main(["calculus", "--preset", "A3", "--coefficients", "Ae",

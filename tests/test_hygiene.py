@@ -1,12 +1,15 @@
-"""Source hygiene: every name a koszulkit module imports is used there, and
-every private helper it defines is referenced somewhere in the package."""
+"""Source hygiene: every name a koszulkit module imports is used there,
+every private helper it defines is referenced somewhere in the package, and
+every public function, method and class is referenced somewhere in the
+package, its tests or the benchmark."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "koszulkit"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "koszulkit"
 
 
 def imported_names(tree: ast.Module):
@@ -62,3 +65,49 @@ def test_no_dead_private_helpers():
     dead = [f"{name} ({module}, line {line})" for module, tree in trees.items()
             for name, line in private_functions(tree) if name not in referenced]
     assert not dead, f"private helpers nothing in koszulkit references: {dead}"
+
+
+def public_definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of top-level classes,
+    whose names do not start with an underscore."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def traced_targets(tree: ast.Module):
+    """The names in the ("metric", "module", "func" or "Class.method")
+    targets that the layer tracer wraps."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("TIMED", "COUNTED")):
+            for _metric, _module, attr in ast.literal_eval(node.value):
+                yield from attr.split(".")
+
+
+def test_no_dead_public_names():
+    """Every public function, method and class of koszulkit is referenced
+    (as a name, an attribute or an import) in src, tests or perfbench, or is
+    a target of the layer tracer."""
+    files = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    referenced = set()
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        referenced.update(referenced_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+        if path.name == "layertrace.py":
+            referenced.update(traced_targets(tree))
+    dead = [f"{name} ({path.name}, line {line})" for path in sorted(SRC.glob("*.py"))
+            for name, line in public_definitions(ast.parse(path.read_text()))
+            if name.rsplit(".", 1)[-1] not in referenced]
+    assert not dead, f"public names nothing references: {dead}"

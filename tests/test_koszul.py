@@ -12,7 +12,7 @@ from koszulkit.koszul import (Chain, Cochain, DegreeError, KoszulCalculus, MODUL
 from koszulkit.linalg import echelonize
 from koszulkit.presets import Preset, preset_graph
 from koszulkit.quiver import (Graph, PreprojectiveSpec, paths_of_weight,
-                              preprojective_presentation)
+                              preprojective_presentation, presentation_from_json)
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +428,16 @@ def test_block_assembler_matches_differentials_and_products(name, cutoff, field)
     assert checked > 0
 
 
+def test_arrow_space_without_higher_degrees():
+    """W_1 and the fundamental 1-cocycle exist whatever the degree bound."""
+    alg = Preset("A3", QQ).algebra
+    kd0, kd3 = KoszulCalculus(alg, 0), KoszulCalculus(alg, 3)
+    assert kd0.w_dims() == kd3.w_dims()[:2]
+    e0, e3 = kd0.fundamental_cocycle(), kd3.fundamental_cocycle()
+    assert e0.p == 1 and len(e0.values) == kd0.w(1).dim
+    assert e0.values == e3.values
+
+
 def test_negative_degree_has_no_w_space():
     pr = Preset("A3", QQ)
     kd = KoszulCalculus(pr.algebra, 1)
@@ -701,3 +711,51 @@ def test_degree0_splits_are_trivial():
     for p, q in [(-1, 0), (0, -1), (-1, 2), (2, -1)]:
         with pytest.raises(DegreeError):
             kd.split_coords(p, q)
+
+
+#: k[x, y, z]: one vertex, three loops, the three commutators
+POLYNOMIAL_XYZ = {
+    "vertices": ["0"],
+    "arrows": [{"name": n, "src": "0", "tgt": "0"} for n in "xyz"],
+    "relations": [[{"coeff": "1", "path": [a, b]}, {"coeff": "-1", "path": [b, a]}]
+                  for a, b in [("x", "y"), ("y", "z"), ("x", "z")]],
+}
+
+
+def _split_case_calculus(name, field):
+    if name == "k[x,y,z]":
+        pres = presentation_from_json(POLYNOMIAL_XYZ, field)
+        return KoszulCalculus(build_graded_algebra(pres, 6), 3)
+    if name == "A~2":
+        return KoszulCalculus(Preset(name, field, cutoff=6).algebra, 3)
+    return KoszulCalculus(Preset(name, field).algebra, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("name", ["A3", "D5", "E6", "A~2", "k[x,y,z]"])
+def test_splits_reconstruct_their_w_vectors(name, field):
+    """Every split is read back by path concatenation: the sum of c (x (x) y)
+    over the split of a W_{p+q} basis vector is that vector.  The
+    differential, cup, cap and e_A all read the split table, so this is the
+    check of the table itself."""
+    kd = _split_case_calculus(name, field)
+    checked = 0
+    for n in range(2, kd.p_max + 2):
+        wn = kd.w(n)
+        for p in range(1, n):
+            wp, wq = kd.w(p), kd.w(n - p)
+            for z, split in enumerate(kd.split_coords(p, n - p)):
+                j, i = wn.block_of(z)
+                index = wn.block_path_index[(j, i)]
+                acc = {}
+                for (x, y), c in split.items():
+                    (xj, xi), (yj, yi) = wp.block_of(x), wq.block_of(y)
+                    assert (xj, xi, yi) == (j, yj, i), (n, p, z, x, y)
+                    xpaths, ypaths = wp.block_paths[(xj, xi)], wq.block_paths[(yj, yi)]
+                    for t, a in wp.vector(x).items():
+                        for s, b in wq.vector(y).items():
+                            k = index[xpaths[t].arrows + ypaths[s].arrows]
+                            acc[k] = acc.get(k, 0) + c * a * b
+                assert field.settle(acc) == wn.vector(z), (n, p, z)
+                checked += 1
+    assert checked >= kd.w(2).dim
