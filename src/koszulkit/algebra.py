@@ -110,8 +110,7 @@ class GradedAlgebra:
             sub = echelonize(gens, len(pairs), field)
             if m == 2 and sub.dim < self.presentation.n_relations:
                 raise QuiverError("relations are linearly dependent")
-            pivot_set = set(sub.pivots)
-            survivors = [k for k in range(len(pairs)) if k not in pivot_set]
+            survivors = [k for k in range(len(pairs)) if k not in sub.pivot_pos]
             new_paths: List[Path] = []
             new_parents: List[Tuple[int, int]] = []
             new_pos_of_pair: Dict[int, int] = {}
@@ -129,9 +128,8 @@ class GradedAlgebra:
                 if k in new_pos_of_pair:
                     rmul[(pos, a)] = {new_pos_of_pair[k]: field.one}
                 else:
-                    row = sub.rows[sub.pivots.index(k)] if k in pivot_set else None
                     nf: SparseVec = {}
-                    for col, c in row.items():
+                    for col, c in sub.rows[sub.pivot_pos[k]].items():
                         if col == k:
                             continue
                         nf[new_pos_of_pair[col]] = field.neg(c)

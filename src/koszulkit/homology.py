@@ -4,7 +4,12 @@ All spaces are computed blockwise in the biweight: the differentials are
 homogeneous (degree +1, coefficient weight +1 on cochains; degree -1,
 coefficient weight +1 on chains), so each (degree, weight) block is an
 independent exact-linear-algebra problem.  Representatives follow the
-deterministic quotient rule of :mod:`koszulkit.linalg`.
+deterministic quotient rule of :mod:`koszulkit.linalg`.  A block of
+dimension zero runs no elimination: its differentials in and out are zero
+maps, whose kernel and image need none.  The cocycle (cycle) test of
+``class_of`` is membership in the block kernels Z = ker(b_K) that the
+quotients already hold: b_K raises the coefficient weight by one, so an
+element is closed iff each of its weight components is.
 
 Every matrix here is read off the term table of
 :meth:`koszulkit.koszul.KoszulCalculus.terms` (its conventions are in the
@@ -21,8 +26,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A, MODULE_K, NotClosedError
-from .linalg import (LinearMap, QuotientSpace, SparseVec, full_subspace, image,
-                     kernel, rank, zero_subspace)
+from .linalg import (LinearMap, NotInSubspaceError, QuotientSpace, SparseVec,
+                     full_subspace, image, kernel, rank, zero_subspace)
 
 
 class CoordSpace:
@@ -212,6 +217,9 @@ class CalculusSpaces(_GradedDims):
                 continue
             for m in self.weights():
                 src, dst = space(p, m), space(p + step, _shifted(m, 1))
+                if not src.dim or not dst.dim:
+                    mats[(p, m)] = LinearMap.zero(src.dim, dst.dim, field)
+                    continue
                 units = [{k: one} for k in range(src.dim)]
                 mats[(p, m)] = LinearMap(src.dim, dst.dim, _block_images(src, dst, units),
                                          field)
@@ -235,30 +243,38 @@ class CalculusSpaces(_GradedDims):
     def class_of(self, obj) -> List[object]:
         """Coordinates of a closed cochain/chain in the representative basis.
 
-        Closedness is checked on the whole element first; then only the
-        weight blocks it touches are solved, and the others read zero."""
+        b_K raises the coefficient weight by one, so an element is closed iff
+        each weight component is.  A component in a weight block of the
+        layout is tested for closedness by its block's cocycle (cycle) space
+        Z = ker(b_K) as its coordinates are read, and the blocks it does not
+        touch read zero.  Only an element with a component outside the
+        layout (the top weight of a truncated algebra) has b_K applied to
+        the whole of it first."""
         kd = self.kd
         if self.side == "coh":
             if not isinstance(obj, Cochain) or obj.p > self.p_max:
                 raise NotClosedError("not a cochain in the computed range")
-            if not kd.apply_bK(obj).is_zero():
-                raise NotClosedError("not a cocycle: differential is nonzero")
+            apply, not_closed = kd.apply_bK, "not a cocycle: differential is nonzero"
         else:
             if not isinstance(obj, Chain) or obj.q > self.p_max:
                 raise NotClosedError("not a chain in the computed range")
-            if not kd.apply_bK_chain(obj).is_zero():
-                raise NotClosedError("not a cycle: differential is nonzero")
-        p = obj.p if self.side == "coh" else obj.q
-        total, offsets = self._layout(p)
-        coords: List[object] = [kd.field.zero] * total
+            apply, not_closed = kd.apply_bK_chain, "not a cycle: differential is nonzero"
+        total, offsets = self._layout(obj.degree)
         touched = obj.coefficient_weights() if self.module == MODULE_A else [None]
+        if obj.module != self.module or any(m not in offsets for m in touched):
+            if not apply(obj).is_zero():
+                raise NotClosedError(not_closed)
+        coords: List[object] = [kd.field.zero] * total
         for m in touched:
             hit = offsets.get(m)
             if hit is None:
                 continue
             start, blk = hit
             comp = obj if len(touched) == 1 else obj.weight_component(m)
-            coords[start:start + blk.dim] = blk.quotient.coords(blk.space.flatten(comp))
+            try:
+                coords[start:start + blk.dim] = blk.quotient.coords(blk.space.flatten(comp))
+            except NotInSubspaceError:
+                raise NotClosedError(not_closed) from None
         return coords
 
     def _layout(self, p: int) -> Tuple[int, Dict[Optional[int], Tuple[int, HomologyBlock]]]:
@@ -320,8 +336,9 @@ class HigherSpaces(_GradedDims):
         mats: Dict[Tuple[int, Optional[int]], LinearMap] = {}
         for (p, m), blk in spaces.blocks.items():
             tblk = spaces.blocks.get((p + step, _shifted(m, 1)))
-            if tblk is None or tblk.dim == 0:
-                mats[(p, m)] = LinearMap.zero(blk.dim, 0, field)
+            tdim = 0 if tblk is None else tblk.dim
+            if not blk.dim or not tdim:
+                mats[(p, m)] = LinearMap.zero(blk.dim, tdim, field)
                 continue
             imgs = _block_images(blk.space, tblk.space, blk.quotient.representatives,
                                  higher=True)

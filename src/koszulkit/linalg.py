@@ -11,7 +11,10 @@ two entry points:
 
 Rows are taken in input order and each is reduced on its leftmost nonzero
 column, so every derived basis (kernels, intersections, quotient
-representatives) is reproducible byte for byte.  The one dict-row
+representatives) is reproducible byte for byte.  A kernel is read off one
+``rref`` of the rows with the columns relabelled right to left: its
+free-column solutions are then already the reduced echelon basis (see
+``kernel``), so no second elimination runs.  The one dict-row
 eliminator is here and serves Q and every odd p: a row enters through
 ``Field.settle``, is reduced with ``Field.add_into`` and scaled to a leading
 1 with ``Field.scale``, so its scalars follow :mod:`koszulkit.fields` (over
@@ -112,7 +115,7 @@ class Subspace:
         self.field = field
         self.rows = rows
         self.pivots = pivots
-        self._pivot_pos = {c: k for k, c in enumerate(pivots)}
+        self.pivot_pos = {c: k for k, c in enumerate(pivots)}
 
     @property
     def dim(self) -> int:
@@ -129,7 +132,7 @@ class Subspace:
         the pivot entries that the later steps read."""
         v = dict(v)
         field = self.field
-        pos = self._pivot_pos
+        pos = self.pivot_pos
         for c in sorted(c for c in v if c in pos):
             field.add_into(v, self.rows[pos[c]], field.neg(v[c]))
         return v
@@ -180,35 +183,44 @@ class LinearMap:
     def identity(cls, dim: int, field: Field) -> "LinearMap":
         return cls(dim, dim, [{i: field.one} for i in range(dim)], field)
 
-    def rows(self) -> List[SparseVec]:
-        out: List[SparseVec] = [dict() for _ in range(self.codomain_dim)]
-        for j, col in enumerate(self.cols):
-            for i, x in col.items():
-                out[i][j] = x
-        return out
-
     def rank(self) -> int:
         return rank(self.cols, self.codomain_dim, self.field)
 
 
 def kernel(m: LinearMap) -> Subspace:
-    """Null space of a linear map; rank-nullity holds exactly."""
-    field = m.field
-    red, pivots = rref(m.rows(), m.domain_dim, field)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.domain_dim) if c not in pivot_set]
-    basis: List[SparseVec] = []
-    for f in free_cols:
-        v: SparseVec = {f: field.one}
-        for k, c in enumerate(pivots):
-            x = red[k].get(f)
-            if x is not None:
-                v[c] = field.neg(x)
-        basis.append(v)
-    return echelonize(basis, m.domain_dim, field)
+    """Null space of a linear map as its reduced echelon basis, from one
+    elimination; rank-nullity holds exactly.
+
+    The rows are reduced with the columns relabelled c -> n-1-c, so each
+    reduced row is x_P + sum r_F x_F = 0 over free columns F left of its
+    pivot P.  The kernel vector of a free column f, e_f - sum_k r_{k,f} e_{P_k},
+    then leads at f and is zero at every other free column: these vectors
+    are the unique reduced echelon basis, with the free columns as pivots.
+    A map out of or into the zero space needs no elimination."""
+    n, field = m.domain_dim, m.field
+    if not n or not m.codomain_dim:
+        return full_subspace(n, field)
+    last = n - 1
+    flipped: List[SparseVec] = [dict() for _ in range(m.codomain_dim)]
+    for j, col in enumerate(m.cols):
+        for i, x in col.items():
+            flipped[i][last - j] = x
+    red, pivots = rref(flipped, n, field)
+    pivot_set = {last - c for c in pivots}
+    free = [f for f in range(n) if f not in pivot_set]
+    basis = {f: {f: field.one} for f in free}
+    # original pivot columns ascending, so each vector's keys stay ascending
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        for j, x in red[k].items():
+            if j != c:
+                basis[last - j][last - c] = field.neg(x)
+    return Subspace(n, field, [basis[f] for f in free], free)
 
 
 def image(m: LinearMap) -> Subspace:
+    if not m.domain_dim or not m.codomain_dim:
+        return zero_subspace(m.codomain_dim, m.field)
     return echelonize(m.cols, m.codomain_dim, m.field)
 
 
@@ -309,7 +321,7 @@ class QuotientSpace:
         self.b = b
         b_pivots = set(b.pivots)
         self.rep_pivots = [c for c in z.pivots if c not in b_pivots]
-        self.representatives = [z.rows[z._pivot_pos[c]] for c in self.rep_pivots]
+        self.representatives = [z.rows[z.pivot_pos[c]] for c in self.rep_pivots]
 
     @property
     def dim(self) -> int:

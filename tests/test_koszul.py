@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from koszulkit.algebra import build_graded_algebra
+from koszulkit.algebra import WeightOverflowError, build_graded_algebra
 from koszulkit.fields import GF, QQ
 from koszulkit.homology import BimoduleHomology, higher_calculus, koszul_homology
 from koszulkit.koszul import (Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A,
@@ -271,6 +271,139 @@ def test_class_of_by_weight_block(name, field):
     assert z.coefficient_weights() == [1]
     with pytest.raises(NotClosedError):
         hom.class_of(z)
+
+
+_NOT_CLOSED = {"coh": "not a cocycle: differential is nonzero",
+               "hom": "not a cycle: differential is nonzero"}
+
+
+def _count_differentials(monkeypatch):
+    """Count the calls of apply_bK and apply_bK_chain, which still run."""
+    calls = Counter()
+    for name in ("apply_bK", "apply_bK_chain"):
+        real = getattr(KoszulCalculus, name)
+
+        def counted(self, obj, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, obj)
+        monkeypatch.setattr(KoszulCalculus, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,field", [("D4", QQ), ("E6", GF(3))], ids=["D4-Q", "E6-F3"])
+def test_class_of_reads_closedness_from_the_block_kernels(name, field, monkeypatch):
+    """On weights of the layout, class_of tests closedness by the block
+    cocycle (cycle) spaces alone: a closed mixed-weight element applies no
+    differential, and one that fails to close in exactly one weight is
+    refused with the side's message."""
+    pr = Preset(name, field)
+    kd = KoszulCalculus(pr.algebra, 3)
+    calls = _count_differentials(monkeypatch)
+    refused = mixed = 0
+    for side in ("coh", "hom"):
+        spaces = koszul_homology(kd, MODULE_A, side)
+        for p in range(3):
+            reps = {}
+            for (m, _k), rep in zip(spaces.class_basis(p), spaces.representatives(p)):
+                reps.setdefault(m, rep)
+            if len(reps) > 1:
+                closed = None
+                for rep in reps.values():
+                    closed = rep if closed is None else closed.add(rep)
+                want = spaces.zero_class(p)
+                for rep in reps.values():
+                    want = [field.add(a, b) for a, b in zip(want, spaces.class_of(rep))]
+                before = sum(calls.values())
+                assert spaces.class_of(closed) == want
+                assert sum(calls.values()) == before
+                mixed += 1
+            # a unit coordinate outside Z in one block, plus a representative
+            # of another weight: not closed in exactly that one weight
+            for (pp, m), blk in spaces.blocks.items():
+                if pp != p:
+                    continue
+                unit = next(({k: field.one} for k in range(blk.space.dim)
+                             if not blk.quotient.z.contains({k: field.one})), None)
+                other = next((rep for w, rep in reps.items() if w != m), None)
+                if unit is None or other is None:
+                    continue
+                bad = blk.space.unflatten(unit).add(other)
+                assert len(bad.coefficient_weights()) == 2
+                with pytest.raises(NotClosedError, match=_NOT_CLOSED[side]):
+                    spaces.class_of(bad)
+                refused += 1
+    assert mixed > 0 and refused > 0
+    assert not calls
+
+
+def test_class_of_outside_the_layout_applies_the_differential(monkeypatch):
+    """On a truncated algebra the top computed weight lies outside the class
+    layout; an element with a component there has b_K applied to the whole
+    of it, which overflows the cutoff on cochains and reads zero on 0-chains."""
+    pr = Preset("A~2", QQ, cutoff=6)
+    alg = pr.algebra
+    kd = KoszulCalculus(alg, 3)
+    coh = koszul_homology(kd, MODULE_A, "coh")
+    hom = koszul_homology(kd, MODULE_A, "hom")
+    top = alg.max_weight
+    assert alg.truncated and top not in coh.weights()
+    pos = next(k for k, (j, i) in enumerate(alg.block_of[top]) if j == i)
+    v = alg.block_of[top][pos][0]
+    unit = kd.cochain_on_vertices({i: alg.vertex_elem(i) for i in range(3)})
+    f = kd.cochain_on_vertices({v: {(top, pos): QQ.one}}).add(unit)
+    rep = hom.representatives(0)[0]
+    want = hom.class_of(rep)
+    z = rep.add(Chain(kd, 0, MODULE_A, {kd.w(0).flat_of_block[(v, v)][0]: {(top, pos): QQ.one}}))
+    assert f.coefficient_weights() == z.coefficient_weights() == [0, top]
+    calls = _count_differentials(monkeypatch)
+    with pytest.raises(WeightOverflowError, match="weight 7 exceeds cutoff 6"):
+        coh.class_of(f)
+    assert hom.class_of(z) == want
+    assert calls == {"apply_bK": 1, "apply_bK_chain": 1}
+
+
+#: bigraded dimensions {p: {weight: dim}} of HK and of the higher calculus
+_BIGRADED = {
+    ("A3", "coh"): ({0: {0: 1, 2: 1}, 1: {1: 1}, 2: {0: 3}, 3: {}},
+                    {0: {2: 1}, 1: {}, 2: {0: 3}, 3: {}}),
+    ("A3", "hom"): ({0: {0: 3}, 1: {1: 1}, 2: {0: 1, 2: 1}, 3: {}},
+                    {0: {0: 3}, 1: {}, 2: {2: 1}, 3: {}}),
+    ("E6", "coh"): ({0: {0: 1, 6: 1, 8: 1, 10: 2}, 1: {1: 1, 3: 1, 7: 1, 9: 1},
+                     2: {0: 6, 4: 1}, 3: {}},) * 2,
+    ("E6", "hom"): ({0: {0: 6, 4: 1}, 1: {1: 1, 3: 1, 7: 1, 9: 1},
+                     2: {0: 1, 6: 1, 8: 1, 10: 2}, 3: {}},) * 2,
+}
+
+
+@pytest.mark.parametrize("name,field", [("A3", QQ), ("E6", GF(2))], ids=["A3-Q", "E6-F2"])
+def test_empty_blocks_run_no_elimination(name, field, monkeypatch):
+    """koszul_homology and higher_calculus eliminate nothing on a block of
+    dimension zero: no row reduction has an empty ambient space or no rows.
+    Every (degree, weight) block is still listed, with the same dimensions."""
+    from koszulkit import backend, linalg
+    pr = Preset(name, field)
+    kd = KoszulCalculus(pr.algebra, 3)
+    shapes = []
+    for module, attr in ((linalg, "rref"), (backend, "rref_mod")):
+        real = getattr(module, attr)
+
+        def recorded(rows, ncols, *rest, _real=real):
+            rows = list(rows)
+            shapes.append((len(rows), ncols))
+            return _real(rows, ncols, *rest)
+        monkeypatch.setattr(module, attr, recorded)
+    for side in ("coh", "hom"):
+        spaces = koszul_homology(kd, MODULE_A, side)
+        higher = higher_calculus(spaces)
+        keys = {(p, m) for p in range(spaces.p_max + 1) for m in spaces.weights()}
+        assert set(spaces.blocks) == set(higher.blocks) == keys
+        want_hk, want_higher = _BIGRADED[(name, side)]
+        assert {p: spaces.bigraded_dims(p) for p in want_hk} == want_hk
+        assert {p: higher.bigraded_dims(p) for p in want_higher} == want_higher
+        assert spaces.dims() == [sum(d.values()) for d in want_hk.values()]
+        assert higher.dims() == [sum(d.values()) for d in want_higher.values()]
+    assert shapes
+    assert [s for s in shapes if not s[0] or not s[1]] == []
 
 
 def test_cap_examples(a3, a3_spaces):

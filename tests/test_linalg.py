@@ -78,6 +78,64 @@ def test_kernel_identity_and_zero():
     assert la.kernel(zero).dim == 3
 
 
+def _reference_kernel(m):
+    """The two-elimination kernel: free-column solutions of the row reduction,
+    then a second reduction of them to the reduced echelon basis."""
+    field = m.field
+    rows = [{} for _ in range(m.codomain_dim)]
+    for j, col in enumerate(m.cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    red, pivots = la.rref(rows, m.domain_dim, field)
+    free = [f for f in range(m.domain_dim) if f not in set(pivots)]
+    basis = []
+    for f in free:
+        v = {f: field.one}
+        for k, c in enumerate(pivots):
+            x = red[k].get(f)
+            if x is not None:
+                v[c] = field.neg(x)
+        basis.append(v)
+    return la.echelonize(basis, m.domain_dim, field)
+
+
+def _random_map(rng, field, n, m, density):
+    scalars = ([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)] if field.char == 0
+               else list(range(1, field.char)))
+    cols = [{i: rng.choice(scalars) for i in range(m) if rng.random() < density}
+            for _ in range(n)]
+    return la.LinearMap(n, m, cols, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+def test_kernel_matches_two_elimination_reference(field):
+    """One relabelled elimination gives the same reduced echelon kernel, entry
+    for entry and key order included, as eliminating twice."""
+    rng = random.Random(12)
+    one = field.one
+    maps = [la.LinearMap(0, 4, [], field),                            # zero domain
+            la.LinearMap(3, 0, [{}, {}, {}], field),                  # zero codomain
+            la.LinearMap.identity(5, field),                          # full rank
+            la.LinearMap(3, 5, [{0: one}, {1: one, 4: one}, {2: one}], field),
+            la.LinearMap.zero(4, 3, field)]                           # the zero map
+    for _ in range(120):
+        maps.append(_random_map(rng, field, rng.randint(1, 14), rng.randint(1, 10),
+                                rng.choice([0.15, 0.3, 0.6])))
+    nontrivial = 0
+    for mp in maps:
+        got, want = la.kernel(mp), _reference_kernel(mp)
+        assert got.ambient == want.ambient == mp.domain_dim
+        assert got.pivots == want.pivots
+        assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want.rows]
+        for row in got.rows:
+            image = {}
+            for j, c in row.items():
+                field.add_into(image, mp.cols[j], c)
+            assert not image
+        nontrivial += 0 < got.dim < mp.domain_dim
+    assert nontrivial > 20
+
+
 def test_kernel_of_weight1_cochain_differential_is_hyperplane():
     """The arrow-diagonal differential kills exactly the balanced scalars.
 
