@@ -158,6 +158,11 @@ class GradedAlgebra:
         return [len(ms) for ms in self.monomials]
 
     @property
+    def terms(self) -> List[Term]:
+        """Every monomial (m, pos), weight by weight, in basis order."""
+        return [(m, pos) for m, ms in enumerate(self.monomials) for pos in range(len(ms))]
+
+    @property
     def total_dim(self) -> int:
         if not self.finite:
             raise InfiniteDimensionalError("algebra not finite dimensional within cutoff")

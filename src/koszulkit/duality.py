@@ -70,10 +70,9 @@ def eta(kd: KoszulCalculus, z: Chain) -> Cochain:
         # m (x) e_i  ->  (sigma_j -> delta_ij e_j m e_i)
         ws = kd.w(0)
         for flat_idx, m in z.values.items():
-            i = ws.block_of(flat_idx)[0]
-            for r, v in enumerate(pres.sigma_vertices):
-                if v == i:
-                    kd._mod_accumulate(z.module, acc, r, m, kd.field.one)
+            r = pres.relation_of_vertex.get(ws.block_of(flat_idx)[0])
+            if r is not None:
+                kd._mod_accumulate(z.module, acc, r, m, kd.field.one)
         return kd.cochain_on_relations(acc, z.module)
     raise DegreeError("duality is defined in degrees 0..2")
 

@@ -24,7 +24,7 @@ class FieldMismatchError(ValueError):
 
 
 #: Miller-Rabin with these bases decides primality exactly below the bound
-#: (Sorenson and Webster, Math. Comp. 86, 2017); trial division above it
+#: (Sorenson and Webster, Math. Comp. 86, 2017); larger moduli are refused
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
@@ -32,16 +32,11 @@ _MR_BOUND = 3317044064679887385961981
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
+    if p >= _MR_BOUND:
+        raise ValueError(f"{p} is beyond the certified primality bound {_MR_BOUND}")
     for q in _MR_BASES:
         if p % q == 0:
             return p == q
-    if p >= _MR_BOUND:
-        d = 43
-        while d * d <= p:
-            if p % d == 0:
-                return False
-            d += 2
-        return True
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2

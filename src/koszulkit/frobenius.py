@@ -1,27 +1,33 @@
 """Frobenius form, Nakayama data, and the degree-2 Hochschild comparison.
 
-Works over a finite-dimensional self-injective quiver algebra whose basis
-of paths has been adapted so that the top graded piece of each column is
-spanned by a chosen socle generator.  The bilinear form pairs y with x
-through the coefficient of the socle generator of x's column in the
-product yx; the Nakayama automorphism is solved from the form and then
-cross-checked as an algebra automorphism.
+Works over a finite-dimensional self-injective quiver algebra on its own
+monomial basis, ``GradedAlgebra.terms``.  The top piece of each column
+A e_i is spanned by one monomial (top, pos_i), and the chosen socle
+generator of that column is c_i times it.  The form is (y, x) = eps(yx)
+with eps(z) = sum_i z[(top, pos_i)] / c_i: for x in one column, the
+coefficient of that column's socle generator in yx.  The Nakayama
+automorphism is solved from the form and then cross-checked as an algebra
+automorphism.  The transported degree-3 maps read the Casimir element
+sum_x dual(x) (x) x, which does not depend on the basis: a change of basis
+x' = P x turns the dual basis into P^-T dual, and the two cancel in the
+sum, so rescaling the top monomials to the socle generators changes none
+of these maps.
 
 :class:`FrobeniusStructure` derives each piece of this data once and keeps
-it on the instance: the basis indices of each (weight, target, source)
-block in ``_by_block`` (built with the basis), the dual basis in ``_dual``
-(each Gram block inverted by ``linalg.rref`` on ``[G | I]``), and the
-Nakayama scalars ``{arrow: (beta, c)}`` in ``_nu_scalars``, from which
-``nakayama_on_elem`` extends nu along paths without touching the form.
+it on the instance: the dual basis in ``_dual``, keyed by monomial (each
+Gram block of ``algebra.blocks`` against its paired block inverted by
+``linalg.rref`` on ``[G | I]``), and the Nakayama scalars
+``{arrow: (beta, c)}`` in ``_nu_scalars``, from which ``nakayama_on_elem``
+extends nu along paths without touching the form.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Elem, GradedAlgebra
+from .algebra import Elem, GradedAlgebra, Term
 from .homology import CalculusSpaces
-from .koszul import Chain, Cochain, KoszulCalculus
+from .koszul import KoszulCalculus
 from .linalg import LinearMap, SparseVec, echelonize, image, kernel, rank, rref
 
 
@@ -30,7 +36,7 @@ class FrobeniusError(ValueError):
 
 
 class FrobeniusStructure:
-    """Adapted basis, bilinear form, dual basis and Nakayama automorphism."""
+    """Bilinear form, dual basis and Nakayama automorphism on the monomial basis."""
 
     def __init__(self, algebra: GradedAlgebra, socle: Dict[int, Elem]):
         if not algebra.finite:
@@ -40,17 +46,16 @@ class FrobeniusStructure:
         q = algebra.quiver
         top = algebra.max_weight
         self.top = top
-        # socle normalization: pi_i spans the top component of Ae_i
-        self.pi: Dict[int, Elem] = {}
         self.nu_bar: Dict[int, int] = {}
-        self._pi_coeff: Dict[int, Tuple[int, object]] = {}
+        # eps reads the top monomial of column i, at pos_i, as 1/c_i
+        self._eps: Dict[int, object] = {}
         for i in range(q.n_vertices):
-            cols = [(j, algebra.block_positions(top, j, i)) for j in range(q.n_vertices)]
-            cols = [(j, pos) for j, pos in cols if pos]
-            if len(cols) != 1 or len(cols[0][1]) != 1:
+            tops = [(j, pos) for j in range(q.n_vertices)
+                    for pos in algebra.block_positions(top, j, i)]
+            if len(tops) != 1:
                 raise FrobeniusError(
                     f"top component of column {i} is not one-dimensional")
-            j, (pos,) = cols[0]
+            (j, pos), = tops
             self.nu_bar[i] = j
             pi = socle.get(i)
             if pi is None:
@@ -60,78 +65,63 @@ class FrobeniusStructure:
                 raise FrobeniusError(
                     f"socle generator of column {i} must be a multiple of the "
                     "top basis monomial")
-            self.pi[i] = pi
-            self._pi_coeff[i] = (pos, c)
+            self._eps[pos] = self.field.inv(c)
         if sorted(self.nu_bar.values()) != list(range(q.n_vertices)):
             raise FrobeniusError("socle targets do not permute the vertices")
-        # adapted basis: all monomials, top ones rescaled to the socle generators
-        self.basis: List[Elem] = []
-        self.basis_block: List[Tuple[int, int, int]] = []  # (weight, tgt, src)
-        self._by_block: Dict[Tuple[int, int, int], List[int]] = {}
-        for m in range(top + 1):
-            for pos, path in enumerate(algebra.monomials[m]):
-                j, i = algebra.block_of[m][pos]
-                if m == top:
-                    self.basis.append(self.pi[i])
-                else:
-                    self.basis.append({(m, pos): self.field.one})
-                self._by_block.setdefault((m, j, i), []).append(len(self.basis_block))
-                self.basis_block.append((m, j, i))
-        self.dim = len(self.basis)
-        self._dual: Optional[List[Elem]] = None
+        self.terms: List[Term] = algebra.terms
+        self.dim = len(self.terms)
+        self._dual: Optional[Dict[Term, Elem]] = None
         self._nu_scalars: Optional[Dict[int, Tuple[int, object]]] = None
 
     # -- the bilinear form ---------------------------------------------------
 
-    def pi_coefficient(self, x: Elem, i: int):
-        """Coefficient of the socle generator of column i in x."""
-        pos, c = self._pi_coeff[i]
-        top = x.get((self.top, pos))
-        return self.field.div(top, c) if top else self.field.zero
+    def form(self, y: Elem, x: Elem):
+        """(y, x) = eps(yx)."""
+        field = self.field
+        out = field.zero
+        # every top monomial is the top of one column, so _eps covers them all
+        for (m, pos), c in self.algebra.multiply(y, x).items():
+            if m == self.top:
+                out = field.add(out, field.mul(c, self._eps[pos]))
+        return out
 
-    def form(self, y: Elem, x: Elem, src: int):
-        """(y, x) for x in the column of vertex src."""
-        prod = self.algebra.multiply(y, x)
-        return self.pi_coefficient(prod, src)
+    def _paired(self, m: int, j: int, i: int) -> List[Term]:
+        """Monomials w whose form (w, x) can be nonzero for x in e_j A_m e_i."""
+        n = self.top - m
+        return [(n, pos) for pos in self.algebra.block_positions(n, self.nu_bar[i], j)]
 
-    def _paired_block(self, block: Tuple[int, int, int]) -> List[int]:
-        """Basis indices w whose form (basis[w], basis[v]) can be nonzero for v in block."""
-        m, j, i = block
-        return self._by_block.get((self.top - m, self.nu_bar[i], j), [])
-
-    def dual_basis(self) -> List[Elem]:
-        """Basis with (dual[v], basis[w]) = delta_{vw}; errors if degenerate."""
+    def dual_basis(self) -> Dict[Term, Elem]:
+        """{x: dual(x)} with (dual(x), x') = delta_{x x'}; errors if degenerate."""
         if self._dual is not None:
             return self._dual
         field = self.field
-        dual: List[Elem] = [{}] * self.dim
-        for blk, vs in self._by_block.items():
-            ws = self._paired_block(blk)
-            n = len(ws)
-            if n != len(vs):
-                raise FrobeniusError("degenerate form: unbalanced paired blocks")
-            # want dual[v] = sum_w c_w basis[w] with (dual[v], basis[v']) = delta;
-            # row v' of [G | I] holds G[v'][w] = (basis[w], basis[v']), and its
-            # reduced form is [I | G^-1] exactly when G is invertible
-            rows = []
-            for r, vp in enumerate(vs):
-                row = {}
-                for k, w in enumerate(ws):
-                    val = self.form(self.basis[w], self.basis[vp], blk[2])
-                    if not field.is_zero(val):
-                        row[k] = val
-                row[n + r] = field.one
-                rows.append(row)
-            reduced, pivots = rref(rows, 2 * n, field)
-            if pivots[-1] >= n:
-                raise FrobeniusError("degenerate form: singular Gram block")
-            for col_v, v in enumerate(vs):
-                d: Elem = {}
-                for k, w in enumerate(ws):
-                    c = reduced[k].get(n + col_v)
-                    if c is not None:
-                        d = self.algebra.elem_add(d, self.basis[w], c)
-                dual[v] = d
+        one = field.one
+        dual: Dict[Term, Elem] = {}
+        for m, blocks in enumerate(self.algebra.blocks):
+            for (j, i), vs in blocks.items():
+                ws = self._paired(m, j, i)
+                n = len(ws)
+                if n != len(vs):
+                    raise FrobeniusError("degenerate form: unbalanced paired blocks")
+                # want dual(v) = sum_w c_w w with (dual(v), v') = delta; row v'
+                # of [G | I] holds G[v'][w] = (w, v'), and its reduced form is
+                # [I | G^-1] exactly when G is invertible
+                rows = []
+                for r, vp in enumerate(vs):
+                    x = {(m, vp): one}
+                    row = {}
+                    for k, w in enumerate(ws):
+                        val = self.form({w: one}, x)
+                        if not field.is_zero(val):
+                            row[k] = val
+                    row[n + r] = one
+                    rows.append(row)
+                reduced, pivots = rref(rows, 2 * n, field)
+                if pivots[-1] >= n:
+                    raise FrobeniusError("degenerate form: singular Gram block")
+                for col_v, v in enumerate(vs):
+                    dual[(m, v)] = {w: reduced[k][n + col_v] for k, w in enumerate(ws)
+                                    if n + col_v in reduced[k]}
         self._dual = dual
         return dual
 
@@ -140,7 +130,7 @@ class FrobeniusStructure:
     def nakayama_arrow_scalars(self) -> Dict[int, Tuple[int, object]]:
         """nu(a) = c * beta as {a: (beta, c)}, solved once from (nu(x), y) = (y, x).
 
-        Every basis element y is read, so the solve also checks that the form
+        Every monomial y is read, so the solve also checks that the form
         determines nu on each arrow and that all the ratios agree.
         """
         if self._nu_scalars is not None:
@@ -160,10 +150,10 @@ class FrobeniusStructure:
             x = self.algebra.arrow_elem(a)
             bel = self.algebra.arrow_elem(beta)
             c = None
-            for w in range(self.dim):
-                lhs = self.form(self.basis[w], x, s)  # (y, x)
-                _mw, _jw, iw = self.basis_block[w]
-                rhs = self.form(bel, self.basis[w], iw)  # (beta, y)
+            for w in self.terms:
+                y = {w: field.one}
+                lhs = self.form(y, x)  # (y, x)
+                rhs = self.form(bel, y)  # (beta, y)
                 if field.is_zero(rhs):
                     if not field.is_zero(lhs):
                         raise FrobeniusError("form does not determine nu on an arrow")
@@ -206,95 +196,68 @@ class FrobeniusStructure:
         """nu(sigma_i) proportional to sigma_{nu_bar(i)} before reduction."""
         pres = self.algebra.presentation
         field = self.field
-        q = self.algebra.quiver
         scalars = self.nakayama_arrow_scalars()
-        paths2 = {}
-        for r, rel in enumerate(pres.relations):
-            vec = {}
-            for coeff, (left, right) in rel:
-                vec[(left, right)] = vec.get((left, right), 0) + coeff
-            paths2[r] = field.settle(vec)
-        for r, rel in enumerate(pres.relations):
+        for rel, i in zip(pres.relations, pres.sigma_vertices):
             img: Dict[Tuple[int, int], object] = {}
             for coeff, (left, right) in rel:
                 bl, cl = scalars[left]
                 br, cr = scalars[right]
                 img[(bl, br)] = img.get((bl, br), 0) + coeff * cl * cr
             img = field.settle(img)
-            i = pres.sigma_vertices[r]
-            target = next(rr for rr, v in enumerate(pres.sigma_vertices)
-                          if v == self.nu_bar[i])
-            tvec = paths2[target]
-            # img must be a scalar multiple of tvec
-            ratio = None
-            if set(img) != set(tvec):
+            target = pres.relations[pres.relation_of_vertex[self.nu_bar[i]]]
+            # img must be a scalar multiple of the target relation, whose
+            # arrow pairs are distinct with nonzero coefficients
+            if set(img) != {pair for _c, pair in target}:
                 return False
-            for key, c in img.items():
-                rr = field.div(c, tvec[key])
-                if ratio is None:
-                    ratio = rr
-                elif ratio != rr:
-                    return False
+            ratios = {field.div(img[pair], c) for c, pair in target}
+            if len(ratios) != 1:
+                return False
         return True
 
     def form_is_nakayama_symmetric(self) -> bool:
-        """(y, x) = (nu(x), y) on all basis pairs, block-sparsely."""
-        for v in range(self.dim):
-            iv = self.basis_block[v][2]
-            nx = self.nakayama_on_elem(self.basis[v])
-            for w in self._paired_block(self.basis_block[v]):
-                _mw, _jw, iw = self.basis_block[w]
-                if self.form(self.basis[w], self.basis[v], iv) != \
-                        self.form(nx, self.basis[w], iw):
+        """(y, x) = (nu(x), y) on all monomial pairs, block-sparsely."""
+        one = self.field.one
+        for m, pos in self.terms:
+            x = {(m, pos): one}
+            nx = self.nakayama_on_elem(x)
+            j, i = self.algebra.block_of[m][pos]
+            for w in self._paired(m, j, i):
+                y = {w: one}
+                if self.form(y, x) != self.form(nx, y):
                     return False
         return True
 
     def form_is_associative(self, samples: Sequence[Tuple[int, int, int]]) -> bool:
-        """(y z, x) = (y, z x) on the given basis index triples."""
+        """(y z, x) = (y, z x) on the given triples of monomial indices."""
         alg = self.algebra
-        for (y, z, x) in samples:
-            _m, _j, ix = self.basis_block[x]
-            _m2, _j2, iz = self.basis_block[z]
-            lhs = self.form(alg.multiply(self.basis[y], self.basis[z]), self.basis[x], ix)
-            zx = alg.multiply(self.basis[z], self.basis[x])
-            rhs = self.form(self.basis[y], zx, ix)
-            if lhs != rhs:
+        one = self.field.one
+        for idx in samples:
+            y, z, x = ({self.terms[k]: one} for k in idx)
+            if self.form(alg.multiply(y, z), x) != self.form(y, alg.multiply(z, x)):
                 return False
         return True
 
     def dual_pairing_check(self) -> bool:
+        """(dual(w), v) = delta_{vw} on every pair of monomials."""
         dual = self.dual_basis()
         field = self.field
-        for v in range(self.dim):
-            _mv, _jv, iv = self.basis_block[v]
-            for w in range(self.dim):
-                val = self.form(dual[w], self.basis[v], iv)
+        for v in self.terms:
+            x = {v: field.one}
+            for w in self.terms:
                 want = field.one if v == w else field.zero
-                if val != want:
+                if self.form(dual[w], x) != want:
                     return False
         return True
 
     # -- the degree-3 transported differentials ----------------------------------
 
-    def diagonal_coords(self) -> List[Tuple[int, int]]:
-        """Coordinates of the direct sum over vertices of e_i A e_i."""
+    def vertex_coords(self, twisted: bool) -> List[Term]:
+        """Coordinates of the direct sum over vertices i of e_i A e_i, or of
+        e_i A e_{nu_bar(i)} when twisted, weight by weight."""
         alg = self.algebra
-        out = []
-        for m in range(self.top + 1):
-            for i in range(alg.quiver.n_vertices):
-                for pos in alg.block_positions(m, i, i):
-                    out.append((m, pos))
-        return out
-
-    def twisted_coords(self) -> List[Tuple[int, int]]:
-        """Coordinates of the direct sum over vertices of e_i A e_{nu_bar(i)}."""
-        alg = self.algebra
-        out = []
-        for m in range(self.top + 1):
-            for i in range(alg.quiver.n_vertices):
-                for pos in alg.block_positions(m, i, self.nu_bar[i]):
-                    out.append((m, pos))
-        return out
+        return [(m, pos) for m in range(self.top + 1)
+                for i in range(alg.quiver.n_vertices)
+                for pos in alg.block_positions(m, i, self.nu_bar[i] if twisted else i)]
 
     def delta_maps(self) -> Tuple[LinearMap, LinearMap]:
         """Exact matrices of the two transported degree-3 differentials.
@@ -305,16 +268,16 @@ class FrobeniusStructure:
         alg = self.algebra
         field = self.field
         dual = self.dual_basis()
-        dcoords = self.diagonal_coords()
-        tcoords = self.twisted_coords()
+        dcoords = self.vertex_coords(False)
+        tcoords = self.vertex_coords(True)
         dindex = {c: k for k, c in enumerate(dcoords)}
         tindex = {c: k for k, c in enumerate(tcoords)}
 
         def column(y: Elem, up: bool) -> SparseVec:
             col: SparseVec = {}
-            for x_idx in range(self.dim):
-                x = self.basis[x_idx]
-                xh = dual[x_idx]
+            for t in self.terms:
+                x = {t: field.one}
+                xh = dual[t]
                 if up:
                     term = alg.multiply(xh, alg.multiply(y, x))
                 else:
@@ -370,25 +333,20 @@ class Degree2Comparison:
         self.frob = frob
         alg = kd.algebra
         field = kd.field
-        pres = alg.presentation
         delta_up, delta_down = frob.delta_maps()
-        dcoords = frob.diagonal_coords()
-        tcoords = frob.twisted_coords()
+        dcoords = frob.vertex_coords(False)
+        # the relation sigma_i of the vertex i of each diagonal coordinate
+        rel_of = [alg.presentation.relation_of_vertex[alg.block_of[m][pos][0]]
+                  for m, pos in dcoords]
         # HH^2 = ker(delta_up) / Im(b_K^2), inside HK^2 classes
         ker_up = kernel(delta_up)
-        rel_of_vertex = {v: r for r, v in enumerate(pres.sigma_vertices)}
         hh2_class_vectors: List[SparseVec] = []
-        self._hh2_cocycles: List[Cochain] = []
         for row in ker_up.rows:
             rel_values: Dict[int, Elem] = {}
             for k, c in row.items():
-                m, pos = dcoords[k]
-                i = alg.block_of[m][pos][0]
-                r = rel_of_vertex[i]
-                cur = rel_values.get(r, {})
-                rel_values[r] = alg.elem_add(cur, {(m, pos): field.one}, c)
+                r = rel_of[k]
+                rel_values[r] = alg.elem_add(rel_values.get(r, {}), {dcoords[k]: field.one}, c)
             f = kd.cochain_on_relations(rel_values)
-            self._hh2_cocycles.append(f)
             vec = {k: c for k, c in enumerate(coh.class_of(f))
                    if not field.is_zero(c)}
             hh2_class_vectors.append(vec)
@@ -398,16 +356,9 @@ class Degree2Comparison:
         # HH_2 = HK_2 / (classes of Im(delta_down))
         img_down = image(delta_down)
         killed: List[SparseVec] = []
-        self.delta3_image_cycles: List[Chain] = []
         for row in img_down.rows:
             # identify the diagonal sum with chains: y at vertex i -> y (x) sigma_i
-            pairs = []
-            for k, c in row.items():
-                m, pos = dcoords[k]
-                i = alg.block_of[m][pos][0]
-                pairs.append(({(m, pos): c}, rel_of_vertex[i]))
-            z = kd.chain_on_relations(pairs)
-            self.delta3_image_cycles.append(z)
+            z = kd.chain_on_relations([({dcoords[k]: c}, rel_of[k]) for k, c in row.items()])
             if not z.is_cycle():
                 raise FrobeniusError("transported degree-3 image is not a cycle")
             killed.append({k: c for k, c in enumerate(hom.class_of(z))
@@ -433,8 +384,7 @@ class BarOracle:
         alg = algebra
         field = alg.field
         q = alg.quiver
-        terms = [(m, pos) for m in range(alg.max_weight + 1)
-                 for pos in range(len(alg.monomials[m]))]
+        terms = alg.terms
         blocks = {t: alg.block_of[t[0]][t[1]] for t in terms}
         # C^0: diagonal coordinates
         c0 = [t for t in terms if blocks[t][0] == blocks[t][1]]

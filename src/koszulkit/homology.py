@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A, MODULE_K, NotClosedError
+from .koszul import (Chain, Cochain, KoszulCalculus, MODULE_A, MODULE_K, ModuleError,
+                     NotClosedError)
 from .linalg import (LinearMap, NotInSubspaceError, QuotientSpace, SparseVec,
                      full_subspace, image, kernel, rank, zero_subspace)
 
@@ -249,7 +250,8 @@ class CalculusSpaces(_GradedDims):
         Z = ker(b_K) as its coordinates are read, and the blocks it does not
         touch read zero.  Only an element with a component outside the
         layout (the top weight of a truncated algebra) has b_K applied to
-        the whole of it first."""
+        the whole of it first.  An element over another coefficient module
+        than these spaces' is refused before any work."""
         kd = self.kd
         if self.side == "coh":
             if not isinstance(obj, Cochain) or obj.p > self.p_max:
@@ -259,9 +261,12 @@ class CalculusSpaces(_GradedDims):
             if not isinstance(obj, Chain) or obj.q > self.p_max:
                 raise NotClosedError("not a chain in the computed range")
             apply, not_closed = kd.apply_bK_chain, "not a cycle: differential is nonzero"
+        if obj.module != self.module:
+            raise ModuleError(f"a {obj.module}-valued element has no class in "
+                              f"{self.module}-coefficient spaces")
         total, offsets = self._layout(obj.degree)
         touched = obj.coefficient_weights() if self.module == MODULE_A else [None]
-        if obj.module != self.module or any(m not in offsets for m in touched):
+        if any(m not in offsets for m in touched):
             if not apply(obj).is_zero():
                 raise NotClosedError(not_closed)
         coords: List[object] = [kd.field.zero] * total

@@ -135,7 +135,7 @@ class Preset:
         return self.quiver.arrow_index[name]
 
     def relation_of_vertex(self, i: int) -> int:
-        return self.presentation.sigma_vertices.index(i)
+        return self.presentation.relation_of_vertex[i]
 
 
 def _rep(chunk: Word, k: int) -> Word:

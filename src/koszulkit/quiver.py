@@ -237,8 +237,9 @@ def preprojective_presentation(spec: PreprojectiveSpec, field: Field) -> Quadrat
             relations.append(rel)
     pres = QuadraticPresentation(q, relations, field)
     pres.preprojective = spec  # type: ignore[attr-defined]
-    # vertex of each sigma relation, in relation order
+    # vertex of each sigma relation, in relation order, and its inverse
     pres.sigma_vertices = [q.target[rel[0][1][0]] for rel in pres.relations]  # type: ignore[attr-defined]
+    pres.relation_of_vertex = {i: r for r, i in enumerate(pres.sigma_vertices)}  # type: ignore[attr-defined]
     return pres
 
 

@@ -14,14 +14,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from . import __version__
 from .algebra import build_graded_algebra, default_cutoff
 from .duality import ae_coefficient_route, omega0, verify_duality
 from .fields import Field, field_from_tag
 from .frobenius import BarOracle, Degree2Comparison, FrobeniusStructure
-from .homology import CalculusSpaces, higher_calculus, koszul_homology
+from .homology import CalculusSpaces, HigherSpaces, higher_calculus, koszul_homology
 from .koszul import Cochain, KoszulCalculus, MODULE_A, MODULE_K
 from .presets import Preset, normalize_preset_name, socle_generators
 from .quiver import (PreprojectiveSpec, graph_from_json,
@@ -120,7 +120,8 @@ def _element_json(kd, obj) -> List[Dict]:
     return out
 
 
-def _spaces_json(kd, spaces: CalculusSpaces, with_bases: bool) -> Dict:
+def _spaces_json(kd, spaces: Union[CalculusSpaces, HigherSpaces], with_bases: bool) -> Dict:
+    """Dims and bigraded dims, and with_bases the class bases of CalculusSpaces."""
     out: Dict[str, object] = {
         "dims": spaces.dims(),
         "bigraded": {str(p): {str(m): d for m, d in spaces.bigraded_dims(p).items()}
@@ -272,14 +273,8 @@ def run(config: RunConfig) -> Dict:
             hi_coh = higher_calculus(coh)
             hi_hom = higher_calculus(hom)
         report["higher"] = {
-            "cohomology": {"dims": hi_coh.dims(),
-                           "bigraded": {str(p): {str(m): d for m, d
-                                                 in hi_coh.bigraded_dims(p).items()}
-                                        for p in range(coh.p_max + 1)}},
-            "homology": {"dims": hi_hom.dims(),
-                         "bigraded": {str(p): {str(m): d for m, d
-                                               in hi_hom.bigraded_dims(p).items()}
-                                      for p in range(hom.p_max + 1)}},
+            "cohomology": _spaces_json(kd, hi_coh, with_bases=False),
+            "homology": _spaces_json(kd, hi_hom, with_bases=False),
         }
     else:
         hi_coh = hi_hom = None

@@ -208,6 +208,16 @@ def hochschild2_checks(name: str, char: int, log: Optional[CheckLog] = None,
                f"computed {frob.nu_bar}, expected {nbar}")
 
     cmp2 = Degree2Comparison(comp.kd, frob, comp.coh, comp.hom)
+
+    def tabulated_span(check: str, vectors, subspace, computed: str) -> None:
+        """The tabulated class vectors lie in the computed subspace and span it."""
+        rows = [{k: c for k, c in enumerate(vec) if not field.is_zero(c)} for vec in vectors]
+        inside = all(subspace.contains(row) for row in rows)
+        span_dim = rank(rows, subspace.ambient, field)
+        log.record(f"{key}.{check}", inside and span_dim == subspace.dim,
+                   f"tabulated span {span_dim}, {computed} {subspace.dim}, "
+                   f"contained: {inside}")
+
     exp_hh2 = adedata.expected_hh2_dim(name, char)
     if exp_hh2 is not None:
         log.record(f"{key}.HH2.dim", cmp2.hh2_dim == exp_hh2,
@@ -218,18 +228,9 @@ def hochschild2_checks(name: str, char: int, log: Optional[CheckLog] = None,
                          for lbl in comp.gens.all_labels()
                          if comp.gens.degree_of(lbl) == 2}
         dim2 = comp.coh.dim(2)
-        rows = []
-        inside = True
-        for combo in basis:
-            vec = _combo_vector(comp, combo, class_vectors, dim2)
-            svec = {k: c for k, c in enumerate(vec) if not field.is_zero(c)}
-            rows.append(svec)
-            if not cmp2.hh2_subspace.contains(svec):
-                inside = False
-        span_dim = rank(rows, dim2, field)
-        log.record(f"{key}.HH2.basis", inside and span_dim == cmp2.hh2_dim,
-                   f"tabulated span {span_dim}, computed dim {cmp2.hh2_dim}, "
-                   f"contained: {inside}")
+        tabulated_span("HH2.basis", [_combo_vector(comp, combo, class_vectors, dim2)
+                                     for combo in basis],
+                       cmp2.hh2_subspace, "computed dim")
     defect = adedata.expected_hh_2_defect(name, char)
     if defect is not None:
         got = cmp2.hk_2_dim - cmp2.hh_2_dim
@@ -238,24 +239,14 @@ def hochschild2_checks(name: str, char: int, log: Optional[CheckLog] = None,
     killed = adedata.hh_2_killed_generators(name, char)
     if killed is not None:
         w0 = omega0(comp.kd)
-        rows = []
-        inside = True
-        dimh2 = comp.hom.dim(2)
+        cycles = []
         for combo in killed:
             z = comp.kd.zero_chain(2)
             for lbl, coeff in combo.items():
                 zc = comp.kd.cap(comp.gens.cochain(lbl), w0, side="right")
                 z = z.add(zc, field.from_int(coeff))
-            vec = comp.hom.class_of(z)
-            svec = {k: c for k, c in enumerate(vec) if not field.is_zero(c)}
-            rows.append(svec)
-            if not cmp2.killed_subspace.contains(svec):
-                inside = False
-        span_dim = rank(rows, dimh2, field)
-        log.record(f"{key}.HH_2.killed-span",
-                   inside and span_dim == cmp2.killed_subspace.dim,
-                   f"tabulated span {span_dim}, computed "
-                   f"{cmp2.killed_subspace.dim}, contained: {inside}")
+            cycles.append(comp.hom.class_of(z))
+        tabulated_span("HH_2.killed-span", cycles, cmp2.killed_subspace, "computed")
     log.record(f"{key}.cartan-kernel", cmp2.ker_up_weight0_dim == cmp2.cartan_kernel_dim,
                f"weight-0 kernel {cmp2.ker_up_weight0_dim}, Cartan kernel "
                f"{cmp2.cartan_kernel_dim}")
@@ -364,39 +355,24 @@ class PropertySuite:
         if m is None:
             m = self.rng.randrange(self.kd.algebra.max_weight + 1)
         space = CoordSpace(self.kd, p, m, MODULE_A, side)
-        vec: SparseVec = {}
-        for k in range(space.dim):
-            c = self._rand_scalar()
-            if not self.kd.field.is_zero(c):
-                vec[k] = c
-        return space.unflatten(vec)
+        one = self.kd.field.one
+        return space.unflatten(self._random_member([{k: one} for k in range(space.dim)]))
 
-    def random_cocycle(self, p: int) -> Optional[Cochain]:
-        assert self.coh is not None
-        weights = [m for (pp, m), blk in self.coh.blocks.items()
+    def _random_closed(self, spaces: CalculusSpaces, p: int):
+        """A random closed element of degree p, in a weight drawn among those
+        with a nonzero cocycle (cycle) space; None when there is none."""
+        weights = [m for (pp, m), blk in spaces.blocks.items()
                    if pp == p and blk.quotient.z.dim > 0]
         if not weights:
             return None
-        m = self.rng.choice(weights)
-        blk = self.coh.blocks[(p, m)]
-        vec = self._random_member(blk.quotient.z)
-        return blk.space.unflatten(vec)
+        blk = spaces.blocks[(p, self.rng.choice(weights))]
+        return blk.space.unflatten(self._random_member(blk.quotient.z.rows))
 
-    def random_cycle(self, q: int) -> Optional[Chain]:
-        assert self.hom is not None
-        weights = [n for (qq, n), blk in self.hom.blocks.items()
-                   if qq == q and blk.quotient.z.dim > 0]
-        if not weights:
-            return None
-        n = self.rng.choice(weights)
-        blk = self.hom.blocks[(q, n)]
-        vec = self._random_member(blk.quotient.z)
-        return blk.space.unflatten(vec)
-
-    def _random_member(self, sub) -> SparseVec:
+    def _random_member(self, rows: Sequence[SparseVec]) -> SparseVec:
+        """A random combination of the rows, one scalar drawn per row."""
         field = self.kd.field
         vec: SparseVec = {}
-        for row in sub.rows:
+        for row in rows:
             field.add_into(vec, row, self._rand_scalar())
         return vec
 
@@ -444,12 +420,9 @@ class PropertySuite:
         repeat("b^K = -[eA, -]_cap", funda_cap)
 
         repeat("(f cup g) cup h assoc", self._assoc_cup)
-        repeat("f cap (g cap z) = (f cup g) cap z",
-               lambda: self._assoc_cap_left(self.random_chain(2)))
-        repeat("(z cap g) cap f = z cap (g cup f)",
-               lambda: self._assoc_cap_right(self.random_chain(2)))
-        repeat("f cap (z cap g) = (f cap z) cap g",
-               lambda: self._assoc_cap_mixed(self.random_chain(2)))
+        repeat("f cap (g cap z) = (f cup g) cap z", lambda: self._assoc_cap("left", "left"))
+        repeat("(z cap g) cap f = z cap (g cup f)", lambda: self._assoc_cap("right", "right"))
+        repeat("f cap (z cap g) = (f cap z) cap g", lambda: self._assoc_cap("left", "right"))
 
         def biweight_cochain():
             m = self.rng.randrange(0, kd.algebra.max_weight)
@@ -466,19 +439,22 @@ class PropertySuite:
         repeat("b^K biweight (-1,+1)", biweight_chain)
 
         if preprojective and self.coh is not None and self.hom is not None:
+            def graded_equal(x, y, n) -> bool:
+                """x = (-1)^n y, coordinate by coordinate."""
+                sign = field.sign(n)
+                return all(field.is_zero(field.sub(a, field.mul(sign, b)))
+                           for a, b in zip(x, y))
+
             def class_commutative():
                 while True:
                     pa = self.rng.randrange(0, 3)
                     pb = self.rng.randrange(0, 3 - pa)
-                    fa = self.random_cocycle(pa)
-                    fb = self.random_cocycle(pb)
+                    fa = self._random_closed(self.coh, pa)
+                    fb = self._random_closed(self.coh, pb)
                     if fa is None or fb is None:
                         continue
-                    ab = self.coh.class_of(kd.cup(fa, fb))
-                    ba = self.coh.class_of(kd.cup(fb, fa))
-                    sign = field.sign(pa * pb)
-                    return all(field.is_zero(field.sub(x, field.mul(sign, y)))
-                               for x, y in zip(ab, ba))
+                    return graded_equal(self.coh.class_of(kd.cup(fa, fb)),
+                                        self.coh.class_of(kd.cup(fb, fa)), pa * pb)
 
             repeat("class cup graded commutative", class_commutative)
 
@@ -486,15 +462,12 @@ class PropertySuite:
                 while True:
                     pa = self.rng.randrange(0, 3)
                     qb = self.rng.randrange(pa, 3)
-                    fa = self.random_cocycle(pa)
-                    zb = self.random_cycle(qb)
+                    fa = self._random_closed(self.coh, pa)
+                    zb = self._random_closed(self.hom, qb)
                     if fa is None or zb is None:
                         continue
-                    left = self.hom.class_of(kd.cap(fa, zb, "left"))
-                    right = self.hom.class_of(kd.cap(fa, zb, "right"))
-                    sign = field.sign(pa * qb)
-                    return all(field.is_zero(field.sub(x, field.mul(sign, y)))
-                               for x, y in zip(left, right))
+                    return graded_equal(self.hom.class_of(kd.cap(fa, zb, "left")),
+                                        self.hom.class_of(kd.cap(fa, zb, "right")), pa * qb)
 
             repeat("class cap graded symmetric", class_symmetric)
         if self.coh is not None:
@@ -510,38 +483,21 @@ class PropertySuite:
         h = self.random_cochain(p3)
         return kd.cup(kd.cup(f, g), h).equals(kd.cup(f, kd.cup(g, h)))
 
-    def _assoc_cap_left(self, z: Chain) -> bool:
+    def _assoc_cap(self, outer: str, inner: str) -> bool:
+        """f cap_outer (g cap_inner z) for a random 2-chain z and cochains of
+        total degree at most 2: against (f cup g) cap z, z cap (g cup f) when
+        both sides are right, and g cap_inner (f cap_outer z) when they differ."""
         kd = self.kd
-        p1 = self.rng.randrange(0, 2)
-        p2 = self.rng.randrange(0, 3 - p1 - 0)
-        if p1 + p2 > z.q:
-            p1 = p2 = 0
-        f = self.random_cochain(p1)
-        g = self.random_cochain(p2)
-        return kd.cap(f, kd.cap(g, z, "left"), "left").equals(
-            kd.cap(kd.cup(f, g), z, "left"))
-
-    def _assoc_cap_right(self, z: Chain) -> bool:
-        kd = self.kd
+        z = self.random_chain(2)
         p1 = self.rng.randrange(0, 2)
         p2 = self.rng.randrange(0, 3 - p1)
-        if p1 + p2 > z.q:
-            p1 = p2 = 0
         f = self.random_cochain(p1)
         g = self.random_cochain(p2)
-        return kd.cap(f, kd.cap(g, z, "right"), "right").equals(
-            kd.cap(kd.cup(g, f), z, "right"))
-
-    def _assoc_cap_mixed(self, z: Chain) -> bool:
-        kd = self.kd
-        p1 = self.rng.randrange(0, 2)
-        p2 = self.rng.randrange(0, 3 - p1)
-        if p1 + p2 > z.q:
-            p1 = p2 = 0
-        f = self.random_cochain(p1)
-        g = self.random_cochain(p2)
-        return kd.cap(f, kd.cap(g, z, "right"), "left").equals(
-            kd.cap(g, kd.cap(f, z, "left"), "right"))
+        lhs = kd.cap(f, kd.cap(g, z, inner), outer)
+        if outer != inner:
+            return lhs.equals(kd.cap(g, kd.cap(f, z, outer), inner))
+        fg = kd.cup(f, g) if outer == "left" else kd.cup(g, f)
+        return lhs.equals(kd.cap(fg, z, outer))
 
     def _check_center(self) -> None:
         kd = self.kd
@@ -574,8 +530,7 @@ def direct_higher0_dim(alg) -> int:
     """dim of {u central : exists v with u a = v a - a v for all arrows}."""
     field = alg.field
     center = alg.center_basis()
-    terms = [(m, pos) for m in range(alg.max_weight + 1)
-             for pos in range(len(alg.monomials[m]))]
+    terms = alg.terms
     n_unknowns = len(center) + len(terms)
     # column of each unknown, keyed by equation (arrow, term): a center
     # element z gives z a, a monomial v gives -(v a - a v)

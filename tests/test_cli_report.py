@@ -46,6 +46,26 @@ def test_reports_byte_identical_to_recorded_digests(name, tag):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RECORDED_DIGESTS[(name, tag)]
 
 
+#: the same for the verification analyses, recorded before the Frobenius data
+#: moved to the monomial basis and the property suite lost its duplicate
+#: samplers
+RECORDED_ANALYSIS_DIGESTS = {
+    ("A3", "Q", "hochschild2"): "fd38fa34da32b1fe858c5ea5514c493b33e4fdae08767a2bc2c7e67c819ff037",
+    ("A3", "Q", "properties"): "17bf6f0fa5e2ee2e9030aa9a1e34a96348320d3ab4a9d315a701740c37c55388",
+    ("E6", "F:3", "hochschild2"): "4576a2bebce101810353654bba336bfeb44c01754b0a6e11324c9f2faf6b5227",
+    ("E6", "F:3", "properties"): "062d7d5e9ab7355604a3b44abd24cf68821b112b1775172eaece22877fcb1c92",
+}
+
+
+@pytest.mark.parametrize("name,tag,analysis", sorted(RECORDED_ANALYSIS_DIGESTS),
+                         ids=["-".join(k) for k in sorted(RECORDED_ANALYSIS_DIGESTS)])
+def test_verification_reports_match_recorded_digests(name, tag, analysis):
+    cfg = RunConfig(preset=name, field_tag=tag, analyses=("calculus", analysis))
+    text = render(_strip_timings(run(cfg)))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == RECORDED_ANALYSIS_DIGESTS[(name, tag, analysis)]
+
+
 def test_a3_report_contents(tmp_path):
     out = tmp_path / "a3.json"
     code = main(["calculus", "--preset", "A3", "--field", "Q",
@@ -206,6 +226,15 @@ def test_max_degree_below_two_is_refused(capsys, degree):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: max_degree must be at least 2, got {degree}\n"
+
+
+def test_prime_beyond_the_certified_bound_is_refused(capsys):
+    p = 2**89 - 1
+    assert main(["calculus", "--preset", "A3", "--field", f"F:{p}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {p} is beyond the certified primality bound "
+                            "3317044064679887385961981\n")
 
 
 def test_ae_coefficients_route(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,9 +9,11 @@ from koszulkit.frobenius import (BarOracle, Degree2Comparison, FrobeniusError,
                                  FrobeniusStructure, cartan_kernel_dim)
 from koszulkit.homology import koszul_homology
 from koszulkit.koszul import KoszulCalculus, MODULE_A
+from koszulkit.linalg import rref
 from koszulkit.presets import (Preset, expected_nakayama_on_arrows,
                                nakayama_graph_permutation, socle_generators)
-from koszulkit.verify import TypeCharComputation, hochschild2_checks
+from koszulkit.verify import (CheckLog, TypeCharComputation, hochschild2_checks,
+                              verify_type_char)
 
 
 def make_frob(name, field):
@@ -72,10 +76,12 @@ def test_degenerate_basis_rejected():
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
 def test_singular_gram_block_rejected(field):
-    _pr, frob = make_frob("D4", field)
+    pr, frob = make_frob("D4", field)
     form = frob.form
+    block_of = pr.algebra.block_of
     # a form that vanishes on column 0 leaves that column's Gram blocks singular
-    frob.form = lambda y, x, src: field.zero if src == 0 else form(y, x, src)
+    frob.form = lambda y, x: (field.zero if any(block_of[m][pos][1] == 0 for m, pos in x)
+                              else form(y, x))
     with pytest.raises(FrobeniusError, match="singular Gram block"):
         frob.dual_basis()
 
@@ -86,12 +92,12 @@ def test_nakayama_solved_once():
     form = frob.form
     calls = []
 
-    def counting_form(y, x, src):
-        calls.append(src)
-        return form(y, x, src)
+    def counting_form(y, x):
+        calls.append(x)
+        return form(y, x)
 
     frob.form = counting_form
-    images = [frob.nakayama_on_elem(b) for b in frob.basis]
+    images = [frob.nakayama_on_elem({t: QQ.one}) for t in frob.terms]
     assert calls == []
     assert frob.nakayama_arrow_scalars() == scalars
     assert all(images)
@@ -100,7 +106,7 @@ def test_nakayama_solved_once():
 def test_delta_up_kills_positive_weight():
     pr, frob = make_frob("A4", QQ)
     delta_up, _delta_down = frob.delta_maps()
-    dcoords = frob.diagonal_coords()
+    dcoords = frob.vertex_coords(False)
     for k, (m, _pos) in enumerate(dcoords):
         if m > 0:
             assert delta_up.cols[k] == {}
@@ -112,8 +118,8 @@ def test_delta_down_on_middle_idempotent_type_a_odd():
     pr, frob = make_frob("A5", QQ)
     m_a = 2
     delta_up, delta_down = frob.delta_maps()
-    tcoords = frob.twisted_coords()
-    dcoords = frob.diagonal_coords()
+    tcoords = frob.vertex_coords(True)
+    dcoords = frob.vertex_coords(False)
     alg = pr.algebra
     k = next(i for i, (m, pos) in enumerate(tcoords)
              if m == 0 and alg.block_of[0][pos] == (m_a, m_a))
@@ -131,8 +137,8 @@ def test_delta_down_trace_formula():
     # sum of socle generators
     pr, frob = make_frob("D4", QQ)
     delta_up, delta_down = frob.delta_maps()
-    tcoords = frob.twisted_coords()
-    dcoords = frob.diagonal_coords()
+    tcoords = frob.vertex_coords(True)
+    dcoords = frob.vertex_coords(False)
     alg = pr.algebra
     traces = frob.nu_trace_matrix()
     socle = socle_generators(pr)
@@ -193,3 +199,118 @@ def test_degree2_comparison_a3():
 def test_hochschild2_suite(name, char):
     log = hochschild2_checks(name, char)
     assert log.ok, log.failures()[:5]
+
+
+def _adapted_reference(pr):
+    """Nakayama scalars and delta maps over the adapted basis: every monomial,
+    with the top one of each column replaced by that column's socle
+    generator, and the form (y, x) read as the coefficient of the socle
+    generator of x's column in yx.  The dual basis inverts the whole Gram
+    matrix at once."""
+    alg, field = pr.algebra, pr.field
+    q, top, one = pr.quiver, alg.max_weight, field.one
+    socle = socle_generators(pr)
+    pi_coeff = {}
+    for i, el in socle.items():
+        ((_m, pos), c), = el.items()
+        pi_coeff[i] = (pos, c)
+    nu_bar = {i: alg.block_of[top][pos][0] for i, (pos, _c) in pi_coeff.items()}
+    basis, columns = [], []
+    for m in range(top + 1):
+        for pos in range(len(alg.monomials[m])):
+            i = alg.block_of[m][pos][1]
+            basis.append(socle[i] if m == top else {(m, pos): one})
+            columns.append(i)
+
+    def form(y, x, i):
+        """The coefficient of the socle generator of column i in yx."""
+        pos, c = pi_coeff[i]
+        return field.div(alg.multiply(y, x).get((top, pos), field.zero), c)
+
+    n = len(basis)
+    rows = []
+    for v in range(n):
+        row = {w: val for w in range(n)
+               if not field.is_zero(val := form(basis[w], basis[v], columns[v]))}
+        row[n + v] = one
+        rows.append(row)
+    reduced, pivots = rref(rows, 2 * n, field)
+    assert pivots == list(range(n))
+    dual = []
+    for v in range(n):
+        d = {}
+        for w in range(n):
+            if n + v in reduced[w]:
+                d = alg.elem_add(d, basis[w], reduced[w][n + v])
+        dual.append(d)
+
+    scalars = {}
+    for a in range(q.n_arrows):
+        beta, = [b for b in range(q.n_arrows) if q.source[b] == nu_bar[q.source[a]]
+                 and q.target[b] == nu_bar[q.target[a]]]
+        ratios = set()
+        for w in range(n):
+            lhs = form(basis[w], alg.arrow_elem(a), q.source[a])
+            rhs = form(alg.arrow_elem(beta), basis[w], columns[w])
+            if not field.is_zero(rhs):
+                ratios.add(field.div(lhs, rhs))
+        c, = ratios
+        scalars[a] = (beta, c)
+
+    def coords(twist):
+        return [(m, pos) for m in range(top + 1) for i in range(q.n_vertices)
+                for pos in alg.block_positions(m, i, twist[i])]
+
+    dcoords, tcoords = coords({i: i for i in nu_bar}), coords(nu_bar)
+
+    def matrix(src, tgt, up):
+        index = {t: k for k, t in enumerate(tgt)}
+        cols = []
+        for t in src:
+            col = {}
+            for x, xh in zip(basis, dual):
+                y = {t: one}
+                term = (alg.multiply(xh, alg.multiply(y, x)) if up
+                        else alg.multiply(x, alg.multiply(y, xh)))
+                field.add_into(col, {index[s]: c for s, c in term.items()}, one)
+            cols.append(col)
+        return cols
+
+    return scalars, matrix(dcoords, tcoords, True), matrix(tcoords, dcoords, False)
+
+
+@pytest.mark.parametrize("name,field", [("D5", QQ), ("D6", GF(3)), ("E7", QQ)],
+                         ids=["D5-Q", "D6-F3", "E7-Q"])
+def test_monomial_basis_matches_the_adapted_basis(name, field):
+    """The monomial basis with eps = sum_i z[top, pos_i] / c_i gives the
+    Nakayama scalars and delta maps of the socle-rescaled basis; these
+    presets have socle generators with coefficient -1."""
+    pr, frob = make_frob(name, field)
+    assert any(c != field.one for el in socle_generators(pr).values() for c in el.values())
+    scalars, up_cols, down_cols = _adapted_reference(pr)
+    delta_up, delta_down = frob.delta_maps()
+    assert frob.nakayama_arrow_scalars() == scalars
+    assert delta_up.cols == up_cols
+    assert delta_down.cols == down_cols
+
+
+#: sha256 of the JSON of the ``verify_type_char`` + ``hochschild2_checks``
+#: log entries (key, ok, detail), recorded before the Frobenius data moved
+#: to the monomial basis
+RECORDED_LOG_DIGESTS = {
+    ("D5", 0): (134, "64be777c0783d31044ea26ab318178a2bff57874618a7c6f37c47005885fc8f4"),
+    ("E6", 3): (189, "1077054f3e0618ed4c7d056f516067b721a67e75452a79e0c9b89f7059f2d2e1"),
+    ("E7", 2): (504, "0fee1f594e835240accd53235f1d9cb47cb716b70619ab31ddcc0a61c4499e27"),
+    ("D4", 2): (130, "6d1cbe8086ff58ebc85f0af0c6416a1621a59b184c0dbe3a9c4ebde36e7299e0"),
+}
+
+
+@pytest.mark.parametrize("name,char", sorted(RECORDED_LOG_DIGESTS),
+                         ids=[f"{n}-{c}" for n, c in sorted(RECORDED_LOG_DIGESTS)])
+def test_verify_logs_match_recorded_digests(name, char):
+    comp = TypeCharComputation(name, char, with_frobenius=False)
+    log = CheckLog()
+    verify_type_char(name, char, log=log, comp=comp)
+    hochschild2_checks(name, char, log=log, comp=comp)
+    digest = hashlib.sha256(json.dumps(log.entries).encode("utf-8")).hexdigest()
+    assert (len(log.entries), digest) == RECORDED_LOG_DIGESTS[(name, char)]

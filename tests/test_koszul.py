@@ -208,6 +208,19 @@ def test_cup_module_rules(a3):
         kd.cup(k_cochain, k_cochain)
 
 
+def test_class_of_refuses_another_coefficient_module(a3, a3_spaces):
+    """An A-valued cycle on k-coefficient spaces, and a k-valued cocycle on
+    A-coefficient spaces, have no class there."""
+    from koszulkit.duality import omega0
+    _pr, kd = a3
+    coh, _hom = a3_spaces
+    with pytest.raises(ModuleError, match="A-valued element has no class in k-coefficient"):
+        koszul_homology(kd, MODULE_K, "hom").class_of(omega0(kd))
+    k_cochain = Cochain(kd, 0, MODULE_K, {0: kd.field.one})
+    with pytest.raises(ModuleError, match="k-valued element has no class in A-coefficient"):
+        coh.class_of(k_cochain)
+
+
 def test_class_extraction_examples(a3, a3_spaces):
     pr, kd = a3
     coh, _hom = a3_spaces

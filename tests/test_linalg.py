@@ -260,6 +260,16 @@ def test_prime_test_matches_trial_division():
     assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
 
 
+def test_prime_fields_beyond_the_certified_bound_are_refused():
+    from koszulkit.fields import _MR_BOUND, field_from_tag
+
+    # the largest prime below the bound is still a field
+    assert GF(_MR_BOUND - 168).p == _MR_BOUND - 168
+    for p in (_MR_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"certified primality bound {_MR_BOUND}"):
+            field_from_tag(f"F:{p}")
+
+
 def _dense_rref(rows, ambient, field):
     """Textbook dense Gauss-Jordan: the reference for the sparse kernels."""
     m = [[row.get(j, field.zero) for j in range(ambient)] for row in rows]
