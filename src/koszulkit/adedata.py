@@ -269,6 +269,16 @@ def hh_2_killed_generators(name: str, char: int) -> Optional[List[ExpectedCombo]
     return None
 
 
+def tabulated(name: str) -> bool:
+    """Whether the tables cover the canonical preset name: A_n from n = 3,
+    D_n from n = 4, E6, E7 and E8."""
+    fam, num = name[:1], name[1:]
+    if not num.isdigit():
+        return False
+    n = int(num)
+    return (fam == "A" and n >= 3) or (fam == "D" and n >= 4) or (fam == "E" and 6 <= n <= 8)
+
+
 def listed_types() -> List[str]:
     return [f"A{n}" for n in range(3, 10)] + [f"D{n}" for n in range(4, 9)] + \
         ["E6", "E7", "E8"]

@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from . import __version__, adedata
-from .presets import PresetError
+from .presets import PresetError, normalize_preset_name
 from .report import ANALYSES, RunConfig, RunError, run, write_report
 from .verify import verify_ade
 
@@ -123,7 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _emit(run(_config_from_args(
                 args, ["calculus", "higher", "duality"])), args)
         if args.command == "verify-ade":
-            types = [t.strip() for t in args.types.split(",") if t.strip()]
+            types = [normalize_preset_name(t) for t in args.types.split(",") if t.strip()]
             chars = [int(c) for c in args.chars.split(",") if c.strip()]
             log = verify_ade(types, chars,
                              threads=os.environ.get("KOSZULKIT_THREADS", "1"))

@@ -23,6 +23,10 @@ class FieldMismatchError(ValueError):
     """Raised when scalars tagged with different fields are combined."""
 
 
+class ScalarParseError(ValueError):
+    """Raised for a written scalar that names no element of the field."""
+
+
 #: Miller-Rabin with these bases decides primality exactly below the bound
 #: (Sorenson and Webster, Math. Comp. 86, 2017); larger moduli are refused
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -116,7 +120,10 @@ class Rationals(Field):
         return a == 0
 
     def parse(self, s: str):
-        return whole(Fraction(s))
+        try:
+            return whole(Fraction(s))
+        except ZeroDivisionError:
+            raise ScalarParseError(f"{s!r} has a zero denominator") from None
 
     def to_json(self, a) -> str:
         if type(a) is int:
@@ -188,10 +195,10 @@ class PrimeField(Field):
         return a % self.p == 0
 
     def parse(self, s: str) -> int:
-        if "/" in s:
-            num, den = s.split("/")
-            return self.div(int(num) % self.p, int(den) % self.p)
-        return int(s) % self.p
+        num, _, den = s.partition("/")
+        if den and int(den) % self.p == 0:
+            raise ScalarParseError(f"{s!r} has a denominator divisible by {self.p}")
+        return self.div(int(num), int(den or 1))
 
     def to_json(self, a) -> int:
         return a % self.p

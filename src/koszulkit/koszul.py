@@ -311,42 +311,22 @@ class KoszulCalculus:
         return Cochain(self, 0, module, self._mod_settle(
             module, {flat[(i, i)][0]: val for i, val in vertex_values.items()}))
 
+    def diagonal_cochain(self, elem: Elem) -> "Cochain":
+        """The 0-cochain of an element of the diagonal blocks e_i A e_i,
+        taking its e_i A e_i part on e_i; an off-diagonal term is refused."""
+        block_of = self.algebra.block_of
+        values: Dict[int, Elem] = {}
+        for (m, pos), c in elem.items():
+            j, i = block_of[m][pos]
+            if i != j:
+                raise ValueError(f"term {(m, pos)} lies outside the diagonal blocks")
+            values.setdefault(i, {})[(m, pos)] = c
+        return self.cochain_on_vertices(dict(sorted(values.items())))
+
     def fundamental_cocycle(self) -> "Cochain":
         """The identity map on the arrow space, as a 1-cochain."""
         return self.cochain_on_arrows(
             {a: self.algebra.arrow_elem(a) for a in range(self.quiver.n_arrows)})
-
-    def fundamental_coboundary_potential(self) -> Optional[Dict[int, object]]:
-        """A vertex potential with unit increment along every arrow, if any.
-
-        When it exists, the weight-0 diagonal cochain it defines has the
-        fundamental 1-cocycle as its differential, exhibiting it as a
-        coboundary.
-        """
-        q = self.quiver
-        field = self.field
-        lam: Dict[int, object] = {}
-        for start in range(q.n_vertices):
-            if start in lam:
-                continue
-            lam[start] = field.zero
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for a in range(q.n_arrows):
-                    nbrs = []
-                    if q.source[a] == v:
-                        nbrs.append((q.target[a], field.add(lam[v], field.one)))
-                    if q.target[a] == v:
-                        nbrs.append((q.source[a], field.sub(lam[v], field.one)))
-                    for w, value in nbrs:
-                        if w in lam:
-                            if lam[w] != value:
-                                return None
-                        else:
-                            lam[w] = value
-                            stack.append(w)
-        return lam
 
     def zero_chain(self, q: int, module: str = MODULE_A) -> "Chain":
         return Chain(self, q, module, {})

@@ -284,7 +284,8 @@ def expected_nakayama_on_arrows(preset: Preset) -> Dict[int, Tuple[int, int]]:
 
 
 class NamedGenerators:
-    """The distinguished cocycles of a Dynkin preset in one characteristic.
+    """The distinguished cocycles of a Dynkin preset in one characteristic,
+    held in ``table`` as ``{label: Cochain}``, degree 0 then 1 then 2.
 
     Two small-characteristic slots have no usable closed form (the written
     candidates reduce to coboundaries or fail the cocycle condition); they
@@ -293,20 +294,13 @@ class NamedGenerators:
     """
 
     def __init__(self, preset: Preset, kd: KoszulCalculus, coh=None):
-        self.preset = preset
-        self.kd = kd
-        self._coh = coh
         field = preset.field
         char = field.char
         alg = preset.algebra
         name = preset.name
         fam, n = name[0], int(name[1:])
-        self.labels0: List[str] = []
-        self.labels1: List[str] = []
-        self.labels2: List[str] = []
-        self.central: Dict[str, Elem] = {}
-        self.cochains1: Dict[str, Cochain] = {}
-        self.rel_values: Dict[str, Dict[int, Elem]] = {}
+        self.table: Dict[str, Cochain] = {}
+        central: Dict[str, Elem] = {}
         c0 = ["a0", "a0*"]
         c2 = ["a2", "a2*"]
         c3 = ["a3*", "a3"]
@@ -314,21 +308,19 @@ class NamedGenerators:
         nbar = nakayama_graph_permutation(preset)
 
         def add_z(label: str, elem: Elem) -> None:
-            self.labels0.append(label)
-            self.central[label] = elem
+            central[label] = elem
+            self.table[label] = kd.diagonal_cochain(elem)
 
         def add_zeta_family(z_labels: Sequence[str]) -> None:
             n_edges = len(preset.graph.edges)
             for lbl in z_labels:
-                z = self.central[lbl]
-                suffix = lbl[1:]
+                z = central[lbl]
                 values = {}
                 for a in range(n_edges):
                     prod = alg.multiply(alg.arrow_elem(a), z)
                     if prod:
                         values[a] = prod
-                self.labels1.append("zeta" + suffix)
-                self.cochains1["zeta" + suffix] = kd.cochain_on_arrows(values)
+                self.table["zeta" + lbl[1:]] = kd.cochain_on_arrows(values)
 
         def add_rho(label: str, arrow_words: Dict[str, List[Tuple[int, Word]]]) -> None:
             values: Dict[int, Elem] = {}
@@ -336,34 +328,28 @@ class NamedGenerators:
                 el = preset.sum_words([(field.from_int(s), w) for s, w in terms])
                 if el:
                     values[preset.arrow(aname)] = el
-            self.labels1.append(label)
-            self.cochains1[label] = kd.cochain_on_arrows(values)
+            self.table[label] = kd.cochain_on_arrows(values)
+
+        def add_on_relation(label: str, elem: Elem, vertex: int = 0) -> None:
+            self.table[label] = kd.cochain_on_relations(
+                {preset.relation_of_vertex(vertex): elem})
 
         def add_h_family() -> None:
             for i in range(n):
-                self.labels2.append(f"h{i}")
-                self.rel_values[f"h{i}"] = {preset.relation_of_vertex(i):
-                                            alg.vertex_elem(i)}
+                add_on_relation(f"h{i}", alg.vertex_elem(i), i)
 
         def add_canonical_degree1(label: str, weight: int) -> None:
-            if self._coh is None:
+            if coh is None:
                 raise PresetError(
                     f"generator {label} needs the computed cohomology")
-            blk = self._coh.blocks.get((1, weight))
+            blk = coh.blocks.get((1, weight))
             if blk is None or blk.dim != 1:
                 raise PresetError(
                     f"no one-dimensional degree-1 class at weight {weight}")
-            self.labels1.append(label)
-            self.cochains1[label] = blk.reps[0]
-
-        def add_gamma(label: str, elem: Elem, vertex: int = 0) -> None:
-            self.labels2.append(label)
-            self.rel_values[label] = {preset.relation_of_vertex(vertex): elem}
+            self.table[label] = blk.reps[0]
 
         if fam == "A":
             m = (n - 1) // 2
-            self.m_A = m
-            zs = []
             for ell in range(m + 1):
                 if ell == 0:
                     el = alg.unit_elem()
@@ -371,14 +357,11 @@ class NamedGenerators:
                     el = preset.sum_words(
                         [(field.one, _rep([f"a{i}*", f"a{i}"], ell)) for i in range(n - 1)])
                 add_z(f"z{ell}", el)
-                zs.append(f"z{ell}")
             add_zeta_family([f"z{ell}" for ell in range(n - 1 - m)])
             add_h_family()
         elif fam == "D":
             m = (n - 2) // 2
             u = n - m - 2
-            self.m_D = m
-            self.u = u
             for ell in range(u):
                 if ell == 0:
                     el = alg.unit_elem()
@@ -409,17 +392,16 @@ class NamedGenerators:
                     if ell == 0:
                         values = dict(rho0_values)
                     else:
-                        zel = self.central[f"z{ell}"]
+                        zel = central[f"z{ell}"]
                         values = {a: v for a, v in
                                   ((a, alg.multiply(v, zel))
                                    for a, v in rho0_values.items()) if v}
-                    self.labels1.append(f"rho{ell}")
-                    self.cochains1[f"rho{ell}"] = kd.cochain_on_arrows(values)
+                    self.table[f"rho{ell}"] = kd.cochain_on_arrows(values)
             add_h_family()
             if char == 2:
                 for ell in range(1, m + 1):
-                    add_gamma(f"gamma{ell}",
-                              preset.word_elem(_rep(["a0*", "a1", "a1*", "a0"], ell)))
+                    add_on_relation(f"gamma{ell}",
+                                    preset.word_elem(_rep(["a0*", "a1", "a1*", "a0"], ell)))
         elif name == "E6":
             add_z("z0", alg.unit_elem())
             add_z("z6", preset.sum_words([
@@ -453,9 +435,9 @@ class NamedGenerators:
                 add_canonical_degree1("rho5", 5)
             add_h_family()
             if char == 2:
-                add_gamma("gamma4", preset.word_elem(["a0*"] + c3 + ["a0"]))
+                add_on_relation("gamma4", preset.word_elem(["a0*"] + c3 + ["a0"]))
             if char == 3:
-                add_gamma("gamma6", preset.word_elem(["a0*"] + _rep(c3, 2) + ["a0"]))
+                add_on_relation("gamma6", preset.word_elem(["a0*"] + _rep(c3, 2) + ["a0"]))
         elif name == "E7":
             add_z("z0", alg.unit_elem())
             add_z("z8", preset.sum_words([
@@ -501,11 +483,11 @@ class NamedGenerators:
                 })
             add_h_family()
             if char == 2:
-                add_gamma("gamma4", preset.word_elem(["a0*"] + c3 + ["a0"]))
-                add_gamma("gamma8", preset.word_elem(["a0*"] + _rep(c3, 3) + ["a0"]))
-                add_gamma("gamma16", socle[0])
+                add_on_relation("gamma4", preset.word_elem(["a0*"] + c3 + ["a0"]))
+                add_on_relation("gamma8", preset.word_elem(["a0*"] + _rep(c3, 3) + ["a0"]))
+                add_on_relation("gamma16", socle[0])
             if char == 3:
-                add_gamma("gamma6", preset.word_elem(["a0*"] + _rep(c3, 2) + ["a0"]))
+                add_on_relation("gamma6", preset.word_elem(["a0*"] + _rep(c3, 2) + ["a0"]))
         elif name == "E8":
             add_z("z0", alg.unit_elem())
             z12 = preset.sum_words([
@@ -598,49 +580,27 @@ class NamedGenerators:
                 })
             add_h_family()
             if char == 2:
-                add_gamma("gamma4", preset.word_elem(["a0*"] + c3 + ["a0"]))
-                add_gamma("gamma8", preset.word_elem(["a0*"] + _rep(c3, 3) + ["a0"]))
-                add_gamma("gamma16",
-                          preset.word_elem(["a0*"] + _rep(c2 + c0, 3) + c2 + ["a0"]))
-                add_gamma("gamma28", socle[0])
+                add_on_relation("gamma4", preset.word_elem(["a0*"] + c3 + ["a0"]))
+                add_on_relation("gamma8", preset.word_elem(["a0*"] + _rep(c3, 3) + ["a0"]))
+                add_on_relation("gamma16",
+                                preset.word_elem(["a0*"] + _rep(c2 + c0, 3) + c2 + ["a0"]))
+                add_on_relation("gamma28", socle[0])
             if char == 3:
-                add_gamma("gamma6", preset.word_elem(["a0*"] + _rep(c3, 2) + ["a0"]))
-                add_gamma("gamma18",
-                          preset.word_elem(["a0*"] + _rep(c3, 2) + _rep(c0 + c3, 3)
-                                           + ["a0"]))
+                add_on_relation("gamma6", preset.word_elem(["a0*"] + _rep(c3, 2) + ["a0"]))
+                add_on_relation("gamma18",
+                                preset.word_elem(["a0*"] + _rep(c3, 2) + _rep(c0 + c3, 3)
+                                                 + ["a0"]))
             if char == 5:
-                add_gamma("gamma10",
-                          preset.word_elem(["a0*"] + _rep(c3, 2) + c0 + c3 + ["a0"]))
+                add_on_relation("gamma10",
+                                preset.word_elem(["a0*"] + _rep(c3, 2) + c0 + c3 + ["a0"]))
         else:
             raise PresetError(f"no named generators for {name}")
-        self.socle = socle
-
-    # -- conversion to cochains ------------------------------------------------
 
     def cochain(self, label: str) -> Cochain:
-        kd = self.kd
-        alg = self.preset.algebra
-        if label in self.central:
-            z = self.central[label]
-            values = {}
-            for i in range(self.preset.quiver.n_vertices):
-                part = {t: c for t, c in z.items()
-                        if alg.block_of[t[0]][t[1]] == (i, i)}
-                if part:
-                    values[i] = part
-            return kd.cochain_on_vertices(values)
-        if label in self.cochains1:
-            return self.cochains1[label]
-        if label in self.rel_values:
-            return kd.cochain_on_relations(self.rel_values[label])
-        raise KeyError(label)
+        return self.table[label]
 
     def degree_of(self, label: str) -> int:
-        if label in self.central:
-            return 0
-        if label in self.cochains1:
-            return 1
-        return 2
+        return self.table[label].degree
 
     def all_labels(self) -> List[str]:
-        return self.labels0 + self.labels1 + self.labels2
+        return list(self.table)

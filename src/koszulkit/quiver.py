@@ -243,17 +243,26 @@ def preprojective_presentation(spec: PreprojectiveSpec, field: Field) -> Quadrat
     return pres
 
 
+def _entry(obj, key: str, kind: type = object):
+    """obj[key] for a JSON object obj, refusing a missing key or a value
+    that is not of type kind."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise QuiverError(f"input object has no {key!r} entry")
+    if not isinstance(obj[key], kind):
+        raise QuiverError(f"{key!r} entry {obj[key]!r} is not a {kind.__name__}")
+    return obj[key]
+
+
 def graph_from_json(data) -> Graph:
     """Graph input: {"vertices": [...], "edges": [["u","v"], ...]}."""
     if isinstance(data, str):
         data = json.loads(data)
-    vertices = [str(v) for v in data["vertices"]]
+    vertices = [str(v) for v in _entry(data, "vertices", list)]
     edges = []
-    for e in data["edges"]:
-        if len(e) != 2:
-            raise QuiverError("edges must be pairs")
-        if len(e) == 2 and isinstance(e, (list, tuple)) and any(
-                isinstance(x, (list, dict)) for x in e):
+    for e in _entry(data, "edges", list):
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise QuiverError(f"edge {e!r} is not a pair of vertex names")
+        if any(isinstance(x, (list, dict)) for x in e):
             raise QuiverError("labelled edges are not supported")
         edges.append((str(e[0]), str(e[1])))
     return Graph(vertices, edges)
@@ -268,18 +277,23 @@ def presentation_from_json(data, field: Field) -> QuadraticPresentation:
     """
     if isinstance(data, str):
         data = json.loads(data)
-    quiver = Quiver([str(v) for v in data["vertices"]],
-                    [(a["name"], str(a["src"]), str(a["tgt"])) for a in data["arrows"]])
+    quiver = Quiver([str(v) for v in _entry(data, "vertices", list)],
+                    [(str(_entry(a, "name")), str(_entry(a, "src")), str(_entry(a, "tgt")))
+                     for a in _entry(data, "arrows", list)])
     relations = []
-    for rel in data["relations"]:
+    for rel in _entry(data, "relations", list):
+        if not isinstance(rel, list):
+            raise QuiverError(f"relation {rel!r} is not a list of terms")
         terms = []
         for term in rel:
-            coeff = field.parse(str(term["coeff"]))
-            names = term["path"]
+            coeff = field.parse(str(_entry(term, "coeff")))
+            names = [str(x) for x in _entry(term, "path", list)]
             if len(names) != 2:
                 raise QuiverError("relations must be quadratic (paths of two arrows)")
-            left, right = quiver.arrow_index[names[0]], quiver.arrow_index[names[1]]
-            terms.append((coeff, (left, right)))
+            unknown = [x for x in names if x not in quiver.arrow_index]
+            if unknown:
+                raise QuiverError(f"relation uses undeclared arrow {unknown[0]!r}")
+            terms.append((coeff, (quiver.arrow_index[names[0]], quiver.arrow_index[names[1]])))
         relations.append(terms)
     return QuadraticPresentation(quiver, relations, field)
 

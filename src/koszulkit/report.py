@@ -183,8 +183,11 @@ def run(config: RunConfig) -> Dict:
             pres = preset.presentation
             report["preset"] = preset.name
         else:
-            with open(config.input_file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            try:
+                with open(config.input_file, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except OSError as exc:
+                raise RunError(f"cannot read {config.input_file}: {exc.strerror}") from None
             if "edges" in data:
                 graph = graph_from_json(data)
                 spec = PreprojectiveSpec(graph)
@@ -325,8 +328,7 @@ def run(config: RunConfig) -> Dict:
 
     if "properties" in analyses and coh is not None and module == MODULE_A:
         with timings.measure("properties"):
-            suite = PropertySuite(kd, coh, hom, seed=0,
-                                  trials=config.property_trials)
+            suite = PropertySuite(coh, hom, seed=0, trials=config.property_trials)
             plog = suite.run(preprojective=is_preprojective)
         report["properties"] = {"ok": plog.ok,
                                 "checks": len(plog.entries),

@@ -25,7 +25,7 @@ from .homology import (CalculusSpaces, CoordSpace, HigherSpaces, higher_calculus
                        koszul_homology)
 from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A
 from .linalg import LinearMap, SparseVec, kernel, rank
-from .presets import (NamedGenerators, Preset, expected_nakayama_on_arrows,
+from .presets import (NamedGenerators, Preset, PresetError, expected_nakayama_on_arrows,
                       nakayama_graph_permutation, socle_generators)
 
 
@@ -99,13 +99,13 @@ def verify_type_char(name: str, char: int, log: Optional[CheckLog] = None,
     field = comp.field
     key = f"{name}.char{char}"
 
+    def dims(check: str, spaces, expected: Tuple[int, int, int]) -> None:
+        got = tuple(spaces.dims()[:3])
+        log.record(f"{key}.{check}", got == expected, f"computed {got}, table {expected}")
+
     exp_dims = adedata.expected_hk_dims(name, char)
-    got_dims = tuple(comp.coh.dims()[:3])
-    log.record(f"{key}.HK.dims", got_dims == exp_dims,
-               f"computed {got_dims}, table {exp_dims}")
-    got_hom = tuple(comp.hom.dims()[:3])
-    log.record(f"{key}.HK_.dims", got_hom == tuple(reversed(exp_dims)),
-               f"computed {got_hom}, table {tuple(reversed(exp_dims))}")
+    dims("HK.dims", comp.coh, exp_dims)
+    dims("HK_.dims", comp.hom, tuple(reversed(exp_dims)))
 
     # the named generators must be cocycles whose classes form bases
     by_degree: Dict[int, List[str]] = {0: [], 1: [], 2: []}
@@ -132,7 +132,7 @@ def verify_type_char(name: str, char: int, log: Optional[CheckLog] = None,
     # class-level cup products against the table
     table = adedata.expected_cup_table(name, char)
     all_labels = comp.gens.all_labels()
-    cochains = {lbl: comp.gens.cochain(lbl) for lbl in all_labels}
+    cochains = comp.gens.table
     for l1 in all_labels:
         p1 = comp.gens.degree_of(l1)
         for l2 in all_labels:
@@ -161,12 +161,8 @@ def verify_type_char(name: str, char: int, log: Optional[CheckLog] = None,
 
     # higher calculus
     exp_hi = adedata.expected_higher_dims(name, char)
-    got_hi = tuple(comp.hi_coh.dims()[:3])
-    log.record(f"{key}.HKhi.dims", got_hi == exp_hi,
-               f"computed {got_hi}, table {exp_hi}")
-    got_hi_hom = tuple(comp.hi_hom.dims()[:3])
-    log.record(f"{key}.HKhi_.dims", got_hi_hom == tuple(reversed(exp_hi)),
-               f"computed {got_hi_hom}, table {tuple(reversed(exp_hi))}")
+    dims("HKhi.dims", comp.hi_coh, exp_hi)
+    dims("HKhi_.dims", comp.hi_hom, tuple(reversed(exp_hi)))
     for lbl in adedata.expected_higher_zero_generators(name, char):
         ok = comp.hi_coh.class_in_kernel(cochains[lbl])
         log.record(f"{key}.HKhi0.survivor.{lbl}", ok)
@@ -282,6 +278,10 @@ def verify_ade(types: Sequence[str], chars: Sequence[int],
 
     ``threads`` asks for that many worker processes (see ``pool_size``).
     """
+    untabulated = [t for t in types if not adedata.tabulated(t)]
+    if untabulated:
+        raise PresetError(f"no tables for {', '.join(untabulated)} "
+                          "(tabulated: A3.., D4.., E6, E7, E8)")
     log = CheckLog()
     jobs = [(t, c) for t in types for c in chars]
     workers = pool_size(threads, len(jobs), os.cpu_count())
@@ -320,17 +320,11 @@ def verify_ade(types: Sequence[str], chars: Sequence[int],
 class PropertySuite:
     """Randomized exact identity checks over one computed calculus."""
 
-    def __init__(self, comp_or_kd, coh: Optional[CalculusSpaces] = None,
-                 hom: Optional[CalculusSpaces] = None, seed: int = 0,
+    def __init__(self, coh: CalculusSpaces, hom: CalculusSpaces, seed: int = 0,
                  trials: int = 100):
-        if isinstance(comp_or_kd, KoszulCalculus):
-            self.kd = comp_or_kd
-            self.coh = coh
-            self.hom = hom
-        else:
-            self.kd = comp_or_kd.kd
-            self.coh = comp_or_kd.coh
-            self.hom = comp_or_kd.hom
+        self.kd = coh.kd
+        self.coh = coh
+        self.hom = hom
         self.rng = random.Random(seed)
         self.trials = trials
         self.log = CheckLog()
@@ -438,7 +432,7 @@ class PropertySuite:
 
         repeat("b^K biweight (-1,+1)", biweight_chain)
 
-        if preprojective and self.coh is not None and self.hom is not None:
+        if preprojective:
             def graded_equal(x, y, n) -> bool:
                 """x = (-1)^n y, coordinate by coordinate."""
                 sign = field.sign(n)
@@ -470,8 +464,7 @@ class PropertySuite:
                                         self.hom.class_of(kd.cap(fa, zb, "right")), pa * qb)
 
             repeat("class cap graded symmetric", class_symmetric)
-        if self.coh is not None:
-            self._check_center()
+        self._check_center()
         return self.log
 
     def _assoc_cup(self) -> bool:
@@ -507,14 +500,7 @@ class PropertySuite:
         dim0 = self.coh.dim(0)
         rows = []
         for zel in center:
-            values = {}
-            for i in range(alg.quiver.n_vertices):
-                part = {t: c for t, c in zel.items()
-                        if alg.block_of[t[0]][t[1]] == (i, i)}
-                if part:
-                    values[i] = part
-            f = kd.cochain_on_vertices(values)
-            vec = self.coh.class_of(f)
+            vec = self.coh.class_of(kd.diagonal_cochain(zel))
             rows.append({k: c for k, c in enumerate(vec) if not field.is_zero(c)})
         r = rank(rows, dim0, field)
         self.log.record("HK0 = center", r == dim0 == len(center),

@@ -319,7 +319,7 @@ def test_ac10_property_suite():
     details = []
     for name, char in [("A3", 0), ("A4", 2), ("D4", 0)]:
         comp = comp_of(name, char)
-        suite = PropertySuite(comp, seed=0, trials=100)
+        suite = PropertySuite(comp.coh, comp.hom, seed=0, trials=100)
         log = suite.run(preprojective=True)
         ok &= log.ok
         if not log.ok:

@@ -190,6 +190,59 @@ def test_verify_ade_checks_computed_triples(monkeypatch):
     assert got["triples.char0.collision.A3-A5"] == (False, "A3:(7, 7, 7) A5:(7, 7, 7)")
 
 
+_ARROWS = [{"name": "a", "src": "0", "tgt": "1"}, {"name": "b", "src": "1", "tgt": "0"}]
+
+
+def _relation(coeff, path=("b", "a")):
+    return {"vertices": ["0", "1"], "arrows": _ARROWS,
+            "relations": [[{"coeff": coeff, "path": path}]]}
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"vertices": ["0", "1"], "edges": ["01"]}, "Q"),
+    ({"vertices": ["0", "1"], "edges": [{"u": "0", "v": "1"}]}, "Q"),
+    ({"vertices": ["0", "1"], "relations": []}, "Q"),
+    (_relation("1", ("b", "c")), "Q"),
+    (_relation("1", "ba"), "Q"),
+    (_relation("1/0"), "Q"),
+    (_relation("1/3"), "F:3"),
+    (None, "Q"),
+], ids=["string-edge", "dict-edge", "no-arrows", "unknown-arrow", "string-path",
+        "zero-denominator", "denominator-divisible-by-p", "missing-file"])
+def test_bad_input_file_exits_3(tmp_path, capsys, data, field):
+    path = tmp_path / "input.json"
+    if data is not None:
+        path.write_text(json.dumps(data))
+    assert main(["calculus", "--file", str(path), "--field", field]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("types, message", [
+    ("e6", None),
+    ("A~2", "no tables for A~2"),
+    ("D~4", "no tables for D~4"),
+    ("A2", "no tables for A2"),
+    ("A1,A3", "no tables for A1"),
+])
+def test_verify_ade_normalizes_and_refuses_untabulated_types(monkeypatch, capsys,
+                                                             types, message):
+    import koszulkit.verify as ver
+    jobs = []
+    monkeypatch.setattr(ver, "_run_verify_job",
+                        lambda job: jobs.append(job) or ([], (len(jobs), 0, 0)))
+    code = main(["verify-ade", "--types", types, "--chars", "0", "--compact"])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and jobs == [("E6", 0)]
+        assert json.loads(captured.out)["types"] == ["E6"]
+    else:
+        assert code == 3 and jobs == [] and captured.out == ""
+        assert captured.err == f"error: {message} (tabulated: A3.., D4.., E6, E7, E8)\n"
+
+
 @pytest.mark.parametrize("requested, n_jobs, cpus, want", [
     (1, 10, 8, 1), (4, 10, 8, 4), (64, 10, 8, 8), (64, 3, 8, 3), ("4", 10, 2, 2),
     (0, 10, 8, 1), (-3, 10, 8, 1), ("", 10, 8, 1), ("many", 10, 8, 1), (None, 10, 8, 1),

@@ -302,6 +302,8 @@ RECORDED_LOG_DIGESTS = {
     ("E6", 3): (189, "1077054f3e0618ed4c7d056f516067b721a67e75452a79e0c9b89f7059f2d2e1"),
     ("E7", 2): (504, "0fee1f594e835240accd53235f1d9cb47cb716b70619ab31ddcc0a61c4499e27"),
     ("D4", 2): (130, "6d1cbe8086ff58ebc85f0af0c6416a1621a59b184c0dbe3a9c4ebde36e7299e0"),
+    ("D6", 2): (311, "c4a5a0c72e1f59858c451981f27dbc0b759305813fd60032204488e36747cabe"),
+    ("E6", 2): (187, "6dca8a236c62d5aab0d72cbb67d6edd79761cf99d7d711cdc27f338290bd20ff"),
 }
 
 

@@ -111,3 +111,36 @@ def test_no_dead_public_names():
             for name, line in public_definitions(ast.parse(path.read_text()))
             if name.rsplit(".", 1)[-1] not in referenced]
     assert not dead, f"public names nothing references: {dead}"
+
+
+def self_assignments(tree: ast.Module):
+    """(class, attribute, line) for each ``self.<attribute> = ...`` in the
+    methods of the module's classes."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            for target in targets:
+                for t in ast.walk(target):
+                    if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"):
+                        yield cls.name, t.attr, t.lineno
+
+
+def test_no_write_only_attributes():
+    """Every attribute a koszulkit class assigns on self is read as an
+    attribute somewhere in src, tests or perfbench."""
+    files = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    read = {node.attr for path in files
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted({f"{cls}.{attr} ({path.name}, line {line})"
+                     for path in sorted(SRC.glob("*.py"))
+                     for cls, attr, line in self_assignments(ast.parse(path.read_text()))
+                     if attr not in read})
+    assert not unread, f"attributes assigned on self and never read: {unread}"

@@ -246,6 +246,21 @@ def test_class_extraction_examples(a3, a3_spaces):
         coh.class_of(kd.cochain_on_vertices({0: alg.arrow_elem(0)}))
 
 
+def test_diagonal_cochain_splits_by_vertex(a3):
+    pr, kd = a3
+    alg = pr.algebra
+    ai = pr.quiver.arrow_index
+    loop = alg.multiply(alg.arrow_elem(ai["a1*"]), alg.arrow_elem(ai["a1"]))
+    z = alg.elem_add(alg.unit_elem(), loop, QQ.from_int(3))
+    (m, pos), = loop
+    vertex = alg.block_of[m][pos][0]
+    by_vertex = {i: alg.vertex_elem(i) for i in range(pr.quiver.n_vertices)}
+    by_vertex[vertex] = alg.elem_add(by_vertex[vertex], loop, QQ.from_int(3))
+    assert kd.diagonal_cochain(z).equals(kd.cochain_on_vertices(by_vertex))
+    with pytest.raises(ValueError, match="outside the diagonal blocks"):
+        kd.diagonal_cochain(alg.arrow_elem(0))
+
+
 @pytest.mark.parametrize("name,field", [("D4", QQ), ("E6", GF(3))], ids=["D4-Q", "E6-F3"])
 def test_class_of_by_weight_block(name, field):
     """class_of solves only the weight blocks an element touches: it stays
@@ -475,37 +490,23 @@ def test_higher_degree0_weight0_is_the_ground_ring():
         assert hih.blocks[(0, 0)].dim == pr.quiver.n_vertices
 
 
-def test_fundamental_coboundary_potential():
-    # single-orientation chain quiver: the potential exists
-    q_simple = Graph(["0", "1", "2"], [("0", "1"), ("1", "2")])
-    pres = preprojective_presentation(PreprojectiveSpec(q_simple), QQ)
-    alg = build_graded_algebra(pres, 6)
-    kd = KoszulCalculus(alg, 3)
-    # the doubled quiver has two-cycles, so no rational potential
-    assert kd.fundamental_coboundary_potential() is None
-    # over GF(2) the tree is two-colourable and the potential exists
-    pres2 = preprojective_presentation(PreprojectiveSpec(q_simple), GF(2))
-    alg2 = build_graded_algebra(pres2, 6)
-    kd2 = KoszulCalculus(alg2, 3)
-    lam = kd2.fundamental_coboundary_potential()
-    assert lam is not None
-    g = kd2.cochain_on_vertices({i: alg2.elem_scale(alg2.vertex_elem(i), c)
-                                 for i, c in lam.items()
-                                 if not kd2.field.is_zero(c)})
-    assert kd2.apply_bK(g).equals(kd2.fundamental_cocycle())
+def test_fundamental_cocycle_coboundary_verdicts():
+    def fundamental_class(pres):
+        kd = KoszulCalculus(build_graded_algebra(pres, 6), 3)
+        coh = koszul_homology(kd, MODULE_A, "coh")
+        return coh.class_of(kd.fundamental_cocycle())
+
+    chain = PreprojectiveSpec(Graph(["0", "1", "2"], [("0", "1"), ("1", "2")]))
+    # the doubled quiver has two-cycles, so no rational vertex potential
+    assert any(c != 0 for c in fundamental_class(preprojective_presentation(chain, QQ)))
+    # over GF(2) the tree is two-colourable: e_A is a coboundary
+    assert not any(fundamental_class(preprojective_presentation(chain, GF(2))))
     # one-directional simple quiver without cycles
     from koszulkit.quiver import QuadraticPresentation, Quiver
     q3 = Quiver(["0", "1", "2"], [("x", "0", "1"), ("y", "1", "2")])
     pres3 = QuadraticPresentation(
         q3, [[(QQ.one, (q3.arrow_index["y"], q3.arrow_index["x"]))]], QQ)
-    alg3 = build_graded_algebra(pres3, 5)
-    kd3 = KoszulCalculus(alg3, 3)
-    lam3 = kd3.fundamental_coboundary_potential()
-    assert lam3 is not None
-    g3 = kd3.cochain_on_vertices({i: alg3.elem_scale(alg3.vertex_elem(i), c)
-                                  for i, c in lam3.items()
-                                  if not kd3.field.is_zero(c)})
-    assert kd3.apply_bK(g3).equals(kd3.fundamental_cocycle())
+    assert not any(fundamental_class(pres3))
 
 
 def test_fundamental_class_nonzero_for_preprojective_char0():

@@ -10,7 +10,7 @@ from koszulkit.verify import PropertySuite, TypeCharComputation, direct_higher0_
 @pytest.mark.parametrize("name,char", [("A3", 0), ("A4", 2), ("D4", 0)])
 def test_identity_suite(name, char):
     comp = TypeCharComputation(name, char, with_frobenius=False)
-    suite = PropertySuite(comp, seed=1, trials=30)
+    suite = PropertySuite(comp.coh, comp.hom, seed=1, trials=30)
     log = suite.run(preprojective=True)
     assert log.ok, log.failures()[:5]
 
@@ -42,7 +42,7 @@ RECORDED_SUITES = {
                          ids=["-".join(map(str, k)) for k in sorted(RECORDED_SUITES)])
 def test_suite_log_and_draws_match_recorded(name, char, seed, trials):
     comp = TypeCharComputation(name, char, with_frobenius=False)
-    suite = PropertySuite(comp, seed=seed, trials=trials)
+    suite = PropertySuite(comp.coh, comp.hom, seed=seed, trials=trials)
     log = suite.run(preprojective=True)
     got = (len(log.entries),
            hashlib.sha256(json.dumps(log.entries).encode("utf-8")).hexdigest(),
