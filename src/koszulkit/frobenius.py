@@ -13,6 +13,16 @@ x' = P x turns the dual basis into P^-T dual, and the two cancel in the
 sum, so rescaling the top monomials to the socle generators changes none
 of these maps.
 
+The checks follow the vertex-block grading.  A monomial y in e_a A_n e_b
+and a monomial x in e_j A_m e_i have yx in e_a A_{n+m} e_i, zero unless
+b = j, and eps reads only the top monomial of column i, which lies in
+e_{nu_bar(i)} A_top e_i.  So (y, x) can be nonzero only when y lies in the
+paired block e_{nu_bar(i)} A_{top-m} e_j of x's block (``_paired``).  As
+nu_bar permutes the vertices, distinct blocks have disjoint paired blocks.
+The pairing check, the Nakayama solve and the transported degree-3 maps
+therefore read only the monomials that the grading lets pair or compose;
+every other form or product is zero without being formed.
+
 :class:`FrobeniusStructure` derives each piece of this data once and keeps
 it on the instance: the dual basis in ``_dual``, keyed by monomial (each
 Gram block of ``algebra.blocks`` against its paired block inverted by
@@ -130,8 +140,11 @@ class FrobeniusStructure:
     def nakayama_arrow_scalars(self) -> Dict[int, Tuple[int, object]]:
         """nu(a) = c * beta as {a: (beta, c)}, solved once from (nu(x), y) = (y, x).
 
-        Every monomial y is read, so the solve also checks that the form
-        determines nu on each arrow and that all the ratios agree.
+        For an arrow a from s to t, both (y, a) and (beta, y) vanish by the
+        grading unless y lies in the paired block e_{nu_bar(s)} A_{top-1} e_t
+        of a's block, so only the monomials y of that block are read.  The
+        solve checks there that the form determines nu on each arrow and
+        that all the ratios agree.
         """
         if self._nu_scalars is not None:
             return self._nu_scalars
@@ -150,7 +163,7 @@ class FrobeniusStructure:
             x = self.algebra.arrow_elem(a)
             bel = self.algebra.arrow_elem(beta)
             c = None
-            for w in self.terms:
+            for w in self._paired(1, t, s):
                 y = {w: field.one}
                 lhs = self.form(y, x)  # (y, x)
                 rhs = self.form(bel, y)  # (beta, y)
@@ -238,15 +251,27 @@ class FrobeniusStructure:
         return True
 
     def dual_pairing_check(self) -> bool:
-        """(dual(w), v) = delta_{vw} on every pair of monomials."""
+        """(dual(w), v) = delta_{vw} on every pair of monomials.
+
+        First every computed dual(w) must be supported on the paired block of
+        w's block.  By the grading, (dual(w), v) then vanishes for v in any
+        other block, since distinct blocks have disjoint paired blocks, and
+        delta_{vw} is zero there too.  So the form is taken on the pairs
+        inside each block only: sum |block|^2 forms instead of dim^2.
+        """
         dual = self.dual_basis()
         field = self.field
-        for v in self.terms:
-            x = {v: field.one}
-            for w in self.terms:
-                want = field.one if v == w else field.zero
-                if self.form(dual[w], x) != want:
+        for m, blocks in enumerate(self.algebra.blocks):
+            for (j, i), vs in blocks.items():
+                paired = set(self._paired(m, j, i))
+                if any(not paired.issuperset(dual[(m, w)]) for w in vs):
                     return False
+                for v in vs:
+                    x = {(m, v): field.one}
+                    for w in vs:
+                        want = field.one if v == w else field.zero
+                        if self.form(dual[(m, w)], x) != want:
+                            return False
         return True
 
     # -- the degree-3 transported differentials ----------------------------------
@@ -264,6 +289,9 @@ class FrobeniusStructure:
 
         delta_up: diagonal -> twisted, y -> sum_x dual(x) y x
         delta_down: twisted -> diagonal, y -> sum_x x y dual(x)
+
+        Only the x that compose with y are read: target(x) = source(y) going
+        up, source(x) = target(y) going down; every other term is zero.
         """
         alg = self.algebra
         field = self.field
@@ -272,10 +300,20 @@ class FrobeniusStructure:
         tcoords = self.vertex_coords(True)
         dindex = {c: k for k, c in enumerate(dcoords)}
         tindex = {c: k for k, c in enumerate(tcoords)}
+        # monomials by target and by source vertex, each in basis order
+        n = alg.quiver.n_vertices
+        by_target: List[List[Term]] = [[] for _ in range(n)]
+        by_source: List[List[Term]] = [[] for _ in range(n)]
+        for t in self.terms:
+            tgt, src = alg.block_of[t[0]][t[1]]
+            by_target[tgt].append(t)
+            by_source[src].append(t)
 
-        def column(y: Elem, up: bool) -> SparseVec:
+        def column(yt: Term, up: bool) -> SparseVec:
             col: SparseVec = {}
-            for t in self.terms:
+            y = {yt: field.one}
+            tgt, src = alg.block_of[yt[0]][yt[1]]
+            for t in (by_target[src] if up else by_source[tgt]):
                 x = {t: field.one}
                 xh = dual[t]
                 if up:
@@ -290,8 +328,8 @@ class FrobeniusStructure:
                     col[idx] = col.get(idx, 0) + c
             return field.settle(col)
 
-        up_cols = [column({dc: field.one}, True) for dc in dcoords]
-        down_cols = [column({tc: field.one}, False) for tc in tcoords]
+        up_cols = [column(dc, True) for dc in dcoords]
+        down_cols = [column(tc, False) for tc in tcoords]
         delta_up = LinearMap(len(dcoords), len(tcoords), up_cols, field)
         delta_down = LinearMap(len(tcoords), len(dcoords), down_cols, field)
         return delta_up, delta_down

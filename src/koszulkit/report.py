@@ -188,6 +188,9 @@ def run(config: RunConfig) -> Dict:
                     data = json.load(fh)
             except OSError as exc:
                 raise RunError(f"cannot read {config.input_file}: {exc.strerror}") from None
+            if not isinstance(data, dict):
+                raise RunError(f"{config.input_file}: the top-level value must be a "
+                               "JSON object with a 'vertices' entry")
             if "edges" in data:
                 graph = graph_from_json(data)
                 spec = PreprojectiveSpec(graph)

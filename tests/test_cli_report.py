@@ -207,17 +207,24 @@ def _relation(coeff, path=("b", "a")):
     (_relation("1/0"), "Q"),
     (_relation("1/3"), "F:3"),
     (None, "Q"),
+    ("3", "Q"),
+    ("null", "Q"),
+    ('"edges"', "Q"),
+    ("[1, 2]", "Q"),
 ], ids=["string-edge", "dict-edge", "no-arrows", "unknown-arrow", "string-path",
-        "zero-denominator", "denominator-divisible-by-p", "missing-file"])
+        "zero-denominator", "denominator-divisible-by-p", "missing-file",
+        "number", "null", "string", "array"])
 def test_bad_input_file_exits_3(tmp_path, capsys, data, field):
     path = tmp_path / "input.json"
+    # a string is the file's raw text: a top-level value that is not an object
     if data is not None:
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
     assert main(["calculus", "--file", str(path), "--field", field]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert not isinstance(data, str) or "must be a JSON object" in lines[0]
 
 
 @pytest.mark.parametrize("types, message", [

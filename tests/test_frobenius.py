@@ -86,17 +86,21 @@ def test_singular_gram_block_rejected(field):
         frob.dual_basis()
 
 
-def test_nakayama_solved_once():
-    _pr, frob = make_frob("D5", QQ)
-    scalars = frob.nakayama_arrow_scalars()
-    form = frob.form
-    calls = []
+def _count_forms(frob):
+    form, calls = frob.form, []
 
     def counting_form(y, x):
         calls.append(x)
         return form(y, x)
 
     frob.form = counting_form
+    return calls
+
+
+def test_nakayama_solved_once():
+    _pr, frob = make_frob("D5", QQ)
+    scalars = frob.nakayama_arrow_scalars()
+    calls = _count_forms(frob)
     images = [frob.nakayama_on_elem({t: QQ.one}) for t in frob.terms]
     assert calls == []
     assert frob.nakayama_arrow_scalars() == scalars
@@ -292,6 +296,129 @@ def test_monomial_basis_matches_the_adapted_basis(name, field):
     assert frob.nakayama_arrow_scalars() == scalars
     assert delta_up.cols == up_cols
     assert delta_down.cols == down_cols
+
+
+def _all_pairs_reference(frob):
+    """The all-pairs sweeps that the block-graded checks replace: the pairing
+    check over every monomial pair, the Nakayama solve over every monomial,
+    and the delta columns summed over every monomial x."""
+    alg, field = frob.algebra, frob.field
+    q, one = alg.quiver, field.one
+    dual = frob.dual_basis()
+    pairing = all(frob.form(dual[w], {v: one}) == (one if v == w else field.zero)
+                  for v in frob.terms for w in frob.terms)
+
+    scalars = {}
+    for a in range(q.n_arrows):
+        beta, = [b for b in range(q.n_arrows)
+                 if q.source[b] == frob.nu_bar[q.source[a]]
+                 and q.target[b] == frob.nu_bar[q.target[a]]]
+        c = None
+        for w in frob.terms:
+            lhs = frob.form({w: one}, alg.arrow_elem(a))
+            rhs = frob.form(alg.arrow_elem(beta), {w: one})
+            if field.is_zero(rhs):
+                assert field.is_zero(lhs)
+                continue
+            ratio = field.div(lhs, rhs)
+            assert c is None or c == ratio
+            c = ratio
+        scalars[a] = (beta, c)
+
+    dcoords, tcoords = frob.vertex_coords(False), frob.vertex_coords(True)
+
+    def matrix(src, tgt, up):
+        index = {t: k for k, t in enumerate(tgt)}
+        cols = []
+        for s in src:
+            y, col = {s: one}, {}
+            for t in frob.terms:
+                x, xh = {t: one}, dual[t]
+                term = (alg.multiply(xh, alg.multiply(y, x)) if up
+                        else alg.multiply(x, alg.multiply(y, xh)))
+                for u, c in term.items():
+                    col[index[u]] = col.get(index[u], 0) + c
+            cols.append(field.settle(col))
+        return cols
+
+    return pairing, scalars, matrix(dcoords, tcoords, True), matrix(tcoords, dcoords, False)
+
+
+@pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3)), ("E7", GF(2))],
+                         ids=["D5-Q", "E6-F3", "E7-F2"])
+def test_block_graded_sweeps_match_all_pairs_reference(name, field):
+    _pr, frob = make_frob(name, field)
+    pairing, scalars, up_cols, down_cols = _all_pairs_reference(frob)
+    delta_up, delta_down = frob.delta_maps()
+    assert pairing and frob.dual_pairing_check()
+    assert frob.nakayama_arrow_scalars() == scalars
+    assert [list(c.items()) for c in delta_up.cols] == [list(c.items()) for c in up_cols]
+    assert [list(c.items()) for c in delta_down.cols] == [list(c.items()) for c in down_cols]
+
+
+def _mutated_dual_fails(frob, w, entries):
+    frob._dual = {**frob.dual_basis(), w: entries}
+    return not frob.dual_pairing_check()
+
+
+@pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3))], ids=["D5-Q", "E6-F3"])
+def test_dual_pairing_check_reads_the_computed_dual(name, field):
+    _pr, frob = make_frob(name, field)
+    dual = frob.dual_basis()
+    assert frob.dual_pairing_check()
+    for w in (frob.terms[0], frob.terms[len(frob.terms) // 2], frob.terms[-1]):
+        m, pos = w
+        j, i = frob.algebra.block_of[m][pos]
+        paired = frob._paired(m, j, i)
+        # an entry outside the paired block pairs to zero with w's block, so
+        # only the support check can see it
+        outside = next(t for t in frob.terms if t not in paired)
+        assert _mutated_dual_fails(frob, w, {**dual[w], outside: field.one})
+        u, c = next(iter(dual[w].items()))
+        assert _mutated_dual_fails(frob, w, {**dual[w], u: field.mul(c, field.from_int(2))})
+        frob._dual = dual
+        assert frob.dual_pairing_check()
+
+
+@pytest.mark.parametrize("name,field,pairs,solve", [("D5", QQ, 68, 16), ("E6", GF(3), 208, 20)],
+                         ids=["D5-Q", "E6-F3"])
+def test_frobenius_sweeps_form_only_block_pairs(name, field, pairs, solve):
+    """sum |block|^2 forms in the pairing check, 2 per paired monomial of each
+    arrow in the Nakayama solve; the all-pairs sweeps took dim^2 and
+    2 * arrows * dim."""
+    pr, frob = make_frob(name, field)
+    alg, q = pr.algebra, pr.quiver
+    frob.dual_basis()
+    calls = _count_forms(frob)
+    assert frob.dual_pairing_check()
+    assert len(calls) == pairs == sum(len(vs) ** 2 for b in alg.blocks for vs in b.values())
+    assert pairs < frob.dim ** 2
+    calls.clear()
+    frob.nakayama_arrow_scalars()
+    assert len(calls) == solve == 2 * sum(
+        len(alg.block_positions(frob.top - 1, frob.nu_bar[q.source[a]], q.target[a]))
+        for a in range(q.n_arrows))
+    assert solve < 2 * q.n_arrows * frob.dim
+
+
+@pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3))], ids=["D5-Q", "E6-F3"])
+def test_delta_maps_multiply_only_composable_terms(monkeypatch, name, field):
+    """Two products per composable x for each column: a diagonal y in
+    e_i A e_i meets every x with target i, a twisted y in e_i A e_{nu_bar(i)}
+    every x with source i.  The all-pairs sweep took two per monomial x."""
+    pr, frob = make_frob(name, field)
+    alg, n = pr.algebra, pr.quiver.n_vertices
+    frob.dual_basis()
+    multiply, calls = alg.multiply, []
+    monkeypatch.setattr(alg, "multiply", lambda x, y: calls.append(1) or multiply(x, y))
+    frob.delta_maps()
+    with_target = [sum(alg.block_dim(i, j) for j in range(n)) for i in range(n)]
+    with_source = [sum(alg.block_dim(j, i) for j in range(n)) for i in range(n)]
+    assert len(calls) == 2 * sum(alg.block_dim(i, i) * with_target[i]
+                                 + alg.block_dim(i, frob.nu_bar[i]) * with_source[i]
+                                 for i in range(n))
+    n_cols = len(frob.vertex_coords(False)) + len(frob.vertex_coords(True))
+    assert len(calls) < 2 * n_cols * frob.dim
 
 
 #: sha256 of the JSON of the ``verify_type_char`` + ``hochschild2_checks``
