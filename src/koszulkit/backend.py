@@ -1,16 +1,18 @@
 """Sparse row reduction over GF(2) on bit rows.
 
-A row comes in as a sparse map ``column -> int`` (zero entries may be absent
-or present, values are taken mod 2) and is packed into a Python int, one bit
-per column, eliminated by XOR with the pivot keyed by its lowest set bit (the
-packed-row idea of M4RI).  Two entry points share one forward elimination:
+A row is a Python int, one bit per column, eliminated by XOR with the pivot
+keyed by its lowest set bit (the packed-row idea of M4RI).  One forward
+elimination loop serves three entry points:
 
 - ``rref_mod(rows, ncols, p)`` returns ``(reduced_rows, pivot_cols)``: the
   reduced row echelon basis (values 1, keys ascending), rows ordered by
   pivot column;
-- ``rank_mod(rows, p)`` returns the rank and builds no reduced basis.
+- ``rank_mod(rows, p)`` returns the rank and builds no reduced basis;
+- ``rank_bits(rows)`` returns the rank of rows that come in packed already.
 
-Both refuse every p other than 2: odd p and the rationals go to the dict-row
+The first two take sparse maps ``column -> int`` (zero entries may be absent
+or present, values are taken mod 2) and pack them with ``pack``; they
+refuse every p other than 2: odd p and the rationals go to the dict-row
 eliminator in :mod:`koszulkit.linalg`.  Rows are taken in input order and
 each is reduced on its leftmost nonzero column, so the echelon form is
 deterministic; the reduced form is unique.
@@ -36,20 +38,35 @@ def rank_mod(rows: Iterable[Row], p: int) -> int:
     return len(_echelon_gf2(rows))
 
 
+def rank_bits(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of rows packed one bit per column."""
+    return len(_eliminate(rows))
+
+
 def rref_mod(rows: Iterable[Row], ncols: int, p: int) -> Tuple[List[Row], List[int]]:
     """Reduced row echelon form over GF(2) of sparse rows in ``ncols`` columns."""
     _require_gf2(p)
     return _rref_gf2(rows)
 
 
+def pack(row: Row) -> int:
+    """A sparse row over GF(2) as a bit row."""
+    x = 0
+    for c, v in row.items():
+        if v & 1:
+            x |= 1 << c
+    return x
+
+
 def _echelon_gf2(rows: Iterable[Row]) -> Dict[int, int]:
+    """Echelon bit rows of sparse rows, keyed by pivot column."""
+    return _eliminate(map(pack, rows))
+
+
+def _eliminate(rows: Iterable[int]) -> Dict[int, int]:
     """Echelon bit rows keyed by pivot column (the lowest set bit)."""
     by_pivot: Dict[int, int] = {}
-    for row in rows:
-        x = 0
-        for c, v in row.items():
-            if v & 1:
-                x |= 1 << c
+    for x in rows:
         while x:
             lead = (x & -x).bit_length() - 1
             piv = by_pivot.get(lead)

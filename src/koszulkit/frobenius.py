@@ -413,6 +413,18 @@ class Degree2Comparison:
         self.cartan_kernel_dim = cartan_kernel_dim(alg)
 
 
+def _bar_space_size(algebra: GradedAlgebra) -> int:
+    """|C^1| + |C^2| of the bar complex from the vertex-block dimensions
+    d(a, b) = dim e_a A e_b: C^1 pairs two monomials of one block, sum_b d_b^2;
+    C^2 takes x1 in (a, b), x2 in (b, c) and y in (a, c), summed over the
+    vertex triples."""
+    n = algebra.quiver.n_vertices
+    d = [[algebra.block_dim(a, b) for b in range(n)] for a in range(n)]
+    return (sum(x * x for row in d for x in row)
+            + sum(d[a][b] * d[b][c] * d[a][c]
+                  for a in range(n) for b in range(n) for c in range(n)))
+
+
 class BarOracle:
     """Independent Hochschild dimensions in degrees 0 and 1 from the bar complex."""
 
@@ -420,6 +432,11 @@ class BarOracle:
         if not algebra.finite:
             raise FrobeniusError("bar oracle needs a finite-dimensional algebra")
         alg = algebra
+        size = _bar_space_size(alg)
+        if size > max_space:
+            raise FrobeniusError(
+                f"bar oracle refused: cochain space of size {size} "
+                f"exceeds the guard {max_space}")
         field = alg.field
         q = alg.quiver
         terms = alg.terms
@@ -438,10 +455,6 @@ class BarOracle:
                 for y in terms:
                     if blocks[y] == outer:
                         c2.append((x1, x2, y))
-        if len(c1) + len(c2) > max_space:
-            raise FrobeniusError(
-                f"bar oracle refused: cochain space of size {len(c1) + len(c2)} "
-                f"exceeds the guard {max_space}")
         c1_index = {c: k for k, c in enumerate(c1)}
         c2_index = {c: k for k, c in enumerate(c2)}
         pairs = sorted({(x1, x2) for (x1, x2, _y) in c2})

@@ -19,12 +19,28 @@ on chains, uses the left-acting terms with their sign flipped; the bimodule
 complex A (x) W_p (x) A uses the chain terms, a right-acting term
 multiplying the left coefficient slot on its right and a left-acting term
 multiplying the right slot on its left.
+
+The bimodule complex is assembled by slots.  e_u K_p e_v at total weight n
+is laid out as slots (W index, left weight, left positions, right
+positions, offset), read off a vertex-block table of A built once per
+instance, and the coordinate of (i_left, i_right) in a slot is offset +
+i_left * width + i_right, width being the number of right positions.  A
+term's images are built once per (side, factor block, arrow, target
+width) and checked then to lie in the target slot's vertex block: a
+right-acting term's image of each left monomial (from ``rmul_table``), a
+left-acting term's image of each right monomial (from ``mono_product``).
+A column is the sum of those images, each shifted by the other factor's
+index (times the target width for a left-acting term).  Over GF(2) the
+images are bit rows, a column is their XOR, and the columns go to
+``backend.rank_bits``; over other fields they are sparse vectors keyed by
+the same offsets, ranked by ``linalg.rank``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import backend
 from .koszul import (Chain, Cochain, KoszulCalculus, MODULE_A, MODULE_K, ModuleError,
                      NotClosedError)
 from .linalg import (LinearMap, NotInSubspaceError, QuotientSpace, SparseVec,
@@ -374,6 +390,16 @@ def higher_calculus(spaces: CalculusSpaces) -> HigherSpaces:
 
 # -- homology of the bimodule Koszul complex ----------------------------------
 
+#: the vertex block of a target slot that does not exist: no product lies in it
+_NO_SLOT: Tuple[int, ...] = ()
+
+
+def _add_shifted(col: SparseVec, img: SparseVec, shift: int, c) -> None:
+    """col += c * img with every coordinate moved up by ``shift``, unreduced."""
+    for k, w in img.items():
+        k += shift
+        col[k] = col.get(k, 0) + c * w
+
 
 class BimoduleHomology:
     """Graded dimensions of H_*(K(A)) with K_p = A (x) W_p (x) A."""
@@ -382,14 +408,29 @@ class BimoduleHomology:
         self.kd = kd
         self.p_max = p_max
         alg = kd.algebra
-        field = kd.field
         if weight_cutoff is None:
             if not alg.finite:
                 raise ValueError("a weight cutoff is required for non-vanishing algebras")
             weight_cutoff = 2 * alg.max_weight + max(
                 (kd.w(p).p for p in range(p_max + 2) if kd.w(p).dim), default=0)
+        elif alg.truncated and weight_cutoff > alg.max_weight:
+            raise ValueError(f"weight cutoff {weight_cutoff} exceeds the weights computed "
+                             f"for a truncated algebra (up to {alg.max_weight})")
         self.weight_cutoff = weight_cutoff
         self.inconclusive = alg.truncated
+        # the vertex-block table: (target, source) -> {weight: positions}, and
+        # each monomial's index inside its block
+        self._blocks: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
+        self._where: List[List[int]] = []
+        for m, blocks in enumerate(alg.blocks):
+            where = [0] * len(alg.monomials[m])
+            for key, positions in blocks.items():
+                self._blocks.setdefault(key, {})[m] = positions
+                for k, pos in enumerate(positions):
+                    where[pos] = k
+            self._where.append(where)
+        # (side, factor block, arrow, target width) -> (target block, images)
+        self._image_cache: Dict[Tuple[bool, int, int, int, int], Tuple[Sequence[int], list]] = {}
         dims: Dict[Tuple[int, int], int] = {}
         ranks: Dict[Tuple[int, int], int] = {}
         n_vertices = kd.quiver.n_vertices
@@ -399,62 +440,130 @@ class BimoduleHomology:
         self.dims = dims
         self.ranks = ranks
 
-    def _coords(self, p: int, u: int, v: int) -> Dict[int, List[Tuple[int, int, int, int]]]:
-        """Coordinates (wflat, posL, posR, r) of e_u K_p e_v grouped by total weight."""
-        alg = self.kd.algebra
-        weights = range(alg.max_weight + 1)
-        out: Dict[int, List[Tuple[int, int, int, int]]] = {}
+    def _layout(self, p: int, u: int, v: int) -> Dict[int, list]:
+        """e_u K_p e_v by total weight n: its dimension and its slots
+        {(W index, left weight): (offset, left positions, right positions)}, in
+        coordinate order; the coordinate of (i_left, i_right) in a slot is
+        offset + i_left * len(right positions) + i_right."""
+        out: Dict[int, list] = {}
         for (j, i), flats in self.kd.w(p).flat_of_block.items():
-            lefts = [alg.block_positions(r, u, j) for r in weights]
-            rights = [alg.block_positions(s, i, v) for s in weights]
-            # (left weight, total weight, left positions, right positions)
-            slots = [(r, r + p + s, lefts[r], rights[s]) for r in weights for s in weights
-                     if lefts[r] and rights[s] and r + p + s <= self.weight_cutoff]
-            for flat_idx in flats:
-                for r, n, left, right in slots:
-                    bucket = out.setdefault(n, [])
-                    for posL in left:
-                        for posR in right:
-                            bucket.append((flat_idx, posL, posR, r))
+            lefts, rights = self._blocks.get((u, j)), self._blocks.get((i, v))
+            if not lefts or not rights:
+                continue
+            pairs = [(r, r + p + s, left, right) for r, left in lefts.items()
+                     for s, right in rights.items() if r + p + s <= self.weight_cutoff]
+            for flat in flats:
+                for r, n, left, right in pairs:
+                    lay = out.setdefault(n, [0, {}])
+                    lay[1][(flat, r)] = (lay[0], left, right)
+                    lay[0] += len(left) * len(right)
         return out
 
     def _process_pair(self, u: int, v: int, dims, ranks) -> None:
         kd = self.kd
-        alg = kd.algebra
         field = kd.field
-        mono = alg.mono_product
-        coords = {p: self._coords(p, u, v) for p in range(self.p_max + 2)}
-        # index keys carry the left weight: a bare position is ambiguous
-        index = {p: {n: {(c[0], c[3], c[1], c[2]): k for k, c in enumerate(cs)}
-                     for n, cs in coords[p].items()}
-                 for p in coords}
-        for p in range(self.p_max + 2):
-            for n, cs in coords[p].items():
-                dims[(p, n)] = dims.get((p, n), 0) + len(cs)
+        packed = field.char == 2
+        layouts = [self._layout(p, u, v) for p in range(self.p_max + 2)]
+        for p, layout in enumerate(layouts):
+            for n, (size, _slots) in layout.items():
+                dims[(p, n)] = dims.get((p, n), 0) + size
         for p in range(1, self.p_max + 2):
             terms = kd.terms(p, "hom")
-            for n, cs in coords[p].items():
-                tgt_index = index[p - 1].get(n)
-                if not tgt_index:
+            for n, (_size, slots) in layouts[p].items():
+                target = layouts[p - 1].get(n)
+                if target is None:
                     continue
-                cols: List[SparseVec] = []
-                for (wflat, posL, posR, r) in cs:
-                    col: SparseVec = {}
-                    rmul = alg.rmul_table(r)
-                    s = n - p - r
-                    # a right-acting term multiplies the left slot on its right,
-                    # a left-acting term the right slot on its left
-                    for right, a, y, c in terms[wflat]:
-                        prod = rmul.get((posL, a)) if right else mono(1, a, s, posR)
-                        if not prod:
-                            continue
-                        for npos, w in prod.items():
-                            k = tgt_index.get((y, r + 1, npos, posR) if right
-                                              else (y, r, posL, npos))
-                            if k is not None:
-                                col[k] = col.get(k, 0) + c * w
-                    cols.append(field.settle(col))
-                ranks[(p, n)] = ranks.get((p, n), 0) + rank(cols, len(coords[p - 1][n]), field)
+                cols: list = []
+                for (flat, r), (_off, left, right) in slots.items():
+                    self._slot_columns(cols, terms[flat], r, n - p - r, left, right,
+                                       target[1], packed)
+                ranks[(p, n)] = ranks.get((p, n), 0) + (
+                    backend.rank_bits(cols) if packed else rank(cols, target[0], field))
+
+    def _slot_columns(self, cols: list, terms, r: int, s: int, left: List[int],
+                      right: List[int], targets, packed: bool) -> None:
+        """Append the differential's columns out of one slot (left weight r,
+        right weight s) in coordinate order: bit rows when ``packed``, else
+        sparse vectors of unreduced sums, which ``linalg.rank`` settles.  A
+        right-acting term's image of (i_left, i_right) is its image of left
+        monomial i_left shifted by i_right; a left-acting term's, its image
+        of right monomial i_right shifted by i_left times its target width."""
+        rparts, lparts = [], []
+        for right_acting, a, y, c in terms:
+            if packed and not c & 1:
+                continue
+            if right_acting:
+                off, imgs = self._images(True, r, left, a, targets.get((y, r + 1)), right)
+                rparts.append((imgs, off, c))
+            else:
+                target = targets.get((y, r))
+                off, imgs = self._images(False, s, right, a, target, left)
+                lparts.append((imgs, off, len(target[2]) if target else 0, c))
+        if packed:
+            for i_left in range(len(left)):
+                low = 0
+                for imgs, off, _c in rparts:
+                    low ^= imgs[i_left] << off
+                highs = [(imgs, off + i_left * width) for imgs, off, width, _c in lparts]
+                for i_right in range(len(right)):
+                    x = low << i_right
+                    for imgs, shift in highs:
+                        x ^= imgs[i_right] << shift
+                    cols.append(x)
+            return
+        for i_left in range(len(left)):
+            for i_right in range(len(right)):
+                col: SparseVec = {}
+                for imgs, off, c in rparts:
+                    _add_shifted(col, imgs[i_left], off + i_right, c)
+                for imgs, off, width, c in lparts:
+                    _add_shifted(col, imgs[i_right], off + i_left * width, c)
+                cols.append(col)
+
+    def _images(self, right_acting: bool, m: int, factor: List[int], a: int, target,
+                kept: List[int]) -> Tuple[int, list]:
+        """The target slot's offset, and the images of each monomial of
+        ``factor`` (weight m) times arrow a, on its right when
+        ``right_acting`` (a left factor) and else on its left (a right
+        factor), in coordinates of the target slot (offset, left positions,
+        right positions) with the other factor, ``kept``, at index 0: bit
+        rows over GF(2), else sparse vectors.  The images are built once per
+        (side, factor block, arrow, target width).  The build checks that
+        each product monomial lies in the target's vertex block, and every
+        use that the target holds that block and keeps ``kept``, so no
+        product is dropped and no coordinate misread."""
+        off, block, step = 0, _NO_SLOT, 0
+        if target is not None:
+            off, tleft, tright = target
+            block, other, step = ((tleft, tright, len(tright)) if right_acting
+                                  else (tright, tleft, 1))
+            if other is not kept:
+                raise ValueError("a differential term moves the factor it does not act on")
+        key = (right_acting, m, factor[0], a, step)
+        hit = self._image_cache.get(key)
+        if hit is None:
+            alg = self.kd.algebra
+            if right_acting:
+                rmul = alg.rmul_table(m)
+                prods = [rmul.get((pos, a), {}) for pos in factor]
+            else:
+                prods = [alg.mono_product(1, a, m, pos) for pos in factor]
+            where = self._where[m + 1] if m + 1 < len(self._where) else ()
+            imgs = []
+            for prod in prods:
+                img: SparseVec = {}
+                for npos, w in prod.items():
+                    k = where[npos] if npos < len(where) else -1
+                    if not 0 <= k < len(block) or block[k] != npos:
+                        raise ValueError(f"product monomial {npos} of weight {m + 1} lies "
+                                         f"outside its target slot's vertex block")
+                    img[k * step] = w
+                imgs.append(backend.pack(img) if self.kd.field.char == 2 else img)
+            hit = self._image_cache[key] = (block, imgs)
+        elif hit[0] is not block:
+            raise ValueError(f"products of weight {m + 1} lie outside their target slot's "
+                             f"vertex block")
+        return off, hit[1]
 
     def homology_dim(self, p: int, n: int) -> int:
         return (self.dims.get((p, n), 0) - self.ranks.get((p, n), 0)

@@ -189,6 +189,31 @@ def test_bar_oracle_size_guard():
         BarOracle(pr.algebra, max_space=10)
 
 
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_bar_space_size_from_vertex_blocks(name):
+    """The block-dimension sum equals the sizes of the enumerated C^1 and C^2."""
+    from koszulkit.frobenius import _bar_space_size
+    alg = Preset(name, QQ).algebra
+    blocks = {t: alg.block_of[t[0]][t[1]] for t in alg.terms}
+    c1 = [(x, y) for x in blocks for y in blocks if blocks[x] == blocks[y]]
+    c2 = [(x1, x2, y) for x1 in blocks for x2 in blocks if blocks[x1][1] == blocks[x2][0]
+          for y in blocks if blocks[y] == (blocks[x1][0], blocks[x2][1])]
+    assert _bar_space_size(alg) == len(c1) + len(c2)
+
+
+def test_bar_oracle_refuses_before_enumerating(monkeypatch):
+    """E7/F:3 is refused from the block dimensions, before any C^1/C^2 list
+    is built (the lists start from the monomial basis, ``terms``)."""
+    from koszulkit.algebra import GradedAlgebra
+    from koszulkit.frobenius import _bar_space_size
+    alg = Preset("E7", GF(3)).algebra
+    size = _bar_space_size(alg)
+    monkeypatch.setattr(GradedAlgebra, "terms",
+                        property(lambda self: pytest.fail("the oracle enumerated")))
+    with pytest.raises(FrobeniusError, match=f"cochain space of size {size} exceeds the guard 10"):
+        BarOracle(alg, max_space=10)
+
+
 def test_degree2_comparison_a3():
     comp = TypeCharComputation("A3", 0, with_frobenius=True)
     cmp2 = Degree2Comparison(comp.kd, comp.frob, comp.coh, comp.hom)

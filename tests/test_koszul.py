@@ -626,6 +626,19 @@ BIMODULE_TABLES = {
         {(1, 1): 6, (1, 2): 21, (1, 3): 48, (1, 4): 90, (1, 5): 150, (1, 6): 231,
          (1, 7): 336, (1, 8): 468, (2, 2): 3, (2, 3): 12, (2, 4): 30, (2, 5): 60,
          (2, 6): 105, (2, 7): 168, (2, 8): 252}),
+    # recorded before the assembly moved onto slot offsets and bit rows
+    ("D~4", 2, 8): (
+        {0: {0: 5, 1: 8, 2: 15, 3: 16, 4: 25, 5: 24, 6: 35, 7: 32, 8: 45}, 1: {}, 2: {},
+         3: {}},
+        {(1, 1): 8, (1, 2): 35, (1, 3): 64, (1, 4): 150, (1, 5): 200, (1, 6): 385,
+         (1, 7): 448, (1, 8): 780, (2, 2): 5, (2, 3): 16, (2, 4): 50, (2, 5): 80,
+         (2, 6): 175, (2, 7): 224, (2, 8): 420}),
+    ("A~3", 2, 8): (
+        {0: {0: 4, 1: 8, 2: 12, 3: 16, 4: 20, 5: 24, 6: 28, 7: 32, 8: 36}, 1: {}, 2: {},
+         3: {}},
+        {(1, 1): 8, (1, 2): 28, (1, 3): 64, (1, 4): 120, (1, 5): 200, (1, 6): 308,
+         (1, 7): 448, (1, 8): 624, (2, 2): 4, (2, 3): 16, (2, 4): 40, (2, 5): 80,
+         (2, 6): 140, (2, 7): 224, (2, 8): 336}),
 }
 
 
@@ -637,6 +650,117 @@ def test_bimodule_tables_pinned(key):
     table, ranks = BIMODULE_TABLES[key]
     assert bh.homology_table() == table
     assert {k: r for k, r in bh.ranks.items() if r} == ranks
+
+
+def _reference_bimodule(kd, p_max, weight_cutoff):
+    """dims and ranks of the bimodule complex, assembled as before the slot
+    layout: one coordinate list per (u, v, p) and total weight, a dict index
+    keyed (W index, left weight, left position, right position), and one
+    dict column per coordinate."""
+    from koszulkit.linalg import rank
+    alg, field = kd.algebra, kd.field
+    weights = range(alg.max_weight + 1)
+    dims, ranks = {}, {}
+
+    def coords(p, u, v):
+        out = {}
+        for (j, i), flats in kd.w(p).flat_of_block.items():
+            lefts = [alg.block_positions(r, u, j) for r in weights]
+            rights = [alg.block_positions(s, i, v) for s in weights]
+            slots = [(r, r + p + s, lefts[r], rights[s]) for r in weights for s in weights
+                     if lefts[r] and rights[s] and r + p + s <= weight_cutoff]
+            for flat_idx in flats:
+                for r, n, left, right in slots:
+                    bucket = out.setdefault(n, [])
+                    for posL in left:
+                        for posR in right:
+                            bucket.append((flat_idx, posL, posR, r))
+        return out
+
+    for u in range(kd.quiver.n_vertices):
+        for v in range(kd.quiver.n_vertices):
+            cs = {p: coords(p, u, v) for p in range(p_max + 2)}
+            index = {p: {n: {(c[0], c[3], c[1], c[2]): k for k, c in enumerate(lst)}
+                         for n, lst in cs[p].items()} for p in cs}
+            for p in cs:
+                for n, lst in cs[p].items():
+                    dims[(p, n)] = dims.get((p, n), 0) + len(lst)
+            for p in range(1, p_max + 2):
+                terms = kd.terms(p, "hom")
+                for n, lst in cs[p].items():
+                    tgt_index = index[p - 1].get(n)
+                    if not tgt_index:
+                        continue
+                    cols = []
+                    for (wflat, posL, posR, r) in lst:
+                        col = {}
+                        rmul = alg.rmul_table(r)
+                        s = n - p - r
+                        for right, a, y, c in terms[wflat]:
+                            prod = rmul.get((posL, a)) if right else alg.mono_product(1, a, s, posR)
+                            for npos, w in (prod or {}).items():
+                                k = tgt_index.get((y, r + 1, npos, posR) if right
+                                                  else (y, r, posL, npos))
+                                if k is not None:
+                                    col[k] = col.get(k, 0) + c * w
+                        cols.append(field.settle(col))
+                    ranks[(p, n)] = ranks.get((p, n), 0) + rank(cols, len(cs[p - 1][n]), field)
+    return dims, ranks
+
+
+@pytest.mark.parametrize("name,char,cutoff", [("E6", 2, None), ("D~4", 2, 8), ("A~3", 2, 8),
+                                              ("D~4", 0, 5), ("D5", 3, None), ("A4", 0, None)])
+def test_bimodule_slot_assembly_matches_reference(name, char, cutoff):
+    """Slot offsets and shifted images (bit rows over GF(2), dict columns
+    otherwise) give the dims and ranks of the per-coordinate assembly."""
+    pr = Preset(name, GF(char) if char else QQ, cutoff=cutoff)
+    kd = KoszulCalculus(pr.algebra, 3)
+    bh = BimoduleHomology(kd, 3, weight_cutoff=cutoff)
+    assert (bh.dims, bh.ranks) == _reference_bimodule(kd, 3, bh.weight_cutoff)
+
+
+def test_bimodule_refuses_a_cutoff_past_the_computed_weights():
+    pr = Preset("D~4", GF(2), cutoff=6)
+    kd = KoszulCalculus(pr.algebra, 3)
+    with pytest.raises(ValueError, match=r"weight cutoff 9 .*up to 6"):
+        BimoduleHomology(kd, 3, weight_cutoff=9)
+    assert BimoduleHomology(kd, 3, weight_cutoff=6).koszul_up_to_cutoff()
+
+
+def _misplaced(alg, weight, pos, prod):
+    """prod with monomial pos (of the given weight) moved to another vertex block."""
+    block = alg.block_of[weight]
+    other = next(q for q in range(len(block)) if block[q] != block[pos])
+    out = dict(prod)
+    out[other] = out.pop(pos)
+    return out
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_bimodule_refuses_a_product_outside_its_target_block(side, monkeypatch):
+    """A product monomial outside its target slot's vertex block raises,
+    whichever factor the term multiplies; it is never dropped or placed."""
+    pr = Preset("D4", GF(2))
+    alg = pr.algebra
+    kd = KoszulCalculus(alg, 3)
+    if side == "right":
+        table = dict(alg.rmul_table(1))
+        key, prod = next((k, nf) for k, nf in table.items() if nf)
+        table[key] = _misplaced(alg, 2, next(iter(prod)), prod)
+        real = alg.rmul_table
+        monkeypatch.setattr(alg, "rmul_table", lambda m: table if m == 1 else real(m))
+    else:
+        real = alg.mono_product
+        a = 0
+
+        def mono_product(m, pos, n, qos):
+            prod = real(m, pos, n, qos)
+            if (m, pos, n) == (1, a, 1) and prod:
+                return _misplaced(alg, 2, next(iter(prod)), prod)
+            return prod
+        monkeypatch.setattr(alg, "mono_product", mono_product)
+    with pytest.raises(ValueError, match="outside its target slot's vertex block"):
+        BimoduleHomology(kd, 3)
 
 
 def _reference_product(kd, mod_f, mod_g, fval, gval, fblock, gblock):

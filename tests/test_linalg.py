@@ -426,3 +426,27 @@ def test_in_place_reduce_and_solve_match_copy_per_pivot(case):
         if not z.contains(v):
             with pytest.raises(la.NotInSubspaceError):
                 q.coords(v)
+
+
+def test_rank_bits_matches_rank_mod():
+    """Rows packed by the caller go through the same elimination as dict rows;
+    seeded sparse rows, with empty, even-valued and repeated rows among them."""
+    rnd = random.Random(16)
+    for _ in range(300):
+        ncols = rnd.choice([1, 5, 40, 130])
+        rows = []
+        for _ in range(rnd.randint(0, 12)):
+            kind = rnd.random()
+            if kind < 0.15:
+                rows.append({})
+            elif kind < 0.35 and rows:
+                rows.append(dict(rnd.choice(rows)))
+            else:
+                rows.append({rnd.randrange(ncols): rnd.randint(0, 3)
+                             for _ in range(rnd.randint(1, 5))})
+        bits = [sum(1 << c for c, v in row.items() if v % 2) for row in rows]
+        assert [backend.pack(row) for row in rows] == bits
+        want = len(_dense_rref([{c: v % 2 for c, v in row.items()} for row in rows],
+                               ncols, GF(2))[1])
+        assert backend.rank_bits(bits) == backend.rank_mod(rows, 2) == want
+        assert backend.rank_bits(iter(bits)) == want
