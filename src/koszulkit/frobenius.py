@@ -418,8 +418,8 @@ def _bar_space_size(algebra: GradedAlgebra) -> int:
     d(a, b) = dim e_a A e_b: C^1 pairs two monomials of one block, sum_b d_b^2;
     C^2 takes x1 in (a, b), x2 in (b, c) and y in (a, c), summed over the
     vertex triples."""
-    n = algebra.quiver.n_vertices
-    d = [[algebra.block_dim(a, b) for b in range(n)] for a in range(n)]
+    d = list(zip(*algebra.cartan_matrix()))
+    n = len(d)
     return (sum(x * x for row in d for x in row)
             + sum(d[a][b] * d[b][c] * d[a][c]
                   for a in range(n) for b in range(n) for c in range(n)))
