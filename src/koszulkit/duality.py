@@ -1,19 +1,19 @@
 """Cap-product duality machinery for preprojective algebras.
 
-The weight-0 2-cycle pairing each vertex with its relation realizes an
-isomorphism between Koszul cochains of degree p and chains of degree 2-p:
-capping with it on the left, with the explicit inverse given arrowwise by
-the star involution and the sign function.  The checks collected in
-``verify_duality`` certify the chain-map, inversion, symmetry and module
-identities exactly, and ``ae_coefficient_route`` reads the enveloping
-coefficients off the bimodule complex instead of materializing them.
+The weight-0 2-cycle omega0 = sum_i e_i (x) sigma_i, capped on the right
+with the cochains of degree p, realizes the isomorphism theta onto chains
+of degree 2-p.  ``theta_table`` is its one evaluation, a cap table over a
+list of cochains; ``eta`` is its explicit inverse, given arrowwise by the
+star involution and the sign function.  ``verify_duality`` certifies the
+chain-map, inversion, symmetry and module identities exactly, and
+``ae_coefficient_route`` reads the enveloping coefficients off the
+bimodule complex instead of materializing them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .algebra import Term
 from .homology import BimoduleHomology, CalculusSpaces, HigherSpaces
 from .koszul import Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A
 from .linalg import LinearMap
@@ -38,13 +38,25 @@ def omega0(kd: KoszulCalculus) -> Chain:
                                   for r, i in enumerate(pres.sigma_vertices)])
 
 
-def theta(kd: KoszulCalculus, f: Cochain, w0: Optional[Chain] = None) -> Chain:
-    """Duality map: cap the fundamental 2-cycle with the cochain."""
-    if f.p > 2:
+def theta_table(kd: KoszulCalculus, fs: Sequence[Cochain],
+                w0: Optional[Chain] = None) -> List[Chain]:
+    """Duality map on every cochain of ``fs`` (one degree, at most 2): the
+    fundamental 2-cycle capped with each, from one right cap table.  A
+    cochain whose cap is absent from the table maps to the zero chain of
+    the product's module."""
+    if any(f.p > 2 for f in fs):
         raise DegreeError("duality is defined in degrees 0..2")
     if w0 is None:
         w0 = omega0(kd)
-    return kd.cap(f, w0, side="right")
+    caps = kd.cap_table(fs, [w0], side="right")
+    return [caps[(i, 0)] if (i, 0) in caps else
+            kd.zero_chain(2 - f.p, kd._out_module(f.module, w0.module))
+            for i, f in enumerate(fs)]
+
+
+def theta(kd: KoszulCalculus, f: Cochain, w0: Optional[Chain] = None) -> Chain:
+    """Duality map on one cochain, the one-cochain case of ``theta_table``."""
+    return theta_table(kd, [f], w0)[0]
 
 
 def eta(kd: KoszulCalculus, z: Chain) -> Cochain:
@@ -78,8 +90,7 @@ def eta(kd: KoszulCalculus, z: Chain) -> Cochain:
 
 
 def unit_cochain(kd: KoszulCalculus) -> Cochain:
-    return kd.cochain_on_vertices(
-        {i: kd.algebra.vertex_elem(i) for i in range(kd.quiver.n_vertices)})
+    return kd.diagonal_cochain(kd.algebra.unit_elem())
 
 
 class DualityReport:
@@ -97,64 +108,53 @@ class DualityReport:
         return all(self.checks.values())
 
 
+def _unit_basis(spaces: CalculusSpaces, p: int) -> list:
+    """The unit (co)chains of degree p, block by block in weight order."""
+    return [blk.space.unflatten({k: spaces.kd.field.one})
+            for blk in (spaces.blocks[(p, m)] for m in spaces.weights())
+            for k in range(blk.space.dim)]
+
+
 def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
                    module: str = MODULE_A,
                    hi_coh: Optional[HigherSpaces] = None,
                    hi_hom: Optional[HigherSpaces] = None) -> DualityReport:
-    """Exact duality checklist on cochain bases and class bases."""
+    """Exact duality checklist on cochain bases and class bases; every theta
+    comes from ``theta_table``.  Check (d) passes a product table that is
+    wrong but used consistently: omega0's coefficients are idempotents, so
+    both sides of each identity multiply the same values by the same table.
+    tests/test_quiver_algebra.py::test_multiply_matches_arrow_by_arrow_reference
+    and the ``frobenius.nakayama-symmetric`` check of ``hochschild2_checks``
+    catch such a table."""
     report = DualityReport()
     field = kd.field
     w0 = omega0(kd)
     report.record("omega0 is a cycle", w0.is_cycle())
 
-    # theta is stored as its columns: one cap per basis cochain, laid out
-    # weight by weight in the coordinates of each biweight
-    basis_cochains: Dict[int, List[Cochain]] = {}
-    basis_index: Dict[int, Dict[Tuple[int, Term], int]] = {}
-    for p in range(3):
-        units: List[Cochain] = []
-        index = basis_index[p] = {}
-        for m in coh.weights():
-            space = coh.blocks[(p, m)].space
-            for k, (flat_idx, pos) in enumerate(space.coords):
-                index[(flat_idx, (m, pos))] = len(units)
-                units.append(space.unflatten({k: field.one}))
-        basis_cochains[p] = units
-    theta_cols = {p: [theta(kd, f, w0) for f in basis_cochains[p]] for p in range(3)}
+    # theta is stored as its columns, one per basis cochain
+    basis_cochains = {p: _unit_basis(coh, p) for p in range(3)}
+    theta_cols = {p: theta_table(kd, fs, w0) for p, fs in basis_cochains.items()}
 
-    def theta_of(f: Cochain) -> Chain:
-        """theta(f) by linearity from the columns of theta.  Only algebra
-        values are read: on k, the cochains passed here (b_K f) are zero."""
-        index = basis_index[f.p]
-        cols = theta_cols[f.p]
-        acc: Dict[int, object] = {}
-        for flat_idx, val in f.values.items():
-            for t, c in val.items():
-                for k, v in cols[index[(flat_idx, t)]].values.items():
-                    kd._mod_accumulate(f.module, acc, k, v, c)
-        return Chain(kd, 2 - f.p, f.module, kd._mod_settle(f.module, acc))
-
-    # (a) chain map and (b) mutual inversion, on full cochain bases
+    # (a) chain map, (b) mutual inversion and (c) cap symmetry with the
+    # fundamental cycle, on full cochain bases
     for p in range(3):
-        for f, tf in zip(basis_cochains[p], theta_cols[p]):
+        fs = basis_cochains[p]
+        if p < 2:
+            t_bk = theta_table(kd, [kd.apply_bK(f) for f in fs], w0)
+        lefts = kd.cap_table(fs, [w0], side="left")
+        zero = kd.zero_chain(2 - p, coh.module)
+        for i, (f, tf) in enumerate(zip(fs, theta_cols[p])):
             if p < 2:
-                lhs = theta_of(kd.apply_bK(f))
-                rhs = kd.apply_bK_chain(tf)
-                report.record("theta chain map", lhs.equals(rhs),
+                report.record("theta chain map", t_bk[i].equals(kd.apply_bK_chain(tf)),
                               f"degree {p} basis cochain")
-            back = eta(kd, tf)
-            report.record("eta o theta = id", back.equals(f), f"degree {p}")
-            # (c) cap symmetry with the fundamental cycle
-            left = kd.cap(f, w0, side="left")
-            report.record("f cap w0 = w0 cap f", left.equals(tf), f"degree {p}")
+            report.record("eta o theta = id", eta(kd, tf).equals(f), f"degree {p}")
+            report.record("f cap w0 = w0 cap f", lefts.get((i, 0), zero).equals(tf),
+                          f"degree {p}")
     # theta o eta = id on chain bases
     for q in range(3):
-        for m in hom.weights():
-            space = hom.blocks[(q, m)].space
-            for k in range(space.dim):
-                z = space.unflatten({k: field.one})
-                again = theta(kd, eta(kd, z), w0)
-                report.record("theta o eta = id", again.equals(z), f"degree {q}")
+        zs = _unit_basis(hom, q)
+        for z, again in zip(zs, theta_table(kd, [eta(kd, z) for z in zs], w0)):
+            report.record("theta o eta = id", again.equals(z), f"degree {q}")
 
     # (d) module identities theta(f cup g) = theta(f) cap g = f cap theta(g),
     # on every pair of basis cochains; a pair absent from a table is zero
@@ -163,13 +163,13 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
             for q in range(3 - p):
                 fs, gs = basis_cochains[p], basis_cochains[q]
                 cups = kd.cup_table(fs, gs)
+                t_cups = dict(zip(cups, theta_table(kd, list(cups.values()), w0)))
                 lefts = kd.cap_table(gs, theta_cols[p], side="right")
                 rights = kd.cap_table(fs, theta_cols[q], side="left")
                 zero = kd.zero_chain(2 - p - q)
                 for i in range(len(fs)):
                     for j in range(len(gs)):
-                        cup = cups.get((i, j))
-                        t_cup = zero if cup is None else theta_of(cup)
+                        t_cup = t_cups.get((i, j), zero)
                         left = lefts.get((j, i), zero)
                         right = rights.get((i, j), zero)
                         report.record("theta(f cup g) = theta(f) cap g",
@@ -183,17 +183,14 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
         dim_h = hom.dim(2 - p)
         report.record("dim HK^p = dim HK_{2-p}", dim_c == dim_h,
                       f"p={p}: {dim_c} vs {dim_h}")
-        cols = []
-        for rep in coh.representatives(p):
-            cols.append({k: c for k, c in enumerate(hom.class_of(theta(kd, rep, w0)))
-                         if not field.is_zero(c)})
+        cols = [{k: c for k, c in enumerate(hom.class_of(t)) if not field.is_zero(c)}
+                for t in theta_table(kd, coh.representatives(p), w0)]
         r = LinearMap(dim_c, dim_h, cols, field).rank()
         report.record("H(theta) bijective", r == dim_c == dim_h, f"p={p} rank {r}")
 
     # fundamental class: the duality image of the unit 0-class
     if module == MODULE_A:
-        unit = unit_cochain(kd)
-        report.record("theta(1) = omega0", theta(kd, unit, w0).equals(w0))
+        report.record("theta(1) = omega0", theta(kd, unit_cochain(kd), w0).equals(w0))
 
     # (f) higher duality dimensions
     if hi_coh is not None and hi_hom is not None:

@@ -227,7 +227,7 @@ class CalculusSpaces(_GradedDims):
                 spaces[(p, m)] = CoordSpace(kd, p, m, self.module, self.side)
             return spaces[(p, m)]
 
-        # b_K out of every block that a kernel or an image below needs
+        # b_K out of each block a kernel or image below needs; none means zero
         mats: Dict[Tuple[int, Optional[int]], LinearMap] = {}
         for p in range(top + 1):
             if not 0 <= p + step <= top:
@@ -235,7 +235,6 @@ class CalculusSpaces(_GradedDims):
             for m in self.weights():
                 src, dst = space(p, m), space(p + step, _shifted(m, 1))
                 if not src.dim or not dst.dim:
-                    mats[(p, m)] = LinearMap.zero(src.dim, dst.dim, field)
                     continue
                 units = [{k: one} for k in range(src.dim)]
                 mats[(p, m)] = LinearMap(src.dim, dst.dim, _block_images(src, dst, units),
@@ -357,10 +356,8 @@ class HigherSpaces(_GradedDims):
         mats: Dict[Tuple[int, Optional[int]], LinearMap] = {}
         for (p, m), blk in spaces.blocks.items():
             tblk = spaces.blocks.get((p + step, _shifted(m, 1)))
-            tdim = 0 if tblk is None else tblk.dim
-            if not blk.dim or not tdim:
-                mats[(p, m)] = LinearMap.zero(blk.dim, tdim, field)
-                continue
+            if not blk.dim or tblk is None or not tblk.dim:
+                continue  # a zero map: _homology reads a missing one as zero
             imgs = _block_images(blk.space, tblk.space, blk.quotient.representatives,
                                  higher=True)
             cols = [{k: c for k, c in enumerate(tblk.quotient.coords(img))

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import os
 import random
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import adedata
 from .adedata import ExpectedCombo
 from .algebra import Elem
-from .duality import omega0, verify_duality
+from .duality import theta_table, verify_duality
 from .fields import GF, QQ, Field
 from .frobenius import Degree2Comparison, FrobeniusStructure
 from .homology import (CalculusSpaces, CoordSpace, HigherSpaces, higher_calculus,
@@ -234,14 +235,11 @@ def hochschild2_checks(name: str, char: int, log: Optional[CheckLog] = None,
                    f"computed defect {got}, table {defect}")
     killed = adedata.hh_2_killed_generators(name, char)
     if killed is not None:
-        w0 = omega0(comp.kd)
-        cycles = []
-        for combo in killed:
-            z = comp.kd.zero_chain(2)
-            for lbl, coeff in combo.items():
-                zc = comp.kd.cap(comp.gens.cochain(lbl), w0, side="right")
-                z = z.add(zc, field.from_int(coeff))
-            cycles.append(comp.hom.class_of(z))
+        # theta of each tabulated combination of generators
+        combos = [reduce(Cochain.add, [comp.gens.cochain(lbl).scale(field.from_int(coeff))
+                                       for lbl, coeff in combo.items()])
+                  for combo in killed]
+        cycles = [comp.hom.class_of(z) for z in theta_table(comp.kd, combos)]
         tabulated_span("HH_2.killed-span", cycles, cmp2.killed_subspace, "computed")
     log.record(f"{key}.cartan-kernel", cmp2.ker_up_weight0_dim == cmp2.cartan_kernel_dim,
                f"weight-0 kernel {cmp2.ker_up_weight0_dim}, Cartan kernel "
@@ -277,7 +275,13 @@ def verify_ade(types: Sequence[str], chars: Sequence[int],
     """Tables plus the invariant-triple theorem across the given types.
 
     ``threads`` asks for that many worker processes (see ``pool_size``).
+    An empty or repeated list of types or characteristics is refused.
     """
+    for what, items in (("types", types), ("characteristics", chars)):
+        repeated = [str(x) for x in dict.fromkeys(items) if items.count(x) > 1]
+        if not items or repeated:
+            raise ValueError(f"repeated {what}: {', '.join(repeated)}" if repeated
+                             else f"no {what} given")
     untabulated = [t for t in types if not adedata.tabulated(t)]
     if untabulated:
         raise PresetError(f"no tables for {', '.join(untabulated)} "

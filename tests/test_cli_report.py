@@ -250,6 +250,29 @@ def test_verify_ade_normalizes_and_refuses_untabulated_types(monkeypatch, capsys
         assert captured.err == f"error: {message} (tabulated: A3.., D4.., E6, E7, E8)\n"
 
 
+@pytest.mark.parametrize("types, chars, message", [
+    ("", "0", "no types given"),
+    (",", "0", "no types given"),
+    ("A3", "", "no characteristics given"),
+    ("A3,A3", "0", "repeated types: A3"),
+    ("E6,a3,e6", "0", "repeated types: E6"),
+    ("A3", "0,2,0", "repeated characteristics: 0"),
+], ids=["no-types", "only-commas", "no-chars", "repeated-type", "repeated-after-normalizing",
+        "repeated-char"])
+def test_verify_ade_refuses_empty_or_repeated_lists(monkeypatch, capsys, types, chars,
+                                                    message):
+    """An empty list would pass 0/0 checks and a repeated one would run
+    every job more than once: both exit 3 before any job runs."""
+    import koszulkit.verify as ver
+    jobs = []
+    monkeypatch.setattr(ver, "_run_verify_job",
+                        lambda job: jobs.append(job) or ([], (len(jobs), 0, 0)))
+    code = main(["verify-ade", "--types", types, "--chars", chars, "--compact"])
+    captured = capsys.readouterr()
+    assert code == 3 and jobs == [] and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("requested, n_jobs, cpus, want", [
     (1, 10, 8, 1), (4, 10, 8, 4), (64, 10, 8, 8), (64, 3, 8, 3), ("4", 10, 2, 2),
     (0, 10, 8, 1), (-3, 10, 8, 1), ("", 10, 8, 1), ("many", 10, 8, 1), (None, 10, 8, 1),

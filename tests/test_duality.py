@@ -6,7 +6,7 @@ import pytest
 
 from koszulkit import duality as du
 from koszulkit.fields import GF, QQ
-from koszulkit.homology import higher_calculus, koszul_homology
+from koszulkit.homology import CoordSpace, higher_calculus, koszul_homology
 from koszulkit.koszul import Chain, Cochain, DegreeError, KoszulCalculus, \
     MODULE_A, MODULE_K
 from koszulkit.presets import Preset
@@ -89,6 +89,34 @@ def test_eta_inverts_theta_on_random_cochains(a3):
             assert du.eta(kd, du.theta(kd, f)).equals(f)
     with pytest.raises(DegreeError):
         du.theta(kd, Cochain(kd, 3, MODULE_A, {}))
+
+
+@pytest.mark.parametrize("name,field", [("A3", QQ), ("D5", GF(3)), ("E6", GF(2))])
+@pytest.mark.parametrize("module", [MODULE_A, MODULE_K])
+def test_theta_table_matches_per_cochain_caps(name, field, module):
+    """theta_table on every basis cochain of degrees 0-2, and on zero, equals
+    the right cap of omega0 with each cochain alone: same module, degree and
+    values."""
+    kd = KoszulCalculus(Preset(name, field).algebra, 3)
+    w0 = du.omega0(kd)
+    weights = range(kd.algebra.max_weight + 1) if module == MODULE_A else [None]
+    for p in range(3):
+        fs = [space.unflatten({k: field.one})
+              for space in (CoordSpace(kd, p, m, module, "coh") for m in weights)
+              for k in range(space.dim)]
+        # k has no degree-1 basis: no arrow of a Dynkin quiver is a loop
+        assert bool(fs) == (module == MODULE_A or p != 1)
+        # the zero cochain has no entry in the table: its theta is read as zero
+        fs.append(Cochain(kd, p, module, {}))
+        got = du.theta_table(kd, fs, w0)
+        assert len(got) == len(fs) and got[-1].is_zero()
+        for f, t in zip(fs, got):
+            ref = kd.cap(f, w0, side="right")
+            assert (t.module, t.degree, t.values) == (ref.module, ref.degree, ref.values)
+            assert (t.module, t.degree) == (module, 2 - p)
+    assert du.theta_table(kd, [], w0) == []
+    with pytest.raises(DegreeError):
+        du.theta_table(kd, [Cochain(kd, 3, MODULE_A, {}), Cochain(kd, 3, MODULE_A, {})], w0)
 
 
 @pytest.mark.parametrize("name,field", [
