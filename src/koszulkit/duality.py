@@ -1,13 +1,13 @@
 """Cap-product duality machinery for preprojective algebras.
 
-The weight-0 2-cycle omega0 = sum_i e_i (x) sigma_i, capped on the right
-with the cochains of degree p, realizes the isomorphism theta onto chains
-of degree 2-p.  ``theta_table`` is its one evaluation, a cap table over a
-list of cochains; ``eta`` is its explicit inverse, given arrowwise by the
-star involution and the sign function.  ``verify_duality`` certifies the
-chain-map, inversion, symmetry and module identities exactly, and
-``ae_coefficient_route`` reads the enveloping coefficients off the
-bimodule complex instead of materializing them.
+The weight-0 fundamental cycle omega0 = sum_i e_i (x) sigma_i has degree n,
+read off omega0.  Capped on the right with the cochains of degree p <= n it
+realizes the isomorphism theta onto chains of degree n-p: ``theta_table`` is
+its one evaluation, a cap table, and ``eta_table`` its inverse, read off the
+split pairing of omega0.  ``verify_duality`` certifies the chain-map,
+inversion, symmetry and module identities exactly, and
+``ae_coefficient_route`` reads the enveloping coefficients off the bimodule
+complex instead of materializing them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .homology import BimoduleHomology, CalculusSpaces, HigherSpaces
-from .koszul import Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A
+from .koszul import Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A, _common_grading
 from .linalg import LinearMap
 
 
@@ -23,34 +23,28 @@ class NotPreprojectiveError(ValueError):
     pass
 
 
-def _preprojective_data(kd: KoszulCalculus):
-    pres = kd.algebra.presentation
-    spec = getattr(pres, "preprojective", None)
-    if spec is None:
-        raise NotPreprojectiveError("operation requires a preprojective presentation")
-    return pres, spec
-
-
 def omega0(kd: KoszulCalculus) -> Chain:
-    """The fundamental 2-cycle: sum over vertices of e_i tensor sigma_i."""
-    pres, _spec = _preprojective_data(kd)
+    """The fundamental cycle: sum over vertices of e_i tensor sigma_i."""
+    pres = kd.algebra.presentation
+    if not hasattr(pres, "preprojective"):
+        raise NotPreprojectiveError("operation requires a preprojective presentation")
     return kd.chain_on_relations([(kd.algebra.vertex_elem(i), r)
                                   for r, i in enumerate(pres.sigma_vertices)])
 
 
 def theta_table(kd: KoszulCalculus, fs: Sequence[Cochain],
                 w0: Optional[Chain] = None) -> List[Chain]:
-    """Duality map on every cochain of ``fs`` (one degree, at most 2): the
-    fundamental 2-cycle capped with each, from one right cap table.  A
+    """Duality map on every cochain of ``fs`` (one degree, at most n): the
+    fundamental n-cycle capped with each, from one right cap table.  A
     cochain whose cap is absent from the table maps to the zero chain of
     the product's module."""
-    if any(f.p > 2 for f in fs):
-        raise DegreeError("duality is defined in degrees 0..2")
-    if w0 is None:
-        w0 = omega0(kd)
+    w0 = omega0(kd) if w0 is None else w0
+    n = w0.q
+    if any(f.p > n for f in fs):
+        raise DegreeError(f"duality is defined in degrees 0..{n}")
     caps = kd.cap_table(fs, [w0], side="right")
     return [caps[(i, 0)] if (i, 0) in caps else
-            kd.zero_chain(2 - f.p, kd._out_module(f.module, w0.module))
+            kd.zero_chain(n - f.p, kd._out_module(f.module, w0.module))
             for i, f in enumerate(fs)]
 
 
@@ -59,34 +53,40 @@ def theta(kd: KoszulCalculus, f: Cochain, w0: Optional[Chain] = None) -> Chain:
     return theta_table(kd, [f], w0)[0]
 
 
+def eta_table(kd: KoszulCalculus, zs: Sequence[Chain]) -> List[Cochain]:
+    """Inverse of the duality map on every chain of ``zs`` (one degree q <= n).
+    theta(f) has lam f(s) on u for the one split s (x) u of omega0 in
+    W_{n-q} (x) W_q that holds u, lam = (-1)^{(n-q)n} (split coefficient)
+    (omega0's scalar there); so m (x) u goes to the cochain s -> m / lam."""
+    if not zs:
+        return []
+    q, module = _common_grading(zs)
+    w0 = omega0(kd)
+    n = w0.q
+    if q > n:
+        raise DegreeError(f"duality is defined in degrees 0..{n}")
+    sign, splits = kd.field.sign((n - q) * n), kd.split_coords(n - q, q)
+    pairs = [(u, s, sign * c * scalar)
+             for x, coeff in w0.values.items()
+             for scalar in coeff.values()  # omega0's coefficients are scalars times e_i
+             for (s, u), c in splits[x].items()]
+    inverse = {u: (s, kd.field.inv(lam)) for u, s, lam in pairs}
+    if not (len(pairs) == len(inverse) == len({s for _u, s, _lam in pairs})
+            == kd.w(q).dim == kd.w(n - q).dim):
+        raise NotPreprojectiveError(f"omega0 does not pair W_{q} one-to-one with W_{n - q}")
+    out = []
+    for z in zs:
+        acc: Dict[int, object] = {}
+        for u, m in z.values.items():
+            s, c = inverse[u]
+            kd._mod_accumulate(module, acc, s, m, c)
+        out.append(Cochain(kd, n - q, module, kd._mod_settle(module, acc)))
+    return out
+
+
 def eta(kd: KoszulCalculus, z: Chain) -> Cochain:
-    """Explicit inverse of the duality map, degreewise."""
-    pres, spec = _preprojective_data(kd)
-    acc: Dict[int, object] = {}
-    if z.q == 2:
-        # m (x) sigma_i  ->  (e_j -> delta_ij e_j m e_i)
-        ws = kd.w(2)
-        for flat_idx, m in z.values.items():
-            for r, c in ws.relation_coords[flat_idx].items():
-                kd._mod_accumulate(z.module, acc, pres.sigma_vertices[r], m, c)
-        return kd.cochain_on_vertices(acc, z.module)
-    if z.q == 1:
-        # m (x) a  ->  (b -> delta_{b,a*} eps(b) t(b) m s(b))
-        ws = kd.w(1)
-        for flat_idx, m in z.values.items():
-            j, i, k = ws.flat[flat_idx]
-            b = spec.star[ws.block_paths[(j, i)][k].arrows[0]]
-            kd._mod_accumulate(z.module, acc, b, m, kd.field.from_int(spec.eps[b]))
-        return kd.cochain_on_arrows(acc, z.module)
-    if z.q == 0:
-        # m (x) e_i  ->  (sigma_j -> delta_ij e_j m e_i)
-        ws = kd.w(0)
-        for flat_idx, m in z.values.items():
-            r = pres.relation_of_vertex.get(ws.block_of(flat_idx)[0])
-            if r is not None:
-                kd._mod_accumulate(z.module, acc, r, m, kd.field.one)
-        return kd.cochain_on_relations(acc, z.module)
-    raise DegreeError("duality is defined in degrees 0..2")
+    """Inverse of the duality map on one chain, the one-chain case of ``eta_table``."""
+    return eta_table(kd, [z])[0]
 
 
 def unit_cochain(kd: KoszulCalculus) -> Cochain:
@@ -129,44 +129,46 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
     report = DualityReport()
     field = kd.field
     w0 = omega0(kd)
+    n = w0.q
     report.record("omega0 is a cycle", w0.is_cycle())
 
     # theta is stored as its columns, one per basis cochain
-    basis_cochains = {p: _unit_basis(coh, p) for p in range(3)}
+    basis_cochains = {p: _unit_basis(coh, p) for p in range(n + 1)}
     theta_cols = {p: theta_table(kd, fs, w0) for p, fs in basis_cochains.items()}
 
     # (a) chain map, (b) mutual inversion and (c) cap symmetry with the
     # fundamental cycle, on full cochain bases
-    for p in range(3):
+    for p in range(n + 1):
         fs = basis_cochains[p]
-        if p < 2:
+        if p < n:
             t_bk = theta_table(kd, [kd.apply_bK(f) for f in fs], w0)
         lefts = kd.cap_table(fs, [w0], side="left")
-        zero = kd.zero_chain(2 - p, coh.module)
+        zero = kd.zero_chain(n - p, coh.module)
+        etas = eta_table(kd, theta_cols[p])
         for i, (f, tf) in enumerate(zip(fs, theta_cols[p])):
-            if p < 2:
+            if p < n:
                 report.record("theta chain map", t_bk[i].equals(kd.apply_bK_chain(tf)),
                               f"degree {p} basis cochain")
-            report.record("eta o theta = id", eta(kd, tf).equals(f), f"degree {p}")
+            report.record("eta o theta = id", etas[i].equals(f), f"degree {p}")
             report.record("f cap w0 = w0 cap f", lefts.get((i, 0), zero).equals(tf),
                           f"degree {p}")
     # theta o eta = id on chain bases
-    for q in range(3):
+    for q in range(n + 1):
         zs = _unit_basis(hom, q)
-        for z, again in zip(zs, theta_table(kd, [eta(kd, z) for z in zs], w0)):
+        for z, again in zip(zs, theta_table(kd, eta_table(kd, zs), w0)):
             report.record("theta o eta = id", again.equals(z), f"degree {q}")
 
     # (d) module identities theta(f cup g) = theta(f) cap g = f cap theta(g),
     # on every pair of basis cochains; a pair absent from a table is zero
     if module == MODULE_A:
-        for p in range(3):
-            for q in range(3 - p):
+        for p in range(n + 1):
+            for q in range(n + 1 - p):
                 fs, gs = basis_cochains[p], basis_cochains[q]
                 cups = kd.cup_table(fs, gs)
                 t_cups = dict(zip(cups, theta_table(kd, list(cups.values()), w0)))
                 lefts = kd.cap_table(gs, theta_cols[p], side="right")
                 rights = kd.cap_table(fs, theta_cols[q], side="left")
-                zero = kd.zero_chain(2 - p - q)
+                zero = kd.zero_chain(n - p - q)
                 for i in range(len(fs)):
                     for j in range(len(gs)):
                         t_cup = t_cups.get((i, j), zero)
@@ -178,9 +180,9 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
                                       t_cup.equals(right), f"degrees ({p},{q})")
 
     # (e) induced class-level bijection
-    for p in range(3):
+    for p in range(n + 1):
         dim_c = coh.dim(p)
-        dim_h = hom.dim(2 - p)
+        dim_h = hom.dim(n - p)
         report.record("dim HK^p = dim HK_{2-p}", dim_c == dim_h,
                       f"p={p}: {dim_c} vs {dim_h}")
         cols = [{k: c for k, c in enumerate(hom.class_of(t)) if not field.is_zero(c)}
@@ -194,10 +196,10 @@ def verify_duality(kd: KoszulCalculus, coh: CalculusSpaces, hom: CalculusSpaces,
 
     # (f) higher duality dimensions
     if hi_coh is not None and hi_hom is not None:
-        for p in range(3):
+        for p in range(n + 1):
             report.record("higher duality dims",
-                          hi_coh.dim(p) == hi_hom.dim(2 - p),
-                          f"p={p}: {hi_coh.dim(p)} vs {hi_hom.dim(2 - p)}")
+                          hi_coh.dim(p) == hi_hom.dim(n - p),
+                          f"p={p}: {hi_coh.dim(p)} vs {hi_hom.dim(n - p)}")
     return report
 
 

@@ -36,8 +36,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Elem, GradedAlgebra, Term
+from .duality import eta_table, theta_table
 from .homology import CalculusSpaces
-from .koszul import KoszulCalculus
+from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A
 from .linalg import LinearMap, SparseVec, echelonize, image, kernel, rank, rref
 
 
@@ -369,40 +370,31 @@ class Degree2Comparison:
                  coh: CalculusSpaces, hom: CalculusSpaces):
         self.kd = kd
         self.frob = frob
-        alg = kd.algebra
         field = kd.field
         delta_up, delta_down = frob.delta_maps()
         dcoords = frob.vertex_coords(False)
-        # the relation sigma_i of the vertex i of each diagonal coordinate
-        rel_of = [alg.presentation.relation_of_vertex[alg.block_of[m][pos][0]]
-                  for m, pos in dcoords]
-        # HH^2 = ker(delta_up) / Im(b_K^2), inside HK^2 classes
         ker_up = kernel(delta_up)
-        hh2_class_vectors: List[SparseVec] = []
-        for row in ker_up.rows:
-            rel_values: Dict[int, Elem] = {}
-            for k, c in row.items():
-                r = rel_of[k]
-                rel_values[r] = alg.elem_add(rel_values.get(r, {}), {dcoords[k]: field.one}, c)
-            f = kd.cochain_on_relations(rel_values)
-            vec = {k: c for k, c in enumerate(coh.class_of(f))
-                   if not field.is_zero(c)}
-            hh2_class_vectors.append(vec)
-        n2 = len(coh.class_basis(2))
-        self.hh2_subspace = echelonize(hh2_class_vectors, n2, field)
+
+        def diagonal(rows) -> List[Cochain]:
+            """Each row over the diagonal coordinates as a diagonal 0-cochain."""
+            return [kd.diagonal_cochain({dcoords[k]: c for k, c in row.items()}) for row in rows]
+
+        def class_vectors(spaces: CalculusSpaces, elements) -> List[SparseVec]:
+            return [{k: c for k, c in enumerate(spaces.class_of(e)) if not field.is_zero(c)}
+                    for e in elements]
+
+        # HH^2 = ker(delta_up) / Im(b_K^2), inside HK^2 classes: y = sum_i y_i
+        # is the 2-cochain sigma_i -> y_i, eta of the 0-chain with y's values
+        hh2 = eta_table(kd, [Chain(kd, 0, MODULE_A, f.values) for f in diagonal(ker_up.rows)])
+        self.hh2_subspace = echelonize(class_vectors(coh, hh2), len(coh.class_basis(2)), field)
         self.hh2_dim = self.hh2_subspace.dim
-        # HH_2 = HK_2 / (classes of Im(delta_down))
-        img_down = image(delta_down)
-        killed: List[SparseVec] = []
-        for row in img_down.rows:
-            # identify the diagonal sum with chains: y at vertex i -> y (x) sigma_i
-            z = kd.chain_on_relations([({dcoords[k]: c}, rel_of[k]) for k, c in row.items()])
-            if not z.is_cycle():
-                raise FrobeniusError("transported degree-3 image is not a cycle")
-            killed.append({k: c for k, c in enumerate(hom.class_of(z))
-                           if not field.is_zero(c)})
-        nh2 = len(hom.class_basis(2))
-        self.killed_subspace = echelonize(killed, nh2, field)
+        # HH_2 = HK_2 / (classes of Im(delta_down)): theta carries y to the
+        # 2-chain sum_i y_i (x) sigma_i
+        killed = theta_table(kd, diagonal(image(delta_down).rows))
+        if not all(z.is_cycle() for z in killed):
+            raise FrobeniusError("transported degree-3 image is not a cycle")
+        self.killed_subspace = echelonize(class_vectors(hom, killed),
+                                          len(hom.class_basis(2)), field)
         self.hh_2_dim = hom.dim(2) - self.killed_subspace.dim
         self.hk2_dim = coh.dim(2)
         self.hk_2_dim = hom.dim(2)
@@ -410,7 +402,7 @@ class Degree2Comparison:
         w0_rows = [row for row in ker_up.rows
                    if all(dcoords[k][0] == 0 for k in row)]
         self.ker_up_weight0_dim = rank(w0_rows, len(dcoords), field)
-        self.cartan_kernel_dim = cartan_kernel_dim(alg)
+        self.cartan_kernel_dim = cartan_kernel_dim(kd.algebra)
 
 
 def _bar_space_size(algebra: GradedAlgebra) -> int:

@@ -108,6 +108,9 @@ class Preset:
         if self.is_dynkin:
             h = coxeter_number(self.name)
             n = len(self.graph.vertices)
+            if cutoff < h - 1:
+                raise PresetError(f"{self.name} needs a weight cutoff of at least {h - 1} "
+                                  f"to reach its zero component, got {cutoff}")
             if self.name != "A1" and self.algebra.top_weight != h - 2:
                 raise PresetError(f"unexpected top weight for {self.name}")
             expected_dim = n * h * (h + 1) // 6

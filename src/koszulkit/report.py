@@ -221,6 +221,14 @@ def run(config: RunConfig) -> Dict:
     module = MODULE_K if config.coefficients == "k" else MODULE_A
     analyses = set(config.analyses)
     is_preprojective = hasattr(pres, "preprojective")
+    skipped: Dict[str, str] = {}
+    if config.coefficients == "Ae":
+        skipped = {a: "does not run with Ae coefficients" for a in analyses - {"koszulity"}}
+    elif q.n_arrows == 0:
+        skipped = {a: "needs a graph with arrows" for a in analyses & {"hochschild2", "properties"}}
+    for a in sorted(skipped):
+        warnings.append(f"{a} analysis {skipped[a]}; skipped")
+    analyses -= set(skipped)
 
     if config.coefficients == "Ae" or "koszulity" in analyses:
         with timings.measure("koszulity"):
@@ -247,9 +255,7 @@ def run(config: RunConfig) -> Dict:
                 "kc_calabi_yau_2": ae["kc_calabi_yau_2"],
             }
 
-    coh = hom = None
-    if analyses & {"calculus", "duality", "higher", "hochschild2", "properties"} \
-            and config.coefficients != "Ae":
+    if analyses & {"calculus", "duality", "higher", "hochschild2", "properties"}:
         with timings.measure("calculus"):
             coh = koszul_homology(kd, module, "coh", config.max_degree)
             hom = koszul_homology(kd, module, "hom", config.max_degree)
@@ -274,7 +280,7 @@ def run(config: RunConfig) -> Dict:
                 "is_coboundary": all(field.is_zero(c) for c in ceA),
             }
 
-    if "higher" in analyses and coh is not None and module == MODULE_A:
+    if "higher" in analyses and module == MODULE_A:
         with timings.measure("higher"):
             hi_coh = higher_calculus(coh)
             hi_hom = higher_calculus(hom)
@@ -285,13 +291,10 @@ def run(config: RunConfig) -> Dict:
     else:
         hi_coh = hi_hom = None
 
-    if "duality" in analyses and coh is not None:
-        small = (q.n_vertices <= 2 and
-                 len(getattr(pres, "preprojective", None).graph.edges) <= 1
-                 if is_preprojective else False)
+    if "duality" in analyses:
         if not is_preprojective:
             warnings.append("duality analysis needs a preprojective presentation; skipped")
-        elif small:
+        elif q.n_vertices <= 2 and len(pres.preprojective.graph.edges) <= 1:
             warnings.append("duality holds for connected graphs with at least "
                             "two edges; skipped for this degenerate graph")
         else:
@@ -329,7 +332,7 @@ def run(config: RunConfig) -> Dict:
                 report["hochschild2"]["bar_oracle"] = {
                     "hh0_dim": oracle.hh0_dim, "hh1_dim": oracle.hh1_dim}
 
-    if "properties" in analyses and coh is not None and module == MODULE_A:
+    if "properties" in analyses and module == MODULE_A:
         with timings.measure("properties"):
             suite = PropertySuite(coh, hom, seed=0, trials=config.property_trials)
             plog = suite.run(preprojective=is_preprojective)

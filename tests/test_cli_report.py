@@ -66,6 +66,23 @@ def test_verification_reports_match_recorded_digests(name, tag, analysis):
     assert digest == RECORDED_ANALYSIS_DIGESTS[(name, tag, analysis)]
 
 
+#: the same for ``dualize --coefficients k``, recorded before eta became one
+#: formula over the split pairing of omega0
+RECORDED_K_DIGESTS = {
+    ("A3", "Q"): "17de52eeccbab9462a5e71f58138682e35e6aa86df51237fa029f9c9dd7d3fc3",
+    ("E6", "F:3"): "eb7524e6dc2a1a045fe59baf2897b2cc26c3ac6b92dc12b34e0053718064bdd8",
+}
+
+
+@pytest.mark.parametrize("name,tag", sorted(RECORDED_K_DIGESTS),
+                         ids=[f"{n}-{t}" for n, t in sorted(RECORDED_K_DIGESTS)])
+def test_trivial_coefficient_reports_match_recorded_digests(name, tag):
+    cfg = RunConfig(preset=name, field_tag=tag, coefficients="k",
+                    analyses=("calculus", "higher", "duality"))
+    text = render(_strip_timings(run(cfg)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RECORDED_K_DIGESTS[(name, tag)]
+
+
 def test_a3_report_contents(tmp_path):
     out = tmp_path / "a3.json"
     code = main(["calculus", "--preset", "A3", "--field", "Q",
@@ -329,6 +346,49 @@ def test_ae_coefficients_route(tmp_path):
     env = doc["enveloping_coefficients"]
     assert env["hk_dims"]["2"] == 10 and env["hk_dims"]["1"] == 0
     assert env["hk2_equals_dim_A"] is True and env["kc_calabi_yau_2"] is True
+
+
+@pytest.mark.parametrize("argv,skipped", [
+    (["hochschild2"], ["calculus", "hochschild2"]),
+    (["dualize"], ["calculus", "duality", "higher"]),
+    (["calculus", "--analyses", "koszulity,properties,calculus"], ["calculus", "properties"]),
+], ids=["hochschild2", "dualize", "calculus"])
+def test_ae_coefficients_skip_the_cochain_route(tmp_path, capsys, argv, skipped):
+    """The cochain-route analyses are not computed with Ae coefficients: each
+    is skipped with one warning that names it, and the Ae route still runs."""
+    out = tmp_path / "ae.json"
+    assert main(argv + ["--preset", "A3", "--coefficients", "Ae", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "warning"
+    assert doc["warnings"] == [f"{a} analysis does not run with Ae coefficients; skipped"
+                               for a in skipped]
+    assert not set(skipped) & set(doc)
+    assert doc["enveloping_coefficients"]["hk_dims"]["2"] == 10
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("analysis", ["hochschild2", "properties"])
+def test_graph_without_arrows_skips_hochschild2_and_properties(tmp_path, analysis):
+    """A1 has no arrows: no socle word to read and no biweight to draw."""
+    out = tmp_path / "a1.json"
+    assert main(["calculus", "--preset", "A1", "--analyses", f"calculus,{analysis}",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "warning"
+    assert doc["warnings"] == [f"{analysis} analysis needs a graph with arrows; skipped"]
+    assert analysis not in doc
+    assert doc["calculus"]["cohomology"]["dims"][:3] == [1, 0, 0]
+
+
+def test_cutoff_below_the_top_weight_is_refused(tmp_path, capsys):
+    """E6 has top weight h - 2 = 10, so the cutoff must reach weight 11."""
+    assert main(["koszulity", "--preset", "E6", "--weight-cutoff", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: E6 needs a weight cutoff of at least 11 to reach "
+                            "its zero component, got 10\n")
+    assert main(["koszulity", "--preset", "E6", "--weight-cutoff", "11",
+                 "--out", str(tmp_path / "e6.json")]) == 0
 
 
 def test_cli_entrypoint_runs():

@@ -119,6 +119,75 @@ def test_theta_table_matches_per_cochain_caps(name, field, module):
         du.theta_table(kd, [Cochain(kd, 3, MODULE_A, {}), Cochain(kd, 3, MODULE_A, {})], w0)
 
 
+def reference_eta(kd, z):
+    """The inverse of theta as it was written before ``eta_table``: one
+    branch per chain degree, read off the relations, the star involution
+    and the sign function of the preprojective presentation."""
+    pres = kd.algebra.presentation
+    spec = pres.preprojective
+    acc = {}
+    if z.q == 2:
+        # m (x) sigma_i  ->  (e_j -> delta_ij e_j m e_i)
+        ws = kd.w(2)
+        for flat_idx, m in z.values.items():
+            for r, c in ws.relation_coords[flat_idx].items():
+                kd._mod_accumulate(z.module, acc, pres.sigma_vertices[r], m, c)
+        return kd.cochain_on_vertices(acc, z.module)
+    if z.q == 1:
+        # m (x) a  ->  (b -> delta_{b,a*} eps(b) t(b) m s(b))
+        ws = kd.w(1)
+        for flat_idx, m in z.values.items():
+            j, i, k = ws.flat[flat_idx]
+            b = spec.star[ws.block_paths[(j, i)][k].arrows[0]]
+            kd._mod_accumulate(z.module, acc, b, m, kd.field.from_int(spec.eps[b]))
+        return kd.cochain_on_arrows(acc, z.module)
+    assert z.q == 0
+    # m (x) e_i  ->  (sigma_j -> delta_ij e_j m e_i)
+    ws = kd.w(0)
+    for flat_idx, m in z.values.items():
+        r = pres.relation_of_vertex.get(ws.block_of(flat_idx)[0])
+        if r is not None:
+            kd._mod_accumulate(z.module, acc, r, m, kd.field.one)
+    return kd.cochain_on_relations(acc, z.module)
+
+
+@pytest.mark.parametrize("name,field", [("A3", QQ), ("D5", GF(3)), ("E6", GF(2)), ("E7", QQ)])
+@pytest.mark.parametrize("module", [MODULE_A, MODULE_K])
+def test_eta_table_matches_the_per_degree_reference(name, field, module):
+    """eta_table, one formula over omega0's split pairing, equals the
+    per-degree reference on every unit chain of degrees 0-2: same module,
+    degree and values."""
+    kd = KoszulCalculus(Preset(name, field).algebra, 3)
+    hom = koszul_homology(kd, module, "hom")
+    for q in range(3):
+        zs = du._unit_basis(hom, q)
+        # k has no degree-1 basis: no arrow of a Dynkin quiver is a loop
+        assert bool(zs) == (module == MODULE_A or q != 1)
+        got = du.eta_table(kd, zs)
+        assert len(got) == len(zs)
+        for z, f in zip(zs, got):
+            ref = reference_eta(kd, z)
+            assert (f.module, f.degree, f.values) == (ref.module, ref.degree, ref.values)
+            assert (f.module, f.degree) == (module, 2 - q)
+        if zs:
+            assert du.eta(kd, zs[-1]).values == got[-1].values
+
+
+def test_eta_table_refusals(a3):
+    _pr, kd, _coh, _hom = a3
+    assert du.eta_table(kd, []) == []
+    with pytest.raises(DegreeError):
+        du.eta_table(kd, [Chain(kd, 3, MODULE_A, {})])
+    with pytest.raises(DegreeError):
+        du.eta_table(kd, [Chain(kd, 0, MODULE_A, {}), Chain(kd, 1, MODULE_A, {})])
+    # A1 has no arrows, so omega0 is the zero chain and pairs W_0 with nothing
+    kd1 = KoszulCalculus(Preset("A1", QQ).algebra, 3)
+    assert du.omega0(kd1).is_zero()
+    for q in (0, 2):
+        with pytest.raises(du.NotPreprojectiveError):
+            du.eta(kd1, Chain(kd1, q, MODULE_A, {}))
+
+
 @pytest.mark.parametrize("name,field", [
     ("A3", QQ), ("A4", GF(2)), ("D4", QQ), ("A5", GF(3)),
 ])
