@@ -260,36 +260,31 @@ class CalculusSpaces(_GradedDims):
         """Coordinates of a closed cochain/chain in the representative basis.
 
         b_K raises the coefficient weight by one, so an element is closed iff
-        each weight component is.  A component in a weight block of the
-        layout is tested for closedness by its block's cocycle (cycle) space
-        Z = ker(b_K) as its coordinates are read, and the blocks it does not
-        touch read zero.  Only an element with a component outside the
-        layout (the top weight of a truncated algebra) has b_K applied to
-        the whole of it first.  An element over another coefficient module
-        than these spaces' is refused before any work."""
-        kd = self.kd
+        each weight component is.  Each component is tested for closedness
+        by its weight block's cocycle (cycle) space Z = ker(b_K) as its
+        coordinates are read, and the blocks it does not touch read zero.
+        A component outside the layout (the top weight of a truncated
+        algebra, or a value outside its vertex block) is refused, and so is
+        an element over another module than these spaces', before any work."""
         if self.side == "coh":
             if not isinstance(obj, Cochain) or obj.p > self.p_max:
                 raise NotClosedError("not a cochain in the computed range")
-            apply, not_closed = kd.apply_bK, "not a cocycle: differential is nonzero"
+            not_closed = "not a cocycle: differential is nonzero"
         else:
             if not isinstance(obj, Chain) or obj.q > self.p_max:
                 raise NotClosedError("not a chain in the computed range")
-            apply, not_closed = kd.apply_bK_chain, "not a cycle: differential is nonzero"
+            not_closed = "not a cycle: differential is nonzero"
         if obj.module != self.module:
             raise ModuleError(f"a {obj.module}-valued element has no class in "
                               f"{self.module}-coefficient spaces")
         total, offsets = self._layout(obj.degree)
-        touched = obj.coefficient_weights() if self.module == MODULE_A else [None]
-        if any(m not in offsets for m in touched):
-            if not apply(obj).is_zero():
-                raise NotClosedError(not_closed)
-        coords: List[object] = [kd.field.zero] * total
+        touched = obj.coefficient_weights()
+        coords: List[object] = [self.kd.field.zero] * total
         for m in touched:
-            hit = offsets.get(m)
-            if hit is None:
-                continue
-            start, blk = hit
+            if m not in offsets:
+                raise NotClosedError(f"a component at weight {m} lies outside the computed "
+                                     f"weights {list(offsets)} of degree {obj.degree}")
+            start, blk = offsets[m]
             comp = obj if len(touched) == 1 else obj.weight_component(m)
             try:
                 coords[start:start + blk.dim] = blk.quotient.coords(blk.space.flatten(comp))

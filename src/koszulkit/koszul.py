@@ -646,22 +646,28 @@ class KoszulElement:
     def scale(self, c):
         return self._combination((self.values, c))
 
-    def equals(self, other) -> bool:
-        """Equality, read off the settled value dicts.
+    def __eq__(self, other) -> bool:
+        """Equality, read off the settled value dicts, so lists and product
+        tables of elements compare with ``==``.
 
         The calculus settles every value dict it builds (reduced, zeros
         dropped), so equal elements have equal dicts.  A dict left unreduced
         or holding a zero can only make equal elements compare unequal, a
         false failure; equal dicts always mean equal elements, so there is
-        no false pass."""
+        no false pass.  Elements of another type, degree or module are
+        refused, not unequal; a non-element is left to Python.  Like any
+        class with ``__eq__`` and no ``__hash__``, elements are unhashable."""
+        if not isinstance(other, KoszulElement):
+            return NotImplemented
         if (type(other) is not type(self) or other.degree != self.degree
                 or other.module != self.module):
             raise DegreeError(f"{type(self).__name__.lower()} mismatch in comparison")
         return self.values == other.values
 
-    def coefficient_weights(self) -> List[int]:
+    def coefficient_weights(self) -> List[Optional[int]]:
+        """Weights of the values, ascending; k is the one weight None."""
         if self.module != MODULE_A:
-            return []
+            return [None] if self.values else []
         out = set()
         for v in self.values.values():
             out.update(m for (m, _pos) in v)

@@ -224,6 +224,9 @@ def run(config: RunConfig) -> Dict:
     skipped: Dict[str, str] = {}
     if config.coefficients == "Ae":
         skipped = {a: "does not run with Ae coefficients" for a in analyses - {"koszulity"}}
+    elif module == MODULE_K:
+        skipped = {a: "needs algebra coefficients"
+                   for a in analyses & {"higher", "hochschild2", "properties"}}
     elif q.n_arrows == 0:
         skipped = {a: "needs a graph with arrows" for a in analyses & {"hochschild2", "properties"}}
     for a in sorted(skipped):
@@ -280,7 +283,7 @@ def run(config: RunConfig) -> Dict:
                 "is_coboundary": all(field.is_zero(c) for c in ceA),
             }
 
-    if "higher" in analyses and module == MODULE_A:
+    if "higher" in analyses:
         with timings.measure("higher"):
             hi_coh = higher_calculus(coh)
             hi_hom = higher_calculus(hom)
@@ -299,7 +302,7 @@ def run(config: RunConfig) -> Dict:
                             "two edges; skipped for this degenerate graph")
         else:
             with timings.measure("duality"):
-                rep = verify_duality(kd, coh, hom, module, hi_coh, hi_hom)
+                rep = verify_duality(coh, hom, hi_coh, hi_hom)
             report["duality"] = {"checks": {k: v for k, v in sorted(rep.checks.items())},
                                  "ok": rep.ok, "failures": rep.failures}
             if module == MODULE_A:
@@ -312,8 +315,6 @@ def run(config: RunConfig) -> Dict:
     if "hochschild2" in analyses:
         if preset is None or not preset.is_dynkin:
             warnings.append("degree-2 comparison is defined for the Dynkin presets; skipped")
-        elif module != MODULE_A:
-            warnings.append("degree-2 comparison needs algebra coefficients; skipped")
         else:
             with timings.measure("hochschild2"):
                 frob = FrobeniusStructure(algebra, socle_generators(preset))
@@ -332,7 +333,7 @@ def run(config: RunConfig) -> Dict:
                 report["hochschild2"]["bar_oracle"] = {
                     "hh0_dim": oracle.hh0_dim, "hh1_dim": oracle.hh1_dim}
 
-    if "properties" in analyses and module == MODULE_A:
+    if "properties" in analyses:
         with timings.measure("properties"):
             suite = PropertySuite(coh, hom, seed=0, trials=config.property_trials)
             plog = suite.run(preprojective=is_preprojective)

@@ -168,8 +168,7 @@ def verify_type_char(name: str, char: int, log: Optional[CheckLog] = None,
         ok = comp.hi_coh.class_in_kernel(cochains[lbl])
         log.record(f"{key}.HKhi0.survivor.{lbl}", ok)
 
-    rep = verify_duality(comp.kd, comp.coh, comp.hom, MODULE_A,
-                         comp.hi_coh, comp.hi_hom)
+    rep = verify_duality(comp.coh, comp.hom, comp.hi_coh, comp.hi_hom)
     log.record(f"{key}.duality", rep.ok, "; ".join(rep.failures[:3]))
     return log
 
@@ -399,21 +398,19 @@ class PropertySuite:
             lhs = kd.apply_bK(kd.cup(g1, g2))
             rhs = kd.cup(kd.apply_bK(g1), g2).add(kd.cup(g1, kd.apply_bK(g2)),
                                                    field.sign(p1))
-            return lhs.equals(rhs)
+            return lhs == rhs
 
         repeat("Leibniz", leibniz)
 
         def funda_cup():
             f = self.random_cochain(self.rng.randrange(0, 3))
-            return kd.apply_bK(f).equals(
-                kd.cup_bracket(eA, f).scale(field.neg(field.one)))
+            return kd.apply_bK(f) == kd.cup_bracket(eA, f).scale(field.neg(field.one))
 
         repeat("bK = -[eA, -]_cup", funda_cup)
 
         def funda_cap():
             z = self.random_chain(self.rng.randrange(1, 3))
-            return kd.apply_bK_chain(z).equals(
-                kd.cap_bracket(eA, z).scale(field.neg(field.one)))
+            return kd.apply_bK_chain(z) == kd.cap_bracket(eA, z).scale(field.neg(field.one))
 
         repeat("b^K = -[eA, -]_cap", funda_cap)
 
@@ -478,7 +475,7 @@ class PropertySuite:
         f = self.random_cochain(p1)
         g = self.random_cochain(p2)
         h = self.random_cochain(p3)
-        return kd.cup(kd.cup(f, g), h).equals(kd.cup(f, kd.cup(g, h)))
+        return kd.cup(kd.cup(f, g), h) == kd.cup(f, kd.cup(g, h))
 
     def _assoc_cap(self, outer: str, inner: str) -> bool:
         """f cap_outer (g cap_inner z) for a random 2-chain z and cochains of
@@ -492,9 +489,9 @@ class PropertySuite:
         g = self.random_cochain(p2)
         lhs = kd.cap(f, kd.cap(g, z, inner), outer)
         if outer != inner:
-            return lhs.equals(kd.cap(g, kd.cap(f, z, outer), inner))
+            return lhs == kd.cap(g, kd.cap(f, z, outer), inner)
         fg = kd.cup(f, g) if outer == "left" else kd.cup(g, f)
-        return lhs.equals(kd.cap(fg, z, outer))
+        return lhs == kd.cap(fg, z, outer)
 
     def _check_center(self) -> None:
         kd = self.kd

@@ -193,7 +193,7 @@ def test_ac6_duality_suite():
         comp = comp_of(name, char)
         cohk = koszul_homology(comp.kd, MODULE_K, "coh")
         homk = koszul_homology(comp.kd, MODULE_K, "hom")
-        rep = du.verify_duality(comp.kd, cohk, homk, MODULE_K)
+        rep = du.verify_duality(cohk, homk)
         ok &= rep.ok
         count += len(rep.checks)
         for p in range(3):

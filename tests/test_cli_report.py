@@ -66,11 +66,12 @@ def test_verification_reports_match_recorded_digests(name, tag, analysis):
     assert digest == RECORDED_ANALYSIS_DIGESTS[(name, tag, analysis)]
 
 
-#: the same for ``dualize --coefficients k``, recorded before eta became one
-#: formula over the split pairing of omega0
+#: the same for ``dualize --coefficients k``, recorded when the skipped
+#: ``higher`` analysis gained its warning (the reports before differ only in
+#: ``status`` and ``warnings``)
 RECORDED_K_DIGESTS = {
-    ("A3", "Q"): "17de52eeccbab9462a5e71f58138682e35e6aa86df51237fa029f9c9dd7d3fc3",
-    ("E6", "F:3"): "eb7524e6dc2a1a045fe59baf2897b2cc26c3ac6b92dc12b34e0053718064bdd8",
+    ("A3", "Q"): "663bf115dc7bb59b3b56a1dcf3ecd4a3006e379e8899108def79a1502760c48d",
+    ("E6", "F:3"): "e57d3860501beaf92bc420aaaa5e74ead1ae4c0442e2c62c86d6ff936acd9cda",
 }
 
 
@@ -161,14 +162,25 @@ def test_dualize_and_hochschild_subcommands(tmp_path):
 @pytest.mark.parametrize("name,tag", [("A3", "Q"), ("E6", "F:3")])
 def test_dualize_with_trivial_coefficients(tmp_path, name, tag):
     """The fundamental class is an A-coefficient class; with k the report
-    runs the duality checklist and leaves that class out."""
+    runs the duality checklist and leaves that class out, and it warns that
+    the higher calculus, which needs algebra coefficients, was skipped."""
     out = tmp_path / "dk.json"
     assert main(["dualize", "--preset", name, "--field", tag,
                  "--coefficients", "k", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["status"] == "ok"
+    assert doc["status"] == "warning"
+    assert doc["warnings"] == ["higher analysis needs algebra coefficients; skipped"]
     assert doc["duality"]["ok"] is True
-    assert "fundamental_class" not in doc["duality"]
+    assert "fundamental_class" not in doc["duality"] and "higher" not in doc
+
+
+def test_trivial_coefficients_warn_for_each_skipped_analysis():
+    doc = run(RunConfig(preset="A3", field_tag="Q", coefficients="k",
+                        analyses=("calculus", "higher", "hochschild2", "properties")))
+    assert doc["status"] == "warning"
+    assert doc["warnings"] == [f"{a} analysis needs algebra coefficients; skipped"
+                               for a in ("higher", "hochschild2", "properties")]
+    assert not {"higher", "hochschild2", "properties"} & set(doc)
 
 
 def test_verify_ade_subcommand(tmp_path):

@@ -1,15 +1,16 @@
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from koszulkit import duality as du
+from koszulkit.algebra import build_graded_algebra
 from koszulkit.fields import GF, QQ
 from koszulkit.homology import CoordSpace, higher_calculus, koszul_homology
 from koszulkit.koszul import Chain, Cochain, DegreeError, KoszulCalculus, \
-    MODULE_A, MODULE_K
+    MODULE_A, MODULE_K, ModuleError
 from koszulkit.presets import Preset
+from koszulkit.quiver import QuadraticPresentation
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ def test_theta_images_match_worked_example(a3):
         ws0 = kd.w(0)
         expected = Chain(kd, 0, MODULE_A,
                          {ws0.flat_of_block[(i, i)][0]: alg.vertex_elem(i)})
-        assert du.theta(kd, h_i, w0).equals(expected)
+        assert du.theta(kd, h_i, w0) == expected
         assert hom.class_of(du.theta(kd, h_i, w0)) == hom.class_of(expected)
     # the arrow-family 1-class maps to the paired-arrow 1-chain
     zeta0 = kd.cochain_on_arrows({ai["a0"]: alg.arrow_elem(ai["a0"]),
@@ -61,10 +62,10 @@ def test_theta_images_match_worked_example(a3):
     expected = Chain(kd, 1, MODULE_A,
                      {kd.arrow_flat[ai["a0*"]]: alg.arrow_elem(ai["a0"]),
                       kd.arrow_flat[ai["a1*"]]: alg.arrow_elem(ai["a1"])})
-    assert du.theta(kd, zeta0, w0).equals(expected)
+    assert du.theta(kd, zeta0, w0) == expected
     # the unit 0-class maps to the fundamental cycle
     one = du.unit_cochain(kd)
-    assert du.theta(kd, one, w0).equals(w0)
+    assert du.theta(kd, one, w0) == w0
 
 
 def test_eta_inverts_theta_on_random_cochains(a3):
@@ -86,7 +87,7 @@ def test_eta_inverts_theta_on_random_cochains(a3):
                 if val:
                     values[flat] = val
             f = Cochain(kd, p, MODULE_A, values)
-            assert du.eta(kd, du.theta(kd, f)).equals(f)
+            assert du.eta(kd, du.theta(kd, f)) == f
     with pytest.raises(DegreeError):
         du.theta(kd, Cochain(kd, 3, MODULE_A, {}))
 
@@ -196,16 +197,89 @@ def test_full_duality_suite(name, field):
     kd = KoszulCalculus(pr.algebra, 3)
     coh = koszul_homology(kd, MODULE_A, "coh")
     hom = koszul_homology(kd, MODULE_A, "hom")
-    rep = du.verify_duality(kd, coh, hom, MODULE_A,
-                            higher_calculus(coh), higher_calculus(hom))
+    rep = du.verify_duality(coh, hom, higher_calculus(coh), higher_calculus(hom))
     assert rep.ok, rep.failures[:5]
+
+
+def _fault_once(monkeypatch, owner, name, fault):
+    """Replace ``owner.name`` by a wrapper that hands each call's arguments
+    and result to ``fault`` until it returns a replacement (not None), and
+    returns that replacement in place of the result once."""
+    real = getattr(owner, name)
+    done = []
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if not done:
+            faulty = fault(args, kwargs, out)
+            if faulty is not None:
+                done.append(name)
+                return faulty
+        return out
+    monkeypatch.setattr(owner, name, wrapper)
+    return done
+
+
+def _on_table(side, change, omega0_cap=False):
+    """A fault on one nonempty product table: the cup table when ``side`` is
+    None, else a cap table of that side, against omega0 (one chain) when
+    ``omega0_cap`` and against the theta columns of check (d) otherwise."""
+    def fault(args, kwargs, table):
+        _self, fs, others = args[:3]
+        if not table or (side is not None and (kwargs.get("side") != side
+                                               or (len(others) == 1) != omega0_cap)):
+            return None
+        return change(dict(table), len(fs), len(others))
+    return fault
+
+
+def _add_absent(table, n_f, n_g):
+    """A nonzero product at the first pair absent from the table."""
+    absent = next(((i, j) for i in range(n_f) for j in range(n_g) if (i, j) not in table), None)
+    if absent is None:
+        return None
+    table[absent] = next(iter(table.values()))
+    return table
+
+
+def _drop_first(table, _n_f, _n_g):
+    del table[next(iter(table))]
+    return table
+
+
+def _double_first(table, _n_f, _n_g):
+    key = next(iter(table))
+    table[key] = table[key].scale(table[key].kd.field.from_int(2))
+    return table
+
+
+def _double_nonzero(args, kwargs, out):
+    return None if out.is_zero() else out.scale(out.kd.field.from_int(2))
+
+
+def _double_first_eta(args, kwargs, out):
+    return [out[0].scale(out[0].kd.field.from_int(2))] + out[1:] if out else None
+
+
+_CUP_SIDES = {"theta(f cup g) = theta(f) cap g", "theta(f cup g) = f cap theta(g)"}
+_TABLE_FAULTS = [
+    (KoszulCalculus, "cup_table", None, _CUP_SIDES),
+    (KoszulCalculus, "cap_table", "right", {"theta(f cup g) = theta(f) cap g"}),
+    (KoszulCalculus, "cap_table", "left", {"theta(f cup g) = f cap theta(g)"}),
+]
 
 
 @pytest.mark.parametrize("name,field,n_basis,pairs", [
     ("D5", QQ, [16, 24, 16], 2112),
     ("E6", GF(3), [32, 56, 32], 9792),
 ], ids=["D5-Q", "E6-F3"])
-def test_module_identities_cover_every_basis_pair(monkeypatch, name, field, n_basis, pairs):
+def test_duality_checks_fail_on_each_fault(monkeypatch, name, field, n_basis, pairs):
+    """Check (d) compares three product tables on the union of their keys.
+    A nonzero product added at a pair absent from all three, a present pair
+    dropped or a present product doubled, in one table at one degree pair,
+    turns exactly the identities that read that table False, once each; a
+    doubled b^K column, eta column or left cap against omega0 turns (a), (b)
+    or (c) False alone."""
     alg = Preset(name, field).algebra
     kd = KoszulCalculus(alg, 3)
     got = []
@@ -215,28 +289,81 @@ def test_module_identities_cover_every_basis_pair(monkeypatch, name, field, n_ba
                        for k in range(ws.dim) for m in range(alg.max_weight + 1)))
     assert got == n_basis
     assert sum(n_basis[p] * n_basis[q] for p in range(3) for q in range(3 - p)) == pairs
-    counts = Counter()
-    record = du.DualityReport.record
-
-    def counting_record(self, check, ok, detail=""):
-        counts[check] += 1
-        record(self, check, ok, detail)
-
-    monkeypatch.setattr(du.DualityReport, "record", counting_record)
     coh = koszul_homology(kd, MODULE_A, "coh")
     hom = koszul_homology(kd, MODULE_A, "hom")
-    rep = du.verify_duality(kd, coh, hom, MODULE_A)
+    rep = du.verify_duality(coh, hom)
     assert rep.ok, rep.failures[:3]
-    assert counts["theta(f cup g) = theta(f) cap g"] == pairs
-    assert counts["theta(f cup g) = f cap theta(g)"] == pairs
+    faults = [(owner, method, _on_table(side, change), expected)
+              for owner, method, side, expected in _TABLE_FAULTS
+              for change in (_add_absent, _drop_first, _double_first)]
+    faults += [
+        (KoszulCalculus, "apply_bK_chain", _double_nonzero, {"theta chain map"}),
+        (du, "eta_table", _double_first_eta, {"eta o theta = id"}),
+        (KoszulCalculus, "cap_table", _on_table("left", _drop_first, omega0_cap=True),
+         {"f cap w0 = w0 cap f"}),
+    ]
+    for owner, method, fault, expected in faults:
+        with monkeypatch.context() as m:
+            done = _fault_once(m, owner, method, fault)
+            rep = du.verify_duality(coh, hom)
+        assert done == [method]
+        assert {k for k, ok in rep.checks.items() if not ok} == expected, (method, expected)
+        assert len(rep.failures) == len(expected), rep.failures
+        assert set(rep.checks) >= _CUP_SIDES | {"theta chain map", "f cap w0 = w0 cap f"}
+
+
+def _rescaled_algebra(name, field):
+    """The preprojective algebra of ``name`` with every relation times 2.
+    One common scalar keeps omega0 a cycle and the algebra unchanged; the
+    preprojective data is copied from the presentation it scales."""
+    pr = Preset(name, field)
+    pres = pr.presentation
+    two = field.from_int(2)
+    scaled = QuadraticPresentation(
+        pres.quiver, [[(field.mul(two, c), path) for c, path in rel] for rel in pres.relations],
+        field)
+    for attr in ("preprojective", "sigma_vertices", "relation_of_vertex"):
+        setattr(scaled, attr, getattr(pres, attr))
+    return build_graded_algebra(scaled, pr.algebra.cutoff)
+
+
+@pytest.mark.parametrize("name,field,scalars", [
+    ("A3", QQ, {2, -2}), ("D4", QQ, {2, -2}), ("D5", GF(5), {2, 3}),
+], ids=["A3-Q", "D4-Q", "D5-F5"])
+def test_eta_divides_by_omega0s_scalar(monkeypatch, name, field, scalars):
+    """With every relation doubled, omega0's scalars are +-2, so eta must
+    divide by lam: the checklist passes, and an eta_table that multiplies
+    by lam (``inv`` read as the identity during the call) fails it."""
+    kd = KoszulCalculus(_rescaled_algebra(name, field), 3)
+    w0 = du.omega0(kd)
+    assert {c for coeff in w0.values.values() for c in coeff.values()} == scalars
+    coh = koszul_homology(kd, MODULE_A, "coh")
+    hom = koszul_homology(kd, MODULE_A, "hom")
+    hi_coh, hi_hom = higher_calculus(coh), higher_calculus(hom)
+    rep = du.verify_duality(coh, hom, hi_coh, hi_hom)
+    assert rep.ok, rep.failures[:5]
+    real = du.eta_table
+
+    def eta_times_lam(kd, zs):
+        with monkeypatch.context() as m:
+            m.setattr(kd.field, "inv", lambda x: x)
+            return real(kd, zs)
+    monkeypatch.setattr(du, "eta_table", eta_times_lam)
+    rep = du.verify_duality(coh, hom, hi_coh, hi_hom)
+    assert not rep.checks["eta o theta = id"]
 
 
 def test_duality_with_trivial_coefficients(a3):
-    pr, kd, _coh, _hom = a3
+    pr, kd, _coh, hom = a3
     cohk = koszul_homology(kd, MODULE_K, "coh")
     homk = koszul_homology(kd, MODULE_K, "hom")
-    rep = du.verify_duality(kd, cohk, homk, MODULE_K)
+    rep = du.verify_duality(cohk, homk)
     assert rep.ok, rep.failures[:5]
+    with pytest.raises(ModuleError):
+        du.verify_duality(cohk, hom)
+    kd2 = KoszulCalculus(pr.algebra, 3)
+    with pytest.raises(ModuleError):
+        du.verify_duality(cohk, koszul_homology(kd2, MODULE_K, "hom"))
 
 
 def test_cap_with_fundamental_class_is_nonzero_in_odd_characteristic(a3):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from koszulkit.algebra import WeightOverflowError, build_graded_algebra
+from koszulkit.algebra import build_graded_algebra
 from koszulkit.fields import GF, QQ
 from koszulkit.homology import BimoduleHomology, higher_calculus, koszul_homology
 from koszulkit.koszul import (Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A,
@@ -193,8 +193,8 @@ def test_cup_unit_and_fundamental_square(a3, a3_spaces):
     unit_vals = {i: pr.algebra.vertex_elem(i) for i in range(3)}
     one = kd.cochain_on_vertices(unit_vals)
     eA = kd.fundamental_cocycle()
-    assert kd.cup(one, eA).equals(eA)
-    assert kd.cup(eA, one).equals(eA)
+    assert kd.cup(one, eA) == eA
+    assert kd.cup(eA, one) == eA
     assert kd.cup(eA, eA).is_zero()
 
 
@@ -256,7 +256,7 @@ def test_diagonal_cochain_splits_by_vertex(a3):
     vertex = alg.block_of[m][pos][0]
     by_vertex = {i: alg.vertex_elem(i) for i in range(pr.quiver.n_vertices)}
     by_vertex[vertex] = alg.elem_add(by_vertex[vertex], loop, QQ.from_int(3))
-    assert kd.diagonal_cochain(z).equals(kd.cochain_on_vertices(by_vertex))
+    assert kd.diagonal_cochain(z) == kd.cochain_on_vertices(by_vertex)
     with pytest.raises(ValueError, match="outside the diagonal blocks"):
         kd.diagonal_cochain(alg.arrow_elem(0))
 
@@ -364,30 +364,41 @@ def test_class_of_reads_closedness_from_the_block_kernels(name, field, monkeypat
     assert not calls
 
 
-def test_class_of_outside_the_layout_applies_the_differential(monkeypatch):
-    """On a truncated algebra the top computed weight lies outside the class
-    layout; an element with a component there has b_K applied to the whole
-    of it, which overflows the cutoff on cochains and reads zero on 0-chains."""
-    pr = Preset("A~2", QQ, cutoff=6)
+def test_class_of_refuses_components_outside_the_layout(monkeypatch):
+    """A nonzero component outside the class layout is refused, naming its
+    weight, and no differential is applied: the top weight of a truncated
+    algebra (A~2 at cutoff 8, on a 0-cochain and on a 0-chain) and an A3
+    0-cochain valued in an arrow, outside its vertex block.  A zero
+    k-valued 1-cochain on A3 has no component: its class is empty."""
+    pr = Preset("A~2", QQ, cutoff=8)
     alg = pr.algebra
     kd = KoszulCalculus(alg, 3)
     coh = koszul_homology(kd, MODULE_A, "coh")
     hom = koszul_homology(kd, MODULE_A, "hom")
     top = alg.max_weight
-    assert alg.truncated and top not in coh.weights()
+    assert alg.truncated and top == 8 and top not in coh.weights()
     pos = next(k for k, (j, i) in enumerate(alg.block_of[top]) if j == i)
     v = alg.block_of[top][pos][0]
     unit = kd.cochain_on_vertices({i: alg.vertex_elem(i) for i in range(3)})
     f = kd.cochain_on_vertices({v: {(top, pos): QQ.one}}).add(unit)
     rep = hom.representatives(0)[0]
-    want = hom.class_of(rep)
     z = rep.add(Chain(kd, 0, MODULE_A, {kd.w(0).flat_of_block[(v, v)][0]: {(top, pos): QQ.one}}))
     assert f.coefficient_weights() == z.coefficient_weights() == [0, top]
+    a3 = KoszulCalculus(Preset("A3", QQ).algebra, 3)
+    a3_coh = koszul_homology(a3, MODULE_A, "coh")
+    arrow = a3.algebra.arrow_elem(0)
+    g = a3.cochain_on_vertices({a3.quiver.source[0]: arrow})
     calls = _count_differentials(monkeypatch)
-    with pytest.raises(WeightOverflowError, match="weight 7 exceeds cutoff 6"):
+    with pytest.raises(NotClosedError, match="weight 8 lies outside the computed weights"):
         coh.class_of(f)
-    assert hom.class_of(z) == want
-    assert calls == {"apply_bK": 1, "apply_bK_chain": 1}
+    with pytest.raises(NotClosedError, match="weight 8 lies outside the computed weights"):
+        hom.class_of(z)
+    with pytest.raises(NotClosedError, match=r"weight 1 lies outside the computed "
+                                             r"weights \[0, 2\] of degree 0"):
+        a3_coh.class_of(g)
+    assert not calls
+    k_coh = koszul_homology(a3, MODULE_K, "coh")
+    assert k_coh.dim(1) == 0 and k_coh.class_of(Cochain(a3, 1, MODULE_K, {})) == []
 
 
 #: bigraded dimensions {p: {weight: dim}} of HK and of the higher calculus
@@ -443,8 +454,8 @@ def test_cap_examples(a3, a3_spaces):
     w0 = omega0(kd)
     # unit 0-cochain acts as the identity on chains
     one = kd.cochain_on_vertices({i: alg.vertex_elem(i) for i in range(3)})
-    assert kd.cap(one, w0, "left").equals(w0)
-    assert kd.cap(one, w0, "right").equals(w0)
+    assert kd.cap(one, w0, "left") == w0
+    assert kd.cap(one, w0, "right") == w0
     # capping the fundamental cycle with the fundamental cocycle gives the
     # signed arrow pairing
     eA = kd.fundamental_cocycle()
@@ -457,7 +468,7 @@ def test_cap_examples(a3, a3_spaces):
         expected_values[flat] = alg.elem_scale(alg.arrow_elem(a),
                                                Fraction(spec.eps[a]))
     from koszulkit.koszul import Chain
-    assert got.equals(Chain(kd, 1, MODULE_A, expected_values))
+    assert got == Chain(kd, 1, MODULE_A, expected_values)
     # degenerate equal-degree cap lands in degree zero
     h1 = kd.cochain_on_relations({pr.relation_of_vertex(1): alg.vertex_elem(1)})
     deg0 = kd.cap(h1, w0, "left")
@@ -966,8 +977,8 @@ def test_product_tables_and_equals_refuse_mismatched_factors():
     k_one = kd.cochain_on_vertices({i: 1 for i in range(kd.quiver.n_vertices)}, MODULE_K)
     for other in (w0, one, k_one):
         with pytest.raises(DegreeError):
-            eA.equals(other)
-    assert one.equals(unit_cochain(kd)) and not one.equals(one.scale(2))
+            eA == other
+    assert one == unit_cochain(kd) and one != one.scale(2)
 
 
 def test_degree0_splits_are_trivial():
