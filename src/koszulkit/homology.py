@@ -57,22 +57,21 @@ class CoordSpace:
         self.m = m
         self.module = module
         self.side = side
-        ws = kd.w(p)
+        alg = kd.algebra
+        blocks = alg.blocks[m] if module == MODULE_A and m <= alg.max_weight else {}
         coords: List[Tuple[int, int]] = []
-        if module == MODULE_A:
-            alg = kd.algebra
-            for flat_idx in range(ws.dim):
-                j, i = ws.block_of(flat_idx)
-                tgt, src = (j, i) if side == "coh" else (i, j)
-                for pos in alg.block_positions(m, tgt, src):
-                    coords.append((flat_idx, pos))
-        else:
-            for flat_idx in range(ws.dim):
-                j, i = ws.block_of(flat_idx)
-                if j == i:
-                    coords.append((flat_idx, i))
+        # block by block: flat_of_block is laid out in the flat order
+        for (j, i), flats in kd.w(p).flat_of_block.items():
+            if module == MODULE_A:
+                positions = blocks.get((j, i) if side == "coh" else (i, j))
+            else:
+                positions = [i] if j == i else None
+            if positions:
+                for flat_idx in flats:
+                    for pos in positions:
+                        coords.append((flat_idx, pos))
         self.coords = coords
-        self.index = {c: k for k, c in enumerate(coords)}
+        self.index = dict(zip(coords, range(len(coords))))
 
     @property
     def dim(self) -> int:
@@ -86,12 +85,20 @@ class CoordSpace:
                 for (m, pos), c in val.items():
                     if m != self.m:
                         raise ValueError("flatten requires a weight-homogeneous value")
-                    out[self.index[(flat_idx, pos)]] = c
+                    out[self._index_of(flat_idx, pos)] = c
             else:
                 j, i = self.kd.w(self.p).block_of(flat_idx)
                 if not field.is_zero(val):
-                    out[self.index[(flat_idx, i)]] = val
+                    out[self._index_of(flat_idx, i)] = val
         return out
+
+    def _index_of(self, flat_idx: int, pos: int) -> int:
+        k = self.index.get((flat_idx, pos))
+        if k is None:
+            weight = "" if self.m is None else f" at weight {self.m}"
+            raise NotClosedError(f"a value{weight} lies outside its vertex block "
+                                 f"in degree {self.p}")
+        return k
 
     def unflatten(self, vec: SparseVec):
         values: Dict[int, object] = {}

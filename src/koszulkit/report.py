@@ -4,7 +4,11 @@ Reports are deterministic for a fixed configuration and tool version: all
 orderings are fixed, keys are sorted on serialization, rationals appear as
 "n/d" strings and prime-field scalars as integers.  Timings are collected
 under a single top-level key so consumers can strip them before comparing
-documents byte for byte.
+documents byte for byte.  Pretty output is exactly
+``json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)``, written
+by this module's own writer: the standard library encodes indented JSON in
+pure Python, and the writer joins each container of scalars with its C-level
+scalar encoders instead.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Dict, List, Optional, Sequence, Union
 
 from . import __version__
@@ -147,10 +152,10 @@ def _structure_constants(table, degrees, left: CalculusSpaces, right: CalculusSp
         reps2 = right.representatives(q)
         if reps1 and reps2:
             products = table(reps1, reps2)
-            zero = target.zero_class(degree)
+            zero = [_scalar(field, c) for c in target.zero_class(degree)]
             out[f"{p}{sep}{q}"] = [
-                [[_scalar(field, c) for c in
-                  (target.class_of(products[(i, j)]) if (i, j) in products else zero)]
+                [[_scalar(field, c) for c in target.class_of(products[(i, j)])]
+                 if (i, j) in products else zero.copy()
                  for j in range(len(reps2))] for i in range(len(reps1))]
     return out
 
@@ -354,9 +359,49 @@ def run(config: RunConfig) -> Dict:
     return report
 
 
+_SCALAR_TYPES = (str, int, float, bool, type(None))
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _pretty(node, ind: str) -> str:
+    """json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False), every
+    line after the first indented by ``ind``: a list, or a dict with str
+    keys, is one join over its items, which are encoded by the C-level
+    scalar encoders when they are all scalars.  Any other node is left to
+    json.dumps; JSON escapes newlines inside strings, so indenting its
+    output is byte-exact."""
+    t = type(node)
+    if t is list and node:
+        keys, vals = None, node
+    elif t is dict and node and set(map(type, node)) == {str}:
+        keys = sorted(node)
+        vals = list(map(node.__getitem__, keys))
+    elif t in _SCALAR_TYPES:
+        return _encode_scalar(node)
+    else:
+        return json.dumps(node, sort_keys=True, indent=2,
+                          ensure_ascii=False).replace("\n", "\n" + ind)
+    inner = ind + "  "
+    sep = ",\n" + inner
+    types = set(map(type, vals))
+    if types == {int}:
+        items = map(int.__repr__, vals)
+    elif types == {str}:
+        items = map(encode_basestring, vals)
+    elif types.issubset(_SCALAR_TYPES):
+        items = map(_encode_scalar, vals)
+    else:
+        items = [_pretty(v, inner) for v in vals]
+    if keys is None:
+        return f"[\n{inner}{sep.join(items)}\n{ind}]"
+    items = map(": ".join, zip(map(encode_basestring, keys), items))
+    return f"{{\n{inner}{sep.join(items)}\n{ind}}}"
+
+
 def render(report: Dict, pretty: bool = True) -> str:
-    return json.dumps(report, sort_keys=True, indent=2 if pretty else None,
-                      ensure_ascii=False) + "\n"
+    if pretty:
+        return _pretty(report, "") + "\n"
+    return json.dumps(report, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def write_report(report: Dict, path: Optional[str], pretty: bool = True) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -22,6 +23,69 @@ def test_report_deterministic_modulo_timings():
     first = render(_strip_timings(run(cfg)))
     second = render(_strip_timings(run(cfg)))
     assert first == second
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_STRINGS = ["", "x", "n/d", "é ü ß", "\u2603 \U0001f600", 'q"uote', "back\\slash",
+            "\n\r\t\x00\x1f\x7f", "\u2028\u2029", "\ud800"]
+_FLOATS = [0.0, -0.0, 1.5, -2.25e-7, 1e300, 5e-324, float("nan"), float("inf"),
+           float("-inf")]
+
+
+def _random_scalar(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice([rng.randint(-9, 9), rng.randint(-10**40, 10**40)])
+    if kind == 1:
+        return rng.choice(_STRINGS)
+    if kind == 2:
+        return rng.choice(_FLOATS)
+    if kind == 3:
+        return rng.choice([True, False, None])
+    return rng.choice([_Str("sub"), _Int(7)])
+
+
+def _random_doc(rng, depth):
+    """A JSON-serializable document mixing what render must write exactly:
+    scalar containers of one type and of several, nested and empty
+    containers, tuples, subclasses and non-str keys."""
+    if depth == 0:
+        return _random_scalar(rng)
+    width = rng.randrange(4)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return [rng.randint(-10**20, 10**20) for _ in range(width)]
+    if kind == 1:
+        return {rng.choice(_STRINGS) + str(k): rng.choice(_STRINGS) for k in range(width)}
+    if kind == 2:
+        return [rng.choice(_FLOATS + [True, False, None]) for _ in range(width)]
+    if kind == 3:
+        return tuple(_random_doc(rng, depth - 1) for _ in range(width))
+    if kind == 4:
+        keys = rng.choice([range(width), [0.5 * k for k in range(width)]])
+        return {k: _random_doc(rng, depth - 1) for k in keys}
+    if kind == 5:
+        return [_random_doc(rng, depth - 1) for _ in range(width)]
+    return {rng.choice(_STRINGS) + str(k): _random_doc(rng, depth - 1) for k in range(width)}
+
+
+def test_render_is_json_dumps_byte_for_byte():
+    """Pretty output is json.dumps(sort_keys=True, indent=2, ensure_ascii=False)
+    exactly, and compact output is the indent-free json.dumps."""
+    rng = random.Random(20)
+    for _ in range(3000):
+        doc = _random_doc(rng, rng.randrange(5))
+        assert render(doc) == json.dumps(doc, sort_keys=True, indent=2,
+                                         ensure_ascii=False) + "\n", doc
+        assert render(doc, pretty=False) == json.dumps(doc, sort_keys=True,
+                                                       ensure_ascii=False) + "\n"
 
 
 #: sha256 of the rendered report without ``timings``, recorded before rational

@@ -368,8 +368,10 @@ def test_class_of_refuses_components_outside_the_layout(monkeypatch):
     """A nonzero component outside the class layout is refused, naming its
     weight, and no differential is applied: the top weight of a truncated
     algebra (A~2 at cutoff 8, on a 0-cochain and on a 0-chain) and an A3
-    0-cochain valued in an arrow, outside its vertex block.  A zero
-    k-valued 1-cochain on A3 has no component: its class is empty."""
+    0-cochain valued in an arrow, at weight 1, outside the layout.  An A3
+    0-cochain valued in a path of e_2 A e_0 has its weight in the layout but
+    lies outside its vertex block, and is refused as well.  A zero k-valued
+    1-cochain on A3 has no component: its class is empty."""
     pr = Preset("A~2", QQ, cutoff=8)
     alg = pr.algebra
     kd = KoszulCalculus(alg, 3)
@@ -388,6 +390,8 @@ def test_class_of_refuses_components_outside_the_layout(monkeypatch):
     a3_coh = koszul_homology(a3, MODULE_A, "coh")
     arrow = a3.algebra.arrow_elem(0)
     g = a3.cochain_on_vertices({a3.quiver.source[0]: arrow})
+    # weight 2 is in the layout, but e_2 A e_0 is not the block of vertex 0
+    path = a3.cochain_on_vertices({0: {(2, a3.algebra.block_of[2].index((2, 0))): QQ.one}})
     calls = _count_differentials(monkeypatch)
     with pytest.raises(NotClosedError, match="weight 8 lies outside the computed weights"):
         coh.class_of(f)
@@ -396,6 +400,9 @@ def test_class_of_refuses_components_outside_the_layout(monkeypatch):
     with pytest.raises(NotClosedError, match=r"weight 1 lies outside the computed "
                                              r"weights \[0, 2\] of degree 0"):
         a3_coh.class_of(g)
+    with pytest.raises(NotClosedError, match="a value at weight 2 lies outside its vertex "
+                                             "block in degree 0"):
+        a3_coh.class_of(path)
     assert not calls
     k_coh = koszul_homology(a3, MODULE_K, "coh")
     assert k_coh.dim(1) == 0 and k_coh.class_of(Cochain(a3, 1, MODULE_K, {})) == []
