@@ -2,20 +2,19 @@
 
 A row is a Python int, one bit per column, eliminated by XOR with the pivot
 keyed by its lowest set bit (the packed-row idea of M4RI).  One forward
-elimination loop serves three entry points:
+elimination loop serves two entry points:
 
-- ``rref_mod(rows, ncols, p)`` returns ``(reduced_rows, pivot_cols)``: the
+- ``rref_mod(rows, ncols)`` returns ``(reduced_rows, pivot_cols)``: the
   reduced row echelon basis (values 1, keys ascending), rows ordered by
   pivot column;
-- ``rank_mod(rows, p)`` returns the rank and builds no reduced basis;
-- ``rank_bits(rows)`` returns the rank of rows that come in packed already.
+- ``rank_bits(rows)`` returns the rank of rows packed one bit per column
+  (``pack`` packs a sparse row) and builds no reduced basis.
 
-The first two take sparse maps ``column -> int`` (zero entries may be absent
-or present, values are taken mod 2) and pack them with ``pack``; they
-refuse every p other than 2: odd p and the rationals go to the dict-row
-eliminator in :mod:`koszulkit.linalg`.  Rows are taken in input order and
-each is reduced on its leftmost nonzero column, so the echelon form is
-deterministic; the reduced form is unique.
+``rref_mod`` takes sparse maps ``column -> int`` (zero entries may be
+absent or present, values are taken mod 2); odd p and the rationals go to
+the dict-row eliminator in :mod:`koszulkit.linalg`.  Rows are taken in
+input order and each is reduced on its leftmost nonzero column, so the
+echelon form is deterministic; the reduced form is unique.
 """
 
 from __future__ import annotations
@@ -27,26 +26,9 @@ KERNEL_KIND = "pure"
 Row = Dict[int, int]
 
 
-def _require_gf2(p: int) -> None:
-    if p != 2:
-        raise ValueError(f"the bit-row kernel works over GF(2) only, not GF({p})")
-
-
-def rank_mod(rows: Iterable[Row], p: int) -> int:
-    """Rank over GF(2) of the sparse rows."""
-    _require_gf2(p)
-    return len(_echelon_gf2(rows))
-
-
 def rank_bits(rows: Iterable[int]) -> int:
     """Rank over GF(2) of rows packed one bit per column."""
     return len(_eliminate(rows))
-
-
-def rref_mod(rows: Iterable[Row], ncols: int, p: int) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form over GF(2) of sparse rows in ``ncols`` columns."""
-    _require_gf2(p)
-    return _rref_gf2(rows)
 
 
 def pack(row: Row) -> int:
@@ -56,11 +38,6 @@ def pack(row: Row) -> int:
         if v & 1:
             x |= 1 << c
     return x
-
-
-def _echelon_gf2(rows: Iterable[Row]) -> Dict[int, int]:
-    """Echelon bit rows of sparse rows, keyed by pivot column."""
-    return _eliminate(map(pack, rows))
 
 
 def _eliminate(rows: Iterable[int]) -> Dict[int, int]:
@@ -77,8 +54,10 @@ def _eliminate(rows: Iterable[int]) -> Dict[int, int]:
     return by_pivot
 
 
-def _rref_gf2(rows: Iterable[Row]) -> Tuple[List[Row], List[int]]:
-    by_pivot = _echelon_gf2(rows)
+def rref_mod(rows: Iterable[Row], ncols: int) -> Tuple[List[Row], List[int]]:
+    """Reduced row echelon form over GF(2) of sparse rows in ``ncols``
+    columns; the elimination itself does not need ``ncols``."""
+    by_pivot = _eliminate(map(pack, rows))
     pivots = sorted(by_pivot)
     mask = 0
     for c in pivots:

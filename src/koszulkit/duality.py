@@ -110,10 +110,9 @@ class DualityReport:
 
 
 def _unit_basis(spaces: CalculusSpaces, p: int) -> list:
-    """The unit (co)chains of degree p, block by block in weight order."""
+    """The unit (co)chains of degree p, block by block in the class layout."""
     return [blk.space.unflatten({k: spaces.kd.field.one})
-            for blk in (spaces.blocks[(p, m)] for m in spaces.weights())
-            for k in range(blk.space.dim)]
+            for _start, blk in spaces.layout(p)[1].values() for k in range(blk.space.dim)]
 
 
 def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,

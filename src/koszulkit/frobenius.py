@@ -386,15 +386,14 @@ class Degree2Comparison:
         # HH^2 = ker(delta_up) / Im(b_K^2), inside HK^2 classes: y = sum_i y_i
         # is the 2-cochain sigma_i -> y_i, eta of the 0-chain with y's values
         hh2 = eta_table(kd, [Chain(kd, 0, MODULE_A, f.values) for f in diagonal(ker_up.rows)])
-        self.hh2_subspace = echelonize(class_vectors(coh, hh2), len(coh.class_basis(2)), field)
+        self.hh2_subspace = echelonize(class_vectors(coh, hh2), coh.dim(2), field)
         self.hh2_dim = self.hh2_subspace.dim
         # HH_2 = HK_2 / (classes of Im(delta_down)): theta carries y to the
         # 2-chain sum_i y_i (x) sigma_i
         killed = theta_table(kd, diagonal(image(delta_down).rows))
         if not all(z.is_cycle() for z in killed):
             raise FrobeniusError("transported degree-3 image is not a cycle")
-        self.killed_subspace = echelonize(class_vectors(hom, killed),
-                                          len(hom.class_basis(2)), field)
+        self.killed_subspace = echelonize(class_vectors(hom, killed), hom.dim(2), field)
         self.hh_2_dim = hom.dim(2) - self.killed_subspace.dim
         self.hk2_dim = coh.dim(2)
         self.hk_2_dim = hom.dim(2)

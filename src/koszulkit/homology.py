@@ -4,9 +4,11 @@ All spaces are computed blockwise in the biweight: the differentials are
 homogeneous (degree +1, coefficient weight +1 on cochains; degree -1,
 coefficient weight +1 on chains), so each (degree, weight) block is an
 independent exact-linear-algebra problem.  Representatives follow the
-deterministic quotient rule of :mod:`koszulkit.linalg`.  A block of
-dimension zero runs no elimination: its differentials in and out are zero
-maps, whose kernel and image need none.  The cocycle (cycle) test of
+deterministic quotient rule of :mod:`koszulkit.linalg`.  Only the pairs
+with a nonzero (co)chain space are built and kept, degree by degree in
+weight order; the higher calculus keeps the pairs whose homology is
+nonzero.  ``CalculusSpaces.layout`` lays the class coordinates of a degree
+out over its blocks.  The cocycle (cycle) test of
 ``class_of`` is membership in the block kernels Z = ker(b_K) that the
 quotients already hold: b_K raises the coefficient weight by one, so an
 element is closed iff each of its weight components is.
@@ -181,11 +183,7 @@ class _GradedDims:
         return [self.dim(p) for p in range(self.p_max + 1)]
 
     def bigraded_dims(self, p: int) -> Dict[Optional[int], int]:
-        out = {}
-        for (pp, m), blk in sorted(self.blocks.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
-            if pp == p and blk.dim:
-                out[m] = blk.dim
-        return out
+        return {m: blk.dim for (pp, m), blk in self.blocks.items() if pp == p and blk.dim}
 
 
 class HomologyBlock:
@@ -200,7 +198,9 @@ class HomologyBlock:
 
 
 class CalculusSpaces(_GradedDims):
-    """HK^p(A, M) or HK_p(A, M) with biweight grading and representatives."""
+    """HK^p(A, M) or HK_p(A, M) with biweight grading and representatives:
+    a block for each p <= p_max and m in ``weights()`` whose (co)chain
+    space is nonzero."""
 
     def __init__(self, kd: KoszulCalculus, module: str, side: str, p_max: int):
         self.kd = kd
@@ -226,41 +226,34 @@ class CalculusSpaces(_GradedDims):
         field = kd.field
         one = field.one
         step = 1 if self.side == "coh" else -1
-        top = self.p_max + 1
+        weights = self.weights()
+        # b_K maps the last block weight into the weight above it, which has
+        # no block: the top computed weight of a truncated algebra, whose
+        # spaces are nonzero, so the kernels below it need that map
+        above = [] if self.module == MODULE_K else [weights[-1] + 1]
         spaces: Dict[Tuple[int, Optional[int]], CoordSpace] = {}
-
-        def space(p: int, m: Optional[int]) -> CoordSpace:
-            if (p, m) not in spaces:
-                spaces[(p, m)] = CoordSpace(kd, p, m, self.module, self.side)
-            return spaces[(p, m)]
-
-        # b_K out of each block a kernel or image below needs; none means zero
+        for p in [p for p in range(self.p_max + 2) if kd.w(p).dim]:
+            for m in weights + above:
+                sp = CoordSpace(kd, p, m, self.module, self.side)
+                if sp.dim:
+                    spaces[(p, m)] = sp
+        # b_K between nonzero spaces; _homology reads a missing map as zero
         mats: Dict[Tuple[int, Optional[int]], LinearMap] = {}
-        for p in range(top + 1):
-            if not 0 <= p + step <= top:
-                continue
-            for m in self.weights():
-                src, dst = space(p, m), space(p + step, _shifted(m, 1))
-                if not src.dim or not dst.dim:
-                    continue
+        for (p, m), src in spaces.items():
+            dst = spaces.get((p + step, _shifted(m, 1)))
+            if dst is not None:
                 units = [{k: one} for k in range(src.dim)]
                 mats[(p, m)] = LinearMap(src.dim, dst.dim, _block_images(src, dst, units),
                                          field)
-        for p in range(self.p_max + 1):
-            for m in self.weights():
-                sp = space(p, m)
+        for (p, m), sp in spaces.items():
+            if p <= self.p_max and m not in above:
                 self.blocks[(p, m)] = HomologyBlock(
                     sp, _homology(mats, p, m, step, sp.dim, field))
 
     # -- classes ------------------------------------------------------------
 
-    def class_basis(self, p: int) -> List[Tuple[Optional[int], int]]:
-        """(weight, index in its block) of each class coordinate of degree p."""
-        _total, offsets = self._layout(p)
-        return [(m, k) for m, (_start, blk) in offsets.items() for k in range(blk.dim)]
-
     def representatives(self, p: int):
-        _total, offsets = self._layout(p)
+        _total, offsets = self.layout(p)
         return [rep for _start, blk in offsets.values() for rep in blk.reps]
 
     def class_of(self, obj) -> List[object]:
@@ -284,7 +277,7 @@ class CalculusSpaces(_GradedDims):
         if obj.module != self.module:
             raise ModuleError(f"a {obj.module}-valued element has no class in "
                               f"{self.module}-coefficient spaces")
-        total, offsets = self._layout(obj.degree)
+        total, offsets = self.layout(obj.degree)
         touched = obj.coefficient_weights()
         coords: List[object] = [self.kd.field.zero] * total
         for m in touched:
@@ -299,26 +292,24 @@ class CalculusSpaces(_GradedDims):
                 raise NotClosedError(not_closed) from None
         return coords
 
-    def _layout(self, p: int) -> Tuple[int, Dict[Optional[int], Tuple[int, HomologyBlock]]]:
+    def layout(self, p: int) -> Tuple[int, Dict[Optional[int], Tuple[int, HomologyBlock]]]:
         """Length of the class coordinates of degree p, and the offset of each
-        weight block with a nonzero cochain or chain space, weights ascending:
-        the one layout of the class coordinates, which class_basis,
-        representatives, zero_class and class_of all read."""
+        of its blocks, weights ascending: the one layout of the class
+        coordinates, which every reader of class coordinates or of a degree's
+        blocks in order goes through."""
         layout = self._layouts.get(p)
         if layout is None:
             offsets: Dict[Optional[int], Tuple[int, HomologyBlock]] = {}
             total = 0
-            for m in self.weights():
-                blk = self.blocks.get((p, m))
-                if blk is None or blk.space.dim == 0:
-                    continue
-                offsets[m] = (total, blk)
-                total += blk.dim
+            for (pp, m), blk in self.blocks.items():
+                if pp == p:
+                    offsets[m] = (total, blk)
+                    total += blk.dim
             layout = self._layouts[p] = (total, offsets)
         return layout
 
     def zero_class(self, p: int) -> List[object]:
-        return [self.kd.field.zero] * self._layout(p)[0]
+        return [self.kd.field.zero] * self.layout(p)[0]
 
 
 def koszul_homology(kd: KoszulCalculus, module: str, side: str,
@@ -347,7 +338,8 @@ def koszul_homology(kd: KoszulCalculus, module: str, side: str,
 
 class HigherSpaces(_GradedDims):
     """Homology of the class-level complexes of the fundamental 1-cocycle:
-    e_A cup - on HK^ and e_A cap - (left) on HK_."""
+    e_A cup - on HK^ and e_A cap - (left) on HK_, one block for each
+    nonzero HK block."""
 
     def __init__(self, spaces: CalculusSpaces):
         self.spaces = spaces
@@ -366,7 +358,8 @@ class HigherSpaces(_GradedDims):
                      if not field.is_zero(c)} for img in imgs]
             mats[(p, m)] = LinearMap(blk.dim, tblk.dim, cols, field)
         for (p, m), blk in spaces.blocks.items():
-            self.blocks[(p, m)] = _homology(mats, p, m, step, blk.dim, field)
+            if blk.dim:
+                self.blocks[(p, m)] = _homology(mats, p, m, step, blk.dim, field)
 
     def class_in_kernel(self, obj) -> bool:
         """Whether a closed element's higher differential vanishes at class level."""
@@ -374,7 +367,7 @@ class HigherSpaces(_GradedDims):
         coords = spaces.class_of(obj)
         field = spaces.kd.field
         # blockwise kernel membership, over the class coordinate segments
-        _total, offsets = spaces._layout(obj.degree)
+        _total, offsets = spaces.layout(obj.degree)
         for m, (start, blk) in offsets.items():
             vec = {i: c for i, c in enumerate(coords[start:start + blk.dim])
                    if not field.is_zero(c)}

@@ -252,6 +252,9 @@ class KoszulCalculus:
             raise DegreeError(f"no W space in negative degree {p}")
         if p < len(self.wspaces):
             return self.wspaces[p]
+        # W_p lies in W_{p-1} (x) V: past a zero W space every W space is zero
+        if self.wspaces[-1].dim:
+            raise DegreeError(f"W_{p} is not computed: the degrees are 0..{len(self.wspaces) - 1}")
         ws = WSpace(p)
         ws.finish()
         return ws

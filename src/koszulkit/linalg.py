@@ -94,7 +94,7 @@ def _check_ambient(rows: Sequence[SparseVec], ambient: int) -> None:
 def rref(rows: Sequence[SparseVec], ambient: int, field: Field) -> Tuple[List[SparseVec], List[int]]:
     """Reduced row echelon basis of the row span and its pivot columns."""
     if field.char == 2:
-        return backend.rref_mod(rows, ambient, 2)
+        return backend.rref_mod(rows, ambient)
     return _rref(rows, field)
 
 
@@ -103,7 +103,7 @@ def rank(rows: Iterable[SparseVec], ambient: int, field: Field) -> int:
     rows = list(rows)
     _check_ambient(rows, ambient)
     if field.char == 2:
-        return backend.rank_mod(rows, 2)
+        return backend.rank_bits(map(backend.pack, rows))
     return len(_echelon(rows, field))
 
 

@@ -395,6 +395,26 @@ def test_bad_preset_exit_code():
     assert main(["calculus", "--preset", "Z9"]) == 3
 
 
+def test_max_degree_two_reads_only_computed_w_spaces(tmp_path, monkeypatch):
+    """At --max-degree 2 the W spaces of A2 are computed in degrees 0-3, each
+    of dimension 2: the property suite draws bK o bK out of degrees 0 and 1,
+    so the run reads no W space past degree 3 and exits 0."""
+    from koszulkit.koszul import KoszulCalculus
+    degrees = set()
+    real = KoszulCalculus.w
+
+    def recorded(self, p):
+        degrees.add(p)
+        return real(self, p)
+    monkeypatch.setattr(KoszulCalculus, "w", recorded)
+    out = tmp_path / "a2.json"
+    assert main(["calculus", "--preset", "A2", "--max-degree", "2", "--analyses",
+                 "calculus,properties", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "ok" and doc["properties"]["ok"]
+    assert max(degrees) == 3
+
+
 @pytest.mark.parametrize("degree", ["0", "1"])
 def test_max_degree_below_two_is_refused(capsys, degree):
     """The structure constants and the duality read degree 2."""

@@ -70,6 +70,22 @@ def test_a2_w_spaces_have_dimension_two():
         assert kd.w(p).dim == 2
 
 
+def test_w_past_the_computed_degrees():
+    """Past the computed degrees W_p is the zero space only when the last
+    computed W is zero, since W_p lies in W_{p-1} (x) V.  Every W_p of A2 has
+    dimension 2, so the enveloping route over A2 with p_max 1 refuses to read
+    W_3 instead of calling A2 Calabi-Yau of dimension 2; with p_max 3 it
+    reads dim W_3 = 2 and H_2 = 0."""
+    from koszulkit.duality import ae_coefficient_route
+    assert KoszulCalculus(Preset("A3", QQ).algebra, 3).w(6).dim == 0
+    alg = Preset("A2", QQ).algebra
+    with pytest.raises(DegreeError, match="W_3 is not computed"):
+        ae_coefficient_route(KoszulCalculus(alg, 1), 3)
+    route = ae_coefficient_route(KoszulCalculus(alg, 3), 3)
+    assert not route["w3_zero"] and not route["kc_calabi_yau_2"]
+    assert route["h_dims"][2] == 0
+
+
 def test_e6_w2_dimension():
     pr = Preset("E6", QQ)
     kd = KoszulCalculus(pr.algebra, 3)
@@ -275,10 +291,7 @@ def test_class_of_by_weight_block(name, field):
     for spaces in (coh, hom):
         for p in range(3):
             # one representative per coefficient weight
-            first = {}
-            for (m, _k), rep in zip(spaces.class_basis(p), spaces.representatives(p)):
-                first.setdefault(m, rep)
-            reps = list(first.values())
+            reps = [blk.reps[0] for _start, blk in spaces.layout(p)[1].values() if blk.reps]
             for f, g in zip(reps, reps[1:]):
                 assert f.coefficient_weights() != g.coefficient_weights()
                 want = [field.add(field.mul(two, a), b)
@@ -331,9 +344,8 @@ def test_class_of_reads_closedness_from_the_block_kernels(name, field, monkeypat
     for side in ("coh", "hom"):
         spaces = koszul_homology(kd, MODULE_A, side)
         for p in range(3):
-            reps = {}
-            for (m, _k), rep in zip(spaces.class_basis(p), spaces.representatives(p)):
-                reps.setdefault(m, rep)
+            reps = {m: blk.reps[0] for m, (_start, blk) in spaces.layout(p)[1].items()
+                    if blk.reps}
             if len(reps) > 1:
                 closed = None
                 for rep in reps.values():
@@ -408,7 +420,10 @@ def test_class_of_refuses_components_outside_the_layout(monkeypatch):
     assert k_coh.dim(1) == 0 and k_coh.class_of(Cochain(a3, 1, MODULE_K, {})) == []
 
 
-#: bigraded dimensions {p: {weight: dim}} of HK and of the higher calculus
+#: bigraded dimensions {p: {weight: dim}} of HK and of the higher calculus;
+#: for a truncated algebra (name@cutoff) HK in degrees 0-2 only, and the
+#: higher calculus, which treats the class-level map into the top weight as
+#: zero, is not pinned
 _BIGRADED = {
     ("A3", "coh"): ({0: {0: 1, 2: 1}, 1: {1: 1}, 2: {0: 3}, 3: {}},
                     {0: {2: 1}, 1: {}, 2: {0: 3}, 3: {}}),
@@ -418,16 +433,34 @@ _BIGRADED = {
                      2: {0: 6, 4: 1}, 3: {}},) * 2,
     ("E6", "hom"): ({0: {0: 6, 4: 1}, 1: {1: 1, 3: 1, 7: 1, 9: 1},
                      2: {0: 1, 6: 1, 8: 1, 10: 2}, 3: {}},) * 2,
+    ("A~2@8", "coh"): ({0: {0: 1, 2: 1, 3: 2, 4: 1, 5: 2, 6: 3, 7: 2},
+                        1: {1: 2, 2: 2, 3: 2, 4: 4, 5: 4, 6: 4, 7: 6},
+                        2: {0: 3, 2: 1, 3: 2, 4: 1, 5: 2, 6: 3, 7: 2}}, None),
+    ("A~2@8", "hom"): ({0: {0: 3, 2: 1, 3: 2, 4: 1, 5: 2, 6: 3, 7: 2},
+                        1: {1: 2, 2: 2, 3: 2, 4: 4, 5: 4, 6: 4, 7: 6},
+                        2: {0: 1, 2: 1, 3: 2, 4: 1, 5: 2, 6: 3, 7: 2}}, None),
+    ("D~4@6", "coh"): ({0: {0: 1, 4: 2}, 1: {1: 1, 3: 3, 5: 3}, 2: {0: 5, 4: 3}}, None),
+    ("D~4@6", "hom"): ({0: {0: 5, 4: 3}, 1: {1: 1, 3: 3, 5: 3}, 2: {0: 1, 4: 2}}, None),
+    ("A~3@7", "coh"): ({0: {0: 1, 2: 1, 4: 3, 6: 3}, 1: {1: 2, 3: 4, 5: 6},
+                        2: {0: 4, 2: 1, 4: 3, 6: 3}}, None),
+    ("A~3@7", "hom"): ({0: {0: 4, 2: 1, 4: 3, 6: 3}, 1: {1: 2, 3: 4, 5: 6},
+                        2: {0: 1, 2: 1, 4: 3, 6: 3}}, None),
 }
 
 
-@pytest.mark.parametrize("name,field", [("A3", QQ), ("E6", GF(2))], ids=["A3-Q", "E6-F2"])
-def test_empty_blocks_run_no_elimination(name, field, monkeypatch):
-    """koszul_homology and higher_calculus eliminate nothing on a block of
-    dimension zero: no row reduction has an empty ambient space or no rows.
-    Every (degree, weight) block is still listed, with the same dimensions."""
-    from koszulkit import backend, linalg
-    pr = Preset(name, field)
+@pytest.mark.parametrize("name,field,cutoff", [
+    ("A3", QQ, None), ("E6", GF(2), None), ("A~2", QQ, 8), ("D~4", GF(2), 6),
+    ("A~3", GF(3), 7)], ids=["A3-Q", "E6-F2", "A~2@8-Q", "D~4@6-F2", "A~3@7-F3"])
+def test_empty_blocks_run_no_elimination(name, field, cutoff, monkeypatch):
+    """koszul_homology keeps a block exactly where the (co)chain space is
+    nonzero, degree by degree in weight order, and higher_calculus exactly
+    where the HK block is nonzero; _homology runs on those blocks alone, and
+    no row reduction has an empty ambient space or no rows.  The bigraded
+    dimensions are pinned, below the cutoff of a truncated algebra too,
+    where the differential into the top computed weight must still be built."""
+    from koszulkit import backend, homology, linalg
+    from koszulkit.homology import CoordSpace
+    pr = Preset(name, field, cutoff=cutoff)
     kd = KoszulCalculus(pr.algebra, 3)
     shapes = []
     for module, attr in ((linalg, "rref"), (backend, "rref_mod")):
@@ -438,16 +471,29 @@ def test_empty_blocks_run_no_elimination(name, field, monkeypatch):
             shapes.append((len(rows), ncols))
             return _real(rows, ncols, *rest)
         monkeypatch.setattr(module, attr, recorded)
+    homology_dims = []
+
+    def counted(mats, p, m, step, dim, field, _real=homology._homology):
+        homology_dims.append(dim)
+        return _real(mats, p, m, step, dim, field)
+    monkeypatch.setattr(homology, "_homology", counted)
+    key = name if cutoff is None else f"{name}@{cutoff}"
+    blocks = 0
     for side in ("coh", "hom"):
         spaces = koszul_homology(kd, MODULE_A, side)
         higher = higher_calculus(spaces)
-        keys = {(p, m) for p in range(spaces.p_max + 1) for m in spaces.weights()}
-        assert set(spaces.blocks) == set(higher.blocks) == keys
-        want_hk, want_higher = _BIGRADED[(name, side)]
+        keys = [(p, m) for p in range(spaces.p_max + 1) for m in spaces.weights()
+                if CoordSpace(kd, p, m, MODULE_A, side).dim]
+        assert list(spaces.blocks) == keys
+        assert list(higher.blocks) == [k for k in keys if spaces.blocks[k].dim]
+        blocks += len(spaces.blocks) + len(higher.blocks)
+        want_hk, want_higher = _BIGRADED[(key, side)]
         assert {p: spaces.bigraded_dims(p) for p in want_hk} == want_hk
-        assert {p: higher.bigraded_dims(p) for p in want_higher} == want_higher
-        assert spaces.dims() == [sum(d.values()) for d in want_hk.values()]
-        assert higher.dims() == [sum(d.values()) for d in want_higher.values()]
+        assert [spaces.dim(p) for p in want_hk] == [sum(d.values()) for d in want_hk.values()]
+        if want_higher is not None:
+            assert {p: higher.bigraded_dims(p) for p in want_higher} == want_higher
+            assert higher.dims() == [sum(d.values()) for d in want_higher.values()]
+    assert len(homology_dims) == blocks and 0 not in homology_dims
     assert shapes
     assert [s for s in shapes if not s[0] or not s[1]] == []
 

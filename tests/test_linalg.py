@@ -348,16 +348,6 @@ def test_kernels_match_dense_reference(system):
             assert all(type(x) is int and 0 < x < field.p for x in row.values())
 
 
-def test_bit_row_kernel_refuses_odd_p():
-    """Odd p goes to the dict-row eliminator in linalg, not to backend."""
-    rows = [{0: 1, 1: 2}, {1: 1}]
-    assert backend.rank_mod(rows, 2) == 2
-    with pytest.raises(ValueError):
-        backend.rref_mod(rows, 2, 3)
-    with pytest.raises(ValueError):
-        backend.rank_mod(rows, 3)
-
-
 def _reduce_reference(sub, v):
     """Subspace.reduce as it was: the vector is copied for every pivot it meets."""
     field = sub.field
@@ -428,9 +418,10 @@ def test_in_place_reduce_and_solve_match_copy_per_pivot(case):
                 q.coords(v)
 
 
-def test_rank_bits_matches_rank_mod():
-    """Rows packed by the caller go through the same elimination as dict rows;
-    seeded sparse rows, with empty, even-valued and repeated rows among them."""
+def test_rank_bits_matches_linalg_rank():
+    """Rows packed by the caller have the rank that linalg.rank finds for the
+    dict rows over GF(2), and the dense reference; seeded sparse rows, with
+    empty, even-valued and repeated rows among them."""
     rnd = random.Random(16)
     for _ in range(300):
         ncols = rnd.choice([1, 5, 40, 130])
@@ -448,5 +439,5 @@ def test_rank_bits_matches_rank_mod():
         assert [backend.pack(row) for row in rows] == bits
         want = len(_dense_rref([{c: v % 2 for c, v in row.items()} for row in rows],
                                ncols, GF(2))[1])
-        assert backend.rank_bits(bits) == backend.rank_mod(rows, 2) == want
+        assert backend.rank_bits(bits) == la.rank(rows, ncols, GF(2)) == want
         assert backend.rank_bits(iter(bits)) == want
