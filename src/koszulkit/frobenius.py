@@ -21,7 +21,9 @@ paired block e_{nu_bar(i)} A_{top-m} e_j of x's block (``_paired``).  As
 nu_bar permutes the vertices, distinct blocks have disjoint paired blocks.
 The pairing check, the Nakayama solve and the transported degree-3 maps
 therefore read only the monomials that the grading lets pair or compose;
-every other form or product is zero without being formed.
+every other form or product is zero without being formed.  As dual(x) has
+weight top - |x|, the degree-3 maps are zero on every column of positive
+weight, and only their weight-0 columns are built.
 
 :class:`FrobeniusStructure` derives each piece of this data once and keeps
 it on the instance: the dual basis in ``_dual``, keyed by monomial (each
@@ -291,8 +293,11 @@ class FrobeniusStructure:
         delta_up: diagonal -> twisted, y -> sum_x dual(x) y x
         delta_down: twisted -> diagonal, y -> sum_x x y dual(x)
 
-        Only the x that compose with y are read: target(x) = source(y) going
-        up, source(x) = target(y) going down; every other term is zero.
+        Only the weight-0 columns are built: dual(x) has weight top - |x|,
+        so dual(x) y x and x y dual(x) lie in weight top + |y|, and every
+        column of a y of positive weight is zero.  In a column, only the x
+        that compose with y are read: target(x) = source(y) going up,
+        source(x) = target(y) going down; every other term is zero.
         """
         alg = self.algebra
         field = self.field
@@ -329,8 +334,8 @@ class FrobeniusStructure:
                     col[idx] = col.get(idx, 0) + c
             return field.settle(col)
 
-        up_cols = [column(dc, True) for dc in dcoords]
-        down_cols = [column(tc, False) for tc in tcoords]
+        up_cols = [column(dc, True) if dc[0] == 0 else {} for dc in dcoords]
+        down_cols = [column(tc, False) if tc[0] == 0 else {} for tc in tcoords]
         delta_up = LinearMap(len(dcoords), len(tcoords), up_cols, field)
         delta_down = LinearMap(len(tcoords), len(dcoords), down_cols, field)
         return delta_up, delta_down

@@ -7,11 +7,17 @@ independent exact-linear-algebra problem.  Representatives follow the
 deterministic quotient rule of :mod:`koszulkit.linalg`.  Only the pairs
 with a nonzero (co)chain space are built and kept, degree by degree in
 weight order; the higher calculus keeps the pairs whose homology is
-nonzero.  ``CalculusSpaces.layout`` lays the class coordinates of a degree
-out over its blocks.  The cocycle (cycle) test of
-``class_of`` is membership in the block kernels Z = ker(b_K) that the
-quotients already hold: b_K raises the coefficient weight by one, so an
-element is closed iff each of its weight components is.
+nonzero; a (degree, weight) pair whose algebra blocks meet no vertex block
+of W_p is not built at all.  ``CalculusSpaces.layout`` lays the class
+coordinates of a degree out over its blocks.
+
+Each block map's image is eliminated once, as B of its target and
+rank(d_out) of its source, and a block whose ranks show its homology to be
+zero takes Z = B without a kernel (``_homology``).  The cocycle (cycle)
+test of ``class_of`` is membership in the block spaces Z = ker(b_K), read
+with the coordinates in one reduction (``QuotientSpace.coords``): b_K
+raises the coefficient weight by one, so an element is closed iff each of
+its weight components is.
 
 Every matrix here is read off the term table of
 :meth:`koszulkit.koszul.KoszulCalculus.terms` (its conventions are in the
@@ -45,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import backend
 from .koszul import (Chain, Cochain, KoszulCalculus, MODULE_A, MODULE_K, ModuleError,
                      NotClosedError)
-from .linalg import (LinearMap, NotInSubspaceError, QuotientSpace, SparseVec,
+from .linalg import (LinearMap, NotInSubspaceError, QuotientSpace, SparseVec, Subspace,
                      full_subspace, image, kernel, rank, zero_subspace)
 
 
@@ -158,15 +164,33 @@ def _shifted(m: Optional[int], dm: int) -> Optional[int]:
     return None if m is None else m + dm
 
 
-def _homology(mats: Dict[Tuple[int, Optional[int]], LinearMap], p: int,
+def _homology(mats: Dict[Tuple[int, Optional[int]], LinearMap],
+              images: Dict[Tuple[int, Optional[int]], Subspace], p: int,
               m: Optional[int], step: int, dim: int, field) -> QuotientSpace:
     """ker(d out of block (p, m)) / im(d into it), for the maps of a complex
     of degree ``step`` and weight +1 keyed by source block; a missing map
-    is zero."""
+    is zero.  ``images`` holds the image of each map into a block that is
+    kept, eliminated once: B of that block, and rank(d_out) of its source.
+
+    Where the image of d_out is at hand and dim - rank(d_out) = dim B, the
+    homology is zero and Z = B: B is checked to lie in ker(d_out) by
+    applying d_out to each of its rows (d o d = 0), and then has the
+    dimension of the kernel, whose unique reduced echelon basis it is.
+    Elsewhere, where the homology can be nonzero or the map's target is
+    not kept, ``kernel(d_out)`` runs."""
     d_out = mats.get((p, m))
-    d_in = mats.get((p - step, _shifted(m, -1)))
-    z = kernel(d_out) if d_out is not None else full_subspace(dim, field)
-    b = image(d_in) if d_in is not None else zero_subspace(dim, field)
+    b = images.get((p - step, _shifted(m, -1)))
+    if b is None:
+        b = zero_subspace(dim, field)
+    img_out = images.get((p, m))
+    if d_out is None:
+        z = full_subspace(dim, field)
+    elif img_out is not None and dim - img_out.dim == b.dim:
+        if any(d_out.apply(row) for row in b.rows):
+            raise NotInSubspaceError("denominator is not contained in numerator")
+        z = b
+    else:
+        z = kernel(d_out)
     return QuotientSpace(z, b)
 
 
@@ -231,9 +255,16 @@ class CalculusSpaces(_GradedDims):
         # no block: the top computed weight of a truncated algebra, whose
         # spaces are nonzero, so the kernels below it need that map
         above = [] if self.module == MODULE_K else [weights[-1] + 1]
+        alg = kd.algebra
         spaces: Dict[Tuple[int, Optional[int]], CoordSpace] = {}
         for p in [p for p in range(self.p_max + 2) if kd.w(p).dim]:
+            # the algebra blocks that the vertex blocks of W_p take values in
+            wanted = {(j, i) if self.side == "coh" else (i, j)
+                      for j, i in kd.w(p).flat_of_block}
             for m in weights + above:
+                if (self.module == MODULE_A
+                        and (m > alg.max_weight or wanted.isdisjoint(alg.blocks[m]))):
+                    continue
                 sp = CoordSpace(kd, p, m, self.module, self.side)
                 if sp.dim:
                     spaces[(p, m)] = sp
@@ -245,10 +276,13 @@ class CalculusSpaces(_GradedDims):
                 units = [{k: one} for k in range(src.dim)]
                 mats[(p, m)] = LinearMap(src.dim, dst.dim, _block_images(src, dst, units),
                                          field)
+        kept = {(p, m) for p, m in spaces if p <= self.p_max and m not in above}
+        images = {(p, m): image(d) for (p, m), d in mats.items()
+                  if (p + step, _shifted(m, 1)) in kept}
         for (p, m), sp in spaces.items():
-            if p <= self.p_max and m not in above:
+            if (p, m) in kept:
                 self.blocks[(p, m)] = HomologyBlock(
-                    sp, _homology(mats, p, m, step, sp.dim, field))
+                    sp, _homology(mats, images, p, m, step, sp.dim, field))
 
     # -- classes ------------------------------------------------------------
 
@@ -262,7 +296,9 @@ class CalculusSpaces(_GradedDims):
         b_K raises the coefficient weight by one, so an element is closed iff
         each weight component is.  Each component is tested for closedness
         by its weight block's cocycle (cycle) space Z = ker(b_K) as its
-        coordinates are read, and the blocks it does not touch read zero.
+        coordinates are read, in one reduction by B
+        (``QuotientSpace.coords``), and the blocks it does not touch read
+        zero.
         A component outside the layout (the top weight of a truncated
         algebra, or a value outside its vertex block) is refused, and so is
         an element over another module than these spaces', before any work."""
@@ -357,9 +393,11 @@ class HigherSpaces(_GradedDims):
             cols = [{k: c for k, c in enumerate(tblk.quotient.coords(img))
                      if not field.is_zero(c)} for img in imgs]
             mats[(p, m)] = LinearMap(blk.dim, tblk.dim, cols, field)
+        # every map's target is a nonzero block, and all of those are kept
+        images = {key: image(d) for key, d in mats.items()}
         for (p, m), blk in spaces.blocks.items():
             if blk.dim:
-                self.blocks[(p, m)] = _homology(mats, p, m, step, blk.dim, field)
+                self.blocks[(p, m)] = _homology(mats, images, p, m, step, blk.dim, field)
 
     def class_in_kernel(self, obj) -> bool:
         """Whether a closed element's higher differential vanishes at class level."""

@@ -57,7 +57,12 @@ chain support entry (cap), meeting only the factors whose support holds the
 matching W index; a pair that is not composable costs nothing.  Each pair
 is accumulated in the order of the one-pair loop (f's or z's support, then
 the split entries, then the hits), so its settled values do not depend on
-the lists it came in.  ``cup`` and ``cap`` are the one-pair tables.
+the lists it came in.  ``cup`` and ``cap`` are the one-pair tables.  On a
+finite algebra with both factors A-valued, the indexed values are ordered
+by their lowest weight, and each value of the walked factor meets only the
+hits whose lowest weight keeps the sum at most the top weight: every other
+product is zero by the grading.  A truncated algebra skips nothing, so a
+product past its cutoff still raises ``WeightOverflowError``.
 """
 
 from __future__ import annotations
@@ -484,6 +489,15 @@ class KoszulCalculus:
         mid = gblock[0]
         return self.field.mul(fval, gval.get((0, mid), 0)) if gblock[1] == mid else 0
 
+    def _product_top(self, mod_f: str, mod_g: str) -> Optional[int]:
+        """The top weight when both factors are A-valued on a finite algebra:
+        a product of values whose lowest weights add up past it is zero.
+        Else None, and the product tables skip nothing (a truncated algebra
+        keeps its ``WeightOverflowError``)."""
+        if mod_f == MODULE_A and mod_g == MODULE_A:
+            return self.algebra.top_weight
+        return None
+
     def _settled(self, module: str, accs: Dict[int, Dict[int, object]]):
         """The (factor index, settled values) of the nonzero products among
         the accumulators of one row of a product table."""
@@ -502,19 +516,23 @@ class KoszulCalculus:
         wp, wq = self.w(p), self.w(q)
         sign = self.field.sign(p * q)
         rows = self._splits_by_prefix(p, q)
-        g_at = _by_support(gs)
+        top = self._product_top(mod_f, mod_g)
+        g_at = _by_support(gs, top is not None)
         product, accumulate = self._mod_product, self._mod_accumulate
         table: Dict[Tuple[int, int], Cochain] = {}
         for i, f in enumerate(fs):
             accs: Dict[int, Dict[int, object]] = {}
             for x, fv in f.values.items():
                 fblock = wp.block_of(x)
+                room = 0 if top is None else top - _lowest(fv)
                 for y, z, c in rows[x]:
                     hits = g_at.get(y)
                     if hits is None:
                         continue
                     gblock = wq.block_of(y)
-                    for j, gv in hits:
+                    for low, j, gv in hits:
+                        if low > room:
+                            break
                         prod = product(mod_f, mod_g, fv, gv, fblock, gblock)
                         if prod:
                             accumulate(out_module, accs.setdefault(j, {}), z, prod, sign * c)
@@ -547,7 +565,8 @@ class KoszulCalculus:
             # split x = s (x) u with s in W_p: m f(s) on u
             sign = self.field.sign(p * q)
             splits = self.split_coords(p, q - p)
-        f_at = _by_support(fs)
+        top = self._product_top(mod_f, mod_z)
+        f_at = _by_support(fs, top is not None)
         product, accumulate = self._mod_product, self._mod_accumulate
         table: Dict[Tuple[int, int], Chain] = {}
         for j, z in enumerate(zs):
@@ -555,13 +574,16 @@ class KoszulCalculus:
             for wflat, melem in z.values.items():
                 tgt, src = wq.block_of(wflat)
                 zblock = (src, tgt)  # the coefficient melem lies in e_src M e_tgt
+                room = 0 if top is None else top - _lowest(melem)
                 for pair, c in splits[wflat].items():
                     u, s = pair if left else pair[::-1]
                     hits = f_at.get(s)
                     if hits is None:
                         continue
                     fblock = wp.block_of(s)
-                    for i, fv in hits:
+                    for low, i, fv in hits:
+                        if low > room:
+                            break
                         if left:
                             prod = product(mod_f, mod_z, fv, melem, fblock, zblock)
                         else:
@@ -605,12 +627,23 @@ def _common_grading(elems: Sequence["KoszulElement"]) -> Tuple[int, str]:
     return first.degree, first.module
 
 
-def _by_support(elems: Sequence["KoszulElement"]) -> Dict[int, List[Tuple[int, object]]]:
-    """For each W index, the (list index, value) of the elements whose support holds it."""
-    index: Dict[int, List[Tuple[int, object]]] = {}
+def _lowest(value) -> int:
+    """The lowest weight of an algebra value."""
+    return min(m for m, _pos in value)
+
+
+def _by_support(elems: Sequence["KoszulElement"],
+                graded: bool) -> Dict[int, List[Tuple[int, int, object]]]:
+    """For each W index, the (lowest weight, list index, value) of the
+    elements whose support holds it, by lowest weight and then list index
+    when ``graded`` (algebra values), else with weight 0 in list order."""
+    index: Dict[int, List[Tuple[int, int, object]]] = {}
     for n, e in enumerate(elems):
         for w, v in e.values.items():
-            index.setdefault(w, []).append((n, v))
+            index.setdefault(w, []).append((_lowest(v) if graded else 0, n, v))
+    if graded:
+        for hits in index.values():
+            hits.sort(key=lambda hit: hit[0])
     return index
 
 

@@ -186,6 +186,13 @@ class LinearMap:
     def rank(self) -> int:
         return rank(self.cols, self.codomain_dim, self.field)
 
+    def apply(self, v: SparseVec) -> SparseVec:
+        """The image of a domain vector, zeros dropped."""
+        out: SparseVec = {}
+        for j, x in v.items():
+            self.field.add_into(out, self.cols[j], x)
+        return out
+
 
 def kernel(m: LinearMap) -> Subspace:
     """Null space of a linear map as its reduced echelon basis, from one
@@ -314,9 +321,8 @@ class QuotientSpace:
         z.field.require_same(b.field)
         if z.ambient != b.ambient:
             raise AmbientMismatchError("numerator and denominator ambient mismatch")
-        for row in b.rows:
-            if not z.contains(row):
-                raise NotInSubspaceError("denominator is not contained in numerator")
+        if z is not b and not all(z.contains(row) for row in b.rows):
+            raise NotInSubspaceError("denominator is not contained in numerator")
         self.z = z
         self.b = b
         b_pivots = set(b.pivots)
@@ -328,8 +334,17 @@ class QuotientSpace:
         return self.z.dim - self.b.dim
 
     def coords(self, v: SparseVec) -> List[object]:
-        """Coordinates of v modulo B in the representative basis."""
-        if not self.z.contains(v):
-            raise NotInSubspaceError("not a cocycle/cycle: vector outside the numerator")
+        """Coordinates of v modulo B in the representative basis, from one
+        reduction.  The pivots of Z are those of B and the representative
+        pivots, disjointly, so v is in Z iff what is left of v after reducing
+        by B and subtracting each representative times its pivot entry is
+        zero; those entries are the coordinates."""
+        field = self.z.field
         reduced = self.b.reduce(v)
-        return [reduced.get(c, self.z.field.zero) for c in self.rep_pivots]
+        out = [reduced.get(c, field.zero) for c in self.rep_pivots]
+        for c, rep in zip(out, self.representatives):
+            if not field.is_zero(c):
+                field.add_into(reduced, rep, field.neg(c))
+        if reduced:
+            raise NotInSubspaceError("not a cocycle/cycle: vector outside the numerator")
+        return out

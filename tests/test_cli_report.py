@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import koszulkit
 from koszulkit import adedata
 from koszulkit.cli import main
 from koszulkit.report import RunConfig, render, run
@@ -488,7 +491,13 @@ def test_cutoff_below_the_top_weight_is_refused(tmp_path, capsys):
 
 
 def test_cli_entrypoint_runs():
+    """The module entry point of this checkout's sources, not of another
+    installed copy: its src directory goes first on the child's path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "koszulkit.cli", "--version"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+    assert proc.stdout.strip() == koszulkit.__version__

@@ -428,9 +428,11 @@ def test_frobenius_sweeps_form_only_block_pairs(name, field, pairs, solve):
 
 @pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3))], ids=["D5-Q", "E6-F3"])
 def test_delta_maps_multiply_only_composable_terms(monkeypatch, name, field):
-    """Two products per composable x for each column: a diagonal y in
-    e_i A e_i meets every x with target i, a twisted y in e_i A e_{nu_bar(i)}
-    every x with source i.  The all-pairs sweep took two per monomial x."""
+    """Two products per composable x for each weight-0 column: a diagonal y
+    in e_i A_0 e_i meets every x with target i, a twisted y in
+    e_i A_0 e_{nu_bar(i)} every x with source i.  The columns of positive
+    weight are zero unread, and the all-pairs sweep took two products per
+    monomial x for every column."""
     pr, frob = make_frob(name, field)
     alg, n = pr.algebra, pr.quiver.n_vertices
     frob.dual_basis()
@@ -439,11 +441,55 @@ def test_delta_maps_multiply_only_composable_terms(monkeypatch, name, field):
     frob.delta_maps()
     with_target = [sum(alg.block_dim(i, j) for j in range(n)) for i in range(n)]
     with_source = [sum(alg.block_dim(j, i) for j in range(n)) for i in range(n)]
-    assert len(calls) == 2 * sum(alg.block_dim(i, i) * with_target[i]
-                                 + alg.block_dim(i, frob.nu_bar[i]) * with_source[i]
+    assert len(calls) == 2 * sum(len(alg.block_positions(0, i, i)) * with_target[i]
+                                 + len(alg.block_positions(0, i, frob.nu_bar[i]))
+                                 * with_source[i]
                                  for i in range(n))
     n_cols = len(frob.vertex_coords(False)) + len(frob.vertex_coords(True))
     assert len(calls) < 2 * n_cols * frob.dim
+
+
+def _delta_maps_every_column(frob):
+    """The columns of both transported degree-3 maps, each summed over every
+    composable x, the positive-weight columns too."""
+    alg, field, dual = frob.algebra, frob.field, frob.dual_basis()
+    one = field.one
+    dcoords, tcoords = frob.vertex_coords(False), frob.vertex_coords(True)
+    dindex = {c: k for k, c in enumerate(dcoords)}
+    tindex = {c: k for k, c in enumerate(tcoords)}
+
+    def column(yt, up):
+        col = {}
+        y = {yt: one}
+        tgt, src = alg.block_of[yt[0]][yt[1]]
+        for t in frob.terms:
+            xt, xs = alg.block_of[t[0]][t[1]]
+            if (xt if up else xs) != (src if up else tgt):
+                continue
+            x = {t: one}
+            term = (alg.multiply(dual[t], alg.multiply(y, x)) if up
+                    else alg.multiply(x, alg.multiply(y, dual[t])))
+            for key, c in term.items():
+                k = (tindex if up else dindex)[key]
+                col[k] = col.get(k, 0) + c
+        return field.settle(col)
+    return ([column(y, True) for y in dcoords], [column(y, False) for y in tcoords])
+
+
+@pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3)), ("E8", GF(2))],
+                         ids=["D5-Q", "E6-F3", "E8-F2"])
+def test_delta_maps_equal_the_every_column_sum(name, field):
+    """delta_maps builds the weight-0 columns only; both maps equal the sums
+    over every column, whose positive-weight columns are zero.  delta_up is
+    nonzero on D5/Q and E6/F:3; both maps are zero on E8/F:2."""
+    _pr, frob = make_frob(name, field)
+    delta_up, delta_down = frob.delta_maps()
+    up, down = _delta_maps_every_column(frob)
+    assert (delta_up.cols, delta_down.cols) == (up, down)
+    assert (delta_up.domain_dim, delta_up.codomain_dim) == (len(up), len(down))
+    assert (delta_down.domain_dim, delta_down.codomain_dim) == (len(down), len(up))
+    assert any(m for m, _pos in frob.vertex_coords(False))
+    assert any(up) == (name != "E8")
 
 
 #: sha256 of the JSON of the ``verify_type_char`` + ``hochschild2_checks``

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszulkit import adedata
 from koszulkit.algebra import build_graded_algebra
 from koszulkit.fields import GF, QQ
 from koszulkit.homology import BimoduleHomology, higher_calculus, koszul_homology
@@ -473,9 +474,9 @@ def test_empty_blocks_run_no_elimination(name, field, cutoff, monkeypatch):
         monkeypatch.setattr(module, attr, recorded)
     homology_dims = []
 
-    def counted(mats, p, m, step, dim, field, _real=homology._homology):
+    def counted(mats, images, p, m, step, dim, field, _real=homology._homology):
         homology_dims.append(dim)
-        return _real(mats, p, m, step, dim, field)
+        return _real(mats, images, p, m, step, dim, field)
     monkeypatch.setattr(homology, "_homology", counted)
     key = name if cutoff is None else f"{name}@{cutoff}"
     blocks = 0
@@ -1094,3 +1095,146 @@ def test_splits_reconstruct_their_w_vectors(name, field):
                 assert field.settle(acc) == wn.vector(z), (n, p, z)
                 checked += 1
     assert checked >= kd.w(2).dim
+
+
+def _block_map(kd, src, step):
+    """b_K out of one block's space, into the space at (p + step, m + 1), or
+    None when that space is zero."""
+    from koszulkit.homology import CoordSpace, _block_images
+    from koszulkit.linalg import LinearMap
+    if src.p + step < 0:
+        return None
+    dst = CoordSpace(kd, src.p + step, src.m + 1, MODULE_A, src.side)
+    if not dst.dim:
+        return None
+    units = [{k: kd.field.one} for k in range(src.dim)]
+    return LinearMap(src.dim, dst.dim, _block_images(src, dst, units), kd.field)
+
+
+_Z_CASES = ([(name, field, None) for name in adedata.listed_types()
+             for field in (QQ, GF(2), GF(3))] + [("A~2", QQ, 8), ("D~4", GF(2), 6)])
+
+
+@pytest.mark.parametrize("name,field,cutoff", _Z_CASES,
+                         ids=[f"{n}-{f}" if c is None else f"{n}@{c}-{f}" for n, f, c in _Z_CASES])
+def test_cycle_spaces_from_rank_nullity_equal_the_kernels(name, field, cutoff):
+    """Where dim C - rank(d_out) = dim B, _homology takes Z = B and runs no
+    kernel; every block's Z has the rows and pivots of kernel(d_out), with
+    d_out built here from the block's own space."""
+    from koszulkit.linalg import full_subspace, kernel
+    kd = KoszulCalculus(Preset(name, field, cutoff=cutoff).algebra, 3)
+    shared = 0
+    for side, step in (("coh", 1), ("hom", -1)):
+        for key, blk in koszul_homology(kd, MODULE_A, side).blocks.items():
+            d_out = _block_map(kd, blk.space, step)
+            ref = full_subspace(blk.space.dim, field) if d_out is None else kernel(d_out)
+            z = blk.quotient.z
+            assert (z.rows, z.pivots) == (ref.rows, ref.pivots), (side, key)
+            shared += z is blk.quotient.b and d_out is not None
+    # type A has homology in every nonzero block, so no Z there is B
+    assert bool(shared) != name.startswith("A")
+
+
+@pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(2))], ids=["D5-Q", "E6-F2"])
+def test_a_flipped_entry_is_caught_where_z_is_b(name, field, monkeypatch):
+    """One entry of a cochain block map flipped so that its rank holds but
+    d o d != 0 (the entry's column is a pivot of B): the block's Z is still
+    read off B by rank-nullity, no kernel runs on the faulty map, and the
+    check of B against d_out refuses it."""
+    from koszulkit import homology, linalg
+    kd = KoszulCalculus(Preset(name, field).algebra, 3)
+    one = field.one
+
+    def flipped(col, i):
+        col = dict(col)
+        col[i] = field.add(col.get(i, field.zero), one)
+        return {k: c for k, c in col.items() if not field.is_zero(c)}
+
+    fault = None
+    for (p, m), blk in koszul_homology(kd, MODULE_A, "coh").blocks.items():
+        d_out, b = _block_map(kd, blk.space, 1), blk.quotient.b
+        if d_out is None or blk.quotient.z is not b or not b.dim:
+            continue
+        j = b.pivots[0]
+        for i in range(d_out.codomain_dim):
+            cols = list(d_out.cols)
+            cols[j] = flipped(cols[j], i)
+            if linalg.rank(cols, d_out.codomain_dim, field) == d_out.rank():
+                fault = (p, m, j, i)
+                break
+        if fault:
+            break
+    assert fault is not None
+    faulty, kernels = [], []
+    real_images, real_kernel = homology._block_images, homology.kernel
+
+    def block_images(src, dst, vecs, higher=False):
+        cols = real_images(src, dst, vecs, higher)
+        if (src.p, src.m) == fault[:2] and not higher:
+            cols[fault[2]] = flipped(cols[fault[2]], fault[3])
+            faulty.append(cols)
+        return cols
+
+    def recorded_kernel(mp):
+        kernels.append(mp.cols)
+        return real_kernel(mp)
+    monkeypatch.setattr(homology, "_block_images", block_images)
+    monkeypatch.setattr(homology, "kernel", recorded_kernel)
+    with pytest.raises(linalg.NotInSubspaceError):
+        koszul_homology(kd, MODULE_A, "coh")
+    assert len(faulty) == 1 and kernels
+    assert not any(cols is faulty[0] for cols in kernels)
+
+
+def _outcome(build):
+    """A product table, or the type and message of what building it raised."""
+    try:
+        return build()
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("name,field,cutoff", [("D5", QQ, None), ("E6", GF(3), None),
+                                               ("A~2", QQ, 8)],
+                         ids=["D5-Q", "E6-F3", "A~2@8-Q"])
+def test_pair_tables_skip_only_zero_products(name, field, cutoff, monkeypatch):
+    """cup_table and cap_table (both sides) on the unit bases of degrees 0-2,
+    each list with the sum of its units appended (a value of mixed weights),
+    equal the tables built with the weight skip turned off, and form fewer
+    products on a finite algebra.  A truncated algebra skips nothing and
+    raises what it raised."""
+    from koszulkit.duality import _unit_basis
+    kd = KoszulCalculus(Preset(name, field, cutoff=cutoff).algebra, 3)
+    bases = {}
+    for side in ("coh", "hom"):
+        spaces = koszul_homology(kd, MODULE_A, side)
+        for p in range(3):
+            units = _unit_basis(spaces, p)
+            bases[(side, p)] = units + [units[0]._combination(*[(u.values, 1) for u in units])]
+
+    def tables():
+        out = {}
+        for p in range(3):
+            fs = bases[("coh", p)]
+            for q in range(3 - p):
+                out[("cup", p, q)] = _outcome(lambda: kd.cup_table(fs, bases[("coh", q)]))
+            for q in range(p, 3):
+                for side in ("left", "right"):
+                    out[(side, p, q)] = _outcome(
+                        lambda: kd.cap_table(fs, bases[("hom", q)], side))
+        return out
+    alg = kd.algebra
+    multiply, calls = alg.multiply, []
+    monkeypatch.setattr(alg, "multiply", lambda x, y: calls.append(1) or multiply(x, y))
+    skipping = tables()
+    skipped = len(calls)
+    monkeypatch.setattr(kd, "_product_top", lambda mod_f, mod_g: None)
+    calls.clear()
+    assert tables() == skipping
+    if cutoff is None:
+        assert skipped < len(calls)
+        assert all(isinstance(t, dict) for t in skipping.values())
+    else:
+        assert skipped == len(calls)
+        assert any(t[0] == "WeightOverflowError" for t in skipping.values()
+                   if isinstance(t, tuple))

@@ -441,3 +441,34 @@ def test_rank_bits_matches_linalg_rank():
                                ncols, GF(2))[1])
         assert backend.rank_bits(bits) == la.rank(rows, ncols, GF(2)) == want
         assert backend.rank_bits(iter(bits)) == want
+
+
+def _coords_reference(q, v):
+    """QuotientSpace.coords as it was: reduce by Z to test membership, then
+    by B to read the coordinates."""
+    if not q.z.contains(v):
+        raise la.NotInSubspaceError("not a cocycle/cycle: vector outside the numerator")
+    reduced = q.b.reduce(v)
+    return [reduced.get(c, q.z.field.zero) for c in q.rep_pivots]
+
+
+@given(_spans_with_vectors())
+@settings(max_examples=120, deadline=None)
+def test_quotient_coords_match_the_two_reduction_reference(case):
+    """One reduction by B, then the representatives subtracted, reads the
+    same coordinates as the two reductions did, and refuses the same
+    vectors: members of Z, and a member plus a unit vector at a column that
+    is not a pivot of Z, which is never a member."""
+    field, ambient, span, sub_span, members, others = case
+    z = la.echelonize(span, ambient, field)
+    q = la.QuotientSpace(z, la.echelonize(sub_span, ambient, field))
+    outside = [la.vec_add(v, {c: field.one}, field)
+               for v in members for c in range(ambient) if c not in z.pivot_pos]
+    for v in members + others + outside:
+        if z.contains(v):
+            assert q.coords(v) == _coords_reference(q, v)
+        else:
+            with pytest.raises(la.NotInSubspaceError):
+                q.coords(v)
+    for v in outside:
+        assert not z.contains(v)
