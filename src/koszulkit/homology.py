@@ -223,14 +223,14 @@ class HomologyBlock:
 
 class CalculusSpaces(_GradedDims):
     """HK^p(A, M) or HK_p(A, M) with biweight grading and representatives:
-    a block for each p <= p_max and m in ``weights()`` whose (co)chain
+    a block for each p <= kd.p_max and m in ``weights()`` whose (co)chain
     space is nonzero."""
 
-    def __init__(self, kd: KoszulCalculus, module: str, side: str, p_max: int):
+    def __init__(self, kd: KoszulCalculus, module: str, side: str):
         self.kd = kd
         self.module = module
         self.side = side
-        self.p_max = p_max
+        self.p_max = kd.p_max
         self.blocks: Dict[Tuple[int, Optional[int]], HomologyBlock] = {}
         self._layouts: Dict[int, Tuple[int, Dict[Optional[int], Tuple[int, HomologyBlock]]]] = {}
         self._compute()
@@ -348,18 +348,16 @@ class CalculusSpaces(_GradedDims):
         return [self.kd.field.zero] * self.layout(p)[0]
 
 
-def koszul_homology(kd: KoszulCalculus, module: str, side: str,
-                    p_max: Optional[int] = None) -> CalculusSpaces:
-    """Compute HK^*(A, M) (side="coh") or HK_*(A, M) (side="hom").
+def koszul_homology(kd: KoszulCalculus, module: str, side: str) -> CalculusSpaces:
+    """Compute HK^*(A, M) (side="coh") or HK_*(A, M) (side="hom") in the
+    degrees 0..kd.p_max.
 
     For M = k the Koszul differentials vanish and the result is checked
     against the closed form: the diagonal blocks of the W spaces.
     """
-    if p_max is None:
-        p_max = kd.p_max
-    spaces = CalculusSpaces(kd, module, side, p_max)
+    spaces = CalculusSpaces(kd, module, side)
     if module == MODULE_K:
-        for p in range(p_max + 1):
+        for p in range(kd.p_max + 1):
             expected = sum(len(idxs) for (j, i), idxs in kd.w(p).flat_of_block.items()
                            if j == i)
             if spaces.dim(p) != expected:

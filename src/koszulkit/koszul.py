@@ -41,28 +41,24 @@ Since b_K = -[e_A, -] for the fundamental 1-cocycle e_A, the left-acting
 terms (``right`` false) with their sign flipped are e_A cup f on cochains
 and e_A cap z (left) on chains: the higher calculus reads the same table.
 
-The cup and cap products are stated once as well, over the split table:
-cup is one loop over the table, read from the W_p side, and cap one loop
-per side, with no per-degree case.  Module values are summed one way, with
-plain + and * through ``_mod_accumulate``, and reduced once by
-``_mod_settle``.
-
-Products are computed as pair tables: :meth:`KoszulCalculus.cup_table`
-(fs, gs) and :meth:`KoszulCalculus.cap_table` (fs, zs, side) return the
-product of every pair from two lists of equal degree and module, keyed
-``(i, j)`` by the positions of the cochain f_i and the other factor.  A key
-is absent exactly when the product is zero.  The other list is indexed once
-by W support, and the split table is walked once per cochain f (cup) or per
-chain support entry (cap), meeting only the factors whose support holds the
-matching W index; a pair that is not composable costs nothing.  Each pair
-is accumulated in the order of the one-pair loop (f's or z's support, then
-the split entries, then the hits), so its settled values do not depend on
-the lists it came in.  ``cup`` and ``cap`` are the one-pair tables.  On a
-finite algebra with both factors A-valued, the indexed values are ordered
-by their lowest weight, and each value of the walked factor meets only the
-hits whose lowest weight keeps the sum at most the top weight: every other
-product is zero by the grading.  A truncated algebra skips nothing, so a
-product past its cutoff still raises ``WeightOverflowError``.
+The cup and cap products are stated once as well, as pair tables over one
+walk of the split table.  :meth:`KoszulCalculus.cup_table` (fs, gs) and
+:meth:`KoszulCalculus.cap_table` (fs, zs, side) return the product of every
+pair from two lists of equal degree and module, keyed ``(i, j)`` by the
+positions of the cochain f_i and the other factor; a key is absent exactly
+when the product is zero.  Both are thin callers of ``_pair_table``: each
+picks a row view of the split table (``_split_rows``), the sign and the
+factor order.  The walk indexes the other list once by W support; for each
+element of the walked list (the cochains for cup, the chains for cap) and
+each W index of its support, it reads that index's row and meets only the
+factors whose support holds the matching W index, so a pair that is not
+composable costs nothing.  Module values are summed one way, with plain +
+and * through ``_mod_accumulate``, and reduced once by ``_mod_settle``; each
+pair is summed in the order of the one-pair loop, so its settled values do
+not depend on the lists it came in.  ``cup`` and ``cap`` are the one-pair
+tables.  Finite, truncated and k-valued products take this one path; on a
+truncated algebra a product past the cutoff raises ``WeightOverflowError``
+from ``multiply``.
 """
 
 from __future__ import annotations
@@ -157,7 +153,7 @@ class KoszulCalculus:
         self.p_max = p_max
         self.wspaces: List[WSpace] = []
         self._split_memo: Dict[Tuple[int, int], List[Dict[Tuple[int, int], object]]] = {}
-        self._prefix_memo: Dict[Tuple[int, int], List[List[Tuple[int, int, object]]]] = {}
+        self._rows_memo: Dict[Tuple[int, int, str], List[List[Tuple[int, int, object]]]] = {}
         self._terms_memo: Dict[Tuple[int, str], List[List[DiffTerm]]] = {}
         self._build_wspaces(pres)
 
@@ -458,15 +454,25 @@ class KoszulCalculus:
         self._split_memo[(p, q)] = out
         return out
 
-    def _splits_by_prefix(self, p: int, q: int) -> List[List[Tuple[int, int, object]]]:
-        """The split table read from the W_p side: for each W_p index x, the
-        ``(y, z, c)`` with ``(x, y): c`` in the split of z."""
-        rows = self._prefix_memo.get((p, q))
+    def _split_rows(self, p: int, q: int, view: str) -> List[List[Tuple[int, int, object]]]:
+        """The split table of W_p (x) W_q as the rows a pair table walks:
+        ``(other factor's W index, output W index, c)``.  ``view="cup"`` has
+        a row per W_p index x, with (y, z, c) for (x, y): c in the split of z;
+        ``"left"`` and ``"right"`` have a row per W_{p+q} index, with (y, x, c)
+        and (x, y, c) for each (x, y): c of its split."""
+        rows = self._rows_memo.get((p, q, view))
         if rows is None:
-            rows = self._prefix_memo[(p, q)] = [[] for _ in range(self.w(p).dim)]
-            for z, coords in enumerate(self.split_coords(p, q)):
-                for (x, y), c in coords.items():
-                    rows[x].append((y, z, c))
+            splits = self.split_coords(p, q)
+            if view == "cup":
+                rows = [[] for _ in range(self.w(p).dim)]
+                for z, coords in enumerate(splits):
+                    for (x, y), c in coords.items():
+                        rows[x].append((y, z, c))
+            elif view == "left":
+                rows = [[(y, x, c) for (x, y), c in coords.items()] for coords in splits]
+            else:
+                rows = [[(x, y, c) for (x, y), c in coords.items()] for coords in splits]
+            self._rows_memo[(p, q, view)] = rows
         return rows
 
     def _out_module(self, mod_f: str, mod_g: str) -> str:
@@ -478,7 +484,9 @@ class KoszulCalculus:
     def _mod_product(self, mod_f: str, mod_g: str, fval, gval,
                      fblock: Tuple[int, int], gblock: Tuple[int, int]):
         """fval gval in P (x)_A Q for modules in {A, k}, with fblock and gblock
-        the vertex blocks of the W basis vectors the two values sit on."""
+        the vertex blocks of the W basis vectors the two values sit on.  Only
+        whether the A value's block is diagonal is read, so a chain may pass
+        its W block, not the transposed block of its coefficient."""
         if mod_f == MODULE_A and mod_g == MODULE_A:
             return self.algebra.multiply(fval, gval)
         # A (x)_A k: the augmentation of the A value at the joining vertex,
@@ -489,22 +497,49 @@ class KoszulCalculus:
         mid = gblock[0]
         return self.field.mul(fval, gval.get((0, mid), 0)) if gblock[1] == mid else 0
 
-    def _product_top(self, mod_f: str, mod_g: str) -> Optional[int]:
-        """The top weight when both factors are A-valued on a finite algebra:
-        a product of values whose lowest weights add up past it is zero.
-        Else None, and the product tables skip nothing (a truncated algebra
-        keeps its ``WeightOverflowError``)."""
-        if mod_f == MODULE_A and mod_g == MODULE_A:
-            return self.algebra.top_weight
-        return None
-
-    def _settled(self, module: str, accs: Dict[int, Dict[int, object]]):
-        """The (factor index, settled values) of the nonzero products among
-        the accumulators of one row of a product table."""
-        for n, acc in accs.items():
-            values = self._mod_settle(module, acc)
-            if values:
-                yield n, values
+    def _pair_table(self, walked: Sequence["KoszulElement"], mod_w: str,
+                    others: Sequence["KoszulElement"], mod_o: str,
+                    rows: List[List[Tuple[int, int, object]]], sign, walked_first: bool,
+                    degree: int) -> Dict[Tuple[int, int], "KoszulElement"]:
+        """The one walk behind the pair tables: every nonzero product of an
+        element of ``walked`` with one of ``others``, as an element of the
+        walked type and ``degree``, keyed (cochain's list index, other list
+        index).  ``rows[w]`` holds the (other W index, output W index, c)
+        that the walked W index w meets in the split table; each hit adds
+        sign * c times the product of the two values, the walked value first
+        when ``walked_first``."""
+        out_module = self._out_module(mod_w, mod_o)
+        make = type(walked[0])
+        cochains_walked = make is Cochain
+        wblock_of, oblock_of = self.w(walked[0].degree).block_of, self.w(others[0].degree).block_of
+        o_at: Dict[int, List[Tuple[int, object]]] = {}
+        for m, e in enumerate(others):
+            for o, v in e.values.items():
+                o_at.setdefault(o, []).append((m, v))
+        product, accumulate, settle = self._mod_product, self._mod_accumulate, self._mod_settle
+        table: Dict[Tuple[int, int], KoszulElement] = {}
+        for n, e in enumerate(walked):
+            accs: Dict[int, Dict[int, object]] = {}
+            for w, wv in e.values.items():
+                wblock = wblock_of(w)
+                for o, t, c in rows[w]:
+                    hits = o_at.get(o)
+                    if hits is None:
+                        continue
+                    oblock = oblock_of(o)
+                    for m, ov in hits:
+                        if walked_first:
+                            prod = product(mod_w, mod_o, wv, ov, wblock, oblock)
+                        else:
+                            prod = product(mod_o, mod_w, ov, wv, oblock, wblock)
+                        if prod:
+                            accumulate(out_module, accs.setdefault(m, {}), t, prod, sign * c)
+            for m, acc in accs.items():
+                values = settle(out_module, acc)
+                if values:
+                    key = (n, m) if cochains_walked else (m, n)
+                    table[key] = make(self, degree, out_module, values)
+        return table
 
     def cup_table(self, fs: Sequence["Cochain"],
                   gs: Sequence["Cochain"]) -> Dict[Tuple[int, int], "Cochain"]:
@@ -512,33 +547,8 @@ class KoszulCalculus:
         if not fs or not gs:
             return {}
         (p, mod_f), (q, mod_g) = _common_grading(fs), _common_grading(gs)
-        out_module = self._out_module(mod_f, mod_g)
-        wp, wq = self.w(p), self.w(q)
-        sign = self.field.sign(p * q)
-        rows = self._splits_by_prefix(p, q)
-        top = self._product_top(mod_f, mod_g)
-        g_at = _by_support(gs, top is not None)
-        product, accumulate = self._mod_product, self._mod_accumulate
-        table: Dict[Tuple[int, int], Cochain] = {}
-        for i, f in enumerate(fs):
-            accs: Dict[int, Dict[int, object]] = {}
-            for x, fv in f.values.items():
-                fblock = wp.block_of(x)
-                room = 0 if top is None else top - _lowest(fv)
-                for y, z, c in rows[x]:
-                    hits = g_at.get(y)
-                    if hits is None:
-                        continue
-                    gblock = wq.block_of(y)
-                    for low, j, gv in hits:
-                        if low > room:
-                            break
-                        prod = product(mod_f, mod_g, fv, gv, fblock, gblock)
-                        if prod:
-                            accumulate(out_module, accs.setdefault(j, {}), z, prod, sign * c)
-            for j, values in self._settled(out_module, accs):
-                table[(i, j)] = Cochain(self, p + q, out_module, values)
-        return table
+        return self._pair_table(fs, mod_f, gs, mod_g, self._split_rows(p, q, "cup"),
+                                self.field.sign(p * q), True, p + q)
 
     def cap_table(self, fs: Sequence["Cochain"], zs: Sequence["Chain"],
                   side: str = "left") -> Dict[Tuple[int, int], "Chain"]:
@@ -554,45 +564,13 @@ class KoszulCalculus:
         (p, mod_f), (q, mod_z) = _common_grading(fs), _common_grading(zs)
         if p > q:
             raise DegreeError("cap requires the cochain degree at most the chain degree")
-        out_module = self._out_module(mod_f, mod_z)
-        wp, wq = self.w(p), self.w(q)
-        left = side == "left"
-        if left:
+        if side == "left":
             # split x = u (x) s with s in W_p: f(s) m on u
-            sign = self.field.sign((q - p) * p)
-            splits = self.split_coords(q - p, p)
+            rows, sign = self._split_rows(q - p, p, side), self.field.sign((q - p) * p)
         else:
             # split x = s (x) u with s in W_p: m f(s) on u
-            sign = self.field.sign(p * q)
-            splits = self.split_coords(p, q - p)
-        top = self._product_top(mod_f, mod_z)
-        f_at = _by_support(fs, top is not None)
-        product, accumulate = self._mod_product, self._mod_accumulate
-        table: Dict[Tuple[int, int], Chain] = {}
-        for j, z in enumerate(zs):
-            accs: Dict[int, Dict[int, object]] = {}
-            for wflat, melem in z.values.items():
-                tgt, src = wq.block_of(wflat)
-                zblock = (src, tgt)  # the coefficient melem lies in e_src M e_tgt
-                room = 0 if top is None else top - _lowest(melem)
-                for pair, c in splits[wflat].items():
-                    u, s = pair if left else pair[::-1]
-                    hits = f_at.get(s)
-                    if hits is None:
-                        continue
-                    fblock = wp.block_of(s)
-                    for low, i, fv in hits:
-                        if low > room:
-                            break
-                        if left:
-                            prod = product(mod_f, mod_z, fv, melem, fblock, zblock)
-                        else:
-                            prod = product(mod_z, mod_f, melem, fv, zblock, fblock)
-                        if prod:
-                            accumulate(out_module, accs.setdefault(i, {}), u, prod, sign * c)
-            for i, values in self._settled(out_module, accs):
-                table[(i, j)] = Chain(self, q - p, out_module, values)
-        return table
+            rows, sign = self._split_rows(p, q - p, side), self.field.sign(p * q)
+        return self._pair_table(zs, mod_z, fs, mod_f, rows, sign, side == "right", q - p)
 
     def cup(self, f: "Cochain", g: "Cochain") -> "Cochain":
         """(f cup g)(x_1..x_{p+q}) = (-1)^{pq} f(x_1..x_p) g(x_{p+1}..), as
@@ -625,26 +603,6 @@ def _common_grading(elems: Sequence["KoszulElement"]) -> Tuple[int, str]:
         if type(e) is not type(first) or e.degree != first.degree or e.module != first.module:
             raise DegreeError("product table factors differ in type, degree or module")
     return first.degree, first.module
-
-
-def _lowest(value) -> int:
-    """The lowest weight of an algebra value."""
-    return min(m for m, _pos in value)
-
-
-def _by_support(elems: Sequence["KoszulElement"],
-                graded: bool) -> Dict[int, List[Tuple[int, int, object]]]:
-    """For each W index, the (lowest weight, list index, value) of the
-    elements whose support holds it, by lowest weight and then list index
-    when ``graded`` (algebra values), else with weight 0 in list order."""
-    index: Dict[int, List[Tuple[int, int, object]]] = {}
-    for n, e in enumerate(elems):
-        for w, v in e.values.items():
-            index.setdefault(w, []).append((_lowest(v) if graded else 0, n, v))
-    if graded:
-        for hits in index.values():
-            hits.sort(key=lambda hit: hit[0])
-    return index
 
 
 class KoszulElement:

@@ -100,15 +100,12 @@ def paths_of_weight(quiver: Quiver, m: int) -> List[Path]:
     significant (lex by arrow indices)."""
     if m < 0:
         raise QuiverError("negative weight")
-    if m == 0:
-        return [Path.trivial(quiver, i) for i in range(quiver.n_vertices)]
-    paths = paths_of_weight(quiver, m - 1)
-    out: List[Path] = []
-    for p in paths:
-        for a in quiver.arrows_by_source[p.target]:
-            # prepend on the left: a becomes the last-applied arrow
-            out.append(Path(quiver, (a,) + p.arrows, p.source, quiver.target[a]))
-    return out
+    paths = [Path.trivial(quiver, i) for i in range(quiver.n_vertices)]
+    for _ in range(m):
+        # prepend on the left: a becomes the last-applied arrow
+        paths = [Path(quiver, (a,) + p.arrows, p.source, quiver.target[a])
+                 for p in paths for a in quiver.arrows_by_source[p.target]]
+    return paths
 
 
 def count_paths_of_weight(quiver: Quiver, m: int) -> int:

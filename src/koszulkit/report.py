@@ -265,8 +265,8 @@ def run(config: RunConfig) -> Dict:
 
     if analyses & {"calculus", "duality", "higher", "hochschild2", "properties"}:
         with timings.measure("calculus"):
-            coh = koszul_homology(kd, module, "coh", config.max_degree)
-            hom = koszul_homology(kd, module, "hom", config.max_degree)
+            coh = koszul_homology(kd, module, "coh")
+            hom = koszul_homology(kd, module, "hom")
         report["calculus"] = {
             "coefficients": config.coefficients,
             "cohomology": _spaces_json(kd, coh, with_bases=True),

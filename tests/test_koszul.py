@@ -943,75 +943,105 @@ def _reference_cap(kd, f, z, side):
     return Chain(kd, q - p, out_module, _reference_sum(kd, out_module, terms))
 
 
-def _basis_elements(kd, p, module, side):
-    """Every basis (co)chain of degree p, weight by weight for the module A."""
+def _outcome(build):
+    """What build() returns, or the type and message of what it raised."""
+    try:
+        return build()
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc).__name__, str(exc))
+
+
+def _basis_elements(kd, p, module, side, weights):
+    """Every basis (co)chain of degree p, weight by weight over ``weights``
+    for the module A."""
     from koszulkit.homology import CoordSpace
-    alg = kd.algebra
-    weights = range(alg.max_weight + 1) if module == MODULE_A else [None]
     out = []
-    for m in weights:
+    for m in weights if module == MODULE_A else [None]:
         space = CoordSpace(kd, p, m, module, side)
         out.extend(space.unflatten({k: kd.field.one}) for k in range(space.dim))
     return out
 
 
-def _check_table(table, i, j, got, want, counts, key):
-    """One pair of a product table and its one-pair call against the
-    reference: equal values, and the key absent exactly when it is zero."""
-    assert (got.module, got.degree) == (want.module, want.degree)
-    assert got.values == want.values, (key, i, j)
-    entry = table.get((i, j))
-    assert (entry is None) == (not want.values), (key, i, j)
-    if entry is not None:
-        assert (entry.module, entry.degree, entry.values) == (
-            want.module, want.degree, want.values), (key, i, j)
-    counts[key + (bool(want.values),)] += 1
+def _check_table(table, fs, gs, one_pair, reference, counts, key):
+    """A product table over the lists fs and gs against its one-pair calls
+    and the reference, each a result or what raised it (``_outcome``).  The
+    one-pair call and the reference raise a ``WeightOverflowError`` on the
+    same pairs, and the table exactly when one of its pairs does; elsewhere
+    the values agree, with a table key absent exactly when it is zero."""
+    raised = False
+    for i, f in enumerate(fs):
+        for j, g in enumerate(gs):
+            got, want = _outcome(lambda: one_pair(f, g)), _outcome(lambda: reference(f, g))
+            if isinstance(want, tuple):
+                assert want[0] == "WeightOverflowError", want
+                assert isinstance(got, tuple) and got[0] == want[0], (key, i, j)
+                raised = True
+                counts[key + ("raised",)] += 1
+                continue
+            assert (got.module, got.degree) == (want.module, want.degree)
+            assert got.values == want.values, (key, i, j)
+            if isinstance(table, dict):
+                entry = table.get((i, j))
+                assert (entry is None) == (not want.values), (key, i, j)
+                if entry is not None:
+                    assert (entry.module, entry.degree, entry.values) == (
+                        want.module, want.degree, want.values), (key, i, j)
+            counts[key + (bool(want.values),)] += 1
+    if raised:
+        assert isinstance(table, tuple) and table[0] == "WeightOverflowError", key
+    else:
+        assert isinstance(table, dict), key
+        assert set(table) <= {(i, j) for i in range(len(fs)) for j in range(len(gs))}
 
 
-@pytest.mark.parametrize("name,field", [("A3", QQ), ("D4", GF(3)), ("E6", GF(2))],
-                         ids=["A3-Q", "D4-F3", "E6-F2"])
-def test_products_match_per_degree_reference(name, field):
+@pytest.mark.parametrize("name,field,cutoff", [("A3", QQ, None), ("D4", GF(3), None),
+                                               ("E6", GF(2), None), ("A~2", QQ, 8)],
+                         ids=["A3-Q", "D4-F3", "E6-F2", "A~2@8-Q"])
+def test_products_match_per_degree_reference(name, field, cutoff):
     """cup_table and cap_table over whole lists, and cup and cap on each
     pair, against the per-degree reference: cup with p + q <= 2, cap with
     p <= q <= 2 on both sides, and the module pairs A.A, A.k and k.A.  Each
     list holds every basis (co)chain and their sum, so a factor's support
-    can meet many others at one W index and a product can cancel."""
-    kd = KoszulCalculus(Preset(name, field).algebra, 3)
-    basis = {}
-    for p in range(3):
-        for module in (MODULE_A, MODULE_K):
-            for side in ("coh", "hom"):
-                elems = _basis_elements(kd, p, module, side)
-                if elems:
-                    elems.append(elems[0]._combination(*[(e.values, 1) for e in elems]))
-                basis[(p, module, side)] = elems
+    can meet many others at one W index and a product can cancel.  On a
+    truncated algebra a product past the cutoff raises, and the lists are
+    taken again with weights at most half the cutoff, where every table is
+    defined."""
+    kd = KoszulCalculus(Preset(name, field, cutoff=cutoff).algebra, 3)
+    top = kd.algebra.max_weight
     pairs = [(MODULE_A, MODULE_A), (MODULE_A, MODULE_K), (MODULE_K, MODULE_A)]
     counts = Counter()
-    for mod_f, mod_g in pairs:
+    for weights in [range(top + 1)] + ([range(top // 2 + 1)] if cutoff else []):
+        basis = {}
         for p in range(3):
-            fs = basis[(p, mod_f, "coh")]
-            for q in range(3 - p):
-                gs = basis[(q, mod_g, "coh")]
-                table = kd.cup_table(fs, gs)
-                assert set(table) <= {(i, j) for i in range(len(fs)) for j in range(len(gs))}
-                for i, f in enumerate(fs):
-                    for j, g in enumerate(gs):
-                        _check_table(table, i, j, kd.cup(f, g), _reference_cup(kd, f, g),
-                                     counts, ("cup", p == 0 or q == 0))
-            for q in range(p, 3):
-                zs = basis[(q, mod_g, "hom")]
-                for side in ("left", "right"):
-                    table = kd.cap_table(fs, zs, side)
-                    kind = "p=0" if p == 0 else "p=q" if p == q else "split"
-                    for i, f in enumerate(fs):
-                        for j, z in enumerate(zs):
-                            _check_table(table, i, j, kd.cap(f, z, side),
-                                         _reference_cap(kd, f, z, side), counts, (side, kind))
-    # every branch of the reference met a nonzero product
+            for module in (MODULE_A, MODULE_K):
+                for side in ("coh", "hom"):
+                    elems = _basis_elements(kd, p, module, side, weights)
+                    if elems:
+                        elems.append(elems[0]._combination(*[(e.values, 1) for e in elems]))
+                    basis[(p, module, side)] = elems
+        for mod_f, mod_g in pairs:
+            for p in range(3):
+                fs = basis[(p, mod_f, "coh")]
+                for q in range(3 - p):
+                    gs = basis[(q, mod_g, "coh")]
+                    _check_table(_outcome(lambda: kd.cup_table(fs, gs)), fs, gs, kd.cup,
+                                 lambda f, g: _reference_cup(kd, f, g), counts,
+                                 ("cup", p == 0 or q == 0))
+                for q in range(p, 3):
+                    zs = basis[(q, mod_g, "hom")]
+                    for side in ("left", "right"):
+                        kind = "p=0" if p == 0 else "p=q" if p == q else "split"
+                        _check_table(_outcome(lambda: kd.cap_table(fs, zs, side)), fs, zs,
+                                     lambda f, z: kd.cap(f, z, side),
+                                     lambda f, z: _reference_cap(kd, f, z, side), counts,
+                                     (side, kind))
+    # every branch of the reference met a nonzero product, and only a
+    # truncated algebra met a product past its cutoff
     for key in [("cup", True, True), ("cup", False, True)] + [
             (side, kind, True) for side in ("left", "right")
             for kind in ("p=0", "p=q", "split")]:
         assert counts[key] > 0, key
+    assert any(key[-1] == "raised" for key in counts) == (cutoff is not None)
 
 
 def test_product_tables_and_equals_refuse_mismatched_factors():
@@ -1184,57 +1214,3 @@ def test_a_flipped_entry_is_caught_where_z_is_b(name, field, monkeypatch):
         koszul_homology(kd, MODULE_A, "coh")
     assert len(faulty) == 1 and kernels
     assert not any(cols is faulty[0] for cols in kernels)
-
-
-def _outcome(build):
-    """A product table, or the type and message of what building it raised."""
-    try:
-        return build()
-    except Exception as exc:  # compared, not swallowed
-        return (type(exc).__name__, str(exc))
-
-
-@pytest.mark.parametrize("name,field,cutoff", [("D5", QQ, None), ("E6", GF(3), None),
-                                               ("A~2", QQ, 8)],
-                         ids=["D5-Q", "E6-F3", "A~2@8-Q"])
-def test_pair_tables_skip_only_zero_products(name, field, cutoff, monkeypatch):
-    """cup_table and cap_table (both sides) on the unit bases of degrees 0-2,
-    each list with the sum of its units appended (a value of mixed weights),
-    equal the tables built with the weight skip turned off, and form fewer
-    products on a finite algebra.  A truncated algebra skips nothing and
-    raises what it raised."""
-    from koszulkit.duality import _unit_basis
-    kd = KoszulCalculus(Preset(name, field, cutoff=cutoff).algebra, 3)
-    bases = {}
-    for side in ("coh", "hom"):
-        spaces = koszul_homology(kd, MODULE_A, side)
-        for p in range(3):
-            units = _unit_basis(spaces, p)
-            bases[(side, p)] = units + [units[0]._combination(*[(u.values, 1) for u in units])]
-
-    def tables():
-        out = {}
-        for p in range(3):
-            fs = bases[("coh", p)]
-            for q in range(3 - p):
-                out[("cup", p, q)] = _outcome(lambda: kd.cup_table(fs, bases[("coh", q)]))
-            for q in range(p, 3):
-                for side in ("left", "right"):
-                    out[(side, p, q)] = _outcome(
-                        lambda: kd.cap_table(fs, bases[("hom", q)], side))
-        return out
-    alg = kd.algebra
-    multiply, calls = alg.multiply, []
-    monkeypatch.setattr(alg, "multiply", lambda x, y: calls.append(1) or multiply(x, y))
-    skipping = tables()
-    skipped = len(calls)
-    monkeypatch.setattr(kd, "_product_top", lambda mod_f, mod_g: None)
-    calls.clear()
-    assert tables() == skipping
-    if cutoff is None:
-        assert skipped < len(calls)
-        assert all(isinstance(t, dict) for t in skipping.values())
-    else:
-        assert skipped == len(calls)
-        assert any(t[0] == "WeightOverflowError" for t in skipping.values()
-                   if isinstance(t, tuple))

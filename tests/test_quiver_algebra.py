@@ -8,7 +8,7 @@ from koszulkit.algebra import (InfiniteDimensionalError, WeightOverflowError,
                                build_graded_algebra)
 from koszulkit.fields import GF, QQ
 from koszulkit.presets import Preset, coxeter_number, preset_graph, socle_generators
-from koszulkit.quiver import (Graph, PreprojectiveSpec, Quiver, QuiverError,
+from koszulkit.quiver import (Graph, Path, PreprojectiveSpec, Quiver, QuiverError,
                               count_paths_of_weight, graph_from_json,
                               paths_of_weight, presentation_from_json,
                               preprojective_presentation)
@@ -31,6 +31,29 @@ def test_paths_of_weight_counts():
     for p in range(1, 9):
         assert len(paths_of_weight(q2, p)) == 2
         assert count_paths_of_weight(q2, p) == 2
+
+
+def _recursive_paths(quiver, m):
+    """The length-m paths as the recursion over m - 1 builds them."""
+    if m == 0:
+        return [Path.trivial(quiver, i) for i in range(quiver.n_vertices)]
+    return [Path(quiver, (a,) + p.arrows, p.source, quiver.target[a])
+            for p in _recursive_paths(quiver, m - 1) for a in quiver.arrows_by_source[p.target]]
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_paths_of_weight_match_the_recursive_order(name):
+    q = PreprojectiveSpec(preset_graph(name)).quiver
+    for m in range(7):
+        assert paths_of_weight(q, m) == _recursive_paths(q, m)
+
+
+def test_paths_of_weight_past_the_recursion_limit():
+    """A2's double quiver has two paths in every length, far past Python's
+    recursion limit (``calculus --preset A2 --max-degree 1200`` builds W_1201)."""
+    q = PreprojectiveSpec(preset_graph("A2")).quiver
+    paths = paths_of_weight(q, 1500)
+    assert len(paths) == 2 and all(len(p.arrows) == 1500 for p in paths)
 
 
 def test_paths_are_ordered_right_factor_most_significant():
