@@ -239,11 +239,11 @@ def field_from_tag(tag: str) -> Field:
     tag = tag.strip()
     if tag in ("Q", "QQ", "0"):
         return QQ
-    if tag.startswith("F:"):
+    if tag.startswith("F:") and tag[2:].isdecimal():
         return GF(int(tag[2:]))
-    if tag.startswith("F") and tag[1:].isdigit():
+    if tag.startswith("F") and tag[1:].isdecimal():
         return GF(int(tag[1:]))
-    if tag.isdigit():
+    if tag.isdecimal():
         p = int(tag)
         return QQ if p == 0 else GF(p)
     raise ValueError(f"unrecognized field tag {tag!r} (use Q or F:<p>)")

@@ -251,19 +251,17 @@ class CalculusSpaces(_GradedDims):
         one = field.one
         step = 1 if self.side == "coh" else -1
         weights = self.weights()
-        # b_K maps the last block weight into the weight above it, which has
-        # no block: the top computed weight of a truncated algebra, whose
-        # spaces are nonzero, so the kernels below it need that map
-        above = [] if self.module == MODULE_K else [weights[-1] + 1]
+        # every computed weight is built: b_K maps the last block weight into
+        # the top computed weight of a truncated algebra, which has no block
+        # but nonzero spaces, so the kernels below it need that map
         alg = kd.algebra
         spaces: Dict[Tuple[int, Optional[int]], CoordSpace] = {}
         for p in [p for p in range(self.p_max + 2) if kd.w(p).dim]:
             # the algebra blocks that the vertex blocks of W_p take values in
             wanted = {(j, i) if self.side == "coh" else (i, j)
                       for j, i in kd.w(p).flat_of_block}
-            for m in weights + above:
-                if (self.module == MODULE_A
-                        and (m > alg.max_weight or wanted.isdisjoint(alg.blocks[m]))):
+            for m in [None] if self.module == MODULE_K else range(alg.max_weight + 1):
+                if self.module == MODULE_A and wanted.isdisjoint(alg.blocks[m]):
                     continue
                 sp = CoordSpace(kd, p, m, self.module, self.side)
                 if sp.dim:
@@ -276,7 +274,7 @@ class CalculusSpaces(_GradedDims):
                 units = [{k: one} for k in range(src.dim)]
                 mats[(p, m)] = LinearMap(src.dim, dst.dim, _block_images(src, dst, units),
                                          field)
-        kept = {(p, m) for p, m in spaces if p <= self.p_max and m not in above}
+        kept = {(p, m) for p, m in spaces if p <= self.p_max and m in weights}
         images = {(p, m): image(d) for (p, m), d in mats.items()
                   if (p + step, _shifted(m, 1)) in kept}
         for (p, m), sp in spaces.items():

@@ -1,9 +1,10 @@
 """Koszul calculus: weight spaces, differentials, (co)homology, cup and cap.
 
-The homological generators W_p live inside the weight-p path space; W_0 is
-the vertex space, W_1 the arrow space, W_2 the relation space, and each
-higher space is the intersection of the two shifted copies of the previous
-one.  Every basis vector is vertex-pair homogeneous, and each vertex block
+The homological generators W_p live inside the weight-p path space, and one
+loop builds them all: it lists the weight-p paths of each vertex block and
+keeps every path for p <= 1 (the vertex and arrow spaces), the relations at
+p = 2, and above that the intersection of the two shifted copies of W_{p-1}.
+Every basis vector is vertex-pair homogeneous, and each vertex block
 of W_p is kept as the reduced echelon subspace of its path space
 (:class:`koszulkit.linalg.Subspace`), so a vector of W_p has its
 coordinates read at the block's pivots, with no elimination.
@@ -98,7 +99,6 @@ class WSpace:
 
     def __init__(self, p: int):
         self.p = p
-        self.block_keys: List[Tuple[int, int]] = []
         self.block_paths: Dict[Tuple[int, int], List[Path]] = {}
         self.block_path_index: Dict[Tuple[int, int], Dict[Tuple[int, ...], int]] = {}
         self.block_space: Dict[Tuple[int, int], Subspace] = {}
@@ -111,9 +111,10 @@ class WSpace:
         return len(self.flat)
 
     def finish(self) -> None:
-        for key in self.block_keys:
+        """Lay the basis out block by block, in the order block_space was filled."""
+        for key, space in self.block_space.items():
             idxs = []
-            for k in range(self.block_space[key].dim):
+            for k in range(space.dim):
                 idxs.append(len(self.flat))
                 self.flat.append((key[0], key[1], k))
             self.flat_of_block[key] = idxs
@@ -150,6 +151,8 @@ class KoszulCalculus:
         pres = algebra.presentation
         if p_max is None:
             p_max = 3
+        if p_max < 0:
+            raise DegreeError(f"no W space in negative degree {p_max}")
         self.p_max = p_max
         self.wspaces: List[WSpace] = []
         self._split_memo: Dict[Tuple[int, int], List[Dict[Tuple[int, int], object]]] = {}
@@ -162,46 +165,23 @@ class KoszulCalculus:
     def _build_wspaces(self, pres) -> None:
         q = self.quiver
         field = self.field
-        # p = 0: the vertices
-        w0 = WSpace(0)
-        for i in range(q.n_vertices):
-            key = (i, i)
-            w0.block_keys.append(key)
-            w0.block_paths[key] = [Path.trivial(q, i)]
-            w0.block_path_index[key] = {(): 0}
-            w0.block_space[key] = full_subspace(1, field)
-        w0.finish()
-        self.wspaces.append(w0)
-        # p = 1: the arrows
-        w1 = WSpace(1)
-        for key in sorted({(q.target[a], q.source[a]) for a in range(q.n_arrows)}):
-            arrows = [a for a in range(q.n_arrows)
-                      if (q.target[a], q.source[a]) == key]
-            w1.block_keys.append(key)
-            w1.block_paths[key] = [Path.from_arrows(q, (a,)) for a in arrows]
-            w1.block_path_index[key] = {(a,): k for k, a in enumerate(arrows)}
-            w1.block_space[key] = full_subspace(len(arrows), field)
-        w1.finish()
-        self.arrow_flat: Dict[int, int] = {
-            w1.block_paths[(j, i)][k].arrows[0]: flat_idx
-            for flat_idx, (j, i, k) in enumerate(w1.flat)}
-        self.wspaces.append(w1)
-        # p >= 2
-        for p in range(2, self.p_max + 2):
-            prev = self.wspaces[p - 1]
+        for p in range(self.p_max + 2):
             ws = WSpace(p)
             self.wspaces.append(ws)
-            if prev.dim == 0:
-                ws.finish()
-                continue
+            if p and self.wspaces[p - 1].dim == 0:
+                continue  # past a zero W space every W space is zero
             for path in paths_of_weight(q, p):
                 ws.block_paths.setdefault((path.target, path.source), []).append(path)
             for key, paths in ws.block_paths.items():
                 ws.block_path_index[key] = {pa.arrows: k for k, pa in enumerate(paths)}
-            if p == 2:
+            # finish() lays the blocks out in the order they are set: sorted
+            if p <= 1:
+                # W_0 and W_1 are the whole vertex and arrow spaces
+                for key in sorted(ws.block_paths):
+                    ws.block_space[key] = full_subspace(len(ws.block_paths[key]), field)
+            elif p == 2:
                 # W_2 is the relation space itself; each basis vector also
-                # gets its coordinates over the input relations, appended in
-                # block_keys order, which is the flat order finish() lays out
+                # gets its coordinates over the input relations, in flat order
                 rel_by_block: Dict[Tuple[int, int], List[int]] = {}
                 for r, key in enumerate(pres.relation_blocks):
                     rel_by_block.setdefault(key, []).append(r)
@@ -211,7 +191,6 @@ class KoszulCalculus:
                             for r in rels]
                     sub = echelonize(vecs, len(ws.block_paths[key]), field)
                     if sub.dim:
-                        ws.block_keys.append(key)
                         ws.block_space[key] = sub
                         solver = SpanSolver(vecs, sub.ambient, field)
                         for vec in sub.rows:
@@ -221,6 +200,7 @@ class KoszulCalculus:
                                  if not field.is_zero(c)})
             else:
                 # spanning vectors of V (x) W_{p-1} and W_{p-1} (x) V per block
+                prev = self.wspaces[p - 1]
                 left_span: Dict[Tuple[int, int], List[SparseVec]] = {}
                 right_span: Dict[Tuple[int, int], List[SparseVec]] = {}
                 for yflat, (jy, iy, _k) in enumerate(prev.flat):
@@ -244,9 +224,12 @@ class KoszulCalculus:
                     sub = intersect(echelonize(left_span[key], ambient, field),
                                     echelonize(right_span[key], ambient, field))
                     if sub.dim:
-                        ws.block_keys.append(key)
                         ws.block_space[key] = sub
             ws.finish()
+        w1 = self.wspaces[1]
+        self.arrow_flat: Dict[int, int] = {
+            w1.block_paths[(j, i)][k].arrows[0]: flat_idx
+            for flat_idx, (j, i, k) in enumerate(w1.flat)}
 
     def w(self, p: int) -> WSpace:
         if p < 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .fields import Field
 from .linalg import SparseVec
@@ -189,21 +189,18 @@ class Graph:
         return len(seen) == len(self.vertices)
 
 
-def double_quiver(graph: Graph, arrow_names: Optional[Sequence[str]] = None) -> Tuple[Quiver, List[int], List[int]]:
+def double_quiver(graph: Graph) -> Tuple[Quiver, List[int], List[int]]:
     """Double quiver of a graph with one chosen orientation per edge.
 
-    Edge k becomes ``a<k>: u -> v`` and ``a<k>*: v -> u`` (or the supplied
-    names).  Returns ``(quiver, star, eps)`` where ``star[a]`` is the index
-    of the opposite arrow and ``eps[a]`` is +1 on chosen arrows, -1 on their
-    reverses.
+    Edge k becomes ``a<k>: u -> v`` and ``a<k>*: v -> u``.  Returns
+    ``(quiver, star, eps)`` where ``star[a]`` is the index of the opposite
+    arrow and ``eps[a]`` is +1 on chosen arrows, -1 on their reverses.
     """
     arrows = []
-    if arrow_names is None:
-        arrow_names = [f"a{k}" for k in range(len(graph.edges))]
     for k, (u, v) in enumerate(graph.edges):
-        arrows.append((arrow_names[k], graph.vertices[u], graph.vertices[v]))
+        arrows.append((f"a{k}", graph.vertices[u], graph.vertices[v]))
     for k, (u, v) in enumerate(graph.edges):
-        arrows.append((arrow_names[k] + "*", graph.vertices[v], graph.vertices[u]))
+        arrows.append((f"a{k}*", graph.vertices[v], graph.vertices[u]))
     q = Quiver(graph.vertices, arrows)
     n = len(graph.edges)
     star = [k + n for k in range(n)] + [k for k in range(n)]
@@ -214,11 +211,11 @@ def double_quiver(graph: Graph, arrow_names: Optional[Sequence[str]] = None) -> 
 class PreprojectiveSpec:
     """A connected graph with a chosen orientation and sign function."""
 
-    def __init__(self, graph: Graph, arrow_names: Optional[Sequence[str]] = None):
+    def __init__(self, graph: Graph):
         if not graph.is_connected():
             raise QuiverError("preprojective algebras require a connected graph")
         self.graph = graph
-        self.quiver, self.star, self.eps = double_quiver(graph, arrow_names)
+        self.quiver, self.star, self.eps = double_quiver(graph)
 
 
 def preprojective_presentation(spec: PreprojectiveSpec, field: Field) -> QuadraticPresentation:

@@ -436,6 +436,15 @@ def test_prime_beyond_the_certified_bound_is_refused(capsys):
                             "3317044064679887385961981\n")
 
 
+@pytest.mark.parametrize("tag", ["F:x", "F:", "F:²", "F²", "x"])
+def test_unrecognized_field_tag_is_refused(capsys, tag):
+    """A modulus that is not a decimal digit string names the tag, not int()."""
+    assert main(["calculus", "--preset", "A3", "--field", tag]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized field tag {tag!r} (use Q or F:<p>)\n"
+
+
 def test_ae_coefficients_route(tmp_path):
     out = tmp_path / "ae.json"
     code = main(["calculus", "--preset", "A3", "--coefficients", "Ae",

@@ -1,7 +1,8 @@
 """Source hygiene: every name a koszulkit module imports is used there,
-every private helper it defines is referenced somewhere in the package, and
+every private helper it defines is referenced somewhere in the package,
 every public function, method and class is referenced somewhere in the
-package, its tests or the benchmark."""
+package, its tests or the benchmark, and every parameter default is
+overridden by some call there."""
 
 import ast
 import pathlib
@@ -144,3 +145,53 @@ def test_no_write_only_attributes():
                      for cls, attr, line in self_assignments(ast.parse(path.read_text()))
                      if attr not in read})
     assert not unread, f"attributes assigned on self and never read: {unread}"
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(callee name, parameter, call position or None, line) for each
+    parameter with a default of the module's functions and methods.  The
+    callee name of ``__init__`` is its class's; the call position of a
+    method's parameter does not count ``self``; a keyword-only parameter has
+    no call position."""
+    owner = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        name = cls.name if cls is not None and node.name == "__init__" else node.name
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        shift = 1 if cls is not None and not static else 0
+        positional = node.args.posonlyargs + node.args.args
+        for k, arg in enumerate(positional[len(positional) - len(node.args.defaults):],
+                                len(positional) - len(node.args.defaults)):
+            yield name, arg.arg, k - shift, arg.lineno
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None, arg.lineno
+
+
+def test_no_unpassed_defaults():
+    """Every parameter with a default in koszulkit is passed by some call in
+    src, tests or perfbench: by keyword, by position, or through *args or
+    **kwargs.  Calls are matched by callee name (the class name for
+    ``__init__``); a default that no call overrides is a knob nobody turns."""
+    files = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    calls = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            calls.setdefault(name, []).append((len(node.args), starred, keywords))
+    unpassed = [f"{name}: {param} ({path.name}, line {line})"
+                for path in sorted(SRC.glob("*.py"))
+                for name, param, position, line in defaulted_parameters(ast.parse(path.read_text()))
+                if not any(param in keywords or None in keywords or starred
+                           or (position is not None and n_args > position)
+                           for n_args, starred, keywords in calls.get(name, []))]
+    assert not unpassed, f"parameters whose default no call overrides: {unpassed}"

@@ -12,7 +12,7 @@ from koszulkit.koszul import (Chain, Cochain, DegreeError, KoszulCalculus, MODUL
                               MODULE_K, ModuleError, NotClosedError)
 from koszulkit.linalg import echelonize
 from koszulkit.presets import Preset, preset_graph
-from koszulkit.quiver import (Graph, PreprojectiveSpec, paths_of_weight,
+from koszulkit.quiver import (Graph, Path, PreprojectiveSpec, paths_of_weight,
                               preprojective_presentation, presentation_from_json)
 
 
@@ -656,6 +656,108 @@ def test_negative_degree_has_no_w_space():
     assert kd.w(2).p == 2 and kd.w(2).dim == 3
     with pytest.raises(DegreeError):
         kd.w(-1)
+
+
+def test_negative_degree_bound_is_refused():
+    with pytest.raises(DegreeError):
+        KoszulCalculus(Preset("A3", QQ).algebra, -1)
+
+
+def _hand_built_low_w(q):
+    """W_0 and W_1 laid out by hand, vertex by vertex and arrow by arrow:
+    blocks in sorted (target, source) order, the arrows of a block in index
+    order.  Returns one (block keys, paths, path index, flat) per degree and
+    the flat index of each arrow in W_1."""
+    w0 = {(i, i): [Path.trivial(q, i)] for i in range(q.n_vertices)}
+    keys = sorted({(q.target[a], q.source[a]) for a in range(q.n_arrows)})
+    w1 = {key: [Path.from_arrows(q, (a,)) for a in range(q.n_arrows)
+                if (q.target[a], q.source[a]) == key] for key in keys}
+    layouts = []
+    for blocks in (w0, w1):
+        index = {key: {pa.arrows: k for k, pa in enumerate(paths)}
+                 for key, paths in blocks.items()}
+        flat = [(j, i, k) for (j, i), paths in blocks.items() for k in range(len(paths))]
+        layouts.append((list(blocks), blocks, index, flat))
+    arrow_flat = {w1[(j, i)][k].arrows[0]: n for n, (j, i, k) in enumerate(layouts[1][3])}
+    return layouts, arrow_flat
+
+
+#: two vertices, arrows declared against block order, two arrows 1 -> 0
+#: that another block's arrow separates, and a loop at each vertex
+UNSORTED_ARROWS = {
+    "vertices": ["0", "1"],
+    "arrows": [{"name": n, "src": s, "tgt": t}
+               for n, s, t in [("c", "1", "0"), ("l", "1", "1"), ("a", "0", "1"),
+                               ("b", "1", "0"), ("m", "0", "0")]],
+    "relations": [[{"coeff": "1", "path": ["a", "c"]}, {"coeff": "-1", "path": ["l", "l"]}],
+                  [{"coeff": "1", "path": ["b", "a"]}, {"coeff": "1", "path": ["m", "m"]}]],
+}
+
+
+def _low_w_case(name):
+    if name == "k[z,y,x]":
+        data = dict(POLYNOMIAL_XYZ, arrows=POLYNOMIAL_XYZ["arrows"][::-1])
+        return build_graded_algebra(presentation_from_json(data, QQ), 4)
+    if name == "unsorted":
+        return build_graded_algebra(presentation_from_json(UNSORTED_ARROWS, QQ), 4)
+    return Preset(name, QQ, cutoff=6 if "~" in name else None).algebra
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "D5", "E6", "E8", "A~2", "D~4",
+                                  "k[z,y,x]", "unsorted"])
+def test_low_w_spaces_keep_the_hand_built_layout(name):
+    """W_0 and W_1 come from the same loop as the higher W spaces, with
+    the layout they had when each was built by hand."""
+    alg = _low_w_case(name)
+    layouts, arrow_flat = _hand_built_low_w(alg.quiver)
+    for p_max in (0, 3):
+        kd = KoszulCalculus(alg, p_max)
+        for ws, (keys, paths, index, flat) in zip(kd.wspaces, layouts):
+            assert list(ws.flat_of_block) == keys and list(ws.block_space) == keys
+            assert ws.block_paths == paths and ws.block_path_index == index
+            assert ws.flat == flat
+            assert [ws.vector(n) for n in range(ws.dim)] == [
+                {k: alg.field.one} for _j, _i, k in flat]
+        assert kd.arrow_flat == arrow_flat
+
+
+def _w_graph_case(name, field):
+    if name in ("double edge", "loop", "loop and edge"):
+        edges = {"double edge": [("0", "1"), ("0", "1")], "loop": [("0", "0")],
+                 "loop and edge": [("0", "0"), ("0", "1")]}[name]
+        graph = Graph(sorted({v for e in edges for v in e}), edges)
+        pres = preprojective_presentation(PreprojectiveSpec(graph), field)
+        return graph, build_graded_algebra(pres, 6)
+    pr = Preset(name, field, cutoff=6 if "~" in name else None)
+    return pr.graph, pr.algebra
+
+
+@pytest.mark.parametrize("name,field", [
+    (name, field) for name in [f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8"] for field in (QQ, GF(2))]
+    + [(name, QQ) for name in ["A~2", "A~3", "A~5", "D~4", "double edge", "loop"]]
+    + [("loop and edge", GF(3))], ids=str)
+def test_w_block_sizes_follow_the_adjacency_matrix(name, field):
+    """For a connected graph with adjacency matrix C (a loop counts 2 on the
+    diagonal), the vertex-block sizes of W_0..W_3 are I, C, I, 0: the matrix
+    form of 1 - C t + t^2.  The exceptions are the paper's: W_2 = 0 for A1,
+    and W_3 != 0 for A2."""
+    graph, alg = _w_graph_case(name, field)
+    kd = KoszulCalculus(alg, 2)
+    n = len(graph.vertices)
+    adjacency = [[0] * n for _ in range(n)]
+    for u, v in graph.edges:
+        adjacency[u][v] += 1
+        adjacency[v][u] += 1
+    identity = [[int(j == i) for i in range(n)] for j in range(n)]
+    zero = [[0] * n for _ in range(n)]
+    sizes = [[[len(kd.w(p).flat_of_block.get((j, i), ())) for i in range(n)]
+              for j in range(n)] for p in range(4)]
+    expected = [identity, adjacency, zero if name == "A1" else identity, zero]
+    if name == "A2":
+        assert kd.w(3).dim == 2
+        sizes, expected = sizes[:3], expected[:3]
+    assert sizes == expected
 
 
 #: homology tables and nonzero ranks of the bimodule complex, recorded
