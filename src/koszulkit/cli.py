@@ -124,7 +124,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args, ["calculus", "higher", "duality"])), args)
         if args.command == "verify-ade":
             types = [normalize_preset_name(t) for t in args.types.split(",") if t.strip()]
-            chars = [int(c) for c in args.chars.split(",") if c.strip()]
+            try:
+                chars = [int(c) for c in args.chars.split(",") if c.strip()]
+            except ValueError:
+                raise ValueError("--chars takes a comma list of integers, "
+                                 f"not {args.chars!r}") from None
             log = verify_ade(types, chars,
                              threads=os.environ.get("KOSZULKIT_THREADS", "1"))
             doc = {

@@ -8,10 +8,9 @@ with eps(z) = sum_i z[(top, pos_i)] / c_i: for x in one column, the
 coefficient of that column's socle generator in yx.  The Nakayama
 automorphism is solved from the form and then cross-checked as an algebra
 automorphism.  The transported degree-3 maps read the Casimir element
-sum_x dual(x) (x) x, which does not depend on the basis: a change of basis
-x' = P x turns the dual basis into P^-T dual, and the two cancel in the
-sum, so rescaling the top monomials to the socle generators changes none
-of these maps.
+sum_x dual(x) (x) x; a change of basis x' = P x turns the dual basis into
+P^-T dual, the two cancel in the sum, and so rescaling the top monomials
+to the socle generators changes neither map.
 
 The checks follow the vertex-block grading.  A monomial y in e_a A_n e_b
 and a monomial x in e_j A_m e_i have yx in e_a A_{n+m} e_i, zero unless
@@ -22,8 +21,9 @@ nu_bar permutes the vertices, distinct blocks have disjoint paired blocks.
 The pairing check, the Nakayama solve and the transported degree-3 maps
 therefore read only the monomials that the grading lets pair or compose;
 every other form or product is zero without being formed.  As dual(x) has
-weight top - |x|, the degree-3 maps are zero on every column of positive
-weight, and only their weight-0 columns are built.
+weight top - |x|, dual(x) y x and x y dual(x) lie in weight top + |y|: the
+degree-3 maps kill every y of positive weight, and are held as their
+columns at the idempotents e_i, one product per x that composes with e_i.
 
 :class:`FrobeniusStructure` derives each piece of this data once and keeps
 it on the instance: the dual basis in ``_dual``, keyed by monomial (each
@@ -40,8 +40,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import Elem, GradedAlgebra, Term
 from .duality import eta_table, theta_table
 from .homology import CalculusSpaces
-from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A
-from .linalg import LinearMap, SparseVec, echelonize, image, kernel, rank, rref
+from .koszul import Chain, KoszulCalculus, MODULE_A
+from .linalg import LinearMap, SparseVec, echelonize, kernel, rank, rref
 
 
 class FrobeniusError(ValueError):
@@ -279,66 +279,36 @@ class FrobeniusStructure:
 
     # -- the degree-3 transported differentials ----------------------------------
 
-    def vertex_coords(self, twisted: bool) -> List[Term]:
-        """Coordinates of the direct sum over vertices i of e_i A e_i, or of
-        e_i A e_{nu_bar(i)} when twisted, weight by weight."""
-        alg = self.algebra
-        return [(m, pos) for m in range(self.top + 1)
-                for i in range(alg.quiver.n_vertices)
-                for pos in alg.block_positions(m, i, self.nu_bar[i] if twisted else i)]
+    def delta_columns(self) -> Tuple[Dict[int, Elem], Dict[int, Elem]]:
+        """The transported degree-3 maps, diagonal -> twisted
+        y -> sum_x dual(x) y x and twisted -> diagonal y -> sum_x x y dual(x),
+        on the idempotents e_i: they kill every y of positive weight.
 
-    def delta_maps(self) -> Tuple[LinearMap, LinearMap]:
-        """Exact matrices of the two transported degree-3 differentials.
-
-        delta_up: diagonal -> twisted, y -> sum_x dual(x) y x
-        delta_down: twisted -> diagonal, y -> sum_x x y dual(x)
-
-        Only the weight-0 columns are built: dual(x) has weight top - |x|,
-        so dual(x) y x and x y dual(x) lie in weight top + |y|, and every
-        column of a y of positive weight is zero.  In a column, only the x
-        that compose with y are read: target(x) = source(y) going up,
-        source(x) = target(y) going down; every other term is zero.
+        ``up[i]`` = sum dual(x) x over the x with target i, at every vertex;
+        ``down[i]`` = sum x dual(x) over the x with source i, at the vertices
+        that nu_bar fixes, as e_i A_0 e_{nu_bar(i)} is zero at the others.
         """
-        alg = self.algebra
-        field = self.field
-        dual = self.dual_basis()
-        dcoords = self.vertex_coords(False)
-        tcoords = self.vertex_coords(True)
-        dindex = {c: k for k, c in enumerate(dcoords)}
-        tindex = {c: k for k, c in enumerate(tcoords)}
-        # monomials by target and by source vertex, each in basis order
-        n = alg.quiver.n_vertices
-        by_target: List[List[Term]] = [[] for _ in range(n)]
-        by_source: List[List[Term]] = [[] for _ in range(n)]
+        alg, field, dual = self.algebra, self.field, self.dual_basis()
+        block_of, nu_bar = alg.block_of, self.nu_bar
+        up: Dict[int, Elem] = {i: {} for i in nu_bar}
+        down: Dict[int, Elem] = {i: {} for i, j in nu_bar.items() if i == j}
+
+        def add(col: Elem, term: Elem, twisted: bool) -> None:
+            for (m, pos), c in term.items():
+                j, i = block_of[m][pos]
+                if i != (nu_bar[j] if twisted else j):
+                    # products outside e_j A e_nu_bar(j), or e_j A e_j, must vanish
+                    raise FrobeniusError("degree-3 image escaped its target")
+                col[(m, pos)] = col.get((m, pos), 0) + c
+
         for t in self.terms:
-            tgt, src = alg.block_of[t[0]][t[1]]
-            by_target[tgt].append(t)
-            by_source[src].append(t)
-
-        def column(yt: Term, up: bool) -> SparseVec:
-            col: SparseVec = {}
-            y = {yt: field.one}
-            tgt, src = alg.block_of[yt[0]][yt[1]]
-            for t in (by_target[src] if up else by_source[tgt]):
-                x = {t: field.one}
-                xh = dual[t]
-                if up:
-                    term = alg.multiply(xh, alg.multiply(y, x))
-                else:
-                    term = alg.multiply(x, alg.multiply(y, xh))
-                for (m, pos), c in term.items():
-                    idx = (tindex if up else dindex).get((m, pos))
-                    if idx is None:
-                        # products outside the expected columns must vanish
-                        raise FrobeniusError("degree-3 image escaped its target")
-                    col[idx] = col.get(idx, 0) + c
-            return field.settle(col)
-
-        up_cols = [column(dc, True) if dc[0] == 0 else {} for dc in dcoords]
-        down_cols = [column(tc, False) if tc[0] == 0 else {} for tc in tcoords]
-        delta_up = LinearMap(len(dcoords), len(tcoords), up_cols, field)
-        delta_down = LinearMap(len(tcoords), len(dcoords), down_cols, field)
-        return delta_up, delta_down
+            tgt, src = block_of[t[0]][t[1]]
+            x = {t: field.one}
+            add(up[tgt], alg.multiply(dual[t], x), True)
+            if src in down:
+                add(down[src], alg.multiply(x, dual[t]), False)
+        return ({i: field.settle(col) for i, col in up.items()},
+                {i: field.settle(col) for i, col in down.items()})
 
     def nu_trace_matrix(self) -> List[List[object]]:
         """tr(nu restricted to e_j A e_i) for fixed vertices j, i of nu_bar."""
@@ -373,16 +343,18 @@ class Degree2Comparison:
 
     def __init__(self, kd: KoszulCalculus, frob: FrobeniusStructure,
                  coh: CalculusSpaces, hom: CalculusSpaces):
-        self.kd = kd
-        self.frob = frob
         field = kd.field
-        delta_up, delta_down = frob.delta_maps()
-        dcoords = frob.vertex_coords(False)
-        ker_up = kernel(delta_up)
-
-        def diagonal(rows) -> List[Cochain]:
-            """Each row over the diagonal coordinates as a diagonal 0-cochain."""
-            return [kd.diagonal_cochain({dcoords[k]: c for k, c in row.items()}) for row in rows]
+        up, down = frob.delta_columns()
+        # ker(delta_up): every diagonal monomial of positive weight, and the
+        # kernel {i: c} = sum_i c e_i of the vertex columns
+        touched: Dict[Term, int] = {}
+        cols = [{touched.setdefault(t, len(touched)): c for t, c in col.items()}
+                for col in up.values()]
+        ker_up0 = kernel(LinearMap(len(cols), len(touched), cols, field))
+        block_of = kd.algebra.block_of
+        ker_up = [{(0, i): c for i, c in row.items()} for row in ker_up0.rows] + [
+            {(m, pos): field.one} for m, pos in frob.terms
+            if m and block_of[m][pos][0] == block_of[m][pos][1]]
 
         def class_vectors(spaces: CalculusSpaces, elements) -> List[SparseVec]:
             return [{k: c for k, c in enumerate(spaces.class_of(e)) if not field.is_zero(c)}
@@ -390,12 +362,14 @@ class Degree2Comparison:
 
         # HH^2 = ker(delta_up) / Im(b_K^2), inside HK^2 classes: y = sum_i y_i
         # is the 2-cochain sigma_i -> y_i, eta of the 0-chain with y's values
-        hh2 = eta_table(kd, [Chain(kd, 0, MODULE_A, f.values) for f in diagonal(ker_up.rows)])
+        hh2 = eta_table(kd, [Chain(kd, 0, MODULE_A, kd.diagonal_cochain(y).values)
+                             for y in ker_up])
         self.hh2_subspace = echelonize(class_vectors(coh, hh2), coh.dim(2), field)
         self.hh2_dim = self.hh2_subspace.dim
         # HH_2 = HK_2 / (classes of Im(delta_down)): theta carries y to the
-        # 2-chain sum_i y_i (x) sigma_i
-        killed = theta_table(kd, diagonal(image(delta_down).rows))
+        # 2-chain sum_i y_i (x) sigma_i; it is linear, so the columns span
+        # the classes of the image
+        killed = theta_table(kd, [kd.diagonal_cochain(y) for y in down.values()])
         if not all(z.is_cycle() for z in killed):
             raise FrobeniusError("transported degree-3 image is not a cycle")
         self.killed_subspace = echelonize(class_vectors(hom, killed), hom.dim(2), field)
@@ -403,9 +377,7 @@ class Degree2Comparison:
         self.hk2_dim = coh.dim(2)
         self.hk_2_dim = hom.dim(2)
         # weight-0 part of ker(delta_up) against the Cartan kernel
-        w0_rows = [row for row in ker_up.rows
-                   if all(dcoords[k][0] == 0 for k in row)]
-        self.ker_up_weight0_dim = rank(w0_rows, len(dcoords), field)
+        self.ker_up_weight0_dim = ker_up0.dim
         self.cartan_kernel_dim = cartan_kernel_dim(kd.algebra)
 
 

@@ -273,13 +273,16 @@ def verify_ade(types: Sequence[str], chars: Sequence[int],
     """Tables plus the invariant-triple theorem across the given types.
 
     ``threads`` asks for that many worker processes (see ``pool_size``).
-    An empty or repeated list of types or characteristics is refused.
+    An empty or repeated list of types or characteristics is refused, and
+    so is a characteristic that is neither 0 nor a prime.
     """
     for what, items in (("types", types), ("characteristics", chars)):
         repeated = [str(x) for x in dict.fromkeys(items) if items.count(x) > 1]
         if not items or repeated:
             raise ValueError(f"repeated {what}: {', '.join(repeated)}" if repeated
                              else f"no {what} given")
+    for char in chars:
+        field_of_char(char)
     untabulated = [t for t in types if not adedata.tabulated(t)]
     if untabulated:
         raise PresetError(f"no tables for {', '.join(untabulated)} "

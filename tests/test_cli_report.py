@@ -353,12 +353,16 @@ def test_verify_ade_normalizes_and_refuses_untabulated_types(monkeypatch, capsys
     ("A3,A3", "0", "repeated types: A3"),
     ("E6,a3,e6", "0", "repeated types: E6"),
     ("A3", "0,2,0", "repeated characteristics: 0"),
+    ("A3", "x", "--chars takes a comma list of integers, not 'x'"),
+    ("A3", "0,4", "4 is not prime"),
+    ("A3", "-1", "-1 is not prime"),
 ], ids=["no-types", "only-commas", "no-chars", "repeated-type", "repeated-after-normalizing",
-        "repeated-char"])
+        "repeated-char", "non-integer-char", "composite-char", "negative-char"])
 def test_verify_ade_refuses_empty_or_repeated_lists(monkeypatch, capsys, types, chars,
                                                     message):
     """An empty list would pass 0/0 checks and a repeated one would run
-    every job more than once: both exit 3 before any job runs."""
+    every job more than once; a characteristic that is not an integer, or
+    neither 0 nor a prime, has no field.  All exit 3 before any job runs."""
     import koszulkit.verify as ver
     jobs = []
     monkeypatch.setattr(ver, "_run_verify_job",

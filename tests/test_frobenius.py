@@ -9,7 +9,7 @@ from koszulkit.frobenius import (BarOracle, Degree2Comparison, FrobeniusError,
                                  FrobeniusStructure, cartan_kernel_dim)
 from koszulkit.homology import koszul_homology
 from koszulkit.koszul import KoszulCalculus, MODULE_A
-from koszulkit.linalg import rref
+from koszulkit.linalg import kernel, rref
 from koszulkit.presets import (Preset, expected_nakayama_on_arrows,
                                nakayama_graph_permutation, socle_generators)
 from koszulkit.verify import (CheckLog, TypeCharComputation, hochschild2_checks,
@@ -107,13 +107,48 @@ def test_nakayama_solved_once():
     assert all(images)
 
 
+def _vertex_coords(alg, nu_bar, twisted):
+    """Coordinates of the direct sum over vertices i of e_i A e_i, or of
+    e_i A e_{nu_bar(i)} when twisted, weight by weight."""
+    return [(m, pos) for m in range(alg.max_weight + 1)
+            for i in range(alg.quiver.n_vertices)
+            for pos in alg.block_positions(m, i, nu_bar[i] if twisted else i)]
+
+
+def _vertex_columns(dcoords, tcoords, up_cols, down_cols):
+    """Reference matrices of both degree-3 maps, over the diagonal and the
+    twisted coordinates, in the form of ``delta_columns``: each weight-0
+    column as an element, keyed by the vertex of its idempotent.  Every
+    column of positive weight must be zero."""
+    def columns(src, tgt, cols):
+        out = {}
+        for (m, pos), col in zip(src, cols):
+            if m:
+                assert col == {}
+            else:
+                out[pos] = {tgt[k]: c for k, c in col.items()}
+        return out
+    return columns(dcoords, tcoords, up_cols), columns(tcoords, dcoords, down_cols)
+
+
 def test_delta_up_kills_positive_weight():
+    """Every diagonal column of positive weight of delta_up, summed over
+    every composable x, is zero; delta_columns holds one column per vertex."""
     pr, frob = make_frob("A4", QQ)
-    delta_up, _delta_down = frob.delta_maps()
-    dcoords = frob.vertex_coords(False)
-    for k, (m, _pos) in enumerate(dcoords):
-        if m > 0:
-            assert delta_up.cols[k] == {}
+    up, _down = _delta_maps_every_column(frob)
+    assert any(m for m, _pos in _vertex_coords(pr.algebra, frob.nu_bar, False))
+    assert frob.delta_columns()[0] == up and sorted(up) == list(range(4))
+
+
+def test_delta_image_escape_is_refused():
+    """On A3 nu_bar swaps 0 and 2; a dual with dual(e_0) = e_0 puts
+    dual(e_0) e_0 in e_0 A e_0, outside e_0 A e_{nu_bar(0)}."""
+    _pr, frob = make_frob("A3", QQ)
+    assert frob.nu_bar[0] == 2
+    frob.dual_basis()
+    frob._dual[(0, 0)] = {(0, 0): QQ.one}
+    with pytest.raises(FrobeniusError, match="degree-3 image escaped its target"):
+        frob.delta_columns()
 
 
 def test_delta_down_on_middle_idempotent_type_a_odd():
@@ -121,38 +156,25 @@ def test_delta_down_on_middle_idempotent_type_a_odd():
     # (m+1) times the middle socle element
     pr, frob = make_frob("A5", QQ)
     m_a = 2
-    delta_up, delta_down = frob.delta_maps()
-    tcoords = frob.vertex_coords(True)
-    dcoords = frob.vertex_coords(False)
+    _up, down = frob.delta_columns()
     alg = pr.algebra
-    k = next(i for i, (m, pos) in enumerate(tcoords)
-             if m == 0 and alg.block_of[0][pos] == (m_a, m_a))
-    col = delta_down.cols[k]
-    got = {}
-    for idx, c in col.items():
-        mm, pos = dcoords[idx]
-        got = alg.elem_add(got, {(mm, pos): QQ.one}, c)
+    # the middle vertex is the one that nu_bar fixes
+    assert list(down) == [m_a]
     pi = socle_generators(pr)[m_a]
-    assert alg.elem_equal(got, alg.elem_scale(pi, QQ.from_int(m_a + 1)))
+    assert alg.elem_equal(down[m_a], alg.elem_scale(pi, QQ.from_int(m_a + 1)))
 
 
 def test_delta_down_trace_formula():
     # identity permutation case: each idempotent maps to the trace-weighted
     # sum of socle generators
     pr, frob = make_frob("D4", QQ)
-    delta_up, delta_down = frob.delta_maps()
-    tcoords = frob.vertex_coords(True)
-    dcoords = frob.vertex_coords(False)
+    _up, down = frob.delta_columns()
     alg = pr.algebra
     traces = frob.nu_trace_matrix()
     socle = socle_generators(pr)
+    assert sorted(down) == list(range(4))
     for i in range(4):
-        k = next(kk for kk, (m, pos) in enumerate(tcoords)
-                 if m == 0 and alg.block_of[0][pos] == (i, i))
-        got = {}
-        for idx, c in delta_down.cols[k].items():
-            mm, pos = dcoords[idx]
-            got = alg.elem_add(got, {(mm, pos): QQ.one}, c)
+        got = down[i]
         expected = {}
         for j in range(4):
             expected = alg.elem_add(expected, socle[j], traces[j][i])
@@ -214,9 +236,14 @@ def test_bar_oracle_refuses_before_enumerating(monkeypatch):
         BarOracle(alg, max_space=10)
 
 
-def test_degree2_comparison_a3():
+def test_degree2_comparison_a3(monkeypatch):
     comp = TypeCharComputation("A3", 0, with_frobenius=True)
+    domains = []
+    monkeypatch.setattr("koszulkit.frobenius.kernel",
+                        lambda m: domains.append(m.domain_dim) or kernel(m))
     cmp2 = Degree2Comparison(comp.kd, comp.frob, comp.coh, comp.hom)
+    # ker(delta_up) comes from one kernel over the vertex columns
+    assert domains == [3]
     assert cmp2.hh2_dim == 1            # n - m_A - 1
     assert cmp2.hk2_dim == 3
     assert cmp2.hk_2_dim == 2
@@ -286,11 +313,7 @@ def _adapted_reference(pr):
         c, = ratios
         scalars[a] = (beta, c)
 
-    def coords(twist):
-        return [(m, pos) for m in range(top + 1) for i in range(q.n_vertices)
-                for pos in alg.block_positions(m, i, twist[i])]
-
-    dcoords, tcoords = coords({i: i for i in nu_bar}), coords(nu_bar)
+    dcoords, tcoords = _vertex_coords(alg, nu_bar, False), _vertex_coords(alg, nu_bar, True)
 
     def matrix(src, tgt, up):
         index = {t: k for k, t in enumerate(tgt)}
@@ -305,7 +328,8 @@ def _adapted_reference(pr):
             cols.append(col)
         return cols
 
-    return scalars, matrix(dcoords, tcoords, True), matrix(tcoords, dcoords, False)
+    return scalars, _vertex_columns(dcoords, tcoords, matrix(dcoords, tcoords, True),
+                                    matrix(tcoords, dcoords, False))
 
 
 @pytest.mark.parametrize("name,field", [("D5", QQ), ("D6", GF(3)), ("E7", QQ)],
@@ -316,11 +340,9 @@ def test_monomial_basis_matches_the_adapted_basis(name, field):
     presets have socle generators with coefficient -1."""
     pr, frob = make_frob(name, field)
     assert any(c != field.one for el in socle_generators(pr).values() for c in el.values())
-    scalars, up_cols, down_cols = _adapted_reference(pr)
-    delta_up, delta_down = frob.delta_maps()
+    scalars, columns = _adapted_reference(pr)
     assert frob.nakayama_arrow_scalars() == scalars
-    assert delta_up.cols == up_cols
-    assert delta_down.cols == down_cols
+    assert frob.delta_columns() == columns
 
 
 def _all_pairs_reference(frob):
@@ -350,7 +372,8 @@ def _all_pairs_reference(frob):
             c = ratio
         scalars[a] = (beta, c)
 
-    dcoords, tcoords = frob.vertex_coords(False), frob.vertex_coords(True)
+    dcoords = _vertex_coords(alg, frob.nu_bar, False)
+    tcoords = _vertex_coords(alg, frob.nu_bar, True)
 
     def matrix(src, tgt, up):
         index = {t: k for k, t in enumerate(tgt)}
@@ -366,19 +389,18 @@ def _all_pairs_reference(frob):
             cols.append(field.settle(col))
         return cols
 
-    return pairing, scalars, matrix(dcoords, tcoords, True), matrix(tcoords, dcoords, False)
+    return pairing, scalars, _vertex_columns(dcoords, tcoords, matrix(dcoords, tcoords, True),
+                                             matrix(tcoords, dcoords, False))
 
 
 @pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3)), ("E7", GF(2))],
                          ids=["D5-Q", "E6-F3", "E7-F2"])
 def test_block_graded_sweeps_match_all_pairs_reference(name, field):
     _pr, frob = make_frob(name, field)
-    pairing, scalars, up_cols, down_cols = _all_pairs_reference(frob)
-    delta_up, delta_down = frob.delta_maps()
+    pairing, scalars, columns = _all_pairs_reference(frob)
     assert pairing and frob.dual_pairing_check()
     assert frob.nakayama_arrow_scalars() == scalars
-    assert [list(c.items()) for c in delta_up.cols] == [list(c.items()) for c in up_cols]
-    assert [list(c.items()) for c in delta_down.cols] == [list(c.items()) for c in down_cols]
+    assert frob.delta_columns() == columns
 
 
 def _mutated_dual_fails(frob, w, entries):
@@ -428,24 +450,23 @@ def test_frobenius_sweeps_form_only_block_pairs(name, field, pairs, solve):
 
 @pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3))], ids=["D5-Q", "E6-F3"])
 def test_delta_maps_multiply_only_composable_terms(monkeypatch, name, field):
-    """Two products per composable x for each weight-0 column: a diagonal y
-    in e_i A_0 e_i meets every x with target i, a twisted y in
-    e_i A_0 e_{nu_bar(i)} every x with source i.  The columns of positive
-    weight are zero unread, and the all-pairs sweep took two products per
+    """One product per composable x for each vertex column: dual(x) x for
+    the x with target i going up, x dual(x) for the x with source i going
+    down at a vertex i that nu_bar fixes.  The columns of positive weight
+    are zero unread, and the all-pairs sweep took two products per
     monomial x for every column."""
     pr, frob = make_frob(name, field)
     alg, n = pr.algebra, pr.quiver.n_vertices
     frob.dual_basis()
     multiply, calls = alg.multiply, []
     monkeypatch.setattr(alg, "multiply", lambda x, y: calls.append(1) or multiply(x, y))
-    frob.delta_maps()
+    frob.delta_columns()
     with_target = [sum(alg.block_dim(i, j) for j in range(n)) for i in range(n)]
     with_source = [sum(alg.block_dim(j, i) for j in range(n)) for i in range(n)]
-    assert len(calls) == 2 * sum(len(alg.block_positions(0, i, i)) * with_target[i]
-                                 + len(alg.block_positions(0, i, frob.nu_bar[i]))
-                                 * with_source[i]
-                                 for i in range(n))
-    n_cols = len(frob.vertex_coords(False)) + len(frob.vertex_coords(True))
+    assert len(calls) == sum(with_target[i] + len(alg.block_positions(0, i, frob.nu_bar[i]))
+                             * with_source[i]
+                             for i in range(n))
+    n_cols = sum(len(_vertex_coords(alg, frob.nu_bar, twisted)) for twisted in (False, True))
     assert len(calls) < 2 * n_cols * frob.dim
 
 
@@ -454,7 +475,8 @@ def _delta_maps_every_column(frob):
     composable x, the positive-weight columns too."""
     alg, field, dual = frob.algebra, frob.field, frob.dual_basis()
     one = field.one
-    dcoords, tcoords = frob.vertex_coords(False), frob.vertex_coords(True)
+    dcoords = _vertex_coords(alg, frob.nu_bar, False)
+    tcoords = _vertex_coords(alg, frob.nu_bar, True)
     dindex = {c: k for k, c in enumerate(dcoords)}
     tindex = {c: k for k, c in enumerate(tcoords)}
 
@@ -473,23 +495,23 @@ def _delta_maps_every_column(frob):
                 k = (tindex if up else dindex)[key]
                 col[k] = col.get(k, 0) + c
         return field.settle(col)
-    return ([column(y, True) for y in dcoords], [column(y, False) for y in tcoords])
+    return _vertex_columns(dcoords, tcoords, [column(y, True) for y in dcoords],
+                           [column(y, False) for y in tcoords])
 
 
 @pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3)), ("E8", GF(2))],
                          ids=["D5-Q", "E6-F3", "E8-F2"])
 def test_delta_maps_equal_the_every_column_sum(name, field):
-    """delta_maps builds the weight-0 columns only; both maps equal the sums
+    """delta_columns builds the vertex columns only; both maps equal the sums
     over every column, whose positive-weight columns are zero.  delta_up is
     nonzero on D5/Q and E6/F:3; both maps are zero on E8/F:2."""
-    _pr, frob = make_frob(name, field)
-    delta_up, delta_down = frob.delta_maps()
-    up, down = _delta_maps_every_column(frob)
-    assert (delta_up.cols, delta_down.cols) == (up, down)
-    assert (delta_up.domain_dim, delta_up.codomain_dim) == (len(up), len(down))
-    assert (delta_down.domain_dim, delta_down.codomain_dim) == (len(down), len(up))
-    assert any(m for m, _pos in frob.vertex_coords(False))
-    assert any(up) == (name != "E8")
+    pr, frob = make_frob(name, field)
+    up, down = frob.delta_columns()
+    assert (up, down) == _delta_maps_every_column(frob)
+    assert sorted(up) == list(range(pr.quiver.n_vertices))
+    assert sorted(down) == [i for i, j in frob.nu_bar.items() if i == j]
+    assert any(m for m, _pos in _vertex_coords(pr.algebra, frob.nu_bar, False))
+    assert any(up.values()) == (name != "E8")
 
 
 #: sha256 of the JSON of the ``verify_type_char`` + ``hochschild2_checks``

@@ -5,6 +5,7 @@ package, its tests or the benchmark, and every parameter default is
 overridden by some call there."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -84,14 +85,30 @@ def public_definitions(tree: ast.Module):
 
 
 def traced_targets(tree: ast.Module):
-    """The names in the ("metric", "module", "func" or "Class.method")
-    targets that the layer tracer wraps."""
+    """(module, "func" or "Class.method") of each ("metric", "module",
+    attribute) target that the layer tracer wraps."""
     for node in tree.body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
                 and node.targets[0].id in ("TIMED", "COUNTED")):
-            for _metric, _module, attr in ast.literal_eval(node.value):
-                yield from attr.split(".")
+            for _metric, module, attr in ast.literal_eval(node.value):
+                yield module, attr
+
+
+def test_traced_targets_exist():
+    """Every target of the layer tracer names an attribute of its koszulkit
+    module, a method through its class: a missing one breaks a traced
+    benchmark run."""
+    targets = list(traced_targets(ast.parse((ROOT / "perfbench" / "layertrace.py").read_text())))
+    assert targets
+    missing = []
+    for module, attr in targets:
+        obj = importlib.import_module(f"koszulkit.{module}")
+        for name in attr.split("."):
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(f"{module}.{attr}")
+    assert not missing, f"layer tracer targets that koszulkit lacks: {missing}"
 
 
 def test_no_dead_public_names():
@@ -107,7 +124,8 @@ def test_no_dead_public_names():
             if isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
         if path.name == "layertrace.py":
-            referenced.update(traced_targets(tree))
+            referenced.update(name for _module, attr in traced_targets(tree)
+                              for name in attr.split("."))
     dead = [f"{name} ({path.name}, line {line})" for path in sorted(SRC.glob("*.py"))
             for name, line in public_definitions(ast.parse(path.read_text()))
             if name.rsplit(".", 1)[-1] not in referenced]
