@@ -5,14 +5,15 @@ read off omega0.  Capped on the right with the cochains of degree p <= n it
 realizes the isomorphism theta onto chains of degree n-p: ``theta_table`` is
 its one evaluation, a cap table, and ``eta_table`` its inverse, read off the
 split pairing of omega0.  ``verify_duality`` certifies the chain-map,
-inversion, symmetry and module identities exactly, and
+inversion, symmetry and module identities exactly, the last on the scalar
+tables of ``module_table`` and on the class representatives, and
 ``ae_coefficient_route`` reads the enveloping coefficients off the bimodule
 complex instead of materializing them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .homology import BimoduleHomology, CalculusSpaces, HigherSpaces
 from .koszul import (Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A, ModuleError,
@@ -115,17 +116,60 @@ def _unit_basis(spaces: CalculusSpaces, p: int) -> list:
             for _start, blk in spaces.layout(p)[1].values() for k in range(blk.space.dim)]
 
 
+def module_table(kd: KoszulCalculus, w0: Chain, p: int, q: int,
+                 side: str) -> Dict[Tuple[int, int, int], object]:
+    """The scalars of one side of the module identities at degrees (p, q).
+
+    For unit cochains f = (w1 -> x1) of degree p and g = (w2 -> x2) of
+    degree q, each side is sum_u T(w1, w2, u) (x1 x2) (x) u: omega0's
+    coefficients are lam e_i, and e_i x1 x2 = x1 x2 by the vertex blocks.
+    T is keyed (w1, w2, u), zeros dropped, and contracts two splits of
+    omega0's support with lam: ``side="cup"`` is theta(f cup g), through
+    the (p+q, n-p-q) and (p, q) splits; ``"left"`` is theta(f) cap g,
+    through (p, n-p) and (q, n-p-q); ``"right"`` is f cap theta(g), through
+    (q, n-q) and (n-q-p, p), read as (u, w1)."""
+    n = w0.q
+    if side == "cup":
+        outer, inner, sign = (p + q, n - p - q), (p, q), (p + q) * n + p * q
+    elif side == "left":
+        outer, inner, sign = (p, n - p), (q, n - p - q), p * n + q * (n - p)
+    elif side == "right":
+        outer, inner, sign = (q, n - q), (n - q - p, p), q * n + (n - q - p) * p
+    else:
+        raise ValueError("side must be 'cup', 'left' or 'right'")
+    field = kd.field
+    sign = field.sign(sign)
+    outer, inner = kd.split_coords(*outer), kd.split_coords(*inner)
+    acc: Dict[Tuple[int, int, int], object] = {}
+    for x, coeff in w0.values.items():
+        for lam in coeff.values():  # omega0's coefficients are scalars times e_i
+            for (a, b), c in outer[x].items():
+                for (s, t), d in inner[a if side == "cup" else b].items():
+                    key = ((s, t, b) if side == "cup" else
+                           (a, s, t) if side == "left" else (t, a, s))
+                    acc[key] = acc.get(key, 0) + sign * lam * c * d
+    return field.settle(acc)
+
+
 def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,
                    hi_coh: Optional[HigherSpaces] = None,
                    hi_hom: Optional[HigherSpaces] = None) -> DualityReport:
     """Exact duality checklist over the calculus and coefficient module of
     ``coh`` and ``hom``: each identity is one ``==`` of two tables per degree
-    or degree pair, every theta from ``theta_table``.  Product tables leave
-    out zero products and theta is one-to-one, so (d) compares on the union
-    of keys: a pair absent from all three tables is zero on every side.
-    Check (d) passes a product table that is wrong but used consistently:
-    omega0's coefficients are idempotents, so both sides of each identity
-    multiply the same values by the same table.
+    or degree pair, every theta from ``theta_table``.
+
+    (d), the module identities theta(f cup g) = theta(f) cap g =
+    f cap theta(g), holds on every pair of unit cochains when the three
+    ``module_table`` scalars T(w1, w2, u) agree, which costs
+    |W_p| |W_q| entries per degree pair.  Those tables read no product, so
+    (d) also compares the three product tables on the class
+    representatives, and records each identity as the AND of the two
+    comparisons.  Product tables leave out zero products and theta is
+    one-to-one, so that comparison runs on the union of keys: a pair absent
+    from all three tables is zero on every side.  (d) passes a product
+    table that is wrong but used consistently: omega0's coefficients are
+    idempotents, so both sides of each identity multiply the same values
+    by the same table.
     tests/test_quiver_algebra.py::test_multiply_matches_arrow_by_arrow_reference
     and the ``frobenius.nakayama-symmetric`` check of ``hochschild2_checks``
     catch such a table."""
@@ -138,14 +182,12 @@ def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,
     n = w0.q
     report.record("omega0 is a cycle", w0.is_cycle())
 
-    # theta is stored as its columns, one per basis cochain
-    basis_cochains = {p: _unit_basis(coh, p) for p in range(n + 1)}
-    theta_cols = {p: theta_table(kd, fs, w0) for p, fs in basis_cochains.items()}
-
     # (a) chain map, (b) mutual inversion and (c) cap symmetry with the
-    # fundamental cycle, on full cochain bases
+    # fundamental cycle, on full cochain bases; theta as its columns, one
+    # per basis cochain
     for p in range(n + 1):
-        fs, thetas = basis_cochains[p], theta_cols[p]
+        fs = _unit_basis(coh, p)
+        thetas = theta_table(kd, fs, w0)
         if p < n:
             report.record("theta chain map",
                           theta_table(kd, [kd.apply_bK(f) for f in fs], w0)
@@ -159,21 +201,24 @@ def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,
         report.record("theta o eta = id", theta_table(kd, eta_table(kd, zs), w0) == zs,
                       f"degree {q}")
 
-    # (d) module identities theta(f cup g) = theta(f) cap g = f cap theta(g),
-    # as equal tables on basis cochains
+    reps = {p: coh.representatives(p) for p in range(n + 1)}
+    rep_thetas = {p: theta_table(kd, fs, w0) for p, fs in reps.items()}
+    # (d) module identities, on the W tables and on the class representatives
     if module == MODULE_A:
         for p in range(n + 1):
             for q in range(n + 1 - p):
-                fs, gs = basis_cochains[p], basis_cochains[q]
+                t_cup, t_left, t_right = (module_table(kd, w0, p, q, side)
+                                          for side in ("cup", "left", "right"))
+                fs, gs = reps[p], reps[q]
                 cups = kd.cup_table(fs, gs)
                 t_cups = dict(zip(cups, theta_table(kd, list(cups.values()), w0)))
                 lefts = {(i, j): c for (j, i), c in
-                         kd.cap_table(gs, theta_cols[p], side="right").items()}
-                rights = kd.cap_table(fs, theta_cols[q], side="left")
-                report.record("theta(f cup g) = theta(f) cap g", t_cups == lefts,
-                              f"degrees ({p},{q})")
-                report.record("theta(f cup g) = f cap theta(g)", t_cups == rights,
-                              f"degrees ({p},{q})")
+                         kd.cap_table(gs, rep_thetas[p], side="right").items()}
+                rights = kd.cap_table(fs, rep_thetas[q], side="left")
+                report.record("theta(f cup g) = theta(f) cap g",
+                              t_cup == t_left and t_cups == lefts, f"degrees ({p},{q})")
+                report.record("theta(f cup g) = f cap theta(g)",
+                              t_cup == t_right and t_cups == rights, f"degrees ({p},{q})")
 
     # (e) induced class-level bijection
     field = kd.field
@@ -183,7 +228,7 @@ def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,
         report.record("dim HK^p = dim HK_{2-p}", dim_c == dim_h,
                       f"p={p}: {dim_c} vs {dim_h}")
         cols = [{k: c for k, c in enumerate(hom.class_of(t)) if not field.is_zero(c)}
-                for t in theta_table(kd, coh.representatives(p), w0)]
+                for t in rep_thetas[p]]
         r = LinearMap(dim_c, dim_h, cols, field).rank()
         report.record("H(theta) bijective", r == dim_c == dim_h, f"p={p} rank {r}")
 

@@ -361,9 +361,13 @@ class Degree2Comparison:
                     for e in elements]
 
         # HH^2 = ker(delta_up) / Im(b_K^2), inside HK^2 classes: y = sum_i y_i
-        # is the 2-cochain sigma_i -> y_i, eta of the 0-chain with y's values
+        # is the 2-cochain sigma_i -> y_i, eta of the 0-chain with y's values.
+        # W_3 = 0 makes every 2-cochain a cocycle, and its class lies in the
+        # (2, m) block of its weight m: only the weights of nonzero blocks
+        # can give a class
+        class_weights = coh.bigraded_dims(2)
         hh2 = eta_table(kd, [Chain(kd, 0, MODULE_A, kd.diagonal_cochain(y).values)
-                             for y in ker_up])
+                             for y in ker_up if next(iter(y))[0] in class_weights])
         self.hh2_subspace = echelonize(class_vectors(coh, hh2), coh.dim(2), field)
         self.hh2_dim = self.hh2_subspace.dim
         # HH_2 = HK_2 / (classes of Im(delta_down)): theta carries y to the

@@ -261,11 +261,29 @@ def _double_first_eta(args, kwargs, out):
     return [out[0].scale(out[0].kd.field.from_int(2))] + out[1:] if out else None
 
 
+def _double_scalar(side):
+    """A doubled entry in the first nonempty ``module_table`` of ``side``."""
+    def fault(args, kwargs, table):
+        kd, side_read = args[0], args[4]
+        if side_read != side or not table:
+            return None
+        table = dict(table)
+        key = next(iter(table))
+        table[key] = kd.field.mul(kd.field.from_int(2), table[key])
+        return table
+    return fault
+
+
 _CUP_SIDES = {"theta(f cup g) = theta(f) cap g", "theta(f cup g) = f cap theta(g)"}
 _TABLE_FAULTS = [
     (KoszulCalculus, "cup_table", None, _CUP_SIDES),
     (KoszulCalculus, "cap_table", "right", {"theta(f cup g) = theta(f) cap g"}),
     (KoszulCalculus, "cap_table", "left", {"theta(f cup g) = f cap theta(g)"}),
+]
+_W_TABLE_FAULTS = [
+    ("cup", _CUP_SIDES),
+    ("left", {"theta(f cup g) = theta(f) cap g"}),
+    ("right", {"theta(f cup g) = f cap theta(g)"}),
 ]
 
 
@@ -274,12 +292,15 @@ _TABLE_FAULTS = [
     ("E6", GF(3), [32, 56, 32], 9792),
 ], ids=["D5-Q", "E6-F3"])
 def test_duality_checks_fail_on_each_fault(monkeypatch, name, field, n_basis, pairs):
-    """Check (d) compares three product tables on the union of their keys.
-    A nonzero product added at a pair absent from all three, a present pair
-    dropped or a present product doubled, in one table at one degree pair,
-    turns exactly the identities that read that table False, once each; a
-    doubled b^K column, eta column or left cap against omega0 turns (a), (b)
-    or (c) False alone."""
+    """Check (d) compares three W tables and three product tables on the
+    class representatives, the latter on the union of their keys.  A
+    nonzero product added at a pair absent from all three, a present pair
+    dropped or a present product doubled, in one product table at one
+    degree pair, or a doubled entry of one W table, turns exactly the
+    identities that read that table False, once each; a doubled b^K
+    column, eta column or left cap against omega0 turns (a), (b) or (c)
+    False alone.  ``n_basis`` and ``pairs`` count the unit cochains and
+    their pairs, whose products the W tables stand in for."""
     alg = Preset(name, field).algebra
     kd = KoszulCalculus(alg, 3)
     got = []
@@ -296,6 +317,8 @@ def test_duality_checks_fail_on_each_fault(monkeypatch, name, field, n_basis, pa
     faults = [(owner, method, _on_table(side, change), expected)
               for owner, method, side, expected in _TABLE_FAULTS
               for change in (_add_absent, _drop_first, _double_first)]
+    faults += [(du, "module_table", _double_scalar(side), expected)
+               for side, expected in _W_TABLE_FAULTS]
     faults += [
         (KoszulCalculus, "apply_bK_chain", _double_nonzero, {"theta chain map"}),
         (du, "eta_table", _double_first_eta, {"eta o theta = id"}),
@@ -310,6 +333,111 @@ def test_duality_checks_fail_on_each_fault(monkeypatch, name, field, n_basis, pa
         assert {k for k, ok in rep.checks.items() if not ok} == expected, (method, expected)
         assert len(rep.failures) == len(expected), rep.failures
         assert set(rep.checks) >= _CUP_SIDES | {"theta chain map", "f cap w0 = w0 cap f"}
+
+
+def reference_module_identities(coh):
+    """Check (d) on unit cochains, the reference for the W tables: three
+    product tables over the unit cochain bases of every degree pair,
+    compared on the union of keys.  The verdicts of theta(f cup g) = theta(f) cap g and
+    theta(f cup g) = f cap theta(g), keyed by (p, q)."""
+    kd = coh.kd
+    w0 = du.omega0(kd)
+    n = w0.q
+    basis = {p: du._unit_basis(coh, p) for p in range(n + 1)}
+    thetas = {p: du.theta_table(kd, fs, w0) for p, fs in basis.items()}
+    out = {}
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            fs, gs = basis[p], basis[q]
+            cups = kd.cup_table(fs, gs)
+            t_cups = dict(zip(cups, du.theta_table(kd, list(cups.values()), w0)))
+            lefts = {(i, j): c for (j, i), c in
+                     kd.cap_table(gs, thetas[p], side="right").items()}
+            rights = kd.cap_table(fs, thetas[q], side="left")
+            out[(p, q)] = (t_cups == lefts, t_cups == rights)
+    return out
+
+
+def w_module_identities(kd):
+    """The same verdicts read off the three ``module_table`` scalars."""
+    w0 = du.omega0(kd)
+    n = w0.q
+    out = {}
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            cup, left, right = (du.module_table(kd, w0, p, q, side)
+                                 for side in ("cup", "left", "right"))
+            out[(p, q)] = (cup == left, cup == right)
+    return out
+
+
+def _failing(verdicts):
+    return {(pq, k) for pq, oks in verdicts.items() for k, ok in enumerate(oks) if not ok}
+
+
+@pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3)), ("A4", GF(5))],
+                         ids=["D5-Q", "E6-F3", "A4-F5"])
+def test_w_tables_against_the_unit_basis_check(name, field):
+    """The W tables give the unit-basis verdicts of (d) on the honest
+    engine, and with one split entry doubled they fail on every degree pair
+    where the unit-basis check fails (on more where x1 x2 = 0 is forced,
+    which the unit-basis check cannot see)."""
+    alg = Preset(name, field).algebra
+
+    def calculus():
+        kd = KoszulCalculus(alg, 3)
+        return kd, koszul_homology(kd, MODULE_A, "coh")
+
+    kd, coh = calculus()
+    ref = reference_module_identities(coh)
+    assert w_module_identities(kd) == ref
+    assert not _failing(ref)
+    for key in [(1, 1), (1, 0), (0, 1), (0, 2), (2, 0)]:
+        kd, coh = calculus()  # the homology reads the honest splits
+        table = [dict(row) for row in kd.split_coords(*key)]
+        z = next(z for z, row in enumerate(table) if row)
+        entry = next(iter(table[z]))
+        table[z][entry] = field.mul(field.from_int(2), table[z][entry])
+        kd._split_memo[key] = table
+        kd._rows_memo.clear()
+        ref_fails = _failing(reference_module_identities(coh))
+        assert ref_fails, key
+        assert ref_fails <= _failing(w_module_identities(kd)), key
+
+
+@pytest.mark.parametrize("name", ["A~2", "A~3", "D~4"])
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+def test_w_tables_agree_on_extended_types(monkeypatch, name, field):
+    """The W tables of (d) read no product, so they run on the truncated
+    extended types, where a product past the cutoff would raise
+    WeightOverflowError, and agree there."""
+    kd = KoszulCalculus(Preset(name, field, cutoff=8).algebra, 3)
+    monkeypatch.setattr(type(kd.algebra), "multiply", None)
+    verdicts = w_module_identities(kd)
+    assert len(verdicts) == 6 and not _failing(verdicts)
+
+
+def test_duality_products_stay_at_class_size(monkeypatch):
+    """verify_duality forms no product table of two unit cochain bases:
+    every cup or cap table has a list of length 1 (omega0, or a single
+    cochain) or two lists no longer than the largest HK dimension."""
+    kd = KoszulCalculus(Preset("E6", GF(3)).algebra, 3)
+    coh = koszul_homology(kd, MODULE_A, "coh")
+    hom = koszul_homology(kd, MODULE_A, "hom")
+    largest = max(coh.dims() + hom.dims())
+    sizes = []
+    for method in ("cup_table", "cap_table"):
+        real = getattr(KoszulCalculus, method)
+
+        def counted(self, xs, ys, *args, real=real, **kwargs):
+            sizes.append((len(xs), len(ys)))
+            return real(self, xs, ys, *args, **kwargs)
+        monkeypatch.setattr(KoszulCalculus, method, counted)
+    rep = du.verify_duality(coh, hom, higher_calculus(coh), higher_calculus(hom))
+    assert rep.ok, rep.failures[:3]
+    # the unit cochain bases have 32, 56 and 32 elements
+    assert sizes and largest == 7
+    assert all(1 in (a, b) or max(a, b) <= largest for a, b in sizes), sizes
 
 
 def _rescaled_algebra(name, field):
