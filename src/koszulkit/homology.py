@@ -28,20 +28,21 @@ complex A (x) W_p (x) A uses the chain terms, a right-acting term
 multiplying the left coefficient slot on its right and a left-acting term
 multiplying the right slot on its left.
 
-The bimodule complex is assembled by slots.  e_u K_p e_v at total weight n
-is laid out as slots (W index, left weight, left positions, right
-positions, offset), read off a vertex-block table of A built once per
-instance, and the coordinate of (i_left, i_right) in a slot is offset +
-i_left * width + i_right, width being the number of right positions.  A
-term's images are built once per (side, factor block, arrow, target
-width) and checked then to lie in the target slot's vertex block: a
-right-acting term's image of each left monomial (from ``rmul_table``), a
-left-acting term's image of each right monomial (from ``mono_product``).
-A column is the sum of those images, each shifted by the other factor's
-index (times the target width for a left-acting term).  Over GF(2) the
-images are bit rows, a column is their XOR, and the columns go to
-``backend.rank_bits``; over other fields they are sparse vectors keyed by
-the same offsets, ranked by ``linalg.rank``.
+The bimodule complex is assembled by W index over whole vertex blocks of
+A.  e_u K_p e_v has one slot per W_p index whose coefficient blocks
+e_u A e_j and e_i A e_v are nonzero, spanning both blocks over all
+weights, ascending: the coordinate of (i_left, i_right) is offset +
+i_left * |right block| + i_right.  Its size at each total weight is one
+product of the blocks' Hilbert series, packed into ints.  A term's images
+of one factor's monomials (a right-acting term's of each left monomial,
+from ``rmul_table``; a left-acting term's of each right monomial, from
+``mono_product``) are built once per (side, source block, arrow, target
+block) as (target index, coefficient) lists, checked to lie in the target
+block.  A map is ranked at each total weight n as the rows of its
+transpose: source coordinate k of weight n is scattered into rows keyed by
+target coordinate, as bit k of an int row over GF(2) and as an entry of a
+dict row otherwise, so no row is wider than one weight's column count; the
+rows, sparsest first, go to ``backend.rank_bits`` or ``linalg.rank``.
 """
 
 from __future__ import annotations
@@ -416,15 +417,11 @@ def higher_calculus(spaces: CalculusSpaces) -> HigherSpaces:
 
 # -- homology of the bimodule Koszul complex ----------------------------------
 
-#: the vertex block of a target slot that does not exist: no product lies in it
-_NO_SLOT: Tuple[int, ...] = ()
-
-
-def _add_shifted(col: SparseVec, img: SparseVec, shift: int, c) -> None:
-    """col += c * img with every coordinate moved up by ``shift``, unreduced."""
-    for k, w in img.items():
-        k += shift
-        col[k] = col.get(k, 0) + c * w
+#: bits per weight of a Hilbert series packed into an int, enough for any
+#: count of coordinates: the product of two packed series is the packed
+#: series of their pairs
+_DIGIT = 64
+_DIGIT_MASK = (1 << _DIGIT) - 1
 
 
 class BimoduleHomology:
@@ -444,152 +441,155 @@ class BimoduleHomology:
                              f"for a truncated algebra (up to {alg.max_weight})")
         self.weight_cutoff = weight_cutoff
         self.inconclusive = alg.truncated
-        # the vertex-block table: (target, source) -> {weight: positions}, and
-        # each monomial's index inside its block
-        self._blocks: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
-        self._where: List[List[int]] = []
+        # A's vertex blocks over all weights, ascending: (target, source) ->
+        # [monomials (weight, position), index of each, runs (weight, start,
+        # end), packed Hilbert series]
+        self._blocks: Dict[Tuple[int, int], list] = {}
         for m, blocks in enumerate(alg.blocks):
-            where = [0] * len(alg.monomials[m])
             for key, positions in blocks.items():
-                self._blocks.setdefault(key, {})[m] = positions
-                for k, pos in enumerate(positions):
-                    where[pos] = k
-            self._where.append(where)
-        # (side, factor block, arrow, target width) -> (target block, images)
-        self._image_cache: Dict[Tuple[bool, int, int, int, int], Tuple[Sequence[int], list]] = {}
+                block = self._blocks.setdefault(key, [[], {}, [], 0])
+                monos, index, runs, _series = block
+                runs.append((m, len(monos), len(monos) + len(positions)))
+                block[3] += len(positions) << (_DIGIT * m)
+                for pos in positions:
+                    index[(m, pos)] = len(monos)
+                    monos.append((m, pos))
+        # (side, source block, arrow, target block) -> images
+        self._image_cache: Dict[tuple, list] = {}
         dims: Dict[Tuple[int, int], int] = {}
         ranks: Dict[Tuple[int, int], int] = {}
         n_vertices = kd.quiver.n_vertices
         for u in range(n_vertices):
             for v in range(n_vertices):
-                self._process_pair(u, v, dims, ranks)
+                spaces = [self._slots(p, u, v, dims) for p in range(p_max + 2)]
+                for p in range(1, p_max + 2):
+                    self._rank(p, spaces[p], spaces[p - 1], ranks)
         self.dims = dims
         self.ranks = ranks
 
-    def _layout(self, p: int, u: int, v: int) -> Dict[int, list]:
-        """e_u K_p e_v by total weight n: its dimension and its slots
-        {(W index, left weight): (offset, left positions, right positions)}, in
-        coordinate order; the coordinate of (i_left, i_right) in a slot is
-        offset + i_left * len(right positions) + i_right."""
-        out: Dict[int, list] = {}
+    def _slots(self, p: int, u: int, v: int, dims) -> tuple:
+        """e_u K_p e_v as slots {W index: (offset, left block, right block)},
+        one per W_p index whose coefficient blocks are nonzero, and its
+        dimension at each total weight up to the cutoff, also added into
+        ``dims``.  A slot spans its whole blocks, and the coordinate of
+        (i_left, i_right) is offset + i_left * |right block| + i_right."""
+        slots: Dict[int, tuple] = {}
+        off = series = 0
         for (j, i), flats in self.kd.w(p).flat_of_block.items():
-            lefts, rights = self._blocks.get((u, j)), self._blocks.get((i, v))
-            if not lefts or not rights:
-                continue
-            pairs = [(r, r + p + s, left, right) for r, left in lefts.items()
-                     for s, right in rights.items() if r + p + s <= self.weight_cutoff]
-            for flat in flats:
-                for r, n, left, right in pairs:
-                    lay = out.setdefault(n, [0, {}])
-                    lay[1][(flat, r)] = (lay[0], left, right)
-                    lay[0] += len(left) * len(right)
-        return out
-
-    def _process_pair(self, u: int, v: int, dims, ranks) -> None:
-        kd = self.kd
-        field = kd.field
-        packed = field.char == 2
-        layouts = [self._layout(p, u, v) for p in range(self.p_max + 2)]
-        for p, layout in enumerate(layouts):
-            for n, (size, _slots) in layout.items():
+            left, right = self._blocks.get((u, j)), self._blocks.get((i, v))
+            if left and right:
+                for flat in flats:
+                    slots[flat] = (off, (u, j), (i, v))
+                    off += len(left[0]) * len(right[0])
+                series += left[3] * right[3] * len(flats)
+        sizes: Dict[int, int] = {}
+        for n in range(p, self.weight_cutoff + 1):
+            size, series = series & _DIGIT_MASK, series >> _DIGIT
+            if size:
+                sizes[n] = size
                 dims[(p, n)] = dims.get((p, n), 0) + size
-        for p in range(1, self.p_max + 2):
-            terms = kd.terms(p, "hom")
-            for n, (_size, slots) in layouts[p].items():
-                target = layouts[p - 1].get(n)
-                if target is None:
-                    continue
-                cols: list = []
-                for (flat, r), (_off, left, right) in slots.items():
-                    self._slot_columns(cols, terms[flat], r, n - p - r, left, right,
-                                       target[1], packed)
-                ranks[(p, n)] = ranks.get((p, n), 0) + (
-                    backend.rank_bits(cols) if packed else rank(cols, target[0], field))
+        return slots, sizes
 
-    def _slot_columns(self, cols: list, terms, r: int, s: int, left: List[int],
-                      right: List[int], targets, packed: bool) -> None:
-        """Append the differential's columns out of one slot (left weight r,
-        right weight s) in coordinate order: bit rows when ``packed``, else
-        sparse vectors of unreduced sums, which ``linalg.rank`` settles.  A
-        right-acting term's image of (i_left, i_right) is its image of left
-        monomial i_left shifted by i_right; a left-acting term's, its image
-        of right monomial i_right shifted by i_left times its target width."""
-        rparts, lparts = [], []
-        for right_acting, a, y, c in terms:
-            if packed and not c & 1:
-                continue
-            if right_acting:
-                off, imgs = self._images(True, r, left, a, targets.get((y, r + 1)), right)
-                rparts.append((imgs, off, c))
-            else:
-                target = targets.get((y, r))
-                off, imgs = self._images(False, s, right, a, target, left)
-                lparts.append((imgs, off, len(target[2]) if target else 0, c))
-        if packed:
-            for i_left in range(len(left)):
-                low = 0
-                for imgs, off, _c in rparts:
-                    low ^= imgs[i_left] << off
-                highs = [(imgs, off + i_left * width) for imgs, off, width, _c in lparts]
-                for i_right in range(len(right)):
-                    x = low << i_right
-                    for imgs, shift in highs:
-                        x ^= imgs[i_right] << shift
-                    cols.append(x)
+    def _rank(self, p: int, src: tuple, dst: tuple, ranks) -> None:
+        """Add the rank of d: e_u K_p e_v -> e_u K_{p-1} e_v at each total
+        weight where both are nonzero, zero ranks included.  A source
+        coordinate of weight n is local column k of weight n, scattered into
+        rows keyed by target coordinate: bit k of an int row over GF(2) (an
+        even coefficient dropped), else an entry added into a dict row.
+        These are the rows of the transpose, whose rank is the map's."""
+        (slots, sizes), (tslots, tsizes) = src, dst
+        rows: Dict[int, dict] = {n: {} for n in sizes if n in tsizes}
+        if not rows:
             return
-        for i_left in range(len(left)):
-            for i_right in range(len(right)):
-                col: SparseVec = {}
-                for imgs, off, c in rparts:
-                    _add_shifted(col, imgs[i_left], off + i_right, c)
-                for imgs, off, width, c in lparts:
-                    _add_shifted(col, imgs[i_right], off + i_left * width, c)
-                cols.append(col)
+        field = self.kd.field
+        packed = field.char == 2
+        blocks, cutoff = self._blocks, self.weight_cutoff
+        terms = self.kd.terms(p, "hom")
+        cols = dict.fromkeys(sizes, 0)
+        for flat, (_off, lkey, rkey) in slots.items():
+            rparts, lparts = [], []
+            for right_acting, a, y, c in terms[flat]:
+                if packed and not c & 1:
+                    continue
+                toff, tleft, tright = tslots.get(y, (0, None, None))
+                if tright and (tright != rkey if right_acting else tleft != lkey):
+                    raise ValueError("a differential term moves the factor it does not act on")
+                imgs = self._images(right_acting, lkey if right_acting else rkey, a,
+                                    tleft if right_acting else tright)
+                width = len(blocks[tright][0]) if tright else 0
+                (rparts if right_acting else lparts).append((imgs, toff, width, c))
+            runs = blocks[rkey][2]
+            for i, (r, _pos) in enumerate(blocks[lkey][0]):
+                if r + p + runs[0][0] > cutoff:
+                    break
+                # a right-acting term sends (i, j) to row base + j, a
+                # left-acting one to row shift + (index of its image)
+                low = [(toff + t * width, c * w)
+                       for imgs, toff, width, c in rparts for t, w in imgs[i]]
+                high = [(imgs, toff + i * width, c) for imgs, toff, width, c in lparts]
+                for s, lo, hi in runs:
+                    n = r + p + s
+                    if n > cutoff:
+                        break
+                    k = cols[n] - lo
+                    cols[n] += hi - lo
+                    out = rows.get(n)
+                    if out is None:
+                        continue
+                    if packed:
+                        for j in range(lo, hi):
+                            bit = 1 << (k + j)
+                            for base, _x in low:
+                                out[base + j] = out.get(base + j, 0) ^ bit
+                            for imgs, shift, _c in high:
+                                for t, _w in imgs[j]:
+                                    out[shift + t] = out.get(shift + t, 0) ^ bit
+                        continue
+                    for j in range(lo, hi):
+                        for base, x in low:
+                            row = out.setdefault(base + j, {})
+                            row[k + j] = row.get(k + j, 0) + x
+                        for imgs, shift, c in high:
+                            for t, w in imgs[j]:
+                                row = out.setdefault(shift + t, {})
+                                row[k + j] = row.get(k + j, 0) + c * w
+        # sparsest rows first: on E8 over F:3 this halves the row operations
+        for n, out in rows.items():
+            got = sorted(out.values(), key=int.bit_count if packed else len)
+            ranks[(p, n)] = ranks.get((p, n), 0) + (
+                backend.rank_bits(got) if packed else rank(got, sizes[n], field))
 
-    def _images(self, right_acting: bool, m: int, factor: List[int], a: int, target,
-                kept: List[int]) -> Tuple[int, list]:
-        """The target slot's offset, and the images of each monomial of
-        ``factor`` (weight m) times arrow a, on its right when
-        ``right_acting`` (a left factor) and else on its left (a right
-        factor), in coordinates of the target slot (offset, left positions,
-        right positions) with the other factor, ``kept``, at index 0: bit
-        rows over GF(2), else sparse vectors.  The images are built once per
-        (side, factor block, arrow, target width).  The build checks that
-        each product monomial lies in the target's vertex block, and every
-        use that the target holds that block and keeps ``kept``, so no
-        product is dropped and no coordinate misread."""
-        off, block, step = 0, _NO_SLOT, 0
-        if target is not None:
-            off, tleft, tright = target
-            block, other, step = ((tleft, tright, len(tright)) if right_acting
-                                  else (tright, tleft, 1))
-            if other is not kept:
-                raise ValueError("a differential term moves the factor it does not act on")
-        key = (right_acting, m, factor[0], a, step)
-        hit = self._image_cache.get(key)
-        if hit is None:
+    def _images(self, right_acting: bool, source: Tuple[int, int], a: int,
+                target: Optional[Tuple[int, int]]) -> list:
+        """The images of each monomial of block ``source`` below the cutoff
+        times arrow a, on its right when ``right_acting`` and else on its
+        left, as lists of (index in block ``target``, coefficient), over
+        GF(2) the odd ones only; built once per (side, source block, arrow,
+        target block).  A product monomial outside ``target`` (None when the
+        term's target W index has no slot) raises: no product is dropped."""
+        key = (right_acting, source, a, target)
+        imgs = self._image_cache.get(key)
+        if imgs is None:
             alg = self.kd.algebra
-            if right_acting:
-                rmul = alg.rmul_table(m)
-                prods = [rmul.get((pos, a), {}) for pos in factor]
-            else:
-                prods = [alg.mono_product(1, a, m, pos) for pos in factor]
-            where = self._where[m + 1] if m + 1 < len(self._where) else ()
+            odd_only = self.kd.field.char == 2
+            index = self._blocks[target][1] if target else {}
             imgs = []
-            for prod in prods:
-                img: SparseVec = {}
+            for m, pos in self._blocks[source][0]:
+                if m >= self.weight_cutoff:
+                    break
+                prod = (alg.rmul_table(m).get((pos, a), {}) if right_acting
+                        else alg.mono_product(1, a, m, pos))
+                img = []
                 for npos, w in prod.items():
-                    k = where[npos] if npos < len(where) else -1
-                    if not 0 <= k < len(block) or block[k] != npos:
+                    t = index.get((m + 1, npos))
+                    if t is None:
                         raise ValueError(f"product monomial {npos} of weight {m + 1} lies "
                                          f"outside its target slot's vertex block")
-                    img[k * step] = w
-                imgs.append(backend.pack(img) if self.kd.field.char == 2 else img)
-            hit = self._image_cache[key] = (block, imgs)
-        elif hit[0] is not block:
-            raise ValueError(f"products of weight {m + 1} lie outside their target slot's "
-                             f"vertex block")
-        return off, hit[1]
+                    if not odd_only or w & 1:
+                        img.append((t, w))
+                imgs.append(img)
+            self._image_cache[key] = imgs
+        return imgs
 
     def homology_dim(self, p: int, n: int) -> int:
         return (self.dims.get((p, n), 0) - self.ranks.get((p, n), 0)

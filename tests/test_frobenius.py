@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from koszulkit import adedata
 from koszulkit.fields import GF, QQ
 from koszulkit.frobenius import (BarOracle, Degree2Comparison, FrobeniusError,
                                  FrobeniusStructure, cartan_kernel_dim)
@@ -536,3 +537,21 @@ def test_verify_logs_match_recorded_digests(name, char):
     hochschild2_checks(name, char, log=log, comp=comp)
     digest = hashlib.sha256(json.dumps(log.entries).encode("utf-8")).hexdigest()
     assert (len(log.entries), digest) == RECORDED_LOG_DIGESTS[(name, char)]
+
+
+def test_a_changed_cup_table_entry_fails_its_check(monkeypatch):
+    """verify_type_char compares each generator product with the cup table:
+    one coefficient changed for D5 fails the D5 checks of that pair, in both
+    orders, and no other check of D5 or of A4."""
+    real = adedata.expected_cup_table
+
+    def table(name, char):
+        out = real(name, char)
+        if name == "D5":
+            (pair, combo), = out.items()
+            out[pair] = {lbl: c + 1 for lbl, c in combo.items()}
+        return out
+    monkeypatch.setattr(adedata, "expected_cup_table", table)
+    failed = {key for key, ok, _detail in verify_type_char("D5", 0).entries if not ok}
+    assert failed == {"D5.char0.cup.z1*zeta0", "D5.char0.cup.zeta0*z1"}
+    assert verify_type_char("A4", 0).ok

@@ -876,14 +876,39 @@ def _reference_bimodule(kd, p_max, weight_cutoff):
 
 
 @pytest.mark.parametrize("name,char,cutoff", [("E6", 2, None), ("D~4", 2, 8), ("A~3", 2, 8),
-                                              ("D~4", 0, 5), ("D5", 3, None), ("A4", 0, None)])
+                                              ("D~4", 0, 5), ("D5", 3, None), ("A4", 0, None),
+                                              ("A~3", 3, 8), ("D5", 0, None), ("E7", 2, None)])
 def test_bimodule_slot_assembly_matches_reference(name, char, cutoff):
-    """Slot offsets and shifted images (bit rows over GF(2), dict columns
-    otherwise) give the dims and ranks of the per-coordinate assembly."""
+    """Slots over whole vertex blocks, ranked as per-weight rows keyed by
+    target coordinate (bit rows over GF(2), dict rows otherwise), give the
+    dims and ranks of the per-coordinate assembly, zero ranks included."""
     pr = Preset(name, GF(char) if char else QQ, cutoff=cutoff)
     kd = KoszulCalculus(pr.algebra, 3)
     bh = BimoduleHomology(kd, 3, weight_cutoff=cutoff)
     assert (bh.dims, bh.ranks) == _reference_bimodule(kd, 3, bh.weight_cutoff)
+
+
+#: arrows y: 0 -> 1, a, b: 1 -> 2, c: 2 -> 3 with a y = b y and c a = c b: the
+#: left-acting terms of c a - c b send e_3 (x) (c a - c b) (x) y to
+#: e_3 (x) c (x) a y and to -e_3 (x) c (x) b y, one target coordinate
+COINCIDING_PRODUCTS = {
+    "vertices": ["0", "1", "2", "3"],
+    "arrows": [{"name": "y", "src": "0", "tgt": "1"}, {"name": "a", "src": "1", "tgt": "2"},
+               {"name": "b", "src": "1", "tgt": "2"}, {"name": "c", "src": "2", "tgt": "3"}],
+    "relations": [[{"coeff": "1", "path": ["a", "y"]}, {"coeff": "-1", "path": ["b", "y"]}],
+                  [{"coeff": "1", "path": ["c", "a"]}, {"coeff": "-1", "path": ["c", "b"]}]]}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+def test_bimodule_rows_sum_coinciding_products(field):
+    """Two terms of one column that land on one target coordinate are summed
+    (XORed over GF(2)) there, not written over: here they cancel, and the
+    algebra is Koszul."""
+    alg = build_graded_algebra(presentation_from_json(COINCIDING_PRODUCTS, field), 6)
+    kd = KoszulCalculus(alg, 3)
+    bh = BimoduleHomology(kd, 3)
+    assert (bh.dims, bh.ranks) == _reference_bimodule(kd, 3, bh.weight_cutoff)
+    assert bh.koszul_up_to_cutoff() and bh.homology_table()[1] == {}
 
 
 def test_bimodule_refuses_a_cutoff_past_the_computed_weights():
@@ -927,6 +952,29 @@ def test_bimodule_refuses_a_product_outside_its_target_block(side, monkeypatch):
             return prod
         monkeypatch.setattr(alg, "mono_product", mono_product)
     with pytest.raises(ValueError, match="outside its target slot's vertex block"):
+        BimoduleHomology(kd, 3)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("target,message", [
+    ("missing", "outside its target slot's vertex block"),
+    ("other vertex", "moves the factor it does not act on")])
+def test_bimodule_refuses_a_term_into_another_slot(side, target, message, monkeypatch):
+    """A term whose target W index has no slot at (u, v) while its product is
+    nonzero raises, and so does one whose target slot does not keep the
+    factor it does not act on, whichever factor it multiplies: the product
+    is never dropped, as a lookup of the target coordinate would drop it,
+    nor placed in another slot."""
+    pr = Preset("D4", GF(2))
+    kd = KoszulCalculus(pr.algebra, 3)
+    real = kd.terms
+    table = [list(row) for row in real(1, "hom")]
+    k = next(k for k, term in enumerate(table[0]) if term[0] == (side == "right"))
+    right, a, y, c = table[0][k]
+    # W_0 has no index kd.w(0).dim, so no vertex block holds it
+    table[0][k] = (right, a, kd.w(0).dim if target == "missing" else (y + 1) % kd.w(0).dim, c)
+    monkeypatch.setattr(kd, "terms", lambda p, s: table if (p, s) == (1, "hom") else real(p, s))
+    with pytest.raises(ValueError, match=message):
         BimoduleHomology(kd, 3)
 
 
