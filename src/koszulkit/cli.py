@@ -24,7 +24,7 @@ from .verify import verify_ade
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", help="built-in graph (A3..A9, D4.., E6, E7, E8, A~2.., D~4)")
+    src.add_argument("--preset", help="built-in graph (A1.., D4.., E6/E7/E8, A~2.., D~4)")
     src.add_argument("--file", dest="input_file",
                      help="JSON input: a graph or a quadratic presentation")
     p.add_argument("--field", default="Q", help="Q or F:<p> (default Q)")

@@ -1,10 +1,13 @@
-"""Built-in graphs and their distinguished (co)homology generators.
+"""Preprojective algebras of graphs, the built-in graphs, and their
+distinguished (co)homology generators.
 
-Each Dynkin preset fixes the orientation, arrow names and relation order of
-its quiver, the socle monomials that normalize the Frobenius form, and the
-named cocycles whose classes form bases of the calculus in every
-characteristic.  The extended presets (cycles and the four-pointed star)
-only carry the graph.
+:class:`GraphAlgebra` builds the algebra of a preset and of a graph file
+alike, with the Coxeter number and Nakayama permutation of a Dynkin graph
+derived from its adjacency matrix (``quiver.dynkin_constants``).  Each
+Dynkin preset adds the orientation, arrow names and relation order of its
+quiver, the socle words that normalize the Frobenius form, and the named
+cocycles whose classes form bases of the calculus in every characteristic.
+The extended presets (cycles and the four-pointed star) only carry the graph.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import Elem, build_graded_algebra, default_cutoff
 from .fields import Field
 from .koszul import Cochain, KoszulCalculus
-from .quiver import Graph, Path, PreprojectiveSpec, preprojective_presentation
+from .quiver import (Graph, Path, PreprojectiveSpec, dynkin_constants,
+                     preprojective_presentation)
 
 Word = List[str]  # arrow names in written (leftmost-first) order
 
@@ -30,94 +34,74 @@ def normalize_preset_name(name: str) -> str:
     s = s.upper()
     if s.startswith("T") and len(s) > 1 and s[1] in "AD":
         s = s[1] + "~" + s[2:]
-    m = re.fullmatch(r"([AD])~(\d+)", s)
-    if m:
-        fam, num = m.group(1), int(m.group(2))
-        if fam == "A" and num >= 2:
-            return f"A~{num}"
-        if fam == "D" and num == 4:
-            return "D~4"
+    m = re.fullmatch(r"([AD]~|[ADE])(\d+)", s)
+    fam, num = (m.group(1), int(m.group(2))) if m else ("", 0)
+    if fam.endswith("~"):
+        if (fam == "A~" and num >= 2) or (fam == "D~" and num == 4):
+            return f"{fam}{num}"
         raise PresetError(f"unsupported extended preset {name!r}")
-    m = re.fullmatch(r"([ADE])(\d+)", s)
-    if not m:
-        raise PresetError(f"unknown preset {name!r}")
-    fam, num = m.group(1), int(m.group(2))
-    if fam == "A" and num >= 1:
-        return f"A{num}"
-    if fam == "D" and num >= 4:
-        return f"D{num}"
-    if fam == "E" and num in (6, 7, 8):
-        return f"E{num}"
+    if (fam == "A" and num >= 1) or (fam == "D" and num >= 4) or (fam == "E" and 6 <= num <= 8):
+        return f"{fam}{num}"
     raise PresetError(f"unknown preset {name!r}")
 
 
 def preset_graph(name: str) -> Graph:
+    """A~n: the cycle 0-1-...-n-0; D~4: the star on vertex 2; A_n: the chain
+    0-1-...-(n-1); D_n: the fork 0, 1 on vertex 2 of the chain 2-...-(n-1);
+    E_n: vertex 0 on vertex 3 of the chain 1-2-...-(n-1)."""
     name = normalize_preset_name(name)
+    fam, n = name[0], int(name.lstrip("ADE~"))
     if name.startswith("A~"):
-        n = int(name[2:])
-        verts = [str(i) for i in range(n + 1)]
-        edges = [(str(i), str((i + 1) % (n + 1))) for i in range(n + 1)]
-        return Graph(verts, edges)
-    if name == "D~4":
-        return Graph(["0", "1", "2", "3", "4"],
-                     [("0", "2"), ("1", "2"), ("2", "3"), ("2", "4")])
-    fam, n = name[0], int(name[1:])
-    if fam == "A":
-        verts = [str(i) for i in range(n)]
-        edges = [(str(i), str(i + 1)) for i in range(n - 1)]
-        return Graph(verts, edges)
-    if fam == "D":
-        verts = [str(i) for i in range(n)]
-        edges = [("0", "2"), ("1", "2")] + [(str(i), str(i + 1)) for i in range(2, n - 1)]
-        return Graph(verts, edges)
-    # E types: one high vertex 0 attached to vertex 3 of a chain 1-2-3-...-(n-1)
-    verts = [str(i) for i in range(n)]
-    edges = [("0", "3"), ("1", "2"), ("2", "3")] + [(str(i), str(i + 1))
-                                                    for i in range(3, n - 1)]
-    return Graph(verts, edges)
+        n, edges = n + 1, [(i, (i + 1) % (n + 1)) for i in range(n + 1)]
+    elif name == "D~4":
+        n, edges = 5, [(0, 2), (1, 2), (2, 3), (2, 4)]
+    elif fam == "A":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif fam == "D":
+        edges = [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n - 1)]
+    else:
+        edges = [(0, 3)] + [(i, i + 1) for i in range(1, n - 1)]
+    return Graph([str(i) for i in range(n)], [(str(u), str(v)) for u, v in edges])
 
 
-COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2,
-           "E": {6: 12, 7: 18, 8: 30}}
+class GraphAlgebra:
+    """The preprojective algebra of a connected graph over a field, and the
+    graph's Dynkin constants ``dynkin``, (h, nu) or None.  A ``cutoff`` of
+    None means h + 2 on a Dynkin graph and ``default_cutoff`` on any other.
+    A Dynkin graph must reach its zero component at weight h - 1, and have
+    top weight h - 2 and dimension n h (h+1)/6; ``name`` names the input in
+    those refusals."""
+
+    def __init__(self, graph: Graph, field: Field, cutoff: Optional[int], name: str):
+        self.graph = graph
+        self.field = field
+        self.spec = PreprojectiveSpec(graph)
+        self.quiver = self.spec.quiver
+        self.presentation = preprojective_presentation(self.spec, field)
+        self.dynkin = dynkin_constants(graph)
+        n = len(graph.vertices)
+        if cutoff is None:
+            cutoff = self.dynkin.h + 2 if self.dynkin else default_cutoff(n)
+        self.algebra = alg = build_graded_algebra(self.presentation, cutoff)
+        if self.dynkin:
+            h = self.dynkin.h
+            if cutoff < h - 1:
+                raise PresetError(f"{name} needs a weight cutoff of at least {h - 1} "
+                                  f"to reach its zero component, got {cutoff}")
+            if alg.top_weight != h - 2:
+                raise PresetError(f"unexpected top weight for {name}")
+            if alg.total_dim != n * h * (h + 1) // 6:
+                raise PresetError(f"{name}: dimension {alg.total_dim} differs from "
+                                  f"n h (h+1)/6 = {n * h * (h + 1) // 6}")
 
 
-def coxeter_number(name: str) -> int:
-    fam, n = name[0], int(name[1:])
-    if fam == "E":
-        return COXETER["E"][n]
-    return COXETER[fam](n)
-
-
-class Preset:
-    """A preset graph with its double quiver, algebra and naming data."""
+class Preset(GraphAlgebra):
+    """A preset graph's algebra with its naming data: the fixed orientation
+    and arrow names that the socle words and named generators read."""
 
     def __init__(self, name: str, field: Field, cutoff: Optional[int] = None):
         self.name = normalize_preset_name(name)
-        self.field = field
-        self.graph = preset_graph(self.name)
-        self.is_dynkin = "~" not in self.name
-        self.spec = PreprojectiveSpec(self.graph)
-        self.quiver = self.spec.quiver
-        self.presentation = preprojective_presentation(self.spec, field)
-        if cutoff is None:
-            if self.is_dynkin:
-                cutoff = coxeter_number(self.name) + 2
-            else:
-                cutoff = default_cutoff(len(self.graph.vertices))
-        self.algebra = build_graded_algebra(self.presentation, cutoff)
-        if self.is_dynkin:
-            h = coxeter_number(self.name)
-            n = len(self.graph.vertices)
-            if cutoff < h - 1:
-                raise PresetError(f"{self.name} needs a weight cutoff of at least {h - 1} "
-                                  f"to reach its zero component, got {cutoff}")
-            if self.name != "A1" and self.algebra.top_weight != h - 2:
-                raise PresetError(f"unexpected top weight for {self.name}")
-            expected_dim = n * h * (h + 1) // 6
-            if self.algebra.total_dim != expected_dim:
-                raise PresetError(
-                    f"{self.name}: dimension {self.algebra.total_dim} differs from "
-                    f"n h (h+1)/6 = {expected_dim}")
+        super().__init__(preset_graph(self.name), field, cutoff, self.name)
 
     # -- path helpers --------------------------------------------------------
 
@@ -133,12 +117,6 @@ class Preset:
         for coeff, word in words:
             out = self.algebra.elem_add(out, self.word_elem(word), coeff)
         return out
-
-    def arrow(self, name: str) -> int:
-        return self.quiver.arrow_index[name]
-
-    def relation_of_vertex(self, i: int) -> int:
-        return self.presentation.relation_of_vertex[i]
 
 
 def _rep(chunk: Word, k: int) -> Word:
@@ -202,11 +180,11 @@ def _socle_words(preset: Preset) -> Dict[int, Tuple[int, Word]]:
         }
         words[2] = (1, _star_word(words[4][1]))
         words[5] = (1, _star_word(words[1][1]))
-        return {i: w for i, w in words.items()}
+        return words
     if name == "E7":
         # signs on columns 4..6 are forced jointly by the vertex-wise Nakayama
         # rule and the square of the weight-8 central element
-        words = {
+        return {
             0: (1, _rep(["a0*"] + c3 + ["a0"], 4)),
             1: (-1, ["a1*", "a2*"] + c0 + c3 + _rep(c3 + c0, 2) + ["a2", "a1"]),
             2: (-1, _rep(["a2*"] + c0 + ["a2"], 4)),
@@ -215,9 +193,8 @@ def _socle_words(preset: Preset) -> Dict[int, Tuple[int, Word]]:
             5: (1, ["a4", "a3"] + _rep(c3 + c0, 3) + ["a3*", "a4*"]),
             6: (1, ["a5", "a4"] + _rep(["a3"] + c0 + ["a3*"], 3) + ["a4*", "a5*"]),
         }
-        return words
     if name == "E8":
-        words = {
+        return {
             0: (1, _rep(["a0*"] + c2 + ["a0"], 7)),
             1: (1, ["a1*", "a2*"] + _rep(c0 + c2, 5) + c2 + c0 + ["a2", "a1"]),
             2: (-1, _rep(["a2*"] + c0 + ["a2"], 7)),
@@ -228,7 +205,6 @@ def _socle_words(preset: Preset) -> Dict[int, Tuple[int, Word]]:
             7: (-1, ["a6", "a5", "a4", "a3"] + _rep(c0 + c2, 3) + _rep(c2 + c0, 2)
                 + ["a3*", "a4*", "a5*", "a6*"]),
         }
-        return words
     raise PresetError(f"no socle data for {name}")
 
 
@@ -247,39 +223,16 @@ def socle_generators(preset: Preset) -> Dict[int, Elem]:
     return out
 
 
-def nakayama_graph_permutation(preset: Preset) -> Dict[int, int]:
-    name = preset.name
-    fam, n = name[0], int(name[1:])
-    if fam == "A":
-        return {i: n - 1 - i for i in range(n)}
-    if fam == "D":
-        if n % 2 == 0:
-            return {i: i for i in range(n)}
-        perm = {i: i for i in range(n)}
-        perm[0], perm[1] = 1, 0
-        return perm
-    if name == "E6":
-        return {0: 0, 3: 3, 1: 5, 5: 1, 2: 4, 4: 2}
-    return {i: i for i in range(n)}
-
-
 def expected_nakayama_on_arrows(preset: Preset) -> Dict[int, Tuple[int, int]]:
-    """nu(alpha) = sign * beta with beta the arrow between the permuted ends."""
-    q = preset.quiver
-    nbar = nakayama_graph_permutation(preset)
-    n_edges = len(preset.graph.edges)
+    """nu(alpha) = sign * beta with beta the arrow between the ends of alpha
+    moved by the derived nu (a Dynkin graph is simple, so beta is unique),
+    and sign -1 when alpha and beta are both chosen arrows."""
+    q, nu, n_edges = preset.quiver, preset.dynkin.nu, len(preset.graph.edges)
+    arrow_of = {ends: b for b, ends in enumerate(zip(q.source, q.target))}
     out: Dict[int, Tuple[int, int]] = {}
-    for a in range(q.n_arrows):
-        s, t = q.source[a], q.target[a]
-        betas = [b for b in range(q.n_arrows)
-                 if q.source[b] == nbar[s] and q.target[b] == nbar[t]]
-        if len(betas) != 1:
-            raise PresetError("non-simple graph in Nakayama comparison")
-        beta = betas[0]
-        chosen_a = a < n_edges
-        chosen_b = beta < n_edges
-        sign = -1 if (chosen_a and chosen_b) else 1
-        out[a] = (beta, sign)
+    for a, (s, t) in enumerate(zip(q.source, q.target)):
+        beta = arrow_of[(nu[s], nu[t])]
+        out[a] = (beta, -1 if a < n_edges and beta < n_edges else 1)
     return out
 
 
@@ -300,6 +253,7 @@ class NamedGenerators:
         field = preset.field
         char = field.char
         alg = preset.algebra
+        arrow = preset.quiver.arrow_index
         name = preset.name
         fam, n = name[0], int(name[1:])
         self.table: Dict[str, Cochain] = {}
@@ -308,7 +262,7 @@ class NamedGenerators:
         c2 = ["a2", "a2*"]
         c3 = ["a3*", "a3"]
         socle = socle_generators(preset)
-        nbar = nakayama_graph_permutation(preset)
+        nbar = preset.dynkin.nu
 
         def add_z(label: str, elem: Elem) -> None:
             central[label] = elem
@@ -330,12 +284,12 @@ class NamedGenerators:
             for aname, terms in arrow_words.items():
                 el = preset.sum_words([(field.from_int(s), w) for s, w in terms])
                 if el:
-                    values[preset.arrow(aname)] = el
+                    values[arrow[aname]] = el
             self.table[label] = kd.cochain_on_arrows(values)
 
         def add_on_relation(label: str, elem: Elem, vertex: int = 0) -> None:
             self.table[label] = kd.cochain_on_relations(
-                {preset.relation_of_vertex(vertex): elem})
+                {preset.presentation.relation_of_vertex[vertex]: elem})
 
         def add_h_family() -> None:
             for i in range(n):
@@ -384,12 +338,12 @@ class NamedGenerators:
                 # arm-supported values is a coboundary); higher ones multiply
                 # by the central elements at cochain level
                 rho0_values: Dict[int, Elem] = {}
-                rho0_values[preset.arrow("a2")] = preset.word_elem(
+                rho0_values[arrow["a2"]] = preset.word_elem(
                     ["a2", "a0", "a0*"])
-                rho0_values[preset.arrow("a2*")] = preset.word_elem(
+                rho0_values[arrow["a2*"]] = preset.word_elem(
                     ["a1", "a1*", "a2*"])
                 for i in range(3, n - 1):
-                    rho0_values[preset.arrow(f"a{i}")] = preset.word_elem(
+                    rho0_values[arrow[f"a{i}"]] = preset.word_elem(
                         [f"a{i}", f"a{i-1}", f"a{i-1}*"])
                 for ell in range(m):
                     if ell == 0:

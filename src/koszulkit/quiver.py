@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fields import Field
 from .linalg import SparseVec
@@ -178,15 +178,58 @@ class Graph:
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        seen = {0}
-        stack = [0]
+        seen, stack = {0}, [0]
         while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            new = adj[stack.pop()] - seen
+            seen |= new
+            stack.extend(new)
         return len(seen) == len(self.vertices)
+
+
+class DynkinConstants(NamedTuple):
+    """The Coxeter number h (the top weight is h - 2) and Nakayama permutation nu."""
+    h: int
+    nu: Dict[int, int]
+
+
+def dynkin_constants(graph: Graph) -> Optional[DynkinConstants]:
+    """(h, nu) of a connected Dynkin graph, None for any other connected graph.
+
+    With C the arrow counts of the double quiver (a loop counts twice), the
+    graph is Dynkin when 2I - C is positive definite: its leading minors,
+    the pivots of Bareiss's fraction-free elimination, are positive
+    (Sylvester).  The Hilbert series is then (1 + P t^h)(1 - Ct + t^2)^-1
+    (Malkin, Ostrik and Vybornov), so with U_0 = I and U_{m+1} = C U_m -
+    U_{m-1}, U_m holds the dimensions of the weight-m blocks up to the first
+    zero U_{h-1}, and U_{h-2} = P.  As the spectrum of C lies in (-2, 2), the
+    entries of C U_m = U_{m+1} + U_{m-1} are then nonnegative and at most
+    2m + 2, and each row of U_m is packed into one int, 32 bits per column."""
+    if not graph.is_connected():
+        raise QuiverError("Dynkin constants are read off a connected graph")
+    n = len(graph.vertices)
+    nbrs: List[List[int]] = [[] for _ in range(n)]
+    form = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for u, v in graph.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        form[u][v] -= 1
+        form[v][u] -= 1
+    prev = 1
+    for k, top in enumerate(form):
+        pivot = top[k]
+        if pivot <= 0:
+            return None
+        for row in form[k + 1:]:
+            f_k = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f_k * top[j]) // prev
+        prev = pivot
+    u_prev, u, h = [0] * n, [1 << (32 * i) for i in range(n)], 1
+    while any(u):
+        u_prev, u, h = u, [sum(map(u.__getitem__, nbrs[i])) - u_prev[i]
+                           for i in range(n)], h + 1
+    return DynkinConstants(h, {i: (row.bit_length() - 1) // 32
+                               for i, row in enumerate(u_prev)})
 
 
 def double_quiver(graph: Graph) -> Tuple[Quiver, List[int], List[int]]:

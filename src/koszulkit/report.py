@@ -28,9 +28,8 @@ from .fields import Field, field_from_tag
 from .frobenius import BarOracle, Degree2Comparison, FrobeniusStructure
 from .homology import CalculusSpaces, HigherSpaces, higher_calculus, koszul_homology
 from .koszul import Cochain, KoszulCalculus, MODULE_A, MODULE_K
-from .presets import Preset, normalize_preset_name, socle_generators
-from .quiver import (PreprojectiveSpec, graph_from_json,
-                     presentation_from_json, preprojective_presentation)
+from .presets import GraphAlgebra, Preset, normalize_preset_name, socle_generators
+from .quiver import graph_from_json, presentation_from_json
 from .verify import PropertySuite
 
 ANALYSES = ("calculus", "duality", "higher", "hochschild2", "koszulity",
@@ -175,7 +174,7 @@ def run(config: RunConfig) -> Dict:
     failures: List[str] = []
 
     with timings.measure("build"):
-        preset = None
+        graph_alg = None
         if config.preset is not None:
             name = normalize_preset_name(config.preset)
             if (name == "E8" and field.char == 0 and not config.force_rational
@@ -183,10 +182,8 @@ def run(config: RunConfig) -> Dict:
                 raise RunError(
                     "the rational E8 bimodule complex is the cost ceiling; pass "
                     "force_rational to insist")
-            preset = Preset(name, field, cutoff=config.weight_cutoff)
-            algebra = preset.algebra
-            pres = preset.presentation
-            report["preset"] = preset.name
+            graph_alg = Preset(name, field, cutoff=config.weight_cutoff)
+            report["preset"] = graph_alg.name
         else:
             try:
                 with open(config.input_file, "r", encoding="utf-8") as fh:
@@ -197,13 +194,14 @@ def run(config: RunConfig) -> Dict:
                 raise RunError(f"{config.input_file}: the top-level value must be a "
                                "JSON object with a 'vertices' entry")
             if "edges" in data:
-                graph = graph_from_json(data)
-                spec = PreprojectiveSpec(graph)
-                pres = preprojective_presentation(spec, field)
+                graph_alg = GraphAlgebra(graph_from_json(data), field,
+                                         config.weight_cutoff, config.input_file)
             else:
                 pres = presentation_from_json(data, field)
-            cutoff = config.weight_cutoff or default_cutoff(pres.quiver.n_vertices)
-            algebra = build_graded_algebra(pres, cutoff)
+                cutoff = config.weight_cutoff or default_cutoff(pres.quiver.n_vertices)
+                algebra = build_graded_algebra(pres, cutoff)
+        if graph_alg is not None:
+            pres, algebra = graph_alg.presentation, graph_alg.algebra
         kd = KoszulCalculus(algebra, config.max_degree)
 
     if algebra.truncated:
@@ -318,11 +316,14 @@ def run(config: RunConfig) -> Dict:
                 failures.extend(rep.failures)
 
     if "hochschild2" in analyses:
-        if preset is None or not preset.is_dynkin:
-            warnings.append("degree-2 comparison is defined for the Dynkin presets; skipped")
+        if graph_alg is None or not graph_alg.dynkin:
+            warnings.append("degree-2 comparison is defined for the Dynkin graphs; skipped")
         else:
+            # a graph file has no socle words: its socle generators are the
+            # top monomials, which leave every dimension unchanged
+            socle = socle_generators(graph_alg) if config.preset is not None else {}
             with timings.measure("hochschild2"):
-                frob = FrobeniusStructure(algebra, socle_generators(preset))
+                frob = FrobeniusStructure(algebra, socle)
                 cmp2 = Degree2Comparison(kd, frob, coh, hom)
             report["hochschild2"] = {
                 "hh2_dim": cmp2.hh2_dim,

@@ -26,7 +26,7 @@ from .homology import CalculusSpaces, HigherSpaces, higher_calculus, koszul_homo
 from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A
 from .linalg import LinearMap, SparseVec, kernel, rank
 from .presets import (NamedGenerators, Preset, PresetError, expected_nakayama_on_arrows,
-                      nakayama_graph_permutation, socle_generators)
+                      socle_generators)
 
 
 def field_of_char(char: int) -> Field:
@@ -204,7 +204,7 @@ def hochschild2_checks(name: str, char: int, log: Optional[CheckLog] = None,
                 for a, (beta, sign) in expected_nu.items())
     log.record(f"{key}.frobenius.nu-matches-graph-rule", nu_ok,
                f"computed {got_nu}")
-    nbar = nakayama_graph_permutation(comp.preset)
+    nbar = comp.preset.dynkin.nu
     log.record(f"{key}.frobenius.nubar", frob.nu_bar == nbar,
                f"computed {frob.nu_bar}, expected {nbar}")
 

@@ -8,6 +8,7 @@ import os
 import types
 
 from koszulkit import adedata, report
+from koszulkit.quiver import Graph, dynkin_constants
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -39,3 +40,15 @@ def test_calculus_reports_match_the_golden_digests(tmp_path, monkeypatch):
     assert len(golden) == 45
     assert ctx["record"] == golden
     assert failed == []
+
+
+def test_the_workloads_coxeter_numbers_are_the_derived_ones():
+    """``workloads.coxeter`` keeps its own hand table of h, which sets the
+    cutoffs of its inputs and the dimension check of ``bimodule``: it
+    equals the h derived from the adjacency matrix of each listed graph."""
+    wl = _workloads()
+    assert wl.DYNKIN == adedata.listed_types()
+    for name in wl.DYNKIN:
+        n, edges = wl.dynkin_edges(name)
+        graph = Graph([str(i) for i in range(n)], [(str(u), str(v)) for u, v in edges])
+        assert wl.coxeter(name) == dynkin_constants(graph).h, name

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import koszulkit
-from koszulkit import adedata
+from koszulkit import adedata, report as report_module
 from koszulkit.cli import main
+from koszulkit.presets import preset_graph
 from koszulkit.report import RunConfig, render, run
 
 
@@ -514,3 +515,81 @@ def test_cli_entrypoint_runs():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == koszulkit.__version__
+
+
+def _shuffled_graph_file(tmp_path, name, seed=0):
+    """The preset graph of ``name`` with relabelled vertices, shuffled edges
+    and flipped orientations, written to a file; returns the path and the
+    relabelling {preset vertex: file vertex}."""
+    rng = random.Random(f"{seed}/{name}")
+    graph = preset_graph(name)
+    labels = [f"v{k}" for k in range(len(graph.vertices))]
+    rng.shuffle(labels)
+    edges = [[labels[u], labels[v]] if rng.random() < 0.5 else [labels[v], labels[u]]
+             for u, v in graph.edges]
+    rng.shuffle(edges)
+    path = tmp_path / f"{name}-{seed}.json"
+    path.write_text(json.dumps({"vertices": sorted(labels), "edges": edges}))
+    return str(path), dict(zip(graph.vertices, labels))
+
+
+def test_e8_graph_file_reaches_its_zero_component(tmp_path):
+    """A Dynkin graph file takes the cutoff h + 2, as its preset does."""
+    path, _relabel = _shuffled_graph_file(tmp_path, "E8")
+    out = tmp_path / "e8.json"
+    assert main(["calculus", "--file", path, "--analyses", "calculus",
+                 "--out", str(out)]) == 0
+    algebra = json.loads(out.read_text())["algebra"]
+    assert (algebra["finite"], algebra["total_dim"], algebra["top_weight"]) == (True, 1240, 28)
+
+
+@pytest.mark.parametrize("name", adedata.listed_types())
+def test_graph_file_builds_the_preset_algebra(tmp_path, name):
+    path, _relabel = _shuffled_graph_file(tmp_path, name)
+    from_file = run(RunConfig(input_file=path, analyses=()))["algebra"]
+    from_preset = run(RunConfig(preset=name, analyses=()))["algebra"]
+    for key in ("dims_per_weight", "total_dim", "top_weight"):
+        assert from_file[key] == from_preset[key], key
+
+
+def test_graph_file_cutoff_below_the_top_weight_is_refused(tmp_path, capsys):
+    path, _relabel = _shuffled_graph_file(tmp_path, "E6")
+    assert main(["koszulity", "--file", path, "--weight-cutoff", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path} needs a weight cutoff of at least 11 to "
+                            "reach its zero component, got 10\n")
+
+
+@pytest.mark.parametrize("name,tag", [("A3", "Q"), ("D5", "F:2"), ("E6", "F:3")])
+def test_hochschild2_on_a_dynkin_graph_file(tmp_path, name, tag):
+    """A graph file normalizes the form by its top monomials: the dims are the
+    preset's, and so is nu under the relabelling."""
+    path, relabel = _shuffled_graph_file(tmp_path, name)
+    docs = []
+    for source in (["--file", path], ["--preset", name]):
+        out = tmp_path / "report.json"
+        assert main(["hochschild2", *source, "--field", tag, "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    from_file, from_preset = (doc["hochschild2"] for doc in docs)
+    assert docs[0]["status"] == "ok"
+    nu_file, nu_preset = from_file.pop("nakayama_permutation"), \
+        from_preset.pop("nakayama_permutation")
+    assert from_file == from_preset
+    assert nu_file == {relabel[i]: relabel[j] for i, j in nu_preset.items()}
+
+
+def test_hochschild2_skips_a_non_dynkin_graph_file(tmp_path, monkeypatch):
+    """The A~2 triangle is not Dynkin.  Its truncated algebra has products
+    past the cutoff, which the structure constants of the calculus step
+    refuse before the gate is reached, so they are left out here."""
+    monkeypatch.setattr(report_module, "_structure_constants", lambda *args: {})
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"vertices": ["0", "1", "2"],
+                                "edges": [["0", "1"], ["1", "2"], ["0", "2"]]}))
+    out = tmp_path / "report.json"
+    assert main(["hochschild2", "--file", str(path), "--weight-cutoff", "8",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert "hochschild2" not in doc
+    assert "degree-2 comparison is defined for the Dynkin graphs; skipped" in doc["warnings"]

@@ -49,7 +49,7 @@ def test_theta_images_match_worked_example(a3):
     w0 = du.omega0(kd)
     # degree 2 classes map onto the vertex-supported 0-chains
     for i in range(3):
-        h_i = kd.cochain_on_relations({pr.relation_of_vertex(i):
+        h_i = kd.cochain_on_relations({pr.presentation.relation_of_vertex[i]:
                                        alg.vertex_elem(i)})
         ws0 = kd.w(0)
         expected = Chain(kd, 0, MODULE_A,

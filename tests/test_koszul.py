@@ -250,7 +250,7 @@ def test_class_extraction_examples(a3, a3_spaces):
     # coboundary: its class vanishes
     z1 = alg.multiply(alg.arrow_elem(ai["a1*"]), alg.arrow_elem(ai["a1"]))
     z1c = kd.cochain_on_vertices({1: z1})
-    h1 = kd.cochain_on_relations({pr.relation_of_vertex(1): alg.vertex_elem(1)})
+    h1 = kd.cochain_on_relations({pr.presentation.relation_of_vertex[1]: alg.vertex_elem(1)})
     prod = kd.cup(z1c, h1)
     assert not prod.is_zero()
     assert all(c == 0 for c in coh.class_of(prod))
@@ -524,7 +524,7 @@ def test_cap_examples(a3, a3_spaces):
     from koszulkit.koszul import Chain
     assert got == Chain(kd, 1, MODULE_A, expected_values)
     # degenerate equal-degree cap lands in degree zero
-    h1 = kd.cochain_on_relations({pr.relation_of_vertex(1): alg.vertex_elem(1)})
+    h1 = kd.cochain_on_relations({pr.presentation.relation_of_vertex[1]: alg.vertex_elem(1)})
     deg0 = kd.cap(h1, w0, "left")
     assert deg0.q == 0 and not deg0.is_zero()
     with pytest.raises(DegreeError):

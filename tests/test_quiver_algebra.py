@@ -7,11 +7,13 @@ import pytest
 from koszulkit.algebra import (InfiniteDimensionalError, WeightOverflowError,
                                build_graded_algebra)
 from koszulkit.fields import GF, QQ
-from koszulkit.presets import Preset, coxeter_number, preset_graph, socle_generators
+from koszulkit.presets import GraphAlgebra, Preset, preset_graph, socle_generators
 from koszulkit.quiver import (Graph, Path, PreprojectiveSpec, Quiver, QuiverError,
-                              count_paths_of_weight, graph_from_json,
+                              count_paths_of_weight, dynkin_constants, graph_from_json,
                               paths_of_weight, presentation_from_json,
                               preprojective_presentation)
+
+from dynkin_tables import HAND_TYPES, hand_coxeter, hand_nakayama
 
 
 def a3_setup(field=QQ):
@@ -205,9 +207,39 @@ def test_d4_total_dimension():
 @pytest.mark.parametrize("name", ["A3", "A4", "A5", "A6", "D4", "D5", "E6"])
 def test_coxeter_dimension_formula(name):
     pr = Preset(name, QQ)
-    h = coxeter_number(name)
+    h = hand_coxeter(name)
     n = len(pr.graph.vertices)
     assert pr.algebra.total_dim == n * h * (h + 1) // 6
+
+
+def test_dynkin_constants_match_the_hand_tables():
+    """h and nu read off the adjacency matrix equal the hand-written Coxeter
+    numbers and Nakayama permutations on every tabulated type."""
+    wrong = [name for name in HAND_TYPES
+             if dynkin_constants(preset_graph(name)) != (hand_coxeter(name),
+                                                         hand_nakayama(name))]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("graph", [
+    *(preset_graph(name) for name in ["A~2", "A~3", "A~4", "A~5", "D~4"]),
+    Graph(["0"], [("0", "0")]),
+    Graph(["0", "1"], [("0", "1"), ("0", "1")]),
+    Graph(["0", "1", "2"], [("0", "1"), ("1", "2"), ("1", "1")]),
+], ids=["A~2", "A~3", "A~4", "A~5", "D~4", "loop", "double-edge", "A3-with-loop"])
+def test_dynkin_constants_refuse_non_dynkin_graphs(graph):
+    assert dynkin_constants(graph) is None
+
+
+def test_dynkin_constants_need_a_connected_graph():
+    with pytest.raises(QuiverError, match="connected"):
+        dynkin_constants(Graph(["0", "1", "2"], [("0", "1")]))
+
+
+def test_graph_algebra_of_a_non_dynkin_graph_takes_the_default_cutoff():
+    alg = GraphAlgebra(preset_graph("A~2"), QQ, None, "A~2")
+    assert alg.dynkin is None and alg.algebra.truncated
+    assert alg.algebra.cutoff == 2 * 3 + 4
 
 
 def test_normal_form_is_projection():
