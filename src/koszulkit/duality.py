@@ -4,11 +4,14 @@ The weight-0 fundamental cycle omega0 = sum_i e_i (x) sigma_i has degree n,
 read off omega0.  Capped on the right with the cochains of degree p <= n it
 realizes the isomorphism theta onto chains of degree n-p: ``theta_table`` is
 its one evaluation, a cap table, and ``eta_table`` its inverse, read off the
-split pairing of omega0.  ``verify_duality`` certifies the chain-map,
-inversion, symmetry and module identities exactly, the last on the scalar
-tables of ``module_table`` and on the class representatives, and
-``ae_coefficient_route`` reads the enveloping coefficients off the bimodule
-complex instead of materializing them.
+split pairing of omega0 (``cap_pairing``, ``eta_inverse``).
+``verify_duality`` certifies the chain-map, inversion, symmetry and module
+identities exactly, each on tables of the size of W and on the class
+representatives: the first three on omega0's pairing and the
+differential's term tables (``w_identities``), the module identities on
+the scalar tables of ``module_table``.  ``ae_coefficient_route`` reads the
+enveloping coefficients off the bimodule complex instead of materializing
+them.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ from .linalg import LinearMap
 
 class NotPreprojectiveError(ValueError):
     pass
+
+
+#: the names of checks (a), (b), (c) and theta o eta in a ``DualityReport``
+CHAIN_MAP, ETA_THETA, CAP_SYMMETRY, THETA_ETA = (
+    "theta chain map", "eta o theta = id", "f cap w0 = w0 cap f", "theta o eta = id")
 
 
 def omega0(kd: KoszulCalculus) -> Chain:
@@ -55,34 +63,68 @@ def theta(kd: KoszulCalculus, f: Cochain, w0: Optional[Chain] = None) -> Chain:
     return theta_table(kd, [f], w0)[0]
 
 
-def eta_table(kd: KoszulCalculus, zs: Sequence[Chain]) -> List[Cochain]:
-    """Inverse of the duality map on every chain of ``zs`` (one degree q <= n).
-    theta(f) has lam f(s) on u for the one split s (x) u of omega0 in
-    W_{n-q} (x) W_q that holds u, lam = (-1)^{(n-q)n} (split coefficient)
-    (omega0's scalar there); so m (x) u goes to the cochain s -> m / lam."""
-    if not zs:
-        return []
-    q, module = _common_grading(zs)
-    w0 = omega0(kd)
+def cap_pairing(kd: KoszulCalculus, w0: Chain, p: int,
+                side: str = "right") -> Dict[int, Dict[int, object]]:
+    """omega0's pairing lam(s, u) of W_p with W_{n-p}, keyed s then u, zeros
+    dropped.
+
+    omega0's coefficients are lam e_i, and e_i x = x by the vertex blocks,
+    so the cap of omega0 with the unit cochain s -> x is
+    sum_u lam(s, u) x (x) u.  ``side="right"``, theta's cap, reads lam off
+    the (p, n-p) splits with sign (-1)^{pn}; ``"left"``, the cap of the
+    cochain with omega0, off the (n-p, p) splits with sign (-1)^{(n-p)p}."""
+    n = w0.q
+    if side == "right":
+        splits, sign = kd.split_coords(p, n - p), p * n
+    elif side == "left":
+        splits, sign = kd.split_coords(n - p, p), (n - p) * p
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    field = kd.field
+    sign = field.sign(sign)
+    acc: Dict[int, Dict[int, object]] = {}
+    for x, coeff in w0.values.items():
+        for lam in coeff.values():  # omega0's coefficients are scalars times e_i
+            for (a, b), c in splits[x].items():
+                s, u = (a, b) if side == "right" else (b, a)
+                row = acc.setdefault(s, {})
+                row[u] = row.get(u, 0) + sign * lam * c
+    rows = {s: field.settle(row) for s, row in acc.items()}
+    return {s: row for s, row in rows.items() if row}
+
+
+def eta_inverse(kd: KoszulCalculus, w0: Chain, q: int) -> Dict[int, Tuple[int, object]]:
+    """The inverse of theta's pairing on chains of degree q <= n: each u of
+    W_q goes to the one s of W_{n-q} with lam(s, u) != 0, and 1 / lam(s, u)."""
     n = w0.q
     if q > n:
         raise DegreeError(f"duality is defined in degrees 0..{n}")
-    sign, splits = kd.field.sign((n - q) * n), kd.split_coords(n - q, q)
-    pairs = [(u, s, sign * c * scalar)
-             for x, coeff in w0.values.items()
-             for scalar in coeff.values()  # omega0's coefficients are scalars times e_i
-             for (s, u), c in splits[x].items()]
+    pairs = [(u, s, lam) for s, row in cap_pairing(kd, w0, n - q).items()
+             for u, lam in row.items()]
     inverse = {u: (s, kd.field.inv(lam)) for u, s, lam in pairs}
     if not (len(pairs) == len(inverse) == len({s for _u, s, _lam in pairs})
             == kd.w(q).dim == kd.w(n - q).dim):
         raise NotPreprojectiveError(f"omega0 does not pair W_{q} one-to-one with W_{n - q}")
+    return inverse
+
+
+def eta_table(kd: KoszulCalculus, zs: Sequence[Chain],
+              w0: Optional[Chain] = None) -> List[Cochain]:
+    """Inverse of the duality map on every chain of ``zs`` (one degree q <= n):
+    theta(s -> m) has lam(s, u) m on the one u paired with s
+    (``cap_pairing``), so m (x) u goes to the cochain s -> m / lam(s, u)."""
+    if not zs:
+        return []
+    q, module = _common_grading(zs)
+    w0 = omega0(kd) if w0 is None else w0
+    inverse = eta_inverse(kd, w0, q)
     out = []
     for z in zs:
         acc: Dict[int, object] = {}
         for u, m in z.values.items():
             s, c = inverse[u]
             kd._mod_accumulate(module, acc, s, m, c)
-        out.append(Cochain(kd, n - q, module, kd._mod_settle(module, acc)))
+        out.append(Cochain(kd, w0.q - q, module, kd._mod_settle(module, acc)))
     return out
 
 
@@ -108,12 +150,6 @@ class DualityReport:
     @property
     def ok(self) -> bool:
         return all(self.checks.values())
-
-
-def _unit_basis(spaces: CalculusSpaces, p: int) -> list:
-    """The unit (co)chains of degree p, block by block in the class layout."""
-    return [blk.space.unflatten({k: spaces.kd.field.one})
-            for _start, blk in spaces.layout(p)[1].values() for k in range(blk.space.dim)]
 
 
 def module_table(kd: KoszulCalculus, w0: Chain, p: int, q: int,
@@ -151,12 +187,96 @@ def module_table(kd: KoszulCalculus, w0: Chain, p: int, q: int,
     return field.settle(acc)
 
 
+def _carriers(spaces: CalculusSpaces, p: int) -> List[int]:
+    """The W_p indices that carry a unit (co)chain of ``spaces``, ascending."""
+    return sorted({flat for _start, blk in spaces.layout(p)[1].values()
+                   for flat, _pos in blk.space.coords})
+
+
+def _chain_map_holds(kd: KoszulCalculus, n: int, p: int, rows: Sequence[int],
+                     lam: Dict[int, Dict[int, object]],
+                     lam_next: Dict[int, Dict[int, object]]) -> bool:
+    """theta(b_K f) = b_K theta(f) for every unit cochain s -> x of degree
+    p < n with s in ``rows``, read off the pairings ``lam`` of W_p and
+    ``lam_next`` of W_{p+1}.  Both sides are sums of x a (x) v and a x (x) v,
+    so it holds when the cochain terms of s taken through lam_next equal
+    lam(s, .) taken through the chain terms of W_{n-p}, keyed
+    (right, arrow, v)."""
+    field = kd.field
+    coh_terms, hom_terms = kd.terms(p, "coh"), kd.terms(n - p, "hom")
+    for s in rows:
+        image: Dict[Tuple[bool, int, int], object] = {}
+        for right, a, z, c in coh_terms[s]:
+            for v, lam_zv in lam_next.get(z, {}).items():
+                image[(right, a, v)] = image.get((right, a, v), 0) + c * lam_zv
+        boundary: Dict[Tuple[bool, int, int], object] = {}
+        for u, lam_su in lam.get(s, {}).items():
+            for right, a, v, c in hom_terms[u]:
+                boundary[(right, a, v)] = boundary.get((right, a, v), 0) + lam_su * c
+        if field.settle(image) != field.settle(boundary):
+            return False
+    return True
+
+
+def w_identities(coh: CalculusSpaces, hom: CalculusSpaces,
+                 w0: Chain) -> Dict[str, Dict[int, bool]]:
+    """The W halves of (a)-(c) and theta o eta: each identity on every unit
+    (co)chain of ``coh`` and ``hom``, per degree, from tables of size
+    |W_p| |W_{n-p}|.
+
+    theta(s -> x) is sum_u lam(s, u) x (x) u (``cap_pairing``), so each
+    identity is one on lam, on the W indices that carry a unit (co)chain:
+    (a) the chain map, on the differential's term tables
+    (``_chain_map_holds``; b_K is zero on k, which keeps only the class
+    half); (b) eta o theta = id and theta o eta = id, lam and the inverse
+    eta reads (``eta_inverse``) composing to the identity on W_p and on
+    W_q; (c) f cap omega0 = omega0 cap f, the left pairing equal to lam.
+    Each identity reads its own inverse or left pairing, so a fault in one
+    read fails one identity; lam is theta itself and is read once."""
+    kd = coh.kd
+    field, one, n = kd.field, kd.field.one, w0.q
+    lams = [cap_pairing(kd, w0, p) for p in range(n + 1)]
+    out: Dict[str, Dict[int, bool]] = {CHAIN_MAP: {}, ETA_THETA: {}, CAP_SYMMETRY: {},
+                                       THETA_ETA: {}}
+    for d in range(n + 1):
+        rows = _carriers(coh, d)
+        if d < n:
+            out[CHAIN_MAP][d] = (coh.module != MODULE_A or
+                                 _chain_map_holds(kd, n, d, rows, lams[d], lams[d + 1]))
+        inverse = eta_inverse(kd, w0, n - d)
+        out[ETA_THETA][d] = True
+        for s in rows:
+            acc: Dict[int, object] = {}
+            for u, lam in lams[d].get(s, {}).items():
+                t, c = inverse[u]
+                acc[t] = acc.get(t, 0) + lam * c
+            if field.settle(acc) != {s: one}:
+                out[ETA_THETA][d] = False
+                break
+        left = cap_pairing(kd, w0, d, "left")
+        out[CAP_SYMMETRY][d] = all(lams[d].get(s) == left.get(s) for s in rows)
+        inverse = eta_inverse(kd, w0, d)
+        out[THETA_ETA][d] = all(
+            field.settle({v: c * lam for v, lam in lams[n - d].get(s, {}).items()}) == {u: one}
+            for u in _carriers(hom, d) for s, c in [inverse[u]])
+    return out
+
+
 def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,
                    hi_coh: Optional[HigherSpaces] = None,
                    hi_hom: Optional[HigherSpaces] = None) -> DualityReport:
     """Exact duality checklist over the calculus and coefficient module of
     ``coh`` and ``hom``: each identity is one ``==`` of two tables per degree
     or degree pair, every theta from ``theta_table``.
+
+    (a) theta is a chain map, (b) eta o theta = id, (c) f cap omega0 =
+    omega0 cap f, and theta o eta = id each hold on every unit (co)chain
+    when their ``w_identities`` W table comparison does, at |W_p| |W_{n-p}|
+    entries per degree.  Those tables read no product either, so each
+    identity is recorded as the AND of that comparison and one on the
+    class representatives: theta of each is a cycle, eta inverts it, the
+    left cap with omega0 equals it, and theta inverts eta on the chain
+    representatives.
 
     (d), the module identities theta(f cup g) = theta(f) cap g =
     f cap theta(g), holds on every pair of unit cochains when the three
@@ -182,27 +302,26 @@ def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,
     n = w0.q
     report.record("omega0 is a cycle", w0.is_cycle())
 
-    # (a) chain map, (b) mutual inversion and (c) cap symmetry with the
-    # fundamental cycle, on full cochain bases; theta as its columns, one
-    # per basis cochain
-    for p in range(n + 1):
-        fs = _unit_basis(coh, p)
-        thetas = theta_table(kd, fs, w0)
-        if p < n:
-            report.record("theta chain map",
-                          theta_table(kd, [kd.apply_bK(f) for f in fs], w0)
-                          == [kd.apply_bK_chain(t) for t in thetas], f"degree {p}")
-        report.record("eta o theta = id", eta_table(kd, thetas) == fs, f"degree {p}")
-        report.record("f cap w0 = w0 cap f", kd.cap_table(fs, [w0], side="left")
-                      == {(i, 0): t for i, t in enumerate(thetas)}, f"degree {p}")
-    # theta o eta = id on chain bases
-    for q in range(n + 1):
-        zs = _unit_basis(hom, q)
-        report.record("theta o eta = id", theta_table(kd, eta_table(kd, zs), w0) == zs,
-                      f"degree {q}")
-
+    w_ok = w_identities(coh, hom, w0)
     reps = {p: coh.representatives(p) for p in range(n + 1)}
     rep_thetas = {p: theta_table(kd, fs, w0) for p, fs in reps.items()}
+    # (a) chain map, (b) mutual inversion and (c) cap symmetry with the
+    # fundamental cycle, on the W tables and on the class representatives
+    for p in range(n + 1):
+        fs, thetas = reps[p], rep_thetas[p]
+        if p < n:
+            report.record(CHAIN_MAP, w_ok[CHAIN_MAP][p] and all(t.is_cycle() for t in thetas),
+                          f"degree {p}")
+        report.record(ETA_THETA, w_ok[ETA_THETA][p] and eta_table(kd, thetas, w0) == fs,
+                      f"degree {p}")
+        report.record(CAP_SYMMETRY, w_ok[CAP_SYMMETRY][p]
+                      and kd.cap_table(fs, [w0], side="left")
+                      == {(i, 0): t for i, t in enumerate(thetas)}, f"degree {p}")
+    for q in range(n + 1):
+        zs = hom.representatives(q)
+        report.record(THETA_ETA, w_ok[THETA_ETA][q]
+                      and theta_table(kd, eta_table(kd, zs, w0), w0) == zs, f"degree {q}")
+
     # (d) module identities, on the W tables and on the class representatives
     if module == MODULE_A:
         for p in range(n + 1):
@@ -210,8 +329,12 @@ def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,
                 t_cup, t_left, t_right = (module_table(kd, w0, p, q, side)
                                           for side in ("cup", "left", "right"))
                 fs, gs = reps[p], reps[q]
-                cups = kd.cup_table(fs, gs)
-                t_cups = dict(zip(cups, theta_table(kd, list(cups.values()), w0)))
+                # theta of the cup table row by row: no list longer than reps[q]
+                cups: Dict[int, Dict[Tuple[int, int], Cochain]] = {}
+                for key, c in kd.cup_table(fs, gs).items():
+                    cups.setdefault(key[0], {})[key] = c
+                t_cups = {key: t for row in cups.values()
+                          for key, t in zip(row, theta_table(kd, list(row.values()), w0))}
                 lefts = {(i, j): c for (j, i), c in
                          kd.cap_table(gs, rep_thetas[p], side="right").items()}
                 rights = kd.cap_table(fs, rep_thetas[q], side="left")

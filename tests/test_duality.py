@@ -120,6 +120,12 @@ def test_theta_table_matches_per_cochain_caps(name, field, module):
         du.theta_table(kd, [Cochain(kd, 3, MODULE_A, {}), Cochain(kd, 3, MODULE_A, {})], w0)
 
 
+def _unit_basis(spaces, p):
+    """The unit (co)chains of degree p, block by block in the class layout."""
+    return [blk.space.unflatten({k: spaces.kd.field.one})
+            for _start, blk in spaces.layout(p)[1].values() for k in range(blk.space.dim)]
+
+
 def reference_eta(kd, z):
     """The inverse of theta as it was written before ``eta_table``: one
     branch per chain degree, read off the relations, the star involution
@@ -161,7 +167,7 @@ def test_eta_table_matches_the_per_degree_reference(name, field, module):
     kd = KoszulCalculus(Preset(name, field).algebra, 3)
     hom = koszul_homology(kd, module, "hom")
     for q in range(3):
-        zs = du._unit_basis(hom, q)
+        zs = _unit_basis(hom, q)
         # k has no degree-1 basis: no arrow of a Dynkin quiver is a loop
         assert bool(zs) == (module == MODULE_A or q != 1)
         got = du.eta_table(kd, zs)
@@ -253,8 +259,69 @@ def _double_first(table, _n_f, _n_g):
     return table
 
 
-def _double_nonzero(args, kwargs, out):
-    return None if out.is_zero() else out.scale(out.kd.field.from_int(2))
+def _twice(kd, c):
+    return kd.field.mul(kd.field.from_int(2), c)
+
+
+def _double_term(side):
+    """A doubled coefficient in the first nonempty row of the first term
+    table of ``side`` below degree 2, which only check (a) reads: omega0's
+    own boundary reads the degree-2 chain terms."""
+    def fault(args, kwargs, table):
+        kd, p, side_read = args[:3]
+        return None if side_read != side or p >= 2 else _doubled_first(table, kd)
+    return fault
+
+
+def _double_pairing(side):
+    """A doubled entry in the first pairing of ``side`` read off omega0."""
+    def fault(args, kwargs, pairing):
+        kd = args[0]
+        if (args[3] if len(args) > 3 else kwargs.get("side", "right")) != side or not pairing:
+            return None
+        pairing = {s: dict(row) for s, row in pairing.items()}
+        row = next(iter(pairing.values()))
+        u = next(iter(row))
+        row[u] = _twice(kd, row[u])
+        return pairing
+    return fault
+
+
+def _double_inverse(degree=None):
+    """A doubled scalar in the first inverse of eta, of chain degree
+    ``degree`` when given."""
+    def fault(args, kwargs, inverse):
+        kd, _w0, q = args[:3]
+        if degree is not None and q != degree:
+            return None
+        inverse = dict(inverse)
+        u = next(iter(inverse))
+        s, c = inverse[u]
+        inverse[u] = (s, _twice(kd, c))
+        return inverse
+    return fault
+
+
+def _boundary_below(n):
+    """A nonzero boundary for the first chain of degree below n: a theta
+    column of the class representatives, not omega0."""
+    def fault(args, kwargs, out):
+        z = args[1]
+        if z.q >= n:
+            return None
+        return Chain(z.kd, z.q - 1, z.module, {0: z.kd.algebra.vertex_elem(0)})
+    return fault
+
+
+def _on_representatives(spaces, fault):
+    """``fault`` on the first call whose list holds class representatives of
+    ``spaces`` (as objects, not as equal copies)."""
+    def on_reps(args, kwargs, out):
+        zs = args[1]
+        if not zs or not any(zs[0] is r for r in spaces.representatives(zs[0].degree)):
+            return None
+        return fault(args, kwargs, out)
+    return on_reps
 
 
 def _double_first_eta(args, kwargs, out):
@@ -275,6 +342,8 @@ def _double_scalar(side):
 
 
 _CUP_SIDES = {"theta(f cup g) = theta(f) cap g", "theta(f cup g) = f cap theta(g)"}
+CHAIN_MAP, ETA_THETA, CAP_SYMMETRY, THETA_ETA = (
+    du.CHAIN_MAP, du.ETA_THETA, du.CAP_SYMMETRY, du.THETA_ETA)
 _TABLE_FAULTS = [
     (KoszulCalculus, "cup_table", None, _CUP_SIDES),
     (KoszulCalculus, "cap_table", "right", {"theta(f cup g) = theta(f) cap g"}),
@@ -297,10 +366,18 @@ def test_duality_checks_fail_on_each_fault(monkeypatch, name, field, n_basis, pa
     nonzero product added at a pair absent from all three, a present pair
     dropped or a present product doubled, in one product table at one
     degree pair, or a doubled entry of one W table, turns exactly the
-    identities that read that table False, once each; a doubled b^K
-    column, eta column or left cap against omega0 turns (a), (b) or (c)
-    False alone.  ``n_basis`` and ``pairs`` count the unit cochains and
-    their pairs, whose products the W tables stand in for."""
+    identities that read that table False, once each.
+
+    (a)-(c) and theta o eta are each a W half and a class half.  A doubled
+    entry of a term table below degree 2 turns (a) False alone, and so
+    does a nonzero boundary of a theta column; a doubled scalar in the
+    first inverse of eta (read by (b) at degree 0) or in the first of chain
+    degree 0 (read by theta o eta at degree 0), or a doubled eta column of
+    the representatives, turns that identity False alone; a doubled left
+    pairing or a dropped left cap against omega0 turns (c) False alone.
+    The pairing theta reads is theta itself: a doubled entry turns all four
+    False.  ``n_basis`` and ``pairs`` count the unit cochains and their
+    pairs, whose products the W tables stand in for."""
     alg = Preset(name, field).algebra
     kd = KoszulCalculus(alg, 3)
     got = []
@@ -320,10 +397,20 @@ def test_duality_checks_fail_on_each_fault(monkeypatch, name, field, n_basis, pa
     faults += [(du, "module_table", _double_scalar(side), expected)
                for side, expected in _W_TABLE_FAULTS]
     faults += [
-        (KoszulCalculus, "apply_bK_chain", _double_nonzero, {"theta chain map"}),
-        (du, "eta_table", _double_first_eta, {"eta o theta = id"}),
+        # the W halves of (a)-(c) and theta o eta
+        (KoszulCalculus, "terms", _double_term("coh"), {CHAIN_MAP}),
+        (KoszulCalculus, "terms", _double_term("hom"), {CHAIN_MAP}),
+        (du, "eta_inverse", _double_inverse(), {ETA_THETA}),
+        (du, "eta_inverse", _double_inverse(0), {THETA_ETA}),
+        (du, "cap_pairing", _double_pairing("left"), {CAP_SYMMETRY}),
+        (du, "cap_pairing", _double_pairing("right"),
+         {CHAIN_MAP, ETA_THETA, CAP_SYMMETRY, THETA_ETA}),
+        # their halves on the class representatives
+        (KoszulCalculus, "apply_bK_chain", _boundary_below(2), {CHAIN_MAP}),
+        (du, "eta_table", _double_first_eta, {ETA_THETA}),
         (KoszulCalculus, "cap_table", _on_table("left", _drop_first, omega0_cap=True),
-         {"f cap w0 = w0 cap f"}),
+         {CAP_SYMMETRY}),
+        (du, "eta_table", _on_representatives(hom, _double_first_eta), {THETA_ETA}),
     ]
     for owner, method, fault, expected in faults:
         with monkeypatch.context() as m:
@@ -332,7 +419,103 @@ def test_duality_checks_fail_on_each_fault(monkeypatch, name, field, n_basis, pa
         assert done == [method]
         assert {k for k, ok in rep.checks.items() if not ok} == expected, (method, expected)
         assert len(rep.failures) == len(expected), rep.failures
-        assert set(rep.checks) >= _CUP_SIDES | {"theta chain map", "f cap w0 = w0 cap f"}
+        assert set(rep.checks) >= _CUP_SIDES | {CHAIN_MAP, ETA_THETA, CAP_SYMMETRY, THETA_ETA}
+
+
+def reference_identities(coh, hom):
+    """(a)-(c) and theta o eta on unit (co)chains, the reference for the W
+    halves: one table per identity over the unit bases of each degree.
+    The verdicts keyed by check name, then degree."""
+    kd = coh.kd
+    w0 = du.omega0(kd)
+    n = w0.q
+    out = {CHAIN_MAP: {}, ETA_THETA: {}, CAP_SYMMETRY: {}, THETA_ETA: {}}
+    for p in range(n + 1):
+        fs = _unit_basis(coh, p)
+        thetas = du.theta_table(kd, fs, w0)
+        if p < n:
+            out[CHAIN_MAP][p] = (du.theta_table(kd, [kd.apply_bK(f) for f in fs], w0)
+                                 == [kd.apply_bK_chain(t) for t in thetas])
+        out[ETA_THETA][p] = du.eta_table(kd, thetas) == fs
+        out[CAP_SYMMETRY][p] = (kd.cap_table(fs, [w0], side="left")
+                                == {(i, 0): t for i, t in enumerate(thetas)})
+    for q in range(n + 1):
+        zs = _unit_basis(hom, q)
+        out[THETA_ETA][q] = du.theta_table(kd, du.eta_table(kd, zs), w0) == zs
+    return out
+
+
+def _failing_checks(verdicts):
+    return {(name, d) for name, row in verdicts.items() for d, ok in row.items() if not ok}
+
+
+def _doubled_first(table, kd):
+    """A copy of a split or term table with the first entry of its first
+    nonempty row doubled."""
+    table = [dict(row) if isinstance(row, dict) else list(row) for row in table]
+    row = next(row for row in table if row)
+    if isinstance(row, dict):
+        key = next(iter(row))
+        row[key] = _twice(kd, row[key])
+    else:
+        right, a, t, c = row[0]
+        row[0] = (right, a, t, _twice(kd, c))
+    return table
+
+
+@pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3)), ("A4", GF(5))],
+                         ids=["D5-Q", "E6-F3", "A4-F5"])
+@pytest.mark.parametrize("module", [MODULE_A, MODULE_K])
+def test_w_identities_against_the_unit_basis_checks(name, field, module):
+    """The W halves of (a)-(c) and theta o eta give the unit-basis verdicts
+    on the honest engine, over A and over k.  With one entry of a split
+    table or of a term table doubled, they fail on every degree where the
+    unit-basis check fails (on more where a product x a = 0 is forced,
+    which the unit-basis check cannot see)."""
+    alg = Preset(name, field).algebra
+
+    def calculus():
+        kd = KoszulCalculus(alg, 3)
+        return kd, koszul_homology(kd, module, "coh"), koszul_homology(kd, module, "hom")
+
+    kd, coh, hom = calculus()
+    ref = reference_identities(coh, hom)
+    assert du.w_identities(coh, hom, du.omega0(kd)) == ref
+    assert not _failing_checks(ref)
+    assert [sorted(row) for row in ref.values()] == [[0, 1], [0, 1, 2], [0, 1, 2], [0, 1, 2]]
+    mutations = ([("split", key) for key in [(0, 2), (1, 1), (2, 0), (0, 1), (1, 0)]]
+                 + [("terms", key) for key in [(0, "coh"), (1, "coh"), (1, "hom"), (2, "hom")]])
+    seen = set()
+    for kind, key in mutations:
+        kd, coh, hom = calculus()  # the homology reads the honest tables
+        if kind == "split":
+            kd._split_memo[key] = _doubled_first(kd.split_coords(*key), kd)
+            kd._terms_memo.clear()
+        else:
+            kd._terms_memo[key] = _doubled_first(kd.terms(*key), kd)
+        kd._rows_memo.clear()
+        ref_fails = _failing_checks(reference_identities(coh, hom))
+        w_fails = _failing_checks(du.w_identities(coh, hom, du.omega0(kd)))
+        assert ref_fails <= w_fails, key
+        assert w_fails or module == MODULE_K, key
+        seen |= {name for name, _d in ref_fails}
+    # theta and eta read the same splits, so a doubled split keeps them inverse
+    if module == MODULE_A:
+        assert seen == {CHAIN_MAP, CAP_SYMMETRY}
+
+
+@pytest.mark.parametrize("name", ["A~2", "A~3", "D~4"])
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+@pytest.mark.parametrize("module", [MODULE_A, MODULE_K])
+def test_w_identities_agree_on_extended_types(monkeypatch, name, field, module):
+    """The W halves read no product, so they run on the truncated extended
+    types with ``multiply`` gone and give the unit-basis verdicts there."""
+    kd = KoszulCalculus(Preset(name, field, cutoff=8).algebra, 3)
+    coh, hom = koszul_homology(kd, module, "coh"), koszul_homology(kd, module, "hom")
+    ref = reference_identities(coh, hom)
+    monkeypatch.setattr(type(kd.algebra), "multiply", None)
+    assert du.w_identities(coh, hom, du.omega0(kd)) == ref
+    assert not _failing_checks(ref)
 
 
 def reference_module_identities(coh):
@@ -343,7 +526,7 @@ def reference_module_identities(coh):
     kd = coh.kd
     w0 = du.omega0(kd)
     n = w0.q
-    basis = {p: du._unit_basis(coh, p) for p in range(n + 1)}
+    basis = {p: _unit_basis(coh, p) for p in range(n + 1)}
     thetas = {p: du.theta_table(kd, fs, w0) for p, fs in basis.items()}
     out = {}
     for p in range(n + 1):
@@ -418,26 +601,44 @@ def test_w_tables_agree_on_extended_types(monkeypatch, name, field):
 
 
 def test_duality_products_stay_at_class_size(monkeypatch):
-    """verify_duality forms no product table of two unit cochain bases:
-    every cup or cap table has a list of length 1 (omega0, or a single
-    cochain) or two lists no longer than the largest HK dimension."""
+    """verify_duality forms no product table, theta or eta over a unit
+    (co)chain basis: every list that a cup or cap table, theta_table or
+    eta_table takes is no longer than the largest HK dimension, and b_K
+    runs on omega0 and on the theta columns of the representatives alone."""
     kd = KoszulCalculus(Preset("E6", GF(3)).algebra, 3)
     coh = koszul_homology(kd, MODULE_A, "coh")
     hom = koszul_homology(kd, MODULE_A, "hom")
     largest = max(coh.dims() + hom.dims())
-    sizes = []
+    lengths, boundaries = [], []
     for method in ("cup_table", "cap_table"):
         real = getattr(KoszulCalculus, method)
 
         def counted(self, xs, ys, *args, real=real, **kwargs):
-            sizes.append((len(xs), len(ys)))
+            lengths.extend((len(xs), len(ys)))
             return real(self, xs, ys, *args, **kwargs)
+        monkeypatch.setattr(KoszulCalculus, method, counted)
+    for method in ("theta_table", "eta_table"):
+        real = getattr(du, method)
+
+        def counted(kd, xs, *args, real=real, **kwargs):
+            lengths.append(len(xs))
+            return real(kd, xs, *args, **kwargs)
+        monkeypatch.setattr(du, method, counted)
+    for method in ("apply_bK", "apply_bK_chain"):
+        real = getattr(KoszulCalculus, method)
+
+        def counted(self, x, real=real, method=method):
+            boundaries.append((method, x.degree))
+            return real(self, x)
         monkeypatch.setattr(KoszulCalculus, method, counted)
     rep = du.verify_duality(coh, hom, higher_calculus(coh), higher_calculus(hom))
     assert rep.ok, rep.failures[:3]
     # the unit cochain bases have 32, 56 and 32 elements
-    assert sizes and largest == 7
-    assert all(1 in (a, b) or max(a, b) <= largest for a, b in sizes), sizes
+    assert lengths and largest == 7
+    assert max(lengths) <= largest, lengths
+    assert sorted(boundaries) == sorted(
+        [("apply_bK_chain", 2)] + [("apply_bK_chain", 2 - p) for p in range(2)
+                                   for _rep in coh.representatives(p)])
 
 
 def _rescaled_algebra(name, field):
@@ -472,10 +673,10 @@ def test_eta_divides_by_omega0s_scalar(monkeypatch, name, field, scalars):
     assert rep.ok, rep.failures[:5]
     real = du.eta_table
 
-    def eta_times_lam(kd, zs):
+    def eta_times_lam(kd, zs, w0=None):
         with monkeypatch.context() as m:
             m.setattr(kd.field, "inv", lambda x: x)
-            return real(kd, zs)
+            return real(kd, zs, w0)
     monkeypatch.setattr(du, "eta_table", eta_times_lam)
     rep = du.verify_duality(coh, hom, hi_coh, hi_hom)
     assert not rep.checks["eta o theta = id"]
