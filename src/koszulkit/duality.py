@@ -290,8 +290,9 @@ def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,
     table that is wrong but used consistently: omega0's coefficients are
     idempotents, so both sides of each identity multiply the same values
     by the same table.
-    tests/test_quiver_algebra.py::test_multiply_matches_arrow_by_arrow_reference
-    and the ``frobenius.nakayama-symmetric`` check of ``hochschild2_checks``
+    tests/test_quiver_algebra.py::test_multiply_matches_arrow_by_arrow_reference,
+    the ``frobenius.associative`` check of ``hochschild2_checks`` and
+    tests/test_frobenius.py::test_a_changed_left_arrow_product_is_caught
     catch such a table."""
     kd, module = coh.kd, coh.module
     if hom.kd is not kd or hom.module != module:

@@ -18,19 +18,32 @@ b = j, and eps reads only the top monomial of column i, which lies in
 e_{nu_bar(i)} A_top e_i.  So (y, x) can be nonzero only when y lies in the
 paired block e_{nu_bar(i)} A_{top-m} e_j of x's block (``_paired``).  As
 nu_bar permutes the vertices, distinct blocks have disjoint paired blocks.
-The pairing check, the Nakayama solve and the transported degree-3 maps
-therefore read only the monomials that the grading lets pair or compose;
-every other form or product is zero without being formed.  As dual(x) has
+
+The forms on those pairs are the Gram table (``gram``), built once, weight
+by weight down from the top: (e_j, v) = eps(v) for v of top weight, and a
+monomial w = w' b of positive weight, with w' its parent in
+``algebra.parents`` and b its last arrow, has (w, v) = sum_u (b v)_u (w', u)
+over the monomials u one weight up, so each entry reads one left-arrow
+product ``mono_product(1, b, |v|, v)`` and entries already made.  The dual
+basis inverts its blocks, the pairing check takes D G = I on each block, and
+the symmetry check compares (y, x) with sum_u nu(x)_u (u, y).  nu of every
+monomial is built along the monomial tree, nu(x' b) = c_b nu(x') beta_b,
+from arrow scalars solved through ``form``, which multiplies along the right
+factor's tree: the symmetry check compares two independent computations.
+``frobenius.associative`` still multiplies, on triples (y, z, x) of positive
+weights whose form (yz, x) the grading lets be nonzero.  As dual(x) has
 weight top - |x|, dual(x) y x and x y dual(x) lie in weight top + |y|: the
 degree-3 maps kill every y of positive weight, and are held as their
-columns at the idempotents e_i, one product per x that composes with e_i.
+columns at the idempotents e_i.  There each dual(x) x and x dual(x) lies in
+a one-dimensional top block, so it is its Gram value over eps times that
+block's top monomial, and no product is formed.
 
-:class:`FrobeniusStructure` derives each piece of this data once and keeps
-it on the instance: the dual basis in ``_dual``, keyed by monomial (each
-Gram block of ``algebra.blocks`` against its paired block inverted by
-``linalg.rref`` on ``[G | I]``), and the Nakayama scalars
-``{arrow: (beta, c)}`` in ``_nu_scalars``, from which ``nakayama_on_elem``
-extends nu along paths without touching the form.
+:class:`FrobeniusStructure` derives each piece of this data once, lazily,
+and keeps it on the instance: the Gram table in ``_gram``, keyed by
+monomial v as {w: (w, v)}; the dual basis in ``_dual``, keyed by monomial
+(each Gram block inverted by ``linalg.rref`` on ``[G | I]``); the Nakayama
+scalars ``{arrow: (beta, c)}`` in ``_nu_scalars``; and nu of every monomial
+in ``_nu``, which ``nakayama_on_elem`` and ``nu_trace_matrix`` read.
 """
 
 from __future__ import annotations
@@ -62,6 +75,7 @@ class FrobeniusStructure:
         self.nu_bar: Dict[int, int] = {}
         # eps reads the top monomial of column i, at pos_i, as 1/c_i
         self._eps: Dict[int, object] = {}
+        self._top_pos: Dict[int, int] = {}
         for i in range(q.n_vertices):
             tops = [(j, pos) for j in range(q.n_vertices)
                     for pos in algebra.block_positions(top, j, i)]
@@ -70,6 +84,7 @@ class FrobeniusStructure:
                     f"top component of column {i} is not one-dimensional")
             (j, pos), = tops
             self.nu_bar[i] = j
+            self._top_pos[i] = pos
             pi = socle.get(i)
             if pi is None:
                 pi = {(top, pos): self.field.one}
@@ -83,8 +98,10 @@ class FrobeniusStructure:
             raise FrobeniusError("socle targets do not permute the vertices")
         self.terms: List[Term] = algebra.terms
         self.dim = len(self.terms)
+        self._gram: Optional[Dict[Term, Dict[Term, object]]] = None
         self._dual: Optional[Dict[Term, Elem]] = None
         self._nu_scalars: Optional[Dict[int, Tuple[int, object]]] = None
+        self._nu: Optional[Dict[Term, Elem]] = None
 
     # -- the bilinear form ---------------------------------------------------
 
@@ -103,16 +120,52 @@ class FrobeniusStructure:
         n = self.top - m
         return [(n, pos) for pos in self.algebra.block_positions(n, self.nu_bar[i], j)]
 
+    def gram(self) -> Dict[Term, Dict[Term, object]]:
+        """{v: {w: (w, v)}} for every monomial v and every w in the paired
+        block of v's block, zeros included: sum |block|^2 entries.
+
+        Built weight by weight from the top, where (e_j, v) = eps(v).  A
+        monomial w of weight n >= 1 is w' b with w' = ``parents[n][w]`` and
+        b its last arrow, so (w, v) = eps(w' (b v)) = sum_u (b v)_u (w', u),
+        with b v = ``mono_product(1, b, |v|, v)`` over the weight |v| + 1
+        monomials u, each in the block whose paired block holds w'.
+        """
+        if self._gram is not None:
+            return self._gram
+        alg, field, top = self.algebra, self.field, self.top
+        zero = field.zero
+        gram: Dict[Term, Dict[Term, object]] = {}
+        for k in range(top, -1, -1):
+            n = top - k
+            for (j, i), vs in alg.blocks[k].items():
+                ws = self._paired(k, j, i)
+                for v in vs:
+                    if not n:
+                        # v is the top monomial of column i, ws = [e_nu_bar(i)]
+                        gram[(k, v)] = {w: self._eps[v] for w in ws}
+                        continue
+                    acc = {}
+                    for w in ws:
+                        parent, b = alg.parents[n][w[1]]
+                        acc[w] = sum(c * gram[(k + 1, u)][(n - 1, parent)]
+                                     for u, c in alg.mono_product(1, b, k, v).items())
+                    acc = field.settle(acc)
+                    gram[(k, v)] = {w: acc.get(w, zero) for w in ws}
+        self._gram = gram
+        return gram
+
     def dual_basis(self) -> Dict[Term, Elem]:
         """{x: dual(x)} with (dual(x), x') = delta_{x x'}; errors if degenerate."""
         if self._dual is not None:
             return self._dual
         field = self.field
         one = field.one
+        gram = self.gram()
         dual: Dict[Term, Elem] = {}
         for m, blocks in enumerate(self.algebra.blocks):
-            for (j, i), vs in blocks.items():
-                ws = self._paired(m, j, i)
+            for vs in blocks.values():
+                # every Gram row of the block runs over its paired block
+                ws = list(gram[(m, vs[0])])
                 n = len(ws)
                 if n != len(vs):
                     raise FrobeniusError("degenerate form: unbalanced paired blocks")
@@ -121,12 +174,8 @@ class FrobeniusStructure:
                 # [I | G^-1] exactly when G is invertible
                 rows = []
                 for r, vp in enumerate(vs):
-                    x = {(m, vp): one}
-                    row = {}
-                    for k, w in enumerate(ws):
-                        val = self.form({w: one}, x)
-                        if not field.is_zero(val):
-                            row[k] = val
+                    g = gram[(m, vp)]
+                    row = {k: g[w] for k, w in enumerate(ws) if not field.is_zero(g[w])}
                     row[n + r] = one
                     rows.append(row)
                 reduced, pivots = rref(rows, 2 * n, field)
@@ -185,27 +234,27 @@ class FrobeniusStructure:
         self._nu_scalars = out
         return out
 
-    def nakayama_on_elem(self, x: Elem) -> Elem:
-        """Extend nu multiplicatively along basis paths."""
+    def _nu_table(self) -> Dict[Term, Elem]:
+        """nu of every monomial, along the monomial tree: nu(e_i) = e_nu_bar(i)
+        and nu(x' b) = c_b nu(x') beta_b, one rmul step each."""
+        if self._nu is not None:
+            return self._nu
         scalars = self.nakayama_arrow_scalars()
-        alg = self.algebra
-        field = self.field
+        alg, field = self.algebra, self.field
+        nu: Dict[Term, Elem] = {(0, i): alg.vertex_elem(j) for i, j in self.nu_bar.items()}
+        for m in range(1, self.top + 1):
+            for pos, (parent, b) in enumerate(alg.parents[m]):
+                beta, c = scalars[b]
+                nu[(m, pos)] = field.scale(alg.rmul_arrow(nu[(m - 1, parent)], beta), c)
+        self._nu = nu
+        return nu
+
+    def nakayama_on_elem(self, x: Elem) -> Elem:
+        """nu(x), read off the table of nu on the monomials."""
+        nu = self._nu_table()
         out: Elem = {}
-        for (m, pos), coeff in x.items():
-            if m == 0:
-                out = alg.elem_add(out, alg.vertex_elem(self.nu_bar[pos]), coeff)
-                continue
-            path = alg.monomials[m][pos]
-            cur = alg.vertex_elem(self.nu_bar[path.target])
-            c = coeff
-            for a in path.arrows:
-                beta, ca = scalars[a]
-                c = field.mul(c, ca)
-                cur = alg.rmul_arrow(cur, beta)
-                if not cur:
-                    break
-            if cur:
-                out = alg.elem_add(out, cur, c)
+        for t, coeff in x.items():
+            self.field.add_into(out, nu[t], coeff)
         return out
 
     def nakayama_respects_relations(self) -> bool:
@@ -231,17 +280,44 @@ class FrobeniusStructure:
         return True
 
     def form_is_nakayama_symmetric(self) -> bool:
-        """(y, x) = (nu(x), y) on all monomial pairs, block-sparsely."""
-        one = self.field.one
-        for m, pos in self.terms:
-            x = {(m, pos): one}
-            nx = self.nakayama_on_elem(x)
-            j, i = self.algebra.block_of[m][pos]
-            for w in self._paired(m, j, i):
-                y = {w: one}
-                if self.form(y, x) != self.form(nx, y):
+        """(y, x) = (nu(x), y) on all monomial pairs, block-sparsely: each Gram
+        entry (y, x) against sum_u nu(x)_u (u, y).  nu(x) lies in the paired
+        block of y's block, so every (u, y) it reads is an entry of y's row."""
+        field, gram, nu = self.field, self.gram(), self._nu_table()
+        zero = field.zero
+        for x, row in gram.items():
+            nx = nu[x]
+            for y, val in row.items():
+                g = gram[y]
+                if not field.is_zero(sum(c * g.get(u, zero) for u, c in nx.items()) - val):
                     return False
         return True
+
+    def paired_triples(self, rng, count: int) -> List[Tuple[int, int, int]]:
+        """``count`` triples of monomial indices (y, z, x), drawn with ``rng``,
+        whose form (yz, x) the grading lets be nonzero: positive weights that
+        sum to top, y z x composable, and y's target nu_bar of x's source.
+        A draw that finds no z or no y is dropped, after 50 * count draws
+        the list is returned short, and it is empty when top < 3, where no
+        such triple exists."""
+        alg, top = self.algebra, self.top
+        index = {t: k for k, t in enumerate(self.terms)}
+        xs = [t for t in self.terms if 1 <= t[0] <= top - 2]
+        out: List[Tuple[int, int, int]] = []
+        attempts = 50 * count if xs else 0
+        while len(out) < count and attempts:
+            attempts -= 1
+            x = rng.choice(xs)
+            tx, sx = alg.block_of[x[0]][x[1]]
+            mz = rng.randrange(1, top - x[0])
+            zs = [(mz, pos) for (_t, s), ps in alg.blocks[mz].items() if s == tx for pos in ps]
+            if not zs:
+                continue
+            z = rng.choice(zs)
+            ys = self._paired(x[0] + mz, alg.block_of[mz][z[1]][0], sx)
+            if ys:
+                out.append((index[rng.choice(ys)], index[z], index[x]))
+        return out
 
     def form_is_associative(self, samples: Sequence[Tuple[int, int, int]]) -> bool:
         """(y z, x) = (y, z x) on the given triples of monomial indices."""
@@ -259,21 +335,19 @@ class FrobeniusStructure:
         First every computed dual(w) must be supported on the paired block of
         w's block.  By the grading, (dual(w), v) then vanishes for v in any
         other block, since distinct blocks have disjoint paired blocks, and
-        delta_{vw} is zero there too.  So the form is taken on the pairs
-        inside each block only: sum |block|^2 forms instead of dim^2.
+        delta_{vw} is zero there too.  So D G = I is checked on each block:
+        (dual(w), v) = sum_u dual(w)_u (u, v), read off v's Gram row.
         """
-        dual = self.dual_basis()
-        field = self.field
+        dual, gram, field = self.dual_basis(), self.gram(), self.field
         for m, blocks in enumerate(self.algebra.blocks):
-            for (j, i), vs in blocks.items():
-                paired = set(self._paired(m, j, i))
-                if any(not paired.issuperset(dual[(m, w)]) for w in vs):
+            for vs in blocks.values():
+                rows = [gram[(m, v)] for v in vs]
+                if any(not rows[0].keys() >= dual[(m, w)].keys() for w in vs):
                     return False
-                for v in vs:
-                    x = {(m, v): field.one}
+                for v, g in zip(vs, rows):
                     for w in vs:
-                        want = field.one if v == w else field.zero
-                        if self.form(dual[(m, w)], x) != want:
+                        pairing = sum(c * g[u] for u, c in dual[(m, w)].items())
+                        if not field.is_zero(pairing - (field.one if v == w else field.zero)):
                             return False
         return True
 
@@ -287,26 +361,37 @@ class FrobeniusStructure:
         ``up[i]`` = sum dual(x) x over the x with target i, at every vertex;
         ``down[i]`` = sum x dual(x) over the x with source i, at the vertices
         that nu_bar fixes, as e_i A_0 e_{nu_bar(i)} is zero at the others.
+        For x in e_j A_m e_i with dual(x) in the paired block, dual(x) x lies
+        in the one-dimensional top block e_{nu_bar(i)} A_top e_i, and
+        x dual(x) in e_j A_top e_j, which is the top block of column j when
+        nu_bar fixes j and zero otherwise; each is its Gram value
+        eps(product) times that block's top monomial over eps.  A dual
+        supported outside its paired block is refused.
         """
-        alg, field, dual = self.algebra, self.field, self.dual_basis()
-        block_of, nu_bar = alg.block_of, self.nu_bar
+        field, dual, gram = self.field, self.dual_basis(), self.gram()
+        block_of, nu_bar, top = self.algebra.block_of, self.nu_bar, self.top
         up: Dict[int, Elem] = {i: {} for i in nu_bar}
         down: Dict[int, Elem] = {i: {} for i, j in nu_bar.items() if i == j}
 
-        def add(col: Elem, term: Elem, twisted: bool) -> None:
-            for (m, pos), c in term.items():
-                j, i = block_of[m][pos]
-                if i != (nu_bar[j] if twisted else j):
-                    # products outside e_j A e_nu_bar(j), or e_j A e_j, must vanish
-                    raise FrobeniusError("degree-3 image escaped its target")
-                col[(m, pos)] = col.get((m, pos), 0) + c
+        def add(col: Elem, column: int, value, twisted: bool) -> None:
+            """Add value / eps times the top monomial of the column."""
+            if field.is_zero(value):
+                return
+            pos = self._top_pos[column]
+            j, i = block_of[top][pos]
+            if i != (nu_bar[j] if twisted else j):
+                # products outside e_j A e_nu_bar(j), or e_j A e_j, must vanish
+                raise FrobeniusError("degree-3 image escaped its target")
+            col[(top, pos)] = col.get((top, pos), 0) + field.div(value, self._eps[pos])
 
         for t in self.terms:
             tgt, src = block_of[t[0]][t[1]]
-            x = {t: field.one}
-            add(up[tgt], alg.multiply(dual[t], x), True)
-            if src in down:
-                add(down[src], alg.multiply(x, dual[t]), False)
+            d, g = dual[t], gram[t]
+            if not g.keys() >= d.keys():
+                raise FrobeniusError("degree-3 image escaped its target")
+            add(up[tgt], src, sum(c * g[w] for w, c in d.items()), True)
+            if src in down and nu_bar[tgt] == tgt:
+                add(down[src], tgt, sum(c * gram[u][t] for u, c in d.items()), False)
         return ({i: field.settle(col) for i, col in up.items()},
                 {i: field.settle(col) for i, col in down.items()})
 
@@ -314,6 +399,7 @@ class FrobeniusStructure:
         """tr(nu restricted to e_j A e_i) for fixed vertices j, i of nu_bar."""
         alg = self.algebra
         field = self.field
+        nu = self._nu_table()
         fixed = [i for i in range(alg.quiver.n_vertices) if self.nu_bar[i] == i]
         out = []
         for j in fixed:
@@ -322,8 +408,7 @@ class FrobeniusStructure:
                 tr = field.zero
                 for m in range(self.top + 1):
                     for pos in alg.block_positions(m, j, i):
-                        img = self.nakayama_on_elem({(m, pos): field.one})
-                        tr = field.add(tr, img.get((m, pos), field.zero))
+                        tr = field.add(tr, nu[(m, pos)].get((m, pos), field.zero))
                 row.append(tr)
             out.append(row)
         return out

@@ -192,9 +192,7 @@ def hochschild2_checks(name: str, char: int, log: Optional[CheckLog] = None,
     log.record(f"{key}.frobenius.dual-pairing", frob.dual_pairing_check())
     log.record(f"{key}.frobenius.nakayama-symmetric",
                frob.form_is_nakayama_symmetric())
-    rng = random.Random(11)
-    triples = [(rng.randrange(frob.dim), rng.randrange(frob.dim),
-                rng.randrange(frob.dim)) for _ in range(60)]
+    triples = frob.paired_triples(random.Random(11), 20)
     log.record(f"{key}.frobenius.associative", frob.form_is_associative(triples))
     log.record(f"{key}.frobenius.nu-respects-relations",
                frob.nakayama_respects_relations())

@@ -90,12 +90,10 @@ def test_degenerate_basis_rejected():
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
 def test_singular_gram_block_rejected(field):
-    pr, frob = make_frob("D4", field)
-    form = frob.form
-    block_of = pr.algebra.block_of
-    # a form that vanishes on column 0 leaves that column's Gram blocks singular
-    frob.form = lambda y, x: (field.zero if any(block_of[m][pos][1] == 0 for m, pos in x)
-                              else form(y, x))
+    _pr, frob = make_frob("D4", field)
+    # eps zero on column 0's top monomial makes the form vanish on column 0,
+    # which leaves that column's Gram blocks singular
+    frob._eps[frob._top_pos[0]] = field.zero
     with pytest.raises(FrobeniusError, match="singular Gram block"):
         frob.dual_basis()
 
@@ -441,47 +439,56 @@ def test_dual_pairing_check_reads_the_computed_dual(name, field):
         assert frob.dual_pairing_check()
 
 
+def _count_products(monkeypatch, frob):
+    """The form calls of frob and the multiply calls of its algebra, as
+    they happen."""
+    forms, multiply, products = _count_forms(frob), frob.algebra.multiply, []
+    monkeypatch.setattr(frob.algebra, "multiply",
+                        lambda x, y: products.append(x) or multiply(x, y))
+    return forms, products
+
+
 @pytest.mark.parametrize("name,field,pairs,solve", [("D5", QQ, 68, 16), ("E6", GF(3), 208, 20)],
                          ids=["D5-Q", "E6-F3"])
-def test_frobenius_sweeps_form_only_block_pairs(name, field, pairs, solve):
-    """sum |block|^2 forms in the pairing check, 2 per paired monomial of each
-    arrow in the Nakayama solve; the all-pairs sweeps took dim^2 and
-    2 * arrows * dim."""
+def test_frobenius_sweeps_form_only_block_pairs(monkeypatch, name, field, pairs, solve):
+    """The Gram table holds sum |block|^2 forms, one per pair inside a block
+    and its paired block, and the dual basis, the pairing check and the
+    symmetry check read it with no form or multiply call; the Nakayama solve
+    takes 2 forms per paired monomial of each arrow.  The all-pairs sweeps
+    took dim^2 and 2 * arrows * dim."""
     pr, frob = make_frob(name, field)
     alg, q = pr.algebra, pr.quiver
-    frob.dual_basis()
-    calls = _count_forms(frob)
-    assert frob.dual_pairing_check()
-    assert len(calls) == pairs == sum(len(vs) ** 2 for b in alg.blocks for vs in b.values())
-    assert pairs < frob.dim ** 2
-    calls.clear()
+    forms, products = _count_products(monkeypatch, frob)
     frob.nakayama_arrow_scalars()
-    assert len(calls) == solve == 2 * sum(
+    assert len(forms) == solve == 2 * sum(
         len(alg.block_positions(frob.top - 1, frob.nu_bar[q.source[a]], q.target[a]))
         for a in range(q.n_arrows))
     assert solve < 2 * q.n_arrows * frob.dim
+    forms.clear()
+    products.clear()
+    assert frob.dual_pairing_check() and frob.form_is_nakayama_symmetric()
+    assert forms == products == []
+    gram = frob.gram()
+    assert sum(len(row) for row in gram.values()) == pairs == sum(
+        len(vs) ** 2 for b in alg.blocks for vs in b.values())
+    assert pairs < frob.dim ** 2
+    for m, blocks in enumerate(alg.blocks):
+        for (j, i), vs in blocks.items():
+            assert all(list(gram[(m, v)]) == frob._paired(m, j, i) for v in vs)
 
 
 @pytest.mark.parametrize("name,field", [("D5", QQ), ("E6", GF(3))], ids=["D5-Q", "E6-F3"])
-def test_delta_maps_multiply_only_composable_terms(monkeypatch, name, field):
-    """One product per composable x for each vertex column: dual(x) x for
-    the x with target i going up, x dual(x) for the x with source i going
-    down at a vertex i that nu_bar fixes.  The columns of positive weight
-    are zero unread, and the all-pairs sweep took two products per
-    monomial x for every column."""
+def test_delta_maps_read_the_gram_table(monkeypatch, name, field):
+    """Each dual(x) x and x dual(x) lies in a one-dimensional top block, so
+    the degree-3 columns are read off the Gram table and the dual basis:
+    no form, no multiply, and no new entry of the product table."""
     pr, frob = make_frob(name, field)
-    alg, n = pr.algebra, pr.quiver.n_vertices
     frob.dual_basis()
-    multiply, calls = alg.multiply, []
-    monkeypatch.setattr(alg, "multiply", lambda x, y: calls.append(1) or multiply(x, y))
-    frob.delta_columns()
-    with_target = [sum(alg.block_dim(i, j) for j in range(n)) for i in range(n)]
-    with_source = [sum(alg.block_dim(j, i) for j in range(n)) for i in range(n)]
-    assert len(calls) == sum(with_target[i] + len(alg.block_positions(0, i, frob.nu_bar[i]))
-                             * with_source[i]
-                             for i in range(n))
-    n_cols = sum(len(_vertex_coords(alg, frob.nu_bar, twisted)) for twisted in (False, True))
-    assert len(calls) < 2 * n_cols * frob.dim
+    filled = len(pr.algebra._prod)
+    forms, products = _count_products(monkeypatch, frob)
+    up, _down = frob.delta_columns()
+    assert forms == products == [] and len(pr.algebra._prod) == filled
+    assert any(up.values())
 
 
 def _delta_maps_every_column(frob):
@@ -532,7 +539,9 @@ def test_delta_maps_equal_the_every_column_sum(name, field):
 #: log entries (key, ok, detail), recorded before the Frobenius data moved
 #: to the monomial basis; the two E6 entries were recorded again when nu
 #: came to be derived from the adjacency matrix, as the expected dict in the
-#: ``frobenius.nubar`` detail now prints in vertex order
+#: ``frobenius.nubar`` detail now prints in vertex order; the two E8 entries
+#: were recorded while the Frobenius checks still took each form as a
+#: product, before they came to read the Gram table
 RECORDED_LOG_DIGESTS = {
     ("D5", 0): (134, "64be777c0783d31044ea26ab318178a2bff57874618a7c6f37c47005885fc8f4"),
     ("E6", 3): (189, "9c82fe03274f962705fa5f81023c193aac9577ffc42e8d832d873f9565ca63cb"),
@@ -540,6 +549,8 @@ RECORDED_LOG_DIGESTS = {
     ("D4", 2): (130, "6d1cbe8086ff58ebc85f0af0c6416a1621a59b184c0dbe3a9c4ebde36e7299e0"),
     ("D6", 2): (311, "c4a5a0c72e1f59858c451981f27dbc0b759305813fd60032204488e36747cabe"),
     ("E6", 2): (187, "c421948a1ee43bdeb9bf022ee445b41cfdecb228a33e0fe1a733a3dbd660a310"),
+    ("E8", 0): (500, "df0f84ee393d69444997356f18b6cd7c13cb81c7bbc6d653227093c6fb4bc3a5"),
+    ("E8", 3): (620, "6ae81722c98bd3f858786d2ff9b540a51a145e0512d6c9ed25304fc78a221db0"),
 }
 
 
@@ -570,3 +581,144 @@ def test_a_changed_cup_table_entry_fails_its_check(monkeypatch):
     failed = {key for key, ok, _detail in verify_type_char("D5", 0).entries if not ok}
     assert failed == {"D5.char0.cup.z1*zeta0", "D5.char0.cup.zeta0*z1"}
     assert verify_type_char("A4", 0).ok
+
+
+GRAM_TYPES = [("D5", QQ), ("E6", GF(3)), ("E7", GF(2)), ("E8", GF(2))]
+GRAM_IDS = ["D5-Q", "E6-F3", "E7-F2", "E8-F2"]
+
+
+@pytest.mark.parametrize("name,field", GRAM_TYPES, ids=GRAM_IDS)
+def test_gram_entries_equal_the_form(name, field):
+    """Every entry of the Gram table, built along the left factor's
+    monomial tree, equals eps of the product of the two monomials."""
+    _pr, frob = make_frob(name, field)
+    gram = frob.gram()
+    assert sorted(gram) == sorted(frob.terms)
+    for v, row in gram.items():
+        for w, value in row.items():
+            assert value == frob.form({w: field.one}, {v: field.one}), (w, v)
+
+
+def _nu_by_path_walk(frob, t):
+    """nu of the monomial t, walked arrow by arrow along its path: the
+    image of its target idempotent times beta_a for each arrow a, scaled by
+    the product of the c_a."""
+    alg, field = frob.algebra, frob.field
+    scalars = frob.nakayama_arrow_scalars()
+    m, pos = t
+    if m == 0:
+        return alg.vertex_elem(frob.nu_bar[pos])
+    path = alg.monomials[m][pos]
+    cur, c = alg.vertex_elem(frob.nu_bar[path.target]), field.one
+    for a in path.arrows:
+        beta, ca = scalars[a]
+        c = field.mul(c, ca)
+        cur = alg.rmul_arrow(cur, beta)
+    return alg.elem_scale(cur, c)
+
+
+@pytest.mark.parametrize("name,field", GRAM_TYPES, ids=GRAM_IDS)
+def test_nu_table_equals_the_path_walk(name, field):
+    _pr, frob = make_frob(name, field)
+    for t in frob.terms:
+        assert frob.nakayama_on_elem({t: field.one}) == _nu_by_path_walk(frob, t), t
+
+
+def _frobenius_failures(comp):
+    """What catches a fault put into comp's Frobenius data: the message of a
+    FrobeniusError from dual_basis, else the frobenius checks that fail."""
+    try:
+        comp.frob.dual_basis()
+    except FrobeniusError as exc:
+        return {str(exc)}
+    log = hochschild2_checks(comp.name, comp.char, comp=comp)
+    return {key.split(".", 2)[2] for key, ok, _detail in log.entries
+            if not ok and ".frobenius." in key}
+
+
+MUTATION_CASES = [("D5", 0), ("E6", 3), ("E7", 2), ("E8", 2)]
+MUTATION_IDS = [f"{n}-{c}" for n, c in MUTATION_CASES]
+
+
+@pytest.mark.parametrize("name,char", MUTATION_CASES, ids=MUTATION_IDS)
+@pytest.mark.parametrize("where", ["low", "middle", "high"])
+def test_a_changed_left_arrow_product_is_caught(name, char, where):
+    """One entry b v of the product table that the Gram recursion reads,
+    changed where it meets a nonzero (w', u), fails a frobenius check or
+    leaves a Gram block singular."""
+    comp = TypeCharComputation(name, char, with_frobenius=True)
+    frob, alg = comp.frob, comp.preset.algebra
+    one = frob.field.one
+    k = {"low": 1, "middle": frob.top // 2, "high": frob.top - 2}[where]
+    n = frob.top - k
+
+    def entry():
+        for (j, i), vs in alg.blocks[k].items():
+            for v in vs:
+                for w in frob._paired(k, j, i):
+                    parent, b = alg.parents[n][w[1]]
+                    for u, c in alg.mono_product(1, b, k, v).items():
+                        if frob.form({(n - 1, parent): one}, {(k + 1, u): one}):
+                            return (1, b, k, v), u, c
+    key, u, c = entry()
+    alg._prod[key] = {**alg._prod[key], u: frob.field.add(c, one)}
+    assert _frobenius_failures(comp)
+
+
+@pytest.mark.parametrize("name,char", MUTATION_CASES, ids=MUTATION_IDS)
+def test_a_changed_nakayama_scalar_fails_the_symmetry_check(name, char):
+    comp = TypeCharComputation(name, char, with_frobenius=True)
+    frob = comp.frob
+    scalars = frob.nakayama_arrow_scalars()
+    beta, c = scalars[0]
+    scalars[0] = (beta, frob.field.neg(c) if char != 2 else frob.field.zero)
+    assert "frobenius.nakayama-symmetric" in _frobenius_failures(comp)
+
+
+@pytest.mark.parametrize("name,char", MUTATION_CASES, ids=MUTATION_IDS)
+@pytest.mark.parametrize("solved", [False, True], ids=["before-solve", "after-solve"])
+def test_a_changed_eps_value_is_caught(name, char, solved):
+    """eps changed on one column: before the Nakayama solve, form and Gram
+    table agree on another form, whose nu breaks the graph rule; after it,
+    the Gram table no longer matches nu.  Over F:2 the only change is to
+    zero, which leaves a Gram block singular."""
+    comp = TypeCharComputation(name, char, with_frobenius=True)
+    frob, field = comp.frob, comp.field
+    if solved:
+        frob.nakayama_arrow_scalars()
+    pos = frob._top_pos[0]
+    frob._eps[pos] = field.add(frob._eps[pos], frob._eps[pos])
+    failures = _frobenius_failures(comp)
+    if char == 2:
+        assert failures == {"degenerate form: singular Gram block"}
+    elif solved:
+        assert "frobenius.nakayama-symmetric" in failures
+    else:
+        assert "frobenius.nu-matches-graph-rule" in failures
+
+
+@pytest.mark.parametrize("name,char", [("D5", 0), ("E6", 3), ("E8", 2), ("A9", 0)],
+                         ids=["D5-0", "E6-3", "E8-2", "A9-0"])
+def test_associativity_triples_can_be_nonzero(name, char):
+    """hochschild2_checks draws 20 triples (y, z, x) whose form (yz, x) the
+    grading lets be nonzero, where uniform triples of monomials seldom
+    compose to the top.  One product-table entry y z that a triple with a nonzero
+    form reads, changed once the table holds every product the check takes,
+    fails the check."""
+    comp = TypeCharComputation(name, char, with_frobenius=True)
+    frob, alg, field = comp.frob, comp.preset.algebra, comp.field
+    triples = frob.paired_triples(random.Random(11), 20)
+    assert len(triples) == 20
+    values = []
+    for idx in triples:
+        y, z, x = (frob.terms[k] for k in idx)
+        (ty, sy), (tz, sz), (tx, sx) = (alg.block_of[m][pos] for m, pos in (y, z, x))
+        assert min(y[0], z[0], x[0]) >= 1 and y[0] + z[0] + x[0] == frob.top
+        assert sy == tz and sz == tx and ty == frob.nu_bar[sx]
+        values.append(frob.form(alg.multiply({y: field.one}, {z: field.one}), {x: field.one}))
+    assert frob.form_is_associative(triples)
+    (y, z, _x), = [(frob.terms[a], frob.terms[b], frob.terms[c])
+                   for (a, b, c), value in zip(triples, values) if value][:1]
+    key = (y[0], y[1], z[0], z[1])
+    alg._prod[key] = field.scale(alg._prod[key], field.from_int(2 if char != 2 else 0))
+    assert not frob.form_is_associative(triples)
