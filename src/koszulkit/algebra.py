@@ -9,8 +9,10 @@ product pairs, taken in right-factor-most-significant path order.
 
 Products come from one table of monomial products (``mono_product``),
 filled on demand along the right factor's monomial tree and storing zero
-products as well; ``multiply`` and left multiplication by an arrow both
-read it.
+products as well, and go through one loop, ``multiply_into``, which adds
+c x y into an unsettled accumulator: ``multiply`` settles it from an empty
+one, the Koszul pair tables add every product of a table straight into its
+outputs and settle each output once.
 """
 
 from __future__ import annotations
@@ -264,24 +266,31 @@ class GradedAlgebra:
             self._prod[key] = nf
         return nf
 
-    def multiply(self, x: Elem, y: Elem) -> Elem:
-        """Normal form of the product x y (y acts first), bilinear in the
-        monomial products.  Pairs that are not composable, or whose weights
-        sum past the top of a finite algebra, are zero without a lookup; on a
+    def multiply_into(self, acc: Elem, x: Elem, y: Elem, c) -> Elem:
+        """Add c x y (y acts first) into ``acc`` with plain + and *, unsettled,
+        and return ``acc``: the one product loop, bilinear in the monomial
+        products.  Pairs that are not composable, or whose weights sum past
+        the top of a finite algebra, add nothing without a lookup; on a
         truncated algebra a product beyond the cutoff raises."""
         block_of = self.block_of
         top = self.top_weight
-        acc: Elem = {}
+        mono_product = self.mono_product
         for (n, qos), d in y.items():
             tgt = block_of[n][qos][0]
-            for (m, pos), c in x.items():
+            dc = d * c
+            for (m, pos), e in x.items():
                 if block_of[m][pos][1] != tgt or (top is not None and m + n > top):
                     continue
-                cd = c * d
-                for npos, w in self.mono_product(m, pos, n, qos).items():
+                edc = e * dc
+                for npos, w in mono_product(m, pos, n, qos).items():
                     t = (m + n, npos)
-                    acc[t] = acc.get(t, 0) + cd * w
-        return self.field.settle(acc)
+                    acc[t] = acc.get(t, 0) + edc * w
+        return acc
+
+    def multiply(self, x: Elem, y: Elem) -> Elem:
+        """Normal form of the product x y (y acts first): ``multiply_into``
+        an empty accumulator, settled."""
+        return self.field.settle(self.multiply_into({}, x, y, self.field.one))
 
     def path_normal_form(self, path: Path) -> Elem:
         cur = self.vertex_elem(path.target)

@@ -128,11 +128,6 @@ def eta_table(kd: KoszulCalculus, zs: Sequence[Chain],
     return out
 
 
-def eta(kd: KoszulCalculus, z: Chain) -> Cochain:
-    """Inverse of the duality map on one chain, the one-chain case of ``eta_table``."""
-    return eta_table(kd, [z])[0]
-
-
 def unit_cochain(kd: KoszulCalculus) -> Cochain:
     return kd.diagonal_cochain(kd.algebra.unit_elem())
 

@@ -4,9 +4,9 @@ Scalars are plain Python values; a field object carries the operations.
 Over the rationals a scalar is an ``int`` until a division leaves a
 non-integer, and only then a ``fractions.Fraction``: ``zero``, ``one`` and
 ``from_int`` are ints, and ``inv``, ``div`` and ``parse`` give an int
-whenever the result is whole.  Over a prime field a scalar is an ``int`` in
-``[0, p)``.  Every linear-algebra routine receives
-the field explicitly and refuses to mix scalars from different fields.
+whenever the result is whole; ``inv`` of +-1 and ``div`` by +-1 build no
+``Fraction`` at all.  Over a prime field a scalar is an ``int`` in
+``[0, p)``.  Every linear-algebra routine receives the field explicitly and refuses to mix scalars from different fields.
 
 Hot loops accumulate with plain ``+`` and ``*``, which both kinds of scalar
 support, and hand the sums to the field once: ``add_into`` adds a scaled
@@ -114,6 +114,8 @@ class Rationals(Field):
         return whole(1 / Fraction(a))
 
     def div(self, a, b):
+        if b == 1 or b == -1:
+            return whole(a if b == 1 else -a)
         return whole(Fraction(a) / b)
 
     def is_zero(self, a) -> bool:

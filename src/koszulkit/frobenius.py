@@ -41,9 +41,10 @@ block's top monomial, and no product is formed.
 :class:`FrobeniusStructure` derives each piece of this data once, lazily,
 and keeps it on the instance: the Gram table in ``_gram``, keyed by
 monomial v as {w: (w, v)}; the dual basis in ``_dual``, keyed by monomial
-(each Gram block inverted by ``linalg.rref`` on ``[G | I]``); the Nakayama
-scalars ``{arrow: (beta, c)}`` in ``_nu_scalars``; and nu of every monomial
-in ``_nu``, which ``nakayama_on_elem`` and ``nu_trace_matrix`` read.
+(a 1x1 Gram block inverted by one ``inv``, a larger one by ``linalg.rref``
+on ``[G | I]``); the Nakayama scalars ``{arrow: (beta, c)}`` in
+``_nu_scalars``; and nu of every monomial in ``_nu``, which
+``nakayama_on_elem`` reads.
 """
 
 from __future__ import annotations
@@ -169,6 +170,13 @@ class FrobeniusStructure:
                 n = len(ws)
                 if n != len(vs):
                     raise FrobeniusError("degenerate form: unbalanced paired blocks")
+                if n == 1:
+                    # a 1x1 block: dual(v) = w / (w, v)
+                    g = gram[(m, vs[0])][ws[0]]
+                    if field.is_zero(g):
+                        raise FrobeniusError("degenerate form: singular Gram block")
+                    dual[(m, vs[0])] = {ws[0]: field.inv(g)}
+                    continue
                 # want dual(v) = sum_w c_w w with (dual(v), v') = delta; row v'
                 # of [G | I] holds G[v'][w] = (w, v'), and its reduced form is
                 # [I | G^-1] exactly when G is invertible
@@ -394,25 +402,6 @@ class FrobeniusStructure:
                 add(down[src], tgt, sum(c * gram[u][t] for u, c in d.items()), False)
         return ({i: field.settle(col) for i, col in up.items()},
                 {i: field.settle(col) for i, col in down.items()})
-
-    def nu_trace_matrix(self) -> List[List[object]]:
-        """tr(nu restricted to e_j A e_i) for fixed vertices j, i of nu_bar."""
-        alg = self.algebra
-        field = self.field
-        nu = self._nu_table()
-        fixed = [i for i in range(alg.quiver.n_vertices) if self.nu_bar[i] == i]
-        out = []
-        for j in fixed:
-            row = []
-            for i in fixed:
-                tr = field.zero
-                for m in range(self.top + 1):
-                    for pos in alg.block_positions(m, j, i):
-                        tr = field.add(tr, nu[(m, pos)].get((m, pos), field.zero))
-                row.append(tr)
-            out.append(row)
-        return out
-
 
 def cartan_kernel_dim(algebra: GradedAlgebra) -> int:
     field = algebra.field

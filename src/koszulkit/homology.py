@@ -86,29 +86,6 @@ class CoordSpace:
     def dim(self) -> int:
         return len(self.coords)
 
-    def flatten(self, obj) -> SparseVec:
-        field = self.kd.field
-        out: SparseVec = {}
-        for flat_idx, val in obj.values.items():
-            if self.module == MODULE_A:
-                for (m, pos), c in val.items():
-                    if m != self.m:
-                        raise ValueError("flatten requires a weight-homogeneous value")
-                    out[self._index_of(flat_idx, pos)] = c
-            else:
-                j, i = self.kd.w(self.p).block_of(flat_idx)
-                if not field.is_zero(val):
-                    out[self._index_of(flat_idx, i)] = val
-        return out
-
-    def _index_of(self, flat_idx: int, pos: int) -> int:
-        k = self.index.get((flat_idx, pos))
-        if k is None:
-            weight = "" if self.m is None else f" at weight {self.m}"
-            raise NotClosedError(f"a value{weight} lies outside its vertex block "
-                                 f"in degree {self.p}")
-        return k
-
     def unflatten(self, vec: SparseVec):
         values: Dict[int, object] = {}
         for k, c in vec.items():
@@ -293,11 +270,12 @@ class CalculusSpaces(_GradedDims):
         """Coordinates of a closed cochain/chain in the representative basis.
 
         b_K raises the coefficient weight by one, so an element is closed iff
-        each weight component is.  Each component is tested for closedness
-        by its weight block's cocycle (cycle) space Z = ker(b_K) as its
-        coordinates are read, in one reduction by B
-        (``QuotientSpace.coords``), and the blocks it does not touch read
-        zero.
+        each weight component is.  The element is read once, each value into
+        the flat vector of its weight block (``_weight_vectors``); then,
+        weights ascending, each vector is tested for closedness by its
+        block's cocycle (cycle) space Z = ker(b_K) as its coordinates are
+        read, in one reduction by B (``QuotientSpace.coords``), and the
+        blocks it does not touch read zero.
         A component outside the layout (the top weight of a truncated
         algebra, or a value outside its vertex block) is refused, and so is
         an element over another module than these spaces', before any work."""
@@ -313,19 +291,53 @@ class CalculusSpaces(_GradedDims):
             raise ModuleError(f"a {obj.module}-valued element has no class in "
                               f"{self.module}-coefficient spaces")
         total, offsets = self.layout(obj.degree)
-        touched = obj.coefficient_weights()
+        vecs = self._weight_vectors(obj, offsets)
         coords: List[object] = [self.kd.field.zero] * total
-        for m in touched:
+        for m in sorted(vecs):
             if m not in offsets:
                 raise NotClosedError(f"a component at weight {m} lies outside the computed "
                                      f"weights {list(offsets)} of degree {obj.degree}")
+            vec = vecs[m]
+            if None in vec:
+                weight = "" if m is None else f" at weight {m}"
+                raise NotClosedError(f"a value{weight} lies outside its vertex block "
+                                     f"in degree {obj.degree}")
             start, blk = offsets[m]
-            comp = obj if len(touched) == 1 else obj.weight_component(m)
             try:
-                coords[start:start + blk.dim] = blk.quotient.coords(blk.space.flatten(comp))
+                coords[start:start + blk.dim] = blk.quotient.coords(vec)
             except NotInSubspaceError:
                 raise NotClosedError(not_closed) from None
         return coords
+
+    def _weight_vectors(self, obj, offsets) -> Dict[Optional[int], SparseVec]:
+        """The element's values in one read, as a flat vector per weight in
+        the coordinates of that weight's block; k is the one weight None.  A
+        value with no coordinate there (a weight outside ``offsets``, or a
+        position outside its vertex block) is put at key None, for
+        ``class_of`` to refuse in weight order."""
+        vecs: Dict[Optional[int], SparseVec] = {}
+        if obj.module == MODULE_K:
+            if obj.values:
+                blk = offsets.get(None)
+                index = blk[1].space.index if blk else {}
+                block_of = self.kd.w(obj.degree).block_of
+                vec = vecs[None] = {}
+                for x, c in obj.values.items():
+                    if not self.kd.field.is_zero(c):
+                        vec[index.get((x, block_of(x)[1]))] = c
+            return vecs
+        last = vec = index = None
+        for x, val in obj.values.items():
+            for (m, pos), c in val.items():
+                if m != last:
+                    last = m
+                    vec = vecs.get(m)
+                    if vec is None:
+                        vec = vecs[m] = {}
+                    blk = offsets.get(m)
+                    index = blk[1].space.index if blk else {}
+                vec[index.get((x, pos))] = c
+        return vecs
 
     def layout(self, p: int) -> Tuple[int, Dict[Optional[int], Tuple[int, HomologyBlock]]]:
         """Length of the class coordinates of degree p, and the offset of each

@@ -53,13 +53,16 @@ factor order.  The walk indexes the other list once by W support; for each
 element of the walked list (the cochains for cup, the chains for cap) and
 each W index of its support, it reads that index's row and meets only the
 factors whose support holds the matching W index, so a pair that is not
-composable costs nothing.  Module values are summed one way, with plain +
-and * through ``_mod_accumulate``, and reduced once by ``_mod_settle``; each
-pair is summed in the order of the one-pair loop, so its settled values do
-not depend on the lists it came in.  ``cup`` and ``cap`` are the one-pair
-tables.  Finite, truncated and k-valued products take this one path; on a
-truncated algebra a product past the cutoff raises ``WeightOverflowError``
-from ``multiply``.
+composable costs nothing.  Each hit is added by ``_add_product`` straight
+into the accumulator of its output element, at its output W index, with
+plain + and *: an A value through ``GradedAlgebra.multiply_into``, which
+adds the monomial products without settling them, and a k value through
+the augmentation at the joining vertex.  Each output is reduced once by
+``_mod_settle``; each pair is summed in the order of the one-pair loop, so
+its settled values do not depend on the lists it came in.  ``cup`` and
+``cap`` are the one-pair tables.  Finite, truncated and k-valued products
+take this one path; on a truncated algebra a product past the cutoff
+raises ``WeightOverflowError`` from ``multiply_into``.
 """
 
 from __future__ import annotations
@@ -464,21 +467,27 @@ class KoszulCalculus:
             raise ModuleError("at least one coefficient module must be the algebra")
         return MODULE_K if MODULE_K in (mod_f, mod_g) else MODULE_A
 
-    def _mod_product(self, mod_f: str, mod_g: str, fval, gval,
-                     fblock: Tuple[int, int], gblock: Tuple[int, int]):
-        """fval gval in P (x)_A Q for modules in {A, k}, with fblock and gblock
-        the vertex blocks of the W basis vectors the two values sit on.  Only
+    def _add_product(self, acc: Dict[int, object], t: int, mod_f: str, mod_g: str,
+                     fval, gval, fblock: Tuple[int, int], gblock: Tuple[int, int],
+                     c) -> None:
+        """acc[t] += c fval gval in P (x)_A Q for modules in {A, k}, with plain
+        + and *; _mod_settle reduces the sums.  fblock and gblock are the
+        vertex blocks of the W basis vectors the two values sit on.  Only
         whether the A value's block is diagonal is read, so a chain may pass
         its W block, not the transposed block of its coefficient."""
         if mod_f == MODULE_A and mod_g == MODULE_A:
-            return self.algebra.multiply(fval, gval)
+            self.algebra.multiply_into(acc.setdefault(t, {}), fval, gval, c)
+            return
         # A (x)_A k: the augmentation of the A value at the joining vertex,
         # nonzero only when the A value has a vertex component there
         if mod_f == MODULE_A:
             mid = fblock[1]
-            return self.field.mul(fval.get((0, mid), 0), gval) if fblock[0] == mid else 0
-        mid = gblock[0]
-        return self.field.mul(fval, gval.get((0, mid), 0)) if gblock[1] == mid else 0
+            fval = fval.get((0, mid), 0) if fblock[0] == mid else 0
+        else:
+            mid = gblock[0]
+            gval = gval.get((0, mid), 0) if gblock[1] == mid else 0
+        if fval and gval:
+            acc[t] = acc.get(t, 0) + c * fval * gval
 
     def _pair_table(self, walked: Sequence["KoszulElement"], mod_w: str,
                     others: Sequence["KoszulElement"], mod_o: str,
@@ -490,7 +499,7 @@ class KoszulCalculus:
         index).  ``rows[w]`` holds the (other W index, output W index, c)
         that the walked W index w meets in the split table; each hit adds
         sign * c times the product of the two values, the walked value first
-        when ``walked_first``."""
+        when ``walked_first``, straight into the output's accumulator."""
         out_module = self._out_module(mod_w, mod_o)
         make = type(walked[0])
         cochains_walked = make is Cochain
@@ -499,7 +508,7 @@ class KoszulCalculus:
         for m, e in enumerate(others):
             for o, v in e.values.items():
                 o_at.setdefault(o, []).append((m, v))
-        product, accumulate, settle = self._mod_product, self._mod_accumulate, self._mod_settle
+        add, settle = self._add_product, self._mod_settle
         table: Dict[Tuple[int, int], KoszulElement] = {}
         for n, e in enumerate(walked):
             accs: Dict[int, Dict[int, object]] = {}
@@ -510,13 +519,13 @@ class KoszulCalculus:
                     if hits is None:
                         continue
                     oblock = oblock_of(o)
+                    sc = sign * c
                     for m, ov in hits:
+                        acc = accs.setdefault(m, {})
                         if walked_first:
-                            prod = product(mod_w, mod_o, wv, ov, wblock, oblock)
+                            add(acc, t, mod_w, mod_o, wv, ov, wblock, oblock, sc)
                         else:
-                            prod = product(mod_o, mod_w, ov, wv, oblock, wblock)
-                        if prod:
-                            accumulate(out_module, accs.setdefault(m, {}), t, prod, sign * c)
+                            add(acc, t, mod_o, mod_w, ov, wv, oblock, wblock, sc)
             for m, acc in accs.items():
                 values = settle(out_module, acc)
                 if values:
@@ -649,16 +658,6 @@ class KoszulElement:
         for v in self.values.values():
             out.update(m for (m, _pos) in v)
         return sorted(out)
-
-    def weight_component(self, m: int):
-        if self.module != MODULE_A:
-            return self
-        values = {}
-        for k, v in self.values.items():
-            part = {t: c for t, c in v.items() if t[0] == m}
-            if part:
-                values[k] = part
-        return self._with(values)
 
 
 class Cochain(KoszulElement):

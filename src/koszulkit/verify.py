@@ -251,10 +251,12 @@ def hochschild2_checks(name: str, char: int, log: Optional[CheckLog] = None,
 
 def _run_verify_job(args: Tuple[str, int]) -> Tuple[List[Tuple[str, bool, str]],
                                                    Tuple[int, int, int]]:
-    """Table checks for one (type, char) and its computed invariant triple."""
+    """Table checks and the degree-2 Hochschild comparison for one
+    (type, char), on one computation, and its computed invariant triple."""
     name, char = args
     comp = TypeCharComputation(name, char, with_frobenius=False)
     log = verify_type_char(name, char, comp=comp)
+    hochschild2_checks(name, char, log=log, comp=comp)
     return log.entries, comp.invariant_triple()
 
 

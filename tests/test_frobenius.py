@@ -12,8 +12,8 @@ from koszulkit.homology import koszul_homology
 from koszulkit.koszul import KoszulCalculus, MODULE_A
 from koszulkit.linalg import kernel, rref
 from koszulkit.presets import Preset, expected_nakayama_on_arrows, socle_generators
-from koszulkit.verify import (CheckLog, TypeCharComputation, hochschild2_checks,
-                              verify_type_char)
+from koszulkit.verify import (CheckLog, TypeCharComputation, _run_verify_job,
+                              hochschild2_checks, verify_ade, verify_type_char)
 
 from dynkin_tables import hand_nakayama
 
@@ -98,6 +98,53 @@ def test_singular_gram_block_rejected(field):
         frob.dual_basis()
 
 
+def _rref_dual_basis(frob):
+    """The dual basis with every Gram block, 1x1 ones included, inverted by
+    ``rref`` on ``[G | I]``."""
+    field, gram, dual = frob.field, frob.gram(), {}
+    for m, blocks in enumerate(frob.algebra.blocks):
+        for vs in blocks.values():
+            ws = list(gram[(m, vs[0])])
+            n = len(ws)
+            rows = []
+            for r, vp in enumerate(vs):
+                g = gram[(m, vp)]
+                row = {k: g[w] for k, w in enumerate(ws) if not field.is_zero(g[w])}
+                row[n + r] = field.one
+                rows.append(row)
+            reduced, pivots = rref(rows, 2 * n, field)
+            assert pivots[-1] < n
+            for col_v, v in enumerate(vs):
+                dual[(m, v)] = {w: reduced[k][n + col_v] for k, w in enumerate(ws)
+                                if n + col_v in reduced[k]}
+    return dual
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("name", adedata.listed_types())
+def test_dual_basis_equals_the_rref_reference(name, field):
+    """The dual basis, with its 1x1 Gram blocks inverted by one inv, equals
+    the one with every block through rref, value and type alike."""
+    _pr, frob = make_frob(name, field)
+    want = _rref_dual_basis(frob)
+    got = frob.dual_basis()
+    assert got == want
+    assert all(type(c) is type(want[x][w]) for x, d in got.items() for w, c in d.items())
+    assert any(len(vs) == 1 for blocks in frob.algebra.blocks for vs in blocks.values())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_a_zero_1x1_gram_block_is_singular(field):
+    _pr, frob = make_frob("E6", field)
+    gram = frob.gram()
+    (m, v), = [(m, vs[0]) for m, blocks in enumerate(frob.algebra.blocks)
+               for vs in blocks.values() if len(vs) == 1][:1]
+    (w, _value), = gram[(m, v)].items()
+    gram[(m, v)][w] = field.zero
+    with pytest.raises(FrobeniusError, match="^degenerate form: singular Gram block$"):
+        frob.dual_basis()
+
+
 def _count_forms(frob):
     form, calls = frob.form, []
 
@@ -176,13 +223,31 @@ def test_delta_down_on_middle_idempotent_type_a_odd():
     assert alg.elem_equal(down[m_a], alg.elem_scale(pi, QQ.from_int(m_a + 1)))
 
 
+def _nu_trace_matrix(frob):
+    """tr(nu restricted to e_j A e_i) for fixed vertices j, i of nu_bar."""
+    alg, field = frob.algebra, frob.field
+    fixed = [i for i in range(alg.quiver.n_vertices) if frob.nu_bar[i] == i]
+    out = []
+    for j in fixed:
+        row = []
+        for i in fixed:
+            tr = field.zero
+            for m in range(frob.top + 1):
+                for pos in alg.block_positions(m, j, i):
+                    image = frob.nakayama_on_elem({(m, pos): field.one})
+                    tr = field.add(tr, image.get((m, pos), field.zero))
+            row.append(tr)
+        out.append(row)
+    return out
+
+
 def test_delta_down_trace_formula():
     # identity permutation case: each idempotent maps to the trace-weighted
     # sum of socle generators
     pr, frob = make_frob("D4", QQ)
     _up, down = frob.delta_columns()
     alg = pr.algebra
-    traces = frob.nu_trace_matrix()
+    traces = _nu_trace_matrix(frob)
     socle = socle_generators(pr)
     assert sorted(down) == list(range(4))
     for i in range(4):
@@ -563,6 +628,32 @@ def test_verify_logs_match_recorded_digests(name, char):
     hochschild2_checks(name, char, log=log, comp=comp)
     digest = hashlib.sha256(json.dumps(log.entries).encode("utf-8")).hexdigest()
     assert (len(log.entries), digest) == RECORDED_LOG_DIGESTS[(name, char)]
+
+
+def test_a_verify_ade_job_runs_the_degree2_comparison():
+    """A verify-ade job runs hochschild2_checks on the computation its table
+    checks built, so its entries are the recorded log of both."""
+    entries, triple = _run_verify_job(("D5", 0))
+    digest = hashlib.sha256(json.dumps(entries).encode("utf-8")).hexdigest()
+    assert (len(entries), digest) == RECORDED_LOG_DIGESTS[("D5", 0)]
+    assert triple == adedata.expected_higher_dims("D5", 0)
+
+
+@pytest.mark.parametrize("name,char", [("D4", 0), ("D5", 0), ("D6", 3)],
+                         ids=["D4-0", "D5-0", "D6-3"])
+def test_a_changed_eps_value_turns_a_verify_ade_entry_red(name, char, monkeypatch):
+    """eps doubled on one column of every Frobenius structure: verify-ade
+    fails the Nakayama graph rule of the D type, and nothing else."""
+    real = FrobeniusStructure.__init__
+
+    def doubled_eps(self, algebra, socle):
+        real(self, algebra, socle)
+        pos = self._top_pos[0]
+        self._eps[pos] = self.field.add(self._eps[pos], self._eps[pos])
+    monkeypatch.setattr(FrobeniusStructure, "__init__", doubled_eps)
+    log = verify_ade([name], [char])
+    assert [key for key, ok, _detail in log.entries if not ok] == [
+        f"{name}.char{char}.frobenius.nu-matches-graph-rule"]
 
 
 def test_a_changed_cup_table_entry_fails_its_check(monkeypatch):

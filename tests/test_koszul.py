@@ -606,6 +606,17 @@ def test_bimodule_homology_non_dynkin_koszul():
         assert d == len(pr.algebra.monomials[n])
 
 
+def _flatten(space, obj):
+    """The coordinates of a weight-homogeneous A-valued element in a
+    CoordSpace, every value required to have one."""
+    out = {}
+    for flat_idx, val in obj.values.items():
+        for (m, pos), c in val.items():
+            assert m == space.m
+            out[space.index[(flat_idx, pos)]] = c
+    return out
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
 @pytest.mark.parametrize("name,cutoff", [("A3", None), ("D4", None), ("E6", None),
                                          ("A~2", 6), ("D~4", 7)])
@@ -634,8 +645,8 @@ def test_block_assembler_matches_differentials_and_products(name, cutoff, field)
                         diff, prod = kd.apply_bK(u), kd.cup(eA, u)
                     else:
                         diff, prod = kd.apply_bK_chain(u), kd.cap(eA, u, "left")
-                    assert col == dst.flatten(diff), (side, p, m, unit)
-                    assert half == dst.flatten(prod), (side, p, m, unit)
+                    assert col == _flatten(dst, diff), (side, p, m, unit)
+                    assert half == _flatten(dst, prod), (side, p, m, unit)
                     checked += 1
     assert checked > 0
 
@@ -1192,6 +1203,155 @@ def test_products_match_per_degree_reference(name, field, cutoff):
             for kind in ("p=0", "p=q", "split")]:
         assert counts[key] > 0, key
     assert any(key[-1] == "raised" for key in counts) == (cutoff is not None)
+
+
+def _random_elements(kd, p, module, side, weights, rng, count):
+    """``count`` random (co)chains of degree p: combinations of up to six
+    basis elements over ``weights`` with coefficients in -3..3, so most are
+    of mixed weight, and their products can cancel across pairs."""
+    basis = _basis_elements(kd, p, module, side, weights)
+    out = []
+    for _ in range(count if basis else 0):
+        picks = [rng.choice(basis) for _ in range(rng.randint(1, 6))]
+        out.append(picks[0]._combination(
+            *[(b.values, kd.field.from_int(rng.randint(-3, 3))) for b in picks]))
+    return out
+
+
+@pytest.mark.parametrize("name,field,cutoff", [("D5", QQ, None), ("E6", GF(3), None),
+                                               ("D4", GF(2), None), ("A~2", QQ, 8),
+                                               ("A~2", GF(3), 8)],
+                         ids=["D5-Q", "E6-F3", "D4-F2", "A~2@8-Q", "A~2@8-F3"])
+def test_pair_tables_on_random_elements_match_the_per_pair_reference(name, field, cutoff):
+    """cup_table and cap_table (both sides) add every product straight into
+    their outputs; on lists of random mixed-weight elements, A- and
+    k-valued, each entry equals the per-pair reference, which multiplies
+    each pair with ``multiply`` and adds the settled products one at a time.
+    On A~2 at cutoff 8 a product past the cutoff still raises
+    ``WeightOverflowError``, from the table and from the one pair."""
+    kd = KoszulCalculus(Preset(name, field, cutoff=cutoff).algebra, 3)
+    top = kd.algebra.max_weight
+    rng = random.Random(17)
+    counts = Counter()
+    for weights in [range(top + 1)] + ([range(top // 2 + 1)] if cutoff else []):
+        elems = {(p, module, side): _random_elements(kd, p, module, side, weights, rng, 5)
+                 for p in range(3) for module in (MODULE_A, MODULE_K)
+                 for side in ("coh", "hom")}
+        for mod_f, mod_g in [(MODULE_A, MODULE_A), (MODULE_A, MODULE_K), (MODULE_K, MODULE_A)]:
+            for p in range(3):
+                fs = elems[(p, mod_f, "coh")]
+                for q in range(3 - p):
+                    gs = elems[(q, mod_g, "coh")]
+                    if fs and gs:
+                        _check_table(_outcome(lambda: kd.cup_table(fs, gs)), fs, gs, kd.cup,
+                                     lambda f, g: _reference_cup(kd, f, g), counts,
+                                     ("cup", mod_f, mod_g))
+                for q in range(p, 3):
+                    zs = elems[(q, mod_g, "hom")]
+                    for side in ("left", "right"):
+                        if fs and zs:
+                            _check_table(_outcome(lambda: kd.cap_table(fs, zs, side)), fs, zs,
+                                         lambda f, z: kd.cap(f, z, side),
+                                         lambda f, z: _reference_cap(kd, f, z, side), counts,
+                                         (side, mod_f, mod_g))
+    for kind in ("cup", "left", "right"):
+        for mods in [(MODULE_A, MODULE_A), (MODULE_A, MODULE_K), (MODULE_K, MODULE_A)]:
+            assert counts[(kind,) + mods + (True,)] > 0, (kind, mods)
+    assert any(key[-1] == "raised" for key in counts) == (cutoff is not None)
+
+
+_REFUSALS = [("a component at weight", "layout"), ("a value", "block"), ("not a", "not closed")]
+
+
+def _reference_class_of(spaces, obj):
+    """Class coordinates read weight by weight, as ``class_of`` read them
+    before its one-pass read: the weights the element touches, ascending,
+    each checked against the layout, its component flattened on its own
+    (refusing a value outside its vertex block) and reduced by the block."""
+    from koszulkit.linalg import NotInSubspaceError
+    field = spaces.kd.field
+    not_closed = ("not a cocycle: differential is nonzero" if spaces.side == "coh"
+                  else "not a cycle: differential is nonzero")
+    total, offsets = spaces.layout(obj.degree)
+    if obj.module == MODULE_A:
+        touched = sorted({m for val in obj.values.values() for (m, _pos) in val})
+    else:
+        touched = [None] if obj.values else []
+    coords = [field.zero] * total
+    for m in touched:
+        if m not in offsets:
+            raise NotClosedError(f"a component at weight {m} lies outside the computed "
+                                 f"weights {list(offsets)} of degree {obj.degree}")
+        start, blk = offsets[m]
+        vec = {}
+        for x, val in obj.values.items():
+            if obj.module == MODULE_A:
+                parts = [(pos, c) for (mm, pos), c in val.items() if mm == m]
+            else:
+                parts = [(spaces.kd.w(obj.degree).block_of(x)[1], val)]
+            for pos, c in parts:
+                k = blk.space.index.get((x, pos))
+                if k is None:
+                    weight = "" if m is None else f" at weight {m}"
+                    raise NotClosedError(f"a value{weight} lies outside its vertex block "
+                                         f"in degree {obj.degree}")
+                vec[k] = c
+        try:
+            coords[start:start + blk.dim] = blk.quotient.coords(vec)
+        except NotInSubspaceError:
+            raise NotClosedError(not_closed) from None
+    return coords
+
+
+@pytest.mark.parametrize("name,field,cutoff", [("D5", QQ, None), ("E6", GF(3), None),
+                                               ("A4", GF(2), None), ("A~2", QQ, 8)],
+                         ids=["D5-Q", "E6-F3", "A4-F2", "A~2@8-Q"])
+def test_class_of_matches_the_weight_by_weight_reference(name, field, cutoff):
+    """class_of reads an element once; on closed mixed-weight elements and
+    on elements with one or two faults at random weights (a component not
+    closed, a value outside its vertex block, a component at a weight
+    outside the layout), it returns the reference's coordinates or raises
+    the reference's refusal, so each message and the order in which they
+    fire stay as they were.  k-valued elements are closed, and refused only
+    off the diagonal blocks."""
+    pr = Preset(name, field, cutoff=cutoff)
+    alg = pr.algebra
+    kd = KoszulCalculus(alg, 3)
+    rng = random.Random(23)
+    seen = Counter()
+    for module in (MODULE_A, MODULE_K):
+        for side in ("coh", "hom"):
+            spaces = koszul_homology(kd, module, side)
+            for p in range(3):
+                _total, offsets = spaces.layout(p)
+                reps = spaces.representatives(p)
+                ws = kd.w(p)
+                if not reps:
+                    continue
+                for _ in range(30):
+                    elem = reps[0]._combination(
+                        *[(rng.choice(reps).values, field.from_int(rng.randint(-2, 2)))
+                          for _ in range(3)])
+                    for _fault in range(rng.choice([0, 1, 1, 2])):
+                        x = rng.randrange(ws.dim)
+                        j, i = ws.block_of(x)
+                        if module == MODULE_K:
+                            value = field.one
+                        else:
+                            m = rng.randrange(alg.max_weight + 1)
+                            pos = rng.randrange(len(alg.monomials[m]))
+                            value = {(m, pos): field.one}
+                        elem = elem.add(type(elem)(kd, p, module, {x: value}))
+                    want = _outcome(lambda: _reference_class_of(spaces, elem))
+                    got = _outcome(lambda: spaces.class_of(elem))
+                    assert got == want, (module, side, p)
+                    if isinstance(want, tuple):
+                        assert want[0] == "NotClosedError"
+                        seen[next(kind for prefix, kind in _REFUSALS
+                                  if want[1].startswith(prefix))] += 1
+                    else:
+                        seen["class"] += 1
+    assert set(seen) == {"class", "layout", "block", "not closed"}, seen
 
 
 def test_product_tables_and_equals_refuse_mismatched_factors():

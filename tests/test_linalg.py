@@ -472,3 +472,19 @@ def test_quotient_coords_match_the_two_reduction_reference(case):
                 q.coords(v)
     for v in outside:
         assert not z.contains(v)
+
+
+def test_rational_division_by_a_unit_builds_no_fraction():
+    """QQ.div by +-1 equals the Fraction path, and is an int for an int
+    input, as QQ.inv of +-1 is."""
+    from koszulkit.fields import whole
+    for a in (0, 1, -1, 7, -12, 10 ** 30, Fraction(3, 4), Fraction(-5, 2), Fraction(6, 3)):
+        for b in (1, -1, Fraction(1), Fraction(-1)):
+            got = QQ.div(a, b)
+            want = whole(Fraction(a) / b)
+            assert got == want and type(got) is type(want), (a, b)
+            if type(a) is int:
+                assert type(got) is int
+    assert QQ.div(3, 2) == Fraction(3, 2) and QQ.div(4, -2) == -2
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)

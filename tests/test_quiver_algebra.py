@@ -399,3 +399,62 @@ def test_loops_and_multiple_edges_accepted():
     pres = preprojective_presentation(PreprojectiveSpec(g), QQ)
     alg = build_graded_algebra(pres, 4)
     assert alg.dims()[0] == 2 and alg.dims()[1] == 6
+
+
+@pytest.mark.parametrize("name,cutoff,field", [("A3", None, QQ), ("D4", None, GF(3)),
+                                               ("E6", None, GF(2)), ("A~2", 6, QQ)],
+                         ids=["A3-Q", "D4-F3", "E6-F2", "A~2@6-Q"])
+def test_multiply_into_adds_to_an_accumulator(name, cutoff, field):
+    """multiply_into adds c x y into an accumulator that already holds sums,
+    unsettled: settled, it is the accumulator plus c times ``multiply``.  A
+    pair that is not composable, or that lies past the top weight of a
+    finite algebra, adds nothing, not even a key; past the cutoff of a
+    truncated algebra it raises as ``multiply`` does."""
+    if cutoff is None:
+        alg = Preset(name, field).algebra
+    else:
+        pres = preprojective_presentation(PreprojectiveSpec(preset_graph(name)), field)
+        alg = build_graded_algebra(pres, cutoff)
+    rng = random.Random(5)
+    terms = _monomials(alg)
+    # on the truncated algebra, every other draw keeps to the weights whose
+    # products are all defined
+    low = [t for t in terms if 2 * t[0] <= alg.max_weight]
+
+    def rand_elem():
+        out = {}
+        pool = low if alg.truncated and rng.random() < 0.5 else terms
+        for _ in range(4):
+            t = pool[rng.randrange(len(pool))]
+            c = field.from_int(rng.randint(1, 5))
+            if c:
+                out[t] = c
+        return out
+
+    checked = overflows = 0
+    for _ in range(150):
+        x, y, acc = rand_elem(), rand_elem(), rand_elem()
+        c = field.from_int(rng.choice([1, -1, 2, -3]))
+        try:
+            want = alg.multiply(x, y)
+        except WeightOverflowError:
+            overflows += 1
+            with pytest.raises(WeightOverflowError):
+                alg.multiply_into(dict(acc), x, y, c)
+            continue
+        expected = dict(acc)
+        field.add_into(expected, want, c)
+        out = dict(acc)
+        assert alg.multiply_into(out, x, y, c) is out
+        assert field.settle(out) == expected
+        checked += 1
+    assert checked > 30 and (overflows > 0) == alg.truncated
+    one = field.one
+    for x in terms:
+        for y in terms:
+            tx, sx = alg.block_of[x[0]][x[1]]
+            ty, sy = alg.block_of[y[0]][y[1]]
+            past = alg.finite and x[0] + y[0] > alg.top_weight
+            if sx != ty or past:
+                acc = {x: one}
+                assert alg.multiply_into(acc, {x: one}, {y: one}, one) == {x: one}, (x, y)
