@@ -6,7 +6,8 @@ non-integer, and only then a ``fractions.Fraction``: ``zero``, ``one`` and
 ``from_int`` are ints, and ``inv``, ``div`` and ``parse`` give an int
 whenever the result is whole; ``inv`` of +-1 and ``div`` by +-1 build no
 ``Fraction`` at all.  Over a prime field a scalar is an ``int`` in
-``[0, p)``.  Every linear-algebra routine receives the field explicitly and refuses to mix scalars from different fields.
+``[0, p)``.  Every linear-algebra routine receives the field explicitly
+and refuses to mix scalars from different fields.
 
 Hot loops accumulate with plain ``+`` and ``*``, which both kinds of scalar
 support, and hand the sums to the field once: ``add_into`` adds a scaled

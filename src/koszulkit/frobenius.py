@@ -403,6 +403,7 @@ class FrobeniusStructure:
         return ({i: field.settle(col) for i, col in up.items()},
                 {i: field.settle(col) for i, col in down.items()})
 
+
 def cartan_kernel_dim(algebra: GradedAlgebra) -> int:
     field = algebra.field
     cart = algebra.cartan_matrix()
