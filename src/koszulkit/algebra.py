@@ -202,9 +202,6 @@ class GradedAlgebra:
     def elem_scale(self, x: Elem, c) -> Elem:
         return self.field.scale(x, c)
 
-    def elem_equal(self, x: Elem, y: Elem) -> bool:
-        return not self.elem_add(x, self.elem_scale(y, self.field.neg(self.field.one)))
-
     def _beyond(self, m: int) -> bool:
         """Weight m is beyond the computed range; zero if finite, else error."""
         if m <= self.max_weight:
@@ -300,19 +297,12 @@ class GradedAlgebra:
                 return {}
         return cur
 
-    def elem_weights(self, x: Elem) -> List[int]:
-        return sorted({m for (m, _pos) in x})
-
-    # -- center and socle ---------------------------------------------------
-
-    def _require_finite(self) -> None:
-        if not self.finite:
-            raise InfiniteDimensionalError(
-                "center/socle require a finite-dimensional algebra")
+    # -- center -------------------------------------------------------------
 
     def center_basis(self) -> List[Elem]:
         """Graded basis of the center: solutions of x a = a x for all arrows."""
-        self._require_finite()
+        if not self.finite:
+            raise InfiniteDimensionalError("the center requires a finite-dimensional algebra")
         q = self.quiver
         field = self.field
         out: List[Elem] = []
@@ -335,30 +325,6 @@ class GradedAlgebra:
             ker = kernel(LinearMap(len(diag), q.n_arrows * max(next_dim, 1), cols, field))
             for row in ker.rows:
                 out.append({(m, diag[i]): c for i, c in row.items()})
-        return out
-
-    def socle_basis(self) -> List[Elem]:
-        """Graded basis of the two-sided annihilator of the arrow ideal."""
-        self._require_finite()
-        q = self.quiver
-        field = self.field
-        out: List[Elem] = []
-        for m in range(self.max_weight + 1):
-            dim_m = len(self.monomials[m])
-            next_dim = len(self.monomials[m + 1]) if m + 1 <= self.max_weight else 0
-            cols: List[SparseVec] = []
-            for pos in range(dim_m):
-                x = {(m, pos): field.one}
-                col: SparseVec = {}
-                for a in range(q.n_arrows):
-                    for (_m1, npos), v in self.rmul_arrow(x, a).items():
-                        col[(2 * a) * next_dim + npos] = v
-                    for (_m1, npos), v in self.lmul_arrow(a, x).items():
-                        col[(2 * a + 1) * next_dim + npos] = v
-                cols.append(col)
-            ker = kernel(LinearMap(dim_m, 2 * q.n_arrows * max(next_dim, 1), cols, field))
-            for row in ker.rows:
-                out.append({(m, i): c for i, c in row.items()})
         return out
 
 

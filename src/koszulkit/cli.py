@@ -6,13 +6,11 @@ degree-2 comparison) and ``dualize`` (the duality checklist).  Reports are
 JSON documents, written to ``--out`` or else to standard output; the short
 human summary goes to standard output with ``--out`` and to standard error
 without it, so that standard output parses as JSON.
-``KOSZULKIT_THREADS`` caps the parallelism of ``verify-ade``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -129,8 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             except ValueError:
                 raise ValueError("--chars takes a comma list of integers, "
                                  f"not {args.chars!r}") from None
-            log = verify_ade(types, chars,
-                             threads=os.environ.get("KOSZULKIT_THREADS", "1"))
+            log = verify_ade(types, chars)
             doc = {
                 "schema": "koszulkit-verify/1",
                 "tool_version": __version__,

@@ -444,9 +444,8 @@ class BimoduleHomology:
         self.p_max = p_max
         alg = kd.algebra
         if weight_cutoff is None:
-            if not alg.finite:
-                raise ValueError("a weight cutoff is required for non-vanishing algebras")
-            weight_cutoff = 2 * alg.max_weight + max(
+            # a truncated algebra stops at its top computed weight
+            weight_cutoff = alg.max_weight if alg.truncated else 2 * alg.max_weight + max(
                 (kd.w(p).p for p in range(p_max + 2) if kd.w(p).dim), default=0)
         elif alg.truncated and weight_cutoff > alg.max_weight:
             raise ValueError(f"weight cutoff {weight_cutoff} exceeds the weights computed "

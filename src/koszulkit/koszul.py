@@ -147,13 +147,11 @@ class WSpace:
 class KoszulCalculus:
     """W-spaces, differentials and products for one graded algebra."""
 
-    def __init__(self, algebra: GradedAlgebra, p_max: Optional[int] = None):
+    def __init__(self, algebra: GradedAlgebra, p_max: int):
         self.algebra = algebra
         self.field = algebra.field
         self.quiver = algebra.quiver
         pres = algebra.presentation
-        if p_max is None:
-            p_max = 3
         if p_max < 0:
             raise DegreeError(f"no W space in negative degree {p_max}")
         self.p_max = p_max
@@ -373,17 +371,22 @@ class KoszulCalculus:
         return table
 
     def _apply(self, obj: "KoszulElement", side: str) -> Dict[int, object]:
-        """Values of b_K obj, read off the term table from obj's support."""
+        """Values of b_K obj, read off the term table from obj's support: each
+        term's product with its arrow is added by ``multiply_into`` straight
+        into the accumulator of its target, and each target settled once."""
         if obj.module != MODULE_A:
             return {}  # arrows act by zero on k
-        alg = self.algebra
+        multiply_into = self.algebra.multiply_into
+        one = self.field.one
         terms = self.terms(obj.degree, side)
         acc: Dict[int, object] = {}
         for x, val in obj.values.items():
             for right, a, t, c in terms[x]:
-                part = alg.rmul_arrow(val, a) if right else alg.lmul_arrow(a, val)
-                if part:
-                    self._mod_accumulate(MODULE_A, acc, t, part, c)
+                arrow = {(1, a): one}
+                if right:
+                    multiply_into(acc.setdefault(t, {}), val, arrow, c)
+                else:
+                    multiply_into(acc.setdefault(t, {}), arrow, val, c)
         return self._mod_settle(MODULE_A, acc)
 
     def apply_bK(self, f: "Cochain") -> "Cochain":

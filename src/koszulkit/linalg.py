@@ -47,10 +47,6 @@ def vec_add_scaled(u: SparseVec, v: SparseVec, c, field: Field) -> SparseVec:
     return out
 
 
-def vec_add(u: SparseVec, v: SparseVec, field: Field) -> SparseVec:
-    return vec_add_scaled(u, v, field.one, field)
-
-
 def _echelon(rows: Iterable[SparseVec], field: Field) -> Dict[int, SparseVec]:
     """Forward elimination: echelon rows keyed by pivot, each with a leading 1."""
     by_pivot: Dict[int, SparseVec] = {}
@@ -252,13 +248,6 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
                 field.add_into(vec, u.rows[i], c)
         vecs.append(vec)
     return echelonize(vecs, u.ambient, field)
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    u.field.require_same(v.field)
-    if u.ambient != v.ambient:
-        raise AmbientMismatchError(f"ambient mismatch: {u.ambient} vs {v.ambient}")
-    return echelonize(list(u.rows) + list(v.rows), u.ambient, u.field)
 
 
 class SpanSolver:

@@ -108,17 +108,6 @@ def paths_of_weight(quiver: Quiver, m: int) -> List[Path]:
     return paths
 
 
-def count_paths_of_weight(quiver: Quiver, m: int) -> int:
-    counts = [1] * quiver.n_vertices  # paths of weight 0 per target
-    total = quiver.n_vertices if m == 0 else 0
-    for _ in range(m):
-        nxt = [0] * quiver.n_vertices
-        for a in range(quiver.n_arrows):
-            nxt[quiver.target[a]] += counts[quiver.source[a]]
-        counts = nxt
-    return sum(counts) if m > 0 else total
-
-
 class QuadraticPresentation:
     """A quiver with a weight-2 relation space given by vertex-homogeneous rows.
 

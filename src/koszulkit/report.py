@@ -35,6 +35,9 @@ from .verify import PropertySuite
 ANALYSES = ("calculus", "duality", "higher", "hochschild2", "koszulity",
             "properties")
 
+#: random trials per identity of the ``properties`` analysis
+PROPERTY_TRIALS = 100
+
 
 @dataclass
 class RunConfig:
@@ -46,7 +49,6 @@ class RunConfig:
     weight_cutoff: Optional[int] = None
     analyses: Sequence[str] = ("calculus", "higher", "duality")
     force_rational: bool = False
-    property_trials: int = 100
 
     def validate(self) -> None:
         if (self.preset is None) == (self.input_file is None):
@@ -70,7 +72,7 @@ class RunConfig:
             "weight_cutoff": self.weight_cutoff,
             "analyses": sorted(self.analyses),
             "force_rational": self.force_rational,
-            "property_trials": self.property_trials,
+            "property_trials": PROPERTY_TRIALS,
         }
 
 
@@ -238,10 +240,7 @@ def run(config: RunConfig) -> Dict:
 
     if config.coefficients == "Ae" or "koszulity" in analyses:
         with timings.measure("koszulity"):
-            cutoff = config.weight_cutoff
-            if cutoff is None and not algebra.finite:
-                cutoff = algebra.cutoff
-            ae = ae_coefficient_route(kd, config.max_degree, cutoff)
+            ae = ae_coefficient_route(kd, config.max_degree, config.weight_cutoff)
         report["koszulity"] = {
             "homology_of_bimodule_complex": {
                 str(p): {str(n): d for n, d in row.items()}
@@ -341,7 +340,7 @@ def run(config: RunConfig) -> Dict:
 
     if "properties" in analyses:
         with timings.measure("properties"):
-            suite = PropertySuite(coh, hom, seed=0, trials=config.property_trials)
+            suite = PropertySuite(coh, hom, seed=0, trials=PROPERTY_TRIALS)
             plog = suite.run(preprojective=is_preprojective)
         report["properties"] = {"ok": plog.ok,
                                 "checks": len(plog.entries),

@@ -11,7 +11,6 @@ independent descriptions of the degree-0 spaces).
 
 from __future__ import annotations
 
-import os
 import random
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -260,25 +259,10 @@ def _run_verify_job(args: Tuple[str, int]) -> Tuple[List[Tuple[str, bool, str]],
     return log.entries, comp.invariant_triple()
 
 
-def pool_size(requested, n_jobs: int, cpus: Optional[int]) -> int:
-    """Worker processes for ``n_jobs`` jobs on ``cpus`` processors.
+def verify_ade(types: Sequence[str], chars: Sequence[int]) -> CheckLog:
+    """Tables plus the invariant-triple theorem across the given types, one
+    (type, char) job after another in this process.
 
-    ``requested`` is a count or the raw ``KOSZULKIT_THREADS`` string.  It is
-    clamped to ``min(cpus, n_jobs)`` and to at least 1; a non-numeric
-    request means 1.
-    """
-    try:
-        n = int(requested)
-    except (TypeError, ValueError):
-        n = 1
-    return max(1, min(n, cpus or 1, n_jobs))
-
-
-def verify_ade(types: Sequence[str], chars: Sequence[int],
-               threads=1) -> CheckLog:
-    """Tables plus the invariant-triple theorem across the given types.
-
-    ``threads`` asks for that many worker processes (see ``pool_size``).
     An empty or repeated list of types or characteristics is refused, and
     so is a characteristic that is neither 0 nor a prime.
     """
@@ -294,18 +278,11 @@ def verify_ade(types: Sequence[str], chars: Sequence[int],
         raise PresetError(f"no tables for {', '.join(untabulated)} "
                           "(tabulated: A3.., D4.., E6, E7, E8)")
     log = CheckLog()
-    jobs = [(t, c) for t in types for c in chars]
-    workers = pool_size(threads, len(jobs), os.cpu_count())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_verify_job, jobs))
-    else:
-        results = [_run_verify_job(job) for job in jobs]
     computed: Dict[Tuple[str, int], Tuple[int, int, int]] = {}
-    for job, (entries, triple) in zip(jobs, results):
-        log.entries.extend(entries)
-        computed[job] = triple
+    for t in types:
+        for c in chars:
+            entries, computed[(t, c)] = _run_verify_job((t, c))
+            log.entries.extend(entries)
     for char in chars:
         triples = {t: computed[(t, char)] for t in types}
         # distinguishability among the computed set

@@ -281,7 +281,7 @@ def test_verify_ade_checks_computed_triples(monkeypatch):
     assert ("A3", "A5") in adedata.documented_triple_collisions(0)
     assert adedata.expected_higher_dims("A3", 0) != adedata.expected_higher_dims("A5", 0)
     monkeypatch.setattr(ver, "_run_verify_job", lambda job: ([], (7, 7, 7)))
-    log = ver.verify_ade(["A3", "A5"], [0], threads=1)
+    log = ver.verify_ade(["A3", "A5"], [0])
     got = {key: (ok, detail) for key, ok, detail in log.entries}
     assert got["triples.char0.distinct"] == (False, "A3 and A5 share (7, 7, 7)")
     assert got["triples.char0.collision.A3-A5"] == (False, "A3:(7, 7, 7) A5:(7, 7, 7)")
@@ -374,14 +374,55 @@ def test_verify_ade_refuses_empty_or_repeated_lists(monkeypatch, capsys, types, 
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("requested, n_jobs, cpus, want", [
-    (1, 10, 8, 1), (4, 10, 8, 4), (64, 10, 8, 8), (64, 3, 8, 3), ("4", 10, 2, 2),
-    (0, 10, 8, 1), (-3, 10, 8, 1), ("", 10, 8, 1), ("many", 10, 8, 1), (None, 10, 8, 1),
-    (4, 0, 8, 1), (4, 10, None, 1),
-])
-def test_pool_size_clamp(requested, n_jobs, cpus, want):
-    from koszulkit.verify import pool_size
-    assert pool_size(requested, n_jobs, cpus) == want
+#: sha256 of the pretty ``verify-ade --chars 0,2,3,5`` document over the
+#: default types: 13,099 checks, the one failure the D8/E8 char-0 collision
+VERIFY_ADE_DIGEST = "cd2ae0233edfe673cf2cf592b6e05cbd533d7d0036f99847c8ea2b3d3a439bb7"
+
+
+def test_verify_ade_document_matches_its_recorded_digest(tmp_path, monkeypatch):
+    """verify-ade runs in one process: a thread count in the environment,
+    which earlier versions read, leaves the document unchanged."""
+    monkeypatch.setenv("KOSZULKIT_THREADS", "2")
+    out = tmp_path / "verify.json"
+    assert main(["verify-ade", "--chars", "0,2,3,5", "--out", str(out)]) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ADE_DIGEST
+
+
+def test_a_failed_duality_check_makes_an_error_report(tmp_path, capsys, monkeypatch):
+    """One duality check forced false: the report's status is error with the
+    failure listed, the failure is printed on standard error, and the exit
+    code is 2."""
+    real = report_module.verify_duality
+
+    def failing(*args):
+        rep = real(*args)
+        rep.record("theta chain map", False, "forced")
+        return rep
+    monkeypatch.setattr(report_module, "verify_duality", failing)
+    out = tmp_path / "a3.json"
+    assert main(["calculus", "--preset", "A3", "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "error" and doc["failures"] == ["theta chain map: forced"]
+    assert doc["duality"]["checks"]["theta chain map"] is False
+    assert "failure: theta chain map: forced\n" in capsys.readouterr().err
+
+
+def test_trivial_coefficients_between_two_nonzero_spaces(tmp_path):
+    """The one-vertex graph with a loop is A = k[x, y], with W dims
+    [1, 2, 1, 0, 0]: the only kind of input where two consecutive k spaces
+    are nonzero, so b_K between them is formed.  Arrows act by zero on k,
+    so HK^ and HK_ have the dims of W."""
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"vertices": ["0"], "edges": [["0", "0"]]}))
+    out = tmp_path / "report.json"
+    assert main(["calculus", "--file", str(path), "--coefficients", "k",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["w_dims"] == [1, 2, 1, 0, 0]
+    assert doc["calculus"]["cohomology"]["dims"] == [1, 2, 1, 0]
+    assert doc["calculus"]["homology"]["dims"] == [1, 2, 1, 0]
+    assert doc["status"] == "warning"
+    assert doc["warnings"][0].startswith("weight cutoff 6 reached without a zero component")
 
 
 def test_rational_e8_guard():

@@ -220,7 +220,7 @@ def test_delta_down_on_middle_idempotent_type_a_odd():
     # the middle vertex is the one that nu_bar fixes
     assert list(down) == [m_a]
     pi = socle_generators(pr)[m_a]
-    assert alg.elem_equal(down[m_a], alg.elem_scale(pi, QQ.from_int(m_a + 1)))
+    assert down[m_a] == alg.elem_scale(pi, QQ.from_int(m_a + 1))
 
 
 def _nu_trace_matrix(frob):
@@ -255,7 +255,7 @@ def test_delta_down_trace_formula():
         expected = {}
         for j in range(4):
             expected = alg.elem_add(expected, socle[j], traces[j][i])
-        assert alg.elem_equal(got, expected)
+        assert got == expected
 
 
 def test_cartan_kernel_dims():
@@ -672,6 +672,18 @@ def test_a_changed_cup_table_entry_fails_its_check(monkeypatch):
     failed = {key for key, ok, _detail in verify_type_char("D5", 0).entries if not ok}
     assert failed == {"D5.char0.cup.z1*zeta0", "D5.char0.cup.zeta0*z1"}
     assert verify_type_char("A4", 0).ok
+
+
+def test_a_class_outside_the_higher_kernel_fails_its_survivor_check(monkeypatch):
+    """z0 listed as a D4/Q survivor: HK^0 = 5 and HKhi^0 = 4, and the class
+    of z0 lies outside the kernel of the higher differential, so exactly its
+    survivor check turns red."""
+    real = adedata.expected_higher_zero_generators
+    monkeypatch.setattr(adedata, "expected_higher_zero_generators",
+                        lambda name, char: real(name, char) + ["z0"])
+    comp = TypeCharComputation("D4", 0)
+    assert (comp.coh.dim(0), comp.hi_coh.dim(0)) == (5, 4)
+    assert verify_type_char("D4", 0, comp=comp).failures() == ["D4.char0.HKhi0.survivor.z0"]
 
 
 GRAM_TYPES = [("D5", QQ), ("E6", GF(3)), ("E7", GF(2)), ("E8", GF(2))]

@@ -1,8 +1,8 @@
 """Source hygiene: every name a koszulkit module imports is used there,
 every private helper it defines is referenced somewhere in the package,
 every public function, method and class is referenced somewhere in the
-package, its tests or the benchmark, and every parameter default is
-overridden by some call there."""
+package, its tests or the benchmark, every parameter default is
+overridden by some call there, and no module reads the environment."""
 
 import ast
 import importlib
@@ -41,6 +41,22 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+_ENVIRONMENT_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    """No koszulkit module reads os.environ or calls os.getenv: a setting
+    taken from the environment is a switch that no report records."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_READERS
+                 and isinstance(node.value, ast.Name) and node.value.id == "os")
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and any(alias.name in _ENVIRONMENT_READERS for alias in node.names))]
+    assert not reads, f"{path.name} reads the environment at lines {reads}"
 
 
 def private_functions(tree: ast.Module):

@@ -181,7 +181,7 @@ def test_dimension_formula_random(field):
         ambient = rng.randint(1, 12)
         u = _random_subspace(rng, ambient, field)
         v = _random_subspace(rng, ambient, field)
-        total = la.subspace_sum(u, v)
+        total = la.echelonize(u.rows + v.rows, ambient, field)
         inter = la.intersect(u, v)
         assert u.dim + v.dim == total.dim + inter.dim
 
@@ -229,7 +229,7 @@ def test_quotient_coords_additive():
         v2 = {j: field.from_int(rng.randint(0, 2)) for j in range(ambient)}
         v1 = {j: c for j, c in v1.items() if c}
         v2 = {j: c for j, c in v2.items() if c}
-        s = la.vec_add(v1, v2, field)
+        s = la.vec_add_scaled(v1, v2, field.one, field)
         lhs = q.coords(s)
         rhs = [field.add(a, b2) for a, b2 in zip(q.coords(v1), q.coords(v2))]
         assert lhs == rhs
@@ -411,7 +411,8 @@ def test_in_place_reduce_and_solve_match_copy_per_pivot(case):
         assert len(coords) == q.dim
         in_b = la.vec_add_scaled(v, b.reduce(v), field.neg(field.one), field)
         assert b.contains(in_b)
-        assert la.vec_add(_combination(q.representatives, coords, field), in_b, field) == v
+        assert la.vec_add_scaled(_combination(q.representatives, coords, field), in_b,
+                                 field.one, field) == v
     for v in others:
         if not z.contains(v):
             with pytest.raises(la.NotInSubspaceError):
@@ -462,7 +463,7 @@ def test_quotient_coords_match_the_two_reduction_reference(case):
     field, ambient, span, sub_span, members, others = case
     z = la.echelonize(span, ambient, field)
     q = la.QuotientSpace(z, la.echelonize(sub_span, ambient, field))
-    outside = [la.vec_add(v, {c: field.one}, field)
+    outside = [la.vec_add_scaled(v, {c: field.one}, field.one, field)
                for v in members for c in range(ambient) if c not in z.pivot_pos]
     for v in members + others + outside:
         if z.contains(v):
