@@ -10,7 +10,7 @@ algebras of graphs.
 __version__ = "0.1.0"
 
 from .fields import GF, QQ, FieldMismatchError, field_from_tag
-from .quiver import (Graph, Path, PreprojectiveSpec, QuadraticPresentation,
+from .quiver import (Graph, PreprojectiveSpec, QuadraticPresentation,
                      Quiver, graph_from_json, paths_of_weight,
                      presentation_from_json, preprojective_presentation)
 from .algebra import GradedAlgebra, build_graded_algebra
@@ -20,7 +20,7 @@ from .homology import (BimoduleHomology, CalculusSpaces, HigherSpaces,
 
 __all__ = [
     "GF", "QQ", "FieldMismatchError", "field_from_tag",
-    "Graph", "Path", "PreprojectiveSpec", "QuadraticPresentation", "Quiver",
+    "Graph", "PreprojectiveSpec", "QuadraticPresentation", "Quiver",
     "graph_from_json", "paths_of_weight", "presentation_from_json",
     "preprojective_presentation",
     "GradedAlgebra", "build_graded_algebra",

@@ -5,9 +5,13 @@ product space (basis of weight m-1) x (arrows): the degree-m relations are
 the images of (weight m-2 basis) x (relation space).  This avoids ever
 materializing the full path space, whose size grows exponentially with the
 weight, while still selecting a monomial (path) basis: the surviving
-product pairs, taken in right-factor-most-significant path order.
+product pairs, taken in right-factor-most-significant path order.  The
+monomials are recorded once, as a tree: each monomial of positive weight
+is its parent (a monomial one weight lower) times its last-applied arrow
+(``parents``), and ``block_of`` holds its (target, source) vertex block.
 
-Products come from one table of monomial products (``mono_product``),
+Products come from the build's table of right products by an arrow
+(``_rmul``) and one table of longer monomial products (``mono_product``),
 filled on demand along the right factor's monomial tree and storing zero
 products as well, and go through one loop, ``multiply_into``, which adds
 c x y into an unsettled accumulator: ``multiply`` settles it from an empty
@@ -20,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import LinearMap, SparseVec, echelonize, kernel
-from .quiver import Path, QuadraticPresentation, QuiverError
+from .quiver import QuadraticPresentation, QuiverError
 
 
 class WeightOverflowError(ValueError):
@@ -43,7 +47,6 @@ class GradedAlgebra:
         self.quiver = presentation.quiver
         self.field = presentation.field
         self.cutoff = cutoff
-        self.monomials: List[List[Path]] = []
         self.blocks: List[Dict[Tuple[int, int], List[int]]] = []
         self.block_of: List[List[Tuple[int, int]]] = []
         # parent[m][pos] = (position at weight m-1, last arrow) for m >= 1
@@ -51,8 +54,8 @@ class GradedAlgebra:
         # rmul[m][(pos, arrow)] = normal form of monomial*arrow at weight m+1
         self._rmul: List[Dict[Tuple[int, int], SparseVec]] = []
         # prod[(m, pos, n, qos)] = normal form of the product of two composable
-        # monomials of positive weight, over weight m+n positions, zero products
-        # included; filled on demand
+        # monomials of positive weight, n >= 2, over weight m+n positions, zero
+        # products included; filled on demand
         self._prod: Dict[Tuple[int, int, int, int], SparseVec] = {}
         self.finite = False
         self.truncated = False
@@ -61,43 +64,35 @@ class GradedAlgebra:
 
     # -- construction -----------------------------------------------------
 
-    def _register_weight(self, paths: List[Path]) -> None:
-        self.monomials.append(paths)
+    def _register_weight(self, keys: List[Tuple[int, int]]) -> List[List[int]]:
+        """Record one weight's monomials by their (target, source) blocks, and
+        return their positions grouped by source vertex."""
         blocks: Dict[Tuple[int, int], List[int]] = {}
-        per_pos = []
-        for pos, p in enumerate(paths):
-            key = (p.target, p.source)
+        by_source: List[List[int]] = [[] for _ in range(self.quiver.n_vertices)]
+        for pos, key in enumerate(keys):
             blocks.setdefault(key, []).append(pos)
-            per_pos.append(key)
+            by_source[key[1]].append(pos)
         self.blocks.append(blocks)
-        self.block_of.append(per_pos)
+        self.block_of.append(keys)
+        return by_source
 
     def _build(self) -> None:
         q = self.quiver
         field = self.field
-        self._register_weight([Path.trivial(q, i) for i in range(q.n_vertices)])
+        prev_src = self._register_weight([(i, i) for i in range(q.n_vertices)])
+        prev2_src: List[List[int]] = []
         self.parents.append([])
         m = 1
         while True:
-            prev = self.monomials[m - 1]
             # product pairs in path order: rightmost arrow most significant
-            pairs: List[Tuple[int, int]] = []  # (prev position, arrow)
-            for a in range(q.n_arrows):
-                tgt = q.target[a]
-                for pos, p in enumerate(prev):
-                    if p.source == tgt:
-                        pairs.append((pos, a))
+            pairs = [(pos, a) for a in range(q.n_arrows) for pos in prev_src[q.target[a]]]
             pair_index = {pa: k for k, pa in enumerate(pairs)}
             # degree-m relation generators: (weight m-2 basis) x relations
             gens: List[SparseVec] = []
             if m >= 2:
-                prev2 = self.monomials[m - 2]
                 rmul_prev = self._rmul[m - 2]
                 for r, rel in enumerate(self.presentation.relations):
-                    j0 = self.presentation.relation_blocks[r][0]
-                    for ypos, y in enumerate(prev2):
-                        if y.source != j0:
-                            continue
+                    for ypos in prev2_src[self.presentation.relation_blocks[r][0]]:
                         gen: SparseVec = {}
                         for coeff, (left, right) in rel:
                             yu = rmul_prev.get((ypos, left))
@@ -113,15 +108,14 @@ class GradedAlgebra:
             if m == 2 and sub.dim < self.presentation.n_relations:
                 raise QuiverError("relations are linearly dependent")
             survivors = [k for k in range(len(pairs)) if k not in sub.pivot_pos]
-            new_paths: List[Path] = []
+            prev_block_of = self.block_of[m - 1]
+            new_keys: List[Tuple[int, int]] = []
             new_parents: List[Tuple[int, int]] = []
             new_pos_of_pair: Dict[int, int] = {}
             for new_pos, k in enumerate(survivors):
                 pos, a = pairs[k]
-                parent_path = prev[pos]
                 # trivial parents satisfy target == t(a), so this is uniform
-                new_paths.append(Path(q, parent_path.arrows + (a,), q.source[a],
-                                      parent_path.target))
+                new_keys.append((prev_block_of[pos][0], q.source[a]))
                 new_parents.append((pos, a))
                 new_pos_of_pair[k] = new_pos
             # normal-form table for (weight m-1 basis) x arrow
@@ -137,11 +131,11 @@ class GradedAlgebra:
                         nf[new_pos_of_pair[col]] = field.neg(c)
                     rmul[(pos, a)] = nf
             self._rmul.append(rmul)
-            if not new_paths:
+            if not new_keys:
                 self.finite = True
                 self.top_weight = m - 1
                 return
-            self._register_weight(new_paths)
+            prev2_src, prev_src = prev_src, self._register_weight(new_keys)
             self.parents.append(new_parents)
             if m >= self.cutoff:
                 self.truncated = True
@@ -154,15 +148,15 @@ class GradedAlgebra:
     @property
     def max_weight(self) -> int:
         """Largest weight with a computed basis."""
-        return len(self.monomials) - 1
+        return len(self.block_of) - 1
 
     def dims(self) -> List[int]:
-        return [len(ms) for ms in self.monomials]
+        return [len(keys) for keys in self.block_of]
 
     @property
     def terms(self) -> List[Term]:
         """Every monomial (m, pos), weight by weight, in basis order."""
-        return [(m, pos) for m, ms in enumerate(self.monomials) for pos in range(len(ms))]
+        return [(m, pos) for m, keys in enumerate(self.block_of) for pos in range(len(keys))]
 
     @property
     def total_dim(self) -> int:
@@ -194,14 +188,6 @@ class GradedAlgebra:
     def arrow_elem(self, a: int) -> Elem:
         return {(1, a): self.field.one}
 
-    def elem_add(self, x: Elem, y: Elem, c=None) -> Elem:
-        out = dict(x)
-        self.field.add_into(out, y, self.field.one if c is None else c)
-        return out
-
-    def elem_scale(self, x: Elem, c) -> Elem:
-        return self.field.scale(x, c)
-
     def _beyond(self, m: int) -> bool:
         """Weight m is beyond the computed range; zero if finite, else error."""
         if m <= self.max_weight:
@@ -216,20 +202,6 @@ class GradedAlgebra:
         keyed by (position, arrow); empty when weight m+1 is not computed."""
         return self._rmul[m] if m < len(self._rmul) else {}
 
-    def rmul_arrow(self, x: Elem, a: int) -> Elem:
-        """Normal form of x * a (the arrow acts first)."""
-        acc: Elem = {}
-        for (m, pos), c in x.items():
-            if self._beyond(m + 1):
-                continue
-            nf = self._rmul[m].get((pos, a))
-            if not nf:
-                continue
-            for npos, w in nf.items():
-                t = (m + 1, npos)
-                acc[t] = acc.get(t, 0) + c * w
-        return self.field.settle(acc)
-
     def _rmul_vec(self, vec: SparseVec, m: int, a: int) -> SparseVec:
         """Normal form of vec * a, for vec over weight-m positions."""
         if not vec or self._beyond(m + 1):
@@ -241,20 +213,28 @@ class GradedAlgebra:
                 acc[npos] = acc.get(npos, 0) + c * w
         return self.field.settle(acc)
 
-    def lmul_arrow(self, a: int, x: Elem) -> Elem:
-        """Normal form of a * x (the arrow acts last)."""
-        return self.multiply(self.arrow_elem(a), x)
+    def monomial_arrows(self, m: int, pos: int) -> Tuple[int, ...]:
+        """The arrows of monomial (m, pos) in written (leftmost-first) order,
+        read up the parents tree: each step gives the last-applied arrow."""
+        arrows = []
+        for w in range(m, 0, -1):
+            pos, a = self.parents[w][pos]
+            arrows.append(a)
+        return tuple(reversed(arrows))
 
     def mono_product(self, m: int, pos: int, n: int, qos: int) -> SparseVec:
         """Normal form of monomial (m, pos) times the composable monomial
-        (n, qos), over weight m+n positions.  The table is filled along the
-        right factor's monomial tree, x (y' a) = (x y') a, one rmul step per
-        entry; zero products are stored too, so a product that vanishes is
-        looked up, not recomputed."""
+        (n, qos), over weight m+n positions.  A right product by an arrow
+        (n == 1) is the build's ``_rmul`` entry.  Longer ones are filled
+        along the right factor's monomial tree, x (y' a) = (x y') a, one rmul
+        step per entry; zero products are stored too, so a product that
+        vanishes is looked up, not recomputed."""
         if n == 0:
             return {pos: self.field.one}
         if m == 0:
             return {qos: self.field.one}
+        if n == 1:
+            return {} if self._beyond(m + 1) else self._rmul[m].get((pos, qos), {})
         key = (m, pos, n, qos)
         nf = self._prod.get(key)
         if nf is None:
@@ -289,14 +269,6 @@ class GradedAlgebra:
         an empty accumulator, settled."""
         return self.field.settle(self.multiply_into({}, x, y, self.field.one))
 
-    def path_normal_form(self, path: Path) -> Elem:
-        cur = self.vertex_elem(path.target)
-        for a in path.arrows:
-            cur = self.rmul_arrow(cur, a)
-            if not cur:
-                return {}
-        return cur
-
     # -- center -------------------------------------------------------------
 
     def center_basis(self) -> List[Elem]:
@@ -307,18 +279,18 @@ class GradedAlgebra:
         field = self.field
         out: List[Elem] = []
         for m in range(self.max_weight + 1):
-            diag = [pos for pos in range(len(self.monomials[m]))
-                    if self.block_of[m][pos][0] == self.block_of[m][pos][1]]
+            diag = [pos for pos, (j, i) in enumerate(self.block_of[m]) if j == i]
             if not diag:
                 continue
-            next_dim = len(self.monomials[m + 1]) if m + 1 <= self.max_weight else 0
+            next_dim = len(self.block_of[m + 1]) if m + 1 <= self.max_weight else 0
             cols: List[SparseVec] = []
             for pos in diag:
                 x = {(m, pos): field.one}
                 col: SparseVec = {}
                 for a in range(q.n_arrows):
-                    diff = self.elem_add(self.rmul_arrow(x, a), self.lmul_arrow(a, x),
-                                         field.neg(field.one))
+                    arrow = self.arrow_elem(a)
+                    diff = self.multiply(x, arrow)
+                    field.add_into(diff, self.multiply(arrow, x), field.neg(field.one))
                     for (_m1, npos), v in diff.items():
                         col[a * next_dim + npos] = v
                 cols.append(col)

@@ -325,12 +325,8 @@ def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,
                 t_cup, t_left, t_right = (module_table(kd, w0, p, q, side)
                                           for side in ("cup", "left", "right"))
                 fs, gs = reps[p], reps[q]
-                # theta of the cup table row by row: no list longer than reps[q]
-                cups: Dict[int, Dict[Tuple[int, int], Cochain]] = {}
-                for key, c in kd.cup_table(fs, gs).items():
-                    cups.setdefault(key[0], {})[key] = c
-                t_cups = {key: t for row in cups.values()
-                          for key, t in zip(row, theta_table(kd, list(row.values()), w0))}
+                cups = kd.cup_table(fs, gs)
+                t_cups = dict(zip(cups, theta_table(kd, list(cups.values()), w0)))
                 lefts = {(i, j): c for (j, i), c in
                          kd.cap_table(gs, rep_thetas[p], side="right").items()}
                 rights = kd.cap_table(fs, rep_thetas[q], side="left")
@@ -379,7 +375,7 @@ def ae_coefficient_route(kd: KoszulCalculus, p_max: int = 3,
     h1_total = sum(table.get(1, {}).values())
     h2_total = sum(table.get(2, {}).values())
     dims_match_algebra = all(
-        h0_graded.get(n, 0) == len(alg.monomials[n]) for n in range(alg.max_weight + 1)
+        h0_graded.get(n, 0) == len(alg.block_of[n]) for n in range(alg.max_weight + 1)
     ) and all(n <= alg.max_weight for n in h0_graded)
     w3_zero = kd.w(3).dim == 0
     out = {

@@ -244,7 +244,7 @@ class FrobeniusStructure:
 
     def _nu_table(self) -> Dict[Term, Elem]:
         """nu of every monomial, along the monomial tree: nu(e_i) = e_nu_bar(i)
-        and nu(x' b) = c_b nu(x') beta_b, one rmul step each."""
+        and nu(x' b) = c_b nu(x') beta_b, one product by an arrow each."""
         if self._nu is not None:
             return self._nu
         scalars = self.nakayama_arrow_scalars()
@@ -253,7 +253,8 @@ class FrobeniusStructure:
         for m in range(1, self.top + 1):
             for pos, (parent, b) in enumerate(alg.parents[m]):
                 beta, c = scalars[b]
-                nu[(m, pos)] = field.scale(alg.rmul_arrow(nu[(m - 1, parent)], beta), c)
+                nu[(m, pos)] = field.settle(alg.multiply_into(
+                    {}, nu[(m - 1, parent)], alg.arrow_elem(beta), c))
         self._nu = nu
         return nu
 

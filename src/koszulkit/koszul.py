@@ -72,7 +72,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import Elem, GradedAlgebra
 from .linalg import (SparseVec, SpanSolver, Subspace, echelonize, full_subspace,
                      intersect)
-from .quiver import Path, paths_of_weight, relation_vector
+from .quiver import paths_of_weight, relation_vector
 
 
 class ModuleError(ValueError):
@@ -97,12 +97,13 @@ DiffTerm = Tuple[bool, int, int, object]
 class WSpace:
     """Basis of W_p blocked by (target, source) vertex pairs.
 
-    Each block is a reduced echelon subspace of its weight-p path space, so
-    the coordinates of a vector of W_p are read at the block's pivots."""
+    Each block is a reduced echelon subspace of its weight-p path space,
+    whose basis paths are arrow tuples in ``block_paths``, so the
+    coordinates of a vector of W_p are read at the block's pivots."""
 
     def __init__(self, p: int):
         self.p = p
-        self.block_paths: Dict[Tuple[int, int], List[Path]] = {}
+        self.block_paths: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
         self.block_path_index: Dict[Tuple[int, int], Dict[Tuple[int, ...], int]] = {}
         self.block_space: Dict[Tuple[int, int], Subspace] = {}
         self.flat: List[Tuple[int, int, int]] = []  # (tgt, src, local index)
@@ -171,10 +172,9 @@ class KoszulCalculus:
             self.wspaces.append(ws)
             if p and self.wspaces[p - 1].dim == 0:
                 continue  # past a zero W space every W space is zero
-            for path in paths_of_weight(q, p):
-                ws.block_paths.setdefault((path.target, path.source), []).append(path)
+            ws.block_paths = paths_of_weight(q, p)
             for key, paths in ws.block_paths.items():
-                ws.block_path_index[key] = {pa.arrows: k for k, pa in enumerate(paths)}
+                ws.block_path_index[key] = {path: k for k, path in enumerate(paths)}
             # finish() lays the blocks out in the order they are set: sorted
             if p <= 1:
                 # W_0 and W_1 are the whole vertex and arrow spaces
@@ -212,12 +212,12 @@ class KoszulCalculus:
                         idx = ws.block_path_index.get((q.target[a], iy))
                         if q.source[a] == jy and idx is not None:
                             left_span.setdefault((q.target[a], iy), []).append(
-                                {idx[(a,) + ypaths[t].arrows]: c for t, c in yvec.items()})
+                                {idx[(a,) + ypaths[t]]: c for t, c in yvec.items()})
                         # right: y (x) a, the arrow is applied first
                         idx = ws.block_path_index.get((jy, q.source[a]))
                         if q.target[a] == iy and idx is not None:
                             right_span.setdefault((jy, q.source[a]), []).append(
-                                {idx[ypaths[t].arrows + (a,)]: c for t, c in yvec.items()})
+                                {idx[ypaths[t] + (a,)]: c for t, c in yvec.items()})
                 for key in sorted(ws.block_paths):
                     if key not in left_span or key not in right_span:
                         continue
@@ -229,7 +229,7 @@ class KoszulCalculus:
             ws.finish()
         w1 = self.wspaces[1]
         self.arrow_flat: Dict[int, int] = {
-            w1.block_paths[(j, i)][k].arrows[0]: flat_idx
+            w1.block_paths[(j, i)][k][0]: flat_idx
             for flat_idx, (j, i, k) in enumerate(w1.flat)}
 
     def w(self, p: int) -> WSpace:
@@ -424,7 +424,7 @@ class KoszulCalculus:
             # group path coordinates by the suffix (last q arrows)
             by_suffix: Dict[Tuple[int, ...], Dict[Tuple[int, ...], object]] = {}
             for t, c in wpq.vector(z).items():
-                arrows = paths[t].arrows
+                arrows = paths[t]
                 by_suffix.setdefault(arrows[p:], {})[arrows[:p]] = c
             # the prefixes in W_p, then each W_p coefficient's suffixes in W_q
             rows: Dict[int, Dict[Tuple[int, ...], object]] = {}

@@ -36,17 +36,6 @@ class AmbientMismatchError(ValueError):
     """Raised when subspaces of different ambient spaces are combined."""
 
 
-def vec_is_zero(v: SparseVec) -> bool:
-    return not v
-
-
-def vec_add_scaled(u: SparseVec, v: SparseVec, c, field: Field) -> SparseVec:
-    """u + c*v as a new sparse vector."""
-    out = dict(u)
-    field.add_into(out, v, c)
-    return out
-
-
 def _echelon(rows: Iterable[SparseVec], field: Field) -> Dict[int, SparseVec]:
     """Forward elimination: echelon rows keyed by pivot, each with a leading 1."""
     by_pivot: Dict[int, SparseVec] = {}
@@ -134,7 +123,7 @@ class Subspace:
         return v
 
     def contains(self, v: SparseVec) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return not self.reduce(v)
 
     def coords(self, v: SparseVec) -> Optional[List[object]]:
         """Coordinates of v in the echelon basis, or None if v is outside."""
@@ -170,14 +159,6 @@ class LinearMap:
         self.codomain_dim = codomain_dim
         self.cols = cols
         self.field = field
-
-    @classmethod
-    def zero(cls, domain_dim: int, codomain_dim: int, field: Field) -> "LinearMap":
-        return cls(domain_dim, codomain_dim, [{} for _ in range(domain_dim)], field)
-
-    @classmethod
-    def identity(cls, dim: int, field: Field) -> "LinearMap":
-        return cls(dim, dim, [{i: field.one} for i in range(dim)], field)
 
     def rank(self) -> int:
         return rank(self.cols, self.codomain_dim, self.field)

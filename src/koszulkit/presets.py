@@ -18,8 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import Elem, build_graded_algebra, default_cutoff
 from .fields import Field
 from .koszul import Cochain, KoszulCalculus
-from .quiver import (Graph, Path, PreprojectiveSpec, dynkin_constants,
-                     preprojective_presentation)
+from .quiver import Graph, PreprojectiveSpec, dynkin_constants, preprojective_presentation
 
 Word = List[str]  # arrow names in written (leftmost-first) order
 
@@ -106,16 +105,21 @@ class Preset(GraphAlgebra):
     # -- path helpers --------------------------------------------------------
 
     def word_elem(self, word: Word, coeff=None) -> Elem:
+        """coeff times the normal form of the word, one arrow product at a
+        time from its target idempotent."""
         alg = self.algebra
         if coeff is None:
             coeff = self.field.one
-        path = Path.from_names(self.quiver, word)
-        return alg.elem_scale(alg.path_normal_form(path), coeff)
+        arrows = self.quiver.word_arrows(word)
+        elem = alg.vertex_elem(self.quiver.target[arrows[0]])
+        for a in arrows:
+            elem = alg.multiply(elem, alg.arrow_elem(a))
+        return self.field.scale(elem, coeff)
 
     def sum_words(self, words: Sequence[Tuple[object, Word]]) -> Elem:
         out: Elem = {}
         for coeff, word in words:
-            out = self.algebra.elem_add(out, self.word_elem(word), coeff)
+            self.field.add_into(out, self.word_elem(word), coeff)
         return out
 
 

@@ -2,14 +2,14 @@
 
 Paths are written from right to left: in the word ``a1.a0`` the arrow
 ``a0`` is applied first, so the source of the path is the source of its
-rightmost arrow.  A :class:`Path` stores its arrows in written order
-(leftmost first).
+rightmost arrow.  A path is the tuple of its arrow indices in written order
+(leftmost first), kept under its (target, source) vertex block, which also
+names the vertex of a trivial path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fields import Field
@@ -52,60 +52,42 @@ class Quiver:
     def __repr__(self) -> str:
         return f"Quiver({self.n_vertices} vertices, {self.n_arrows} arrows)"
 
+    def path_name(self, arrows: Sequence[int], vertex: int) -> str:
+        """The written name of a path: its arrow names joined by dots, or
+        ``e<vertex>`` for the trivial path at ``vertex``."""
+        if not arrows:
+            return f"e{self.vertices[vertex]}"
+        return ".".join(self.arrow_names[a] for a in arrows)
 
-@dataclass(frozen=True)
-class Path:
-    """A composable arrow word; ``arrows`` in written (leftmost-first) order."""
-
-    quiver: Quiver
-    arrows: Tuple[int, ...]
-    source: int
-    target: int
-
-    @staticmethod
-    def trivial(quiver: Quiver, vertex: int) -> "Path":
-        return Path(quiver, (), vertex, vertex)
-
-    @staticmethod
-    def from_arrows(quiver: Quiver, arrows: Sequence[int]) -> "Path":
-        arrows = tuple(arrows)
+    def word_arrows(self, names: Sequence[str]) -> Tuple[int, ...]:
+        """The arrow tuple of a nonempty word of arrow names in written
+        order, refusing arrows that do not compose."""
+        arrows = tuple(self.arrow_index[n] for n in names)
         if not arrows:
             raise QuiverError("empty arrow sequence needs an explicit vertex")
         for left, right in zip(arrows, arrows[1:]):
-            if quiver.source[left] != quiver.target[right]:
+            if self.source[left] != self.target[right]:
                 raise QuiverError(
-                    f"arrows {quiver.arrow_names[left]} and {quiver.arrow_names[right]} "
+                    f"arrows {self.arrow_names[left]} and {self.arrow_names[right]} "
                     "do not compose")
-        return Path(quiver, arrows, quiver.source[arrows[-1]], quiver.target[arrows[0]])
-
-    @staticmethod
-    def from_names(quiver: Quiver, names: Sequence[str]) -> "Path":
-        return Path.from_arrows(quiver, [quiver.arrow_index[n] for n in names])
-
-    @property
-    def weight(self) -> int:
-        return len(self.arrows)
-
-    def name(self) -> str:
-        if not self.arrows:
-            return f"e{self.quiver.vertices[self.source]}"
-        return ".".join(self.quiver.arrow_names[a] for a in self.arrows)
-
-    def __repr__(self) -> str:
-        return self.name()
+        return arrows
 
 
-def paths_of_weight(quiver: Quiver, m: int) -> List[Path]:
-    """All composable length-m paths, ordered with the right factor most
-    significant (lex by arrow indices)."""
+def paths_of_weight(quiver: Quiver, m: int) -> Dict[Tuple[int, int], List[Tuple[int, ...]]]:
+    """All composable length-m paths as arrow tuples under their (target,
+    source) block, each block ordered with the right factor most
+    significant (lex by reversed arrow indices)."""
     if m < 0:
         raise QuiverError("negative weight")
-    paths = [Path.trivial(quiver, i) for i in range(quiver.n_vertices)]
+    paths = [((), i, i) for i in range(quiver.n_vertices)]  # (arrows, target, source)
     for _ in range(m):
         # prepend on the left: a becomes the last-applied arrow
-        paths = [Path(quiver, (a,) + p.arrows, p.source, quiver.target[a])
-                 for p in paths for a in quiver.arrows_by_source[p.target]]
-    return paths
+        paths = [((a,) + arrows, quiver.target[a], src)
+                 for arrows, tgt, src in paths for a in quiver.arrows_by_source[tgt]]
+    blocks: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
+    for arrows, tgt, src in paths:
+        blocks.setdefault((tgt, src), []).append(arrows)
+    return blocks
 
 
 class QuadraticPresentation:

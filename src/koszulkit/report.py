@@ -100,15 +100,19 @@ def _scalar(field: Field, value):
 def _elem_json(algebra, field: Field, elem) -> Dict[str, object]:
     out = {}
     for (m, pos) in sorted(elem):
-        out[algebra.monomials[m][pos].name()] = _scalar(field, elem[(m, pos)])
+        name = algebra.quiver.path_name(algebra.monomial_arrows(m, pos),
+                                        algebra.block_of[m][pos][0])
+        out[name] = _scalar(field, elem[(m, pos)])
     return out
 
 
 def _wvec_json(kd, p: int, flat_idx: int) -> Dict[str, object]:
     ws = kd.w(p)
-    paths = ws.block_paths[ws.block_of(flat_idx)]
+    block = ws.block_of(flat_idx)
+    paths = ws.block_paths[block]
     vec = ws.vector(flat_idx)
-    return {paths[t].name(): _scalar(kd.field, c) for t, c in sorted(vec.items())}
+    return {kd.quiver.path_name(paths[t], block[0]): _scalar(kd.field, c)
+            for t, c in sorted(vec.items())}
 
 
 def _element_json(kd, obj) -> List[Dict]:

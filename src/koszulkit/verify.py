@@ -511,15 +511,16 @@ def direct_higher0_dim(alg) -> int:
     # element z gives z a, a monomial v gives -(v a - a v)
     minus = field.neg(field.one)
     keyed: List[Dict[Tuple[int, Tuple[int, int]], object]] = []
+    arrows = [alg.arrow_elem(a) for a in range(alg.quiver.n_arrows)]
     for zel in center:
-        keyed.append({(a, t): c for a in range(alg.quiver.n_arrows)
-                      for t, c in alg.rmul_arrow(zel, a).items()})
+        keyed.append({(a, t): c for a, arrow in enumerate(arrows)
+                      for t, c in alg.multiply(zel, arrow).items()})
     for t in terms:
         col: Dict[Tuple[int, Tuple[int, int]], object] = {}
-        for a in range(alg.quiver.n_arrows):
+        for a, arrow in enumerate(arrows):
             comm: Elem = {}
-            field.add_into(comm, alg.rmul_arrow({t: field.one}, a), minus)
-            field.add_into(comm, alg.lmul_arrow(a, {t: field.one}), field.one)
+            field.add_into(comm, alg.multiply({t: field.one}, arrow), minus)
+            field.add_into(comm, alg.multiply(arrow, {t: field.one}), field.one)
             col.update(((a, tt), c) for tt, c in comm.items())
         keyed.append(col)
     # kernel of the stacked system, projected to the center coordinates

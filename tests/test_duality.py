@@ -145,7 +145,7 @@ def reference_eta(kd, z):
         ws = kd.w(1)
         for flat_idx, m in z.values.items():
             j, i, k = ws.flat[flat_idx]
-            b = spec.star[ws.block_paths[(j, i)][k].arrows[0]]
+            b = spec.star[ws.block_paths[(j, i)][k][0]]
             kd._mod_accumulate(z.module, acc, b, m, kd.field.from_int(spec.eps[b]))
         return kd.cochain_on_arrows(acc, z.module)
     assert z.q == 0
@@ -603,25 +603,39 @@ def test_w_tables_agree_on_extended_types(monkeypatch, name, field):
 def test_duality_products_stay_at_class_size(monkeypatch):
     """verify_duality forms no product table, theta or eta over a unit
     (co)chain basis: every list that a cup or cap table, theta_table or
-    eta_table takes is no longer than the largest HK dimension, and b_K
-    runs on omega0 and on the theta columns of the representatives alone."""
+    eta_table takes is no longer than the largest HK dimension, except that
+    check (d) takes theta of each degree pair's cup table of two class
+    lists whole, in one theta_table call; and b_K runs on omega0 and on the
+    theta columns of the representatives alone."""
     kd = KoszulCalculus(Preset("E6", GF(3)).algebra, 3)
     coh = koszul_homology(kd, MODULE_A, "coh")
     hom = koszul_homology(kd, MODULE_A, "hom")
     largest = max(coh.dims() + hom.dims())
-    lengths, boundaries = [], []
+    lengths, boundaries, cup_tables, whole_cups = [], [], [], []
+
+    def is_whole_cup_table(xs):
+        """xs is the value list of the last cup table, in table order."""
+        return bool(cup_tables) and [id(x) for x in xs] == cup_tables[-1]
     for method in ("cup_table", "cap_table"):
         real = getattr(KoszulCalculus, method)
 
-        def counted(self, xs, ys, *args, real=real, **kwargs):
-            lengths.extend((len(xs), len(ys)))
-            return real(self, xs, ys, *args, **kwargs)
+        def counted(self, xs, ys, *args, real=real, method=method, **kwargs):
+            # theta of a whole cup table caps it with omega0: counted with theta
+            if not is_whole_cup_table(xs):
+                lengths.extend((len(xs), len(ys)))
+            out = real(self, xs, ys, *args, **kwargs)
+            if method == "cup_table":
+                cup_tables.append([id(c) for c in out.values()])
+            return out
         monkeypatch.setattr(KoszulCalculus, method, counted)
     for method in ("theta_table", "eta_table"):
         real = getattr(du, method)
 
-        def counted(kd, xs, *args, real=real, **kwargs):
-            lengths.append(len(xs))
+        def counted(kd, xs, *args, real=real, method=method, **kwargs):
+            if method == "theta_table" and is_whole_cup_table(xs):
+                whole_cups.append(len(xs))
+            else:
+                lengths.append(len(xs))
             return real(kd, xs, *args, **kwargs)
         monkeypatch.setattr(du, method, counted)
     for method in ("apply_bK", "apply_bK_chain"):
@@ -636,6 +650,9 @@ def test_duality_products_stay_at_class_size(monkeypatch):
     # the unit cochain bases have 32, 56 and 32 elements
     assert lengths and largest == 7
     assert max(lengths) <= largest, lengths
+    # one theta_table call per degree pair p + q <= 2, each on a whole cup table
+    assert len(whole_cups) == len(cup_tables) == 6
+    assert max(whole_cups) <= largest ** 2, whole_cups
     assert sorted(boundaries) == sorted(
         [("apply_bK_chain", 2)] + [("apply_bK_chain", 2 - p) for p in range(2)
                                    for _rep in coh.representatives(p)])

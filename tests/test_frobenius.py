@@ -5,6 +5,7 @@ import random
 import pytest
 
 from koszulkit import adedata
+from koszulkit.algebra import GradedAlgebra
 from koszulkit.fields import GF, QQ
 from koszulkit.frobenius import (BarOracle, Degree2Comparison, FrobeniusError,
                                  FrobeniusStructure, cartan_kernel_dim)
@@ -83,7 +84,7 @@ def test_degenerate_basis_rejected():
     pr = Preset("A3", QQ)
     bad = dict(socle_generators(pr))
     # a socle element in the wrong column cannot normalize the form
-    bad[0] = pr.algebra.elem_scale(bad[0], QQ.zero)
+    bad[0] = QQ.scale(bad[0], QQ.zero)
     with pytest.raises(FrobeniusError):
         FrobeniusStructure(pr.algebra, bad).dual_basis()
 
@@ -220,7 +221,7 @@ def test_delta_down_on_middle_idempotent_type_a_odd():
     # the middle vertex is the one that nu_bar fixes
     assert list(down) == [m_a]
     pi = socle_generators(pr)[m_a]
-    assert down[m_a] == alg.elem_scale(pi, QQ.from_int(m_a + 1))
+    assert down[m_a] == QQ.scale(pi, QQ.from_int(m_a + 1))
 
 
 def _nu_trace_matrix(frob):
@@ -254,7 +255,7 @@ def test_delta_down_trace_formula():
         got = down[i]
         expected = {}
         for j in range(4):
-            expected = alg.elem_add(expected, socle[j], traces[j][i])
+            QQ.add_into(expected, socle[j], traces[j][i])
         assert got == expected
 
 
@@ -350,7 +351,7 @@ def _adapted_reference(pr):
     nu_bar = {i: alg.block_of[top][pos][0] for i, (pos, _c) in pi_coeff.items()}
     basis, columns = [], []
     for m in range(top + 1):
-        for pos in range(len(alg.monomials[m])):
+        for pos in range(len(alg.block_of[m])):
             i = alg.block_of[m][pos][1]
             basis.append(socle[i] if m == top else {(m, pos): one})
             columns.append(i)
@@ -374,7 +375,7 @@ def _adapted_reference(pr):
         d = {}
         for w in range(n):
             if n + v in reduced[w]:
-                d = alg.elem_add(d, basis[w], reduced[w][n + v])
+                field.add_into(d, basis[w], reduced[w][n + v])
         dual.append(d)
 
     scalars = {}
@@ -656,6 +657,85 @@ def test_a_changed_eps_value_turns_a_verify_ade_entry_red(name, char, monkeypatc
         f"{name}.char{char}.frobenius.nu-matches-graph-rule"]
 
 
+ADE_MUTATION_CASES = [("A5", 0), ("D5", 0), ("E6", 3)]
+ADE_MUTATION_IDS = [f"{n}-{c}" for n, c in ADE_MUTATION_CASES]
+
+
+def _red_entries(name, char):
+    return [key for key, ok, _detail in verify_ade([name], [char]).entries if not ok]
+
+
+@pytest.mark.parametrize("name,char", ADE_MUTATION_CASES, ids=ADE_MUTATION_IDS)
+def test_a_changed_nakayama_scalar_turns_a_verify_ade_entry_red(name, char, monkeypatch):
+    """The Nakayama scalar of arrow 0 negated once solved: verify-ade fails
+    an entry of that type, on A, D and E types alike."""
+    real = FrobeniusStructure.nakayama_arrow_scalars
+
+    def negated_scalar(self):
+        solved = self._nu_scalars is not None
+        scalars = real(self)
+        if not solved:
+            beta, c = scalars[0]
+            scalars[0] = (beta, self.field.neg(c))
+        return scalars
+    monkeypatch.setattr(FrobeniusStructure, "nakayama_arrow_scalars", negated_scalar)
+    assert _red_entries(name, char)
+
+
+@pytest.mark.parametrize("name,char", ADE_MUTATION_CASES, ids=ADE_MUTATION_IDS)
+def test_a_changed_right_arrow_product_turns_a_verify_ade_entry_red(name, char,
+                                                                    monkeypatch):
+    """One ``_rmul`` entry changed after the build, the last nonzero right
+    product by an arrow into the top weight: verify-ade fails an entry."""
+    real = GradedAlgebra._build
+
+    def changed_build(self):
+        real(self)
+        table = self._rmul[self.top_weight - 1]
+        key = [k for k, nf in table.items() if nf][-1]
+        (pos, c), *_ = table[key].items()
+        table[key] = {**table[key], pos: self.field.add(c, self.field.one)}
+    monkeypatch.setattr(GradedAlgebra, "_build", changed_build)
+    assert _red_entries(name, char)
+
+
+@pytest.mark.parametrize("name,char", ADE_MUTATION_CASES, ids=ADE_MUTATION_IDS)
+def test_a_changed_longer_product_turns_a_verify_ade_entry_red(name, char, monkeypatch):
+    """One ``_prod`` entry doubled, the first product of two monomials, the
+    right one of weight at least 2, that an associativity triple reads with
+    a nonzero form: verify-ade fails an entry."""
+    real = FrobeniusStructure.form_is_associative
+
+    def doubled_product(self, samples):
+        alg, one = self.algebra, self.field.one
+        for idx in samples:
+            y, z, x = (self.terms[k] for k in idx)
+            for left, right, other, left_first in ((y, z, x, True), (z, x, y, False)):
+                if right[0] < 2:
+                    continue
+                prod = alg.multiply({left: one}, {right: one})
+                if not (self.form(prod, {other: one}) if left_first
+                        else self.form({other: one}, prod)):
+                    continue
+                key = (*left, *right)
+                alg._prod[key] = self.field.scale(alg._prod[key], self.field.from_int(2))
+                return real(self, samples)
+        raise AssertionError("no associativity triple reads a longer product")
+    monkeypatch.setattr(FrobeniusStructure, "form_is_associative", doubled_product)
+    assert _red_entries(name, char)
+
+
+@pytest.mark.parametrize("name,char", [("D5", 0), ("E6", 3)], ids=["D5-0", "E6-3"])
+def test_right_products_by_an_arrow_stay_out_of_the_product_table(name, char):
+    """After both checklists the longer-product table holds no right
+    product by an arrow (n == 1): those are read from the build's table."""
+    comp = TypeCharComputation(name, char)
+    assert verify_type_char(name, char, comp=comp).ok
+    assert hochschild2_checks(name, char, comp=comp).ok
+    prod = comp.preset.algebra._prod
+    assert prod and [key for key in prod if key[2] == 1] == []
+
+
 def test_a_changed_cup_table_entry_fails_its_check(monkeypatch):
     """verify_type_char compares each generator product with the cup table:
     one coefficient changed for D5 fails the D5 checks of that pair, in both
@@ -711,13 +791,12 @@ def _nu_by_path_walk(frob, t):
     m, pos = t
     if m == 0:
         return alg.vertex_elem(frob.nu_bar[pos])
-    path = alg.monomials[m][pos]
-    cur, c = alg.vertex_elem(frob.nu_bar[path.target]), field.one
-    for a in path.arrows:
+    cur, c = alg.vertex_elem(frob.nu_bar[alg.block_of[m][pos][0]]), field.one
+    for a in alg.monomial_arrows(m, pos):
         beta, ca = scalars[a]
         c = field.mul(c, ca)
-        cur = alg.rmul_arrow(cur, beta)
-    return alg.elem_scale(cur, c)
+        cur = alg.multiply(cur, alg.arrow_elem(beta))
+    return field.scale(cur, c)
 
 
 @pytest.mark.parametrize("name,field", GRAM_TYPES, ids=GRAM_IDS)
@@ -764,7 +843,9 @@ def test_a_changed_left_arrow_product_is_caught(name, char, where):
                         if frob.form({(n - 1, parent): one}, {(k + 1, u): one}):
                             return (1, b, k, v), u, c
     key, u, c = entry()
-    alg._prod[key] = {**alg._prod[key], u: frob.field.add(c, one)}
+    # a right product by an arrow (k == 1) is read from the build's table
+    table, key = (alg._rmul[1], (key[1], key[3])) if k == 1 else (alg._prod, key)
+    table[key] = {**table[key], u: frob.field.add(c, one)}
     assert _frobenius_failures(comp)
 
 
@@ -822,6 +903,8 @@ def test_associativity_triples_can_be_nonzero(name, char):
     assert frob.form_is_associative(triples)
     (y, z, _x), = [(frob.terms[a], frob.terms[b], frob.terms[c])
                    for (a, b, c), value in zip(triples, values) if value][:1]
-    key = (y[0], y[1], z[0], z[1])
-    alg._prod[key] = field.scale(alg._prod[key], field.from_int(2 if char != 2 else 0))
+    # a right product by an arrow (z of weight 1) is read from the build's table
+    table, key = ((alg._rmul[y[0]], (y[1], z[1])) if z[0] == 1
+                  else (alg._prod, (y[0], y[1], z[0], z[1])))
+    table[key] = field.scale(table[key], field.from_int(2 if char != 2 else 0))
     assert not frob.form_is_associative(triples)

@@ -1,8 +1,9 @@
 """Source hygiene: every name a koszulkit module imports is used there,
 every private helper it defines is referenced somewhere in the package,
 every public function, method and class is referenced somewhere in the
-package, its tests or the benchmark, every parameter default is
-overridden by some call there, and no module reads the environment."""
+package or the benchmark (a name only the tests use is test code), every
+parameter default is overridden by some call in the package, its tests or
+the benchmark, and no module reads the environment."""
 
 import ast
 import importlib
@@ -129,9 +130,10 @@ def test_traced_targets_exist():
 
 def test_no_dead_public_names():
     """Every public function, method and class of koszulkit is referenced
-    (as a name, an attribute or an import) in src, tests or perfbench, or is
-    a target of the layer tracer."""
-    files = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    (as a name, an attribute or an import) in src or perfbench, or is a
+    target of the layer tracer.  A reference from tests/ alone does not
+    count: a public name that only the tests use belongs in the tests."""
+    files = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     referenced = set()
     for path in files:
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -12,7 +12,7 @@ from koszulkit.koszul import (Chain, Cochain, DegreeError, KoszulCalculus, MODUL
                               MODULE_K, ModuleError, NotClosedError)
 from koszulkit.linalg import echelonize
 from koszulkit.presets import Preset, preset_graph
-from koszulkit.quiver import (Graph, Path, PreprojectiveSpec, paths_of_weight,
+from koszulkit.quiver import (Graph, PreprojectiveSpec, paths_of_weight,
                               preprojective_presentation, presentation_from_json)
 
 
@@ -41,8 +41,8 @@ def test_w3_vanishes_by_direct_intersection(a3):
     pr, _kd = a3
     q = pr.quiver
     field = pr.field
-    paths3 = paths_of_weight(q, 3)
-    index = {p.arrows: k for k, p in enumerate(paths3)}
+    paths3 = [path for paths in paths_of_weight(q, 3).values() for path in paths]
+    index = {path: k for k, path in enumerate(paths3)}
     left_rows = []
     right_rows = []
     for rel in pr.presentation.relations:
@@ -101,22 +101,22 @@ def test_cochain_differential_matches_worked_example(a3):
     field = pr.field
     # b(sum u_i e_i) sends a_i to (u_{i+1} - u_i) a_i
     u = [Fraction(5), Fraction(2), Fraction(7)]
-    f = kd.cochain_on_vertices({i: alg.elem_scale(alg.vertex_elem(i), u[i])
+    f = kd.cochain_on_vertices({i: alg.field.scale(alg.vertex_elem(i), u[i])
                                 for i in range(3)})
     bf = kd.apply_bK(f)
     for i in (0, 1):
         a = ai[f"a{i}"]
-        expected = alg.elem_scale(alg.arrow_elem(a), u[i + 1] - u[i])
+        expected = alg.field.scale(alg.arrow_elem(a), u[i + 1] - u[i])
         got = bf.values.get(kd.arrow_flat[a], {})
         assert got == expected
         astar = ai[f"a{i}*"]
-        expected = alg.elem_scale(alg.arrow_elem(astar), u[i] - u[i + 1])
+        expected = alg.field.scale(alg.arrow_elem(astar), u[i] - u[i + 1])
         got = bf.values.get(kd.arrow_flat[astar], {})
         assert got == expected
     # b of a weight-1 arrow-diagonal cochain is supported on the middle
     # relation with the balanced coefficient sum
     lam = {"a0": 3, "a1": 5, "a0*": 7, "a1*": 11}
-    g = kd.cochain_on_arrows({ai[k]: alg.elem_scale(alg.arrow_elem(ai[k]),
+    g = kd.cochain_on_arrows({ai[k]: alg.field.scale(alg.arrow_elem(ai[k]),
                                                     Fraction(v))
                               for k, v in lam.items()})
     bg = kd.apply_bK(g)
@@ -130,7 +130,7 @@ def test_cochain_differential_matches_worked_example(a3):
             # the basis vector is scale * sigma_1, so the value picks up scale
             rel_coord = ws2.relation_coords[flat]
             scale = rel_coord[list(rel_coord)[0]]
-            assert val == alg.elem_scale(z1, field.mul(coeff, scale))
+            assert val == alg.field.scale(z1, field.mul(coeff, scale))
         else:
             assert not val
 
@@ -184,7 +184,7 @@ def test_chain_cycles_from_worked_example(a3):
     prod_right = alg.multiply(m, alg.arrow_elem(ai["a0*"]))
     prod_left = alg.multiply(alg.arrow_elem(ai["a0*"]), m)
     assert got1 == prod_right
-    assert got0 == alg.elem_scale(prod_left, Fraction(-1))
+    assert got0 == alg.field.scale(prod_left, Fraction(-1))
 
 
 def test_hk_dims_a3(a3_spaces):
@@ -268,11 +268,12 @@ def test_diagonal_cochain_splits_by_vertex(a3):
     alg = pr.algebra
     ai = pr.quiver.arrow_index
     loop = alg.multiply(alg.arrow_elem(ai["a1*"]), alg.arrow_elem(ai["a1"]))
-    z = alg.elem_add(alg.unit_elem(), loop, QQ.from_int(3))
+    z = alg.unit_elem()
+    QQ.add_into(z, loop, QQ.from_int(3))
     (m, pos), = loop
     vertex = alg.block_of[m][pos][0]
     by_vertex = {i: alg.vertex_elem(i) for i in range(pr.quiver.n_vertices)}
-    by_vertex[vertex] = alg.elem_add(by_vertex[vertex], loop, QQ.from_int(3))
+    QQ.add_into(by_vertex[vertex], loop, QQ.from_int(3))
     assert kd.diagonal_cochain(z) == kd.cochain_on_vertices(by_vertex)
     with pytest.raises(ValueError, match="outside the diagonal blocks"):
         kd.diagonal_cochain(alg.arrow_elem(0))
@@ -519,7 +520,7 @@ def test_cap_examples(a3, a3_spaces):
     for a in range(pr.quiver.n_arrows):
         star = spec.star[a]
         flat = kd.arrow_flat[star]
-        expected_values[flat] = alg.elem_scale(alg.arrow_elem(a),
+        expected_values[flat] = alg.field.scale(alg.arrow_elem(a),
                                                Fraction(spec.eps[a]))
     from koszulkit.koszul import Chain
     assert got == Chain(kd, 1, MODULE_A, expected_values)
@@ -603,7 +604,7 @@ def test_bimodule_homology_non_dynkin_koszul():
     assert bh.koszul_up_to_cutoff()
     # degree zero reproduces the algebra's graded dimensions
     for n, d in table[0].items():
-        assert d == len(pr.algebra.monomials[n])
+        assert d == len(pr.algebra.block_of[n])
 
 
 def _flatten(space, obj):
@@ -679,17 +680,17 @@ def _hand_built_low_w(q):
     blocks in sorted (target, source) order, the arrows of a block in index
     order.  Returns one (block keys, paths, path index, flat) per degree and
     the flat index of each arrow in W_1."""
-    w0 = {(i, i): [Path.trivial(q, i)] for i in range(q.n_vertices)}
+    w0 = {(i, i): [()] for i in range(q.n_vertices)}
     keys = sorted({(q.target[a], q.source[a]) for a in range(q.n_arrows)})
-    w1 = {key: [Path.from_arrows(q, (a,)) for a in range(q.n_arrows)
+    w1 = {key: [(a,) for a in range(q.n_arrows)
                 if (q.target[a], q.source[a]) == key] for key in keys}
     layouts = []
     for blocks in (w0, w1):
-        index = {key: {pa.arrows: k for k, pa in enumerate(paths)}
+        index = {key: {path: k for k, path in enumerate(paths)}
                  for key, paths in blocks.items()}
         flat = [(j, i, k) for (j, i), paths in blocks.items() for k in range(len(paths))]
         layouts.append((list(blocks), blocks, index, flat))
-    arrow_flat = {w1[(j, i)][k].arrows[0]: n for n, (j, i, k) in enumerate(layouts[1][3])}
+    arrow_flat = {w1[(j, i)][k][0]: n for n, (j, i, k) in enumerate(layouts[1][3])}
     return layouts, arrow_flat
 
 
@@ -1346,7 +1347,7 @@ def test_class_of_matches_the_weight_by_weight_reference(name, field, cutoff):
                             value = field.one
                         else:
                             m = rng.randrange(alg.max_weight + 1)
-                            pos = rng.randrange(len(alg.monomials[m]))
+                            pos = rng.randrange(len(alg.block_of[m]))
                             value = {(m, pos): field.one}
                         elem = elem.add(type(elem)(kd, p, module, {x: value}))
                     want = _outcome(lambda: _reference_class_of(spaces, elem))
@@ -1437,7 +1438,7 @@ def test_splits_reconstruct_their_w_vectors(name, field):
                     xpaths, ypaths = wp.block_paths[(xj, xi)], wq.block_paths[(yj, yi)]
                     for t, a in wp.vector(x).items():
                         for s, b in wq.vector(y).items():
-                            k = index[xpaths[t].arrows + ypaths[s].arrows]
+                            k = index[xpaths[t] + ypaths[s]]
                             acc[k] = acc.get(k, 0) + c * a * b
                 assert field.settle(acc) == wn.vector(z), (n, p, z)
                 checked += 1

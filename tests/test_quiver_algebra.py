@@ -1,15 +1,18 @@
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 import pytest
 
+from koszulkit import adedata
 from koszulkit.algebra import (InfiniteDimensionalError, WeightOverflowError,
                                build_graded_algebra)
 from koszulkit.fields import GF, QQ
-from koszulkit.linalg import LinearMap, kernel
+from koszulkit.linalg import LinearMap, echelonize, kernel
 from koszulkit.presets import GraphAlgebra, Preset, preset_graph, socle_generators
-from koszulkit.quiver import (Graph, Path, PreprojectiveSpec, Quiver, QuiverError,
+from koszulkit.quiver import (Graph, PreprojectiveSpec, Quiver, QuiverError,
                               dynkin_constants, graph_from_json, paths_of_weight,
                               presentation_from_json, preprojective_presentation)
 
@@ -22,46 +25,69 @@ def a3_setup(field=QQ):
     return spec, preprojective_presentation(spec, field)
 
 
+def _all_paths(quiver, m):
+    """The length-m paths of every block, block after block."""
+    return [path for paths in paths_of_weight(quiver, m).values() for path in paths]
+
+
 def test_paths_of_weight_counts():
     spec, _ = a3_setup()
     q = spec.quiver
-    assert len(paths_of_weight(q, 0)) == 3           # the vertices
-    assert len(paths_of_weight(q, 1)) == 4           # the four arrows
+    assert len(_all_paths(q, 0)) == 3           # the vertices
+    assert len(_all_paths(q, 1)) == 4           # the four arrows
     # a two-cycle supports exactly two paths in every positive length
     g2 = Graph(["0", "1"], [("0", "1")])
     q2 = PreprojectiveSpec(g2).quiver
     for p in range(1, 9):
-        assert len(paths_of_weight(q2, p)) == 2
+        assert len(_all_paths(q2, p)) == 2
 
 
 def _recursive_paths(quiver, m):
-    """The length-m paths as the recursion over m - 1 builds them."""
+    """The length-m paths as (arrows, target, source), as the recursion over
+    m - 1 builds them."""
     if m == 0:
-        return [Path.trivial(quiver, i) for i in range(quiver.n_vertices)]
-    return [Path(quiver, (a,) + p.arrows, p.source, quiver.target[a])
-            for p in _recursive_paths(quiver, m - 1) for a in quiver.arrows_by_source[p.target]]
+        return [((), i, i) for i in range(quiver.n_vertices)]
+    return [((a,) + arrows, quiver.target[a], src)
+            for arrows, tgt, src in _recursive_paths(quiver, m - 1)
+            for a in quiver.arrows_by_source[tgt]]
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
 def test_paths_of_weight_match_the_recursive_order(name):
     q = PreprojectiveSpec(preset_graph(name)).quiver
     for m in range(7):
-        assert paths_of_weight(q, m) == _recursive_paths(q, m)
+        blocks = {}
+        for arrows, tgt, src in _recursive_paths(q, m):
+            blocks.setdefault((tgt, src), []).append(arrows)
+        assert paths_of_weight(q, m) == blocks
 
 
 def test_paths_of_weight_past_the_recursion_limit():
     """A2's double quiver has two paths in every length, far past Python's
     recursion limit (``calculus --preset A2 --max-degree 1200`` builds W_1201)."""
     q = PreprojectiveSpec(preset_graph("A2")).quiver
-    paths = paths_of_weight(q, 1500)
-    assert len(paths) == 2 and all(len(p.arrows) == 1500 for p in paths)
+    paths = _all_paths(q, 1500)
+    assert len(paths) == 2 and all(len(p) == 1500 for p in paths)
 
 
 def test_paths_are_ordered_right_factor_most_significant():
     spec, _ = a3_setup()
     q = spec.quiver
-    keys = [tuple(reversed(p.arrows)) for p in paths_of_weight(q, 2)]
-    assert keys == sorted(keys)
+    for paths in paths_of_weight(q, 2).values():
+        keys = [tuple(reversed(p)) for p in paths]
+        assert keys == sorted(keys)
+
+
+def test_words_are_read_into_composable_arrow_tuples():
+    q = PreprojectiveSpec(preset_graph("A3")).quiver
+    ai = q.arrow_index
+    assert q.word_arrows(["a0", "a0*"]) == (ai["a0"], ai["a0*"])
+    assert q.path_name(q.word_arrows(["a0", "a0*"]), 1) == "a0.a0*"
+    assert q.path_name((), 1) == "e1"
+    with pytest.raises(QuiverError, match="a0 and a1 do not compose"):
+        q.word_arrows(["a0", "a1"])
+    with pytest.raises(QuiverError, match="empty arrow sequence"):
+        q.word_arrows([])
 
 
 def test_preprojective_relations_match_display():
@@ -81,7 +107,7 @@ def test_preprojective_relations_match_display():
 def test_a2_relations_span_full_weight2():
     g = Graph(["0", "1"], [("0", "1")])
     pres = preprojective_presentation(PreprojectiveSpec(g), QQ)
-    assert pres.n_relations == 2 == len(paths_of_weight(pres.quiver, 2))
+    assert pres.n_relations == 2 == len(_all_paths(pres.quiver, 2))
 
 
 def test_d4_center_relation():
@@ -149,10 +175,9 @@ def _brute_force_dims(pres, max_weight):
     field = pres.field
     dims = [q.n_vertices]
     prev_ideal_rows = []  # rows of I_{m-1} in path coordinates
-    prev_paths = {p.arrows: k for k, p in enumerate(paths_of_weight(q, 1))}
     for m in range(2, max_weight + 1):
-        paths = paths_of_weight(q, m)
-        index = {p.arrows: k for k, p in enumerate(paths)}
+        paths = _all_paths(q, m)
+        index = {path: k for k, path in enumerate(paths)}
         rows = []
         # V . I_{m-1} and I_{m-1} . V
         for row in prev_ideal_rows:
@@ -176,7 +201,7 @@ def _brute_force_dims(pres, max_weight):
         coord_rows = [{index[ar]: c for ar, c in row.items()} for row in rows]
         sub = la.echelonize(coord_rows, len(paths), field)
         dims.append(len(paths) - sub.dim)
-        prev_ideal_rows = [{paths[k].arrows: c for k, c in r.items()}
+        prev_ideal_rows = [{paths[k]: c for k, c in r.items()}
                            for r in sub.rows]
         if dims[-1] == 0:
             break
@@ -193,6 +218,96 @@ def test_dims_match_brute_force_path_reduction():
         oracle = _brute_force_dims(pres, alg.max_weight + 1)
         got = alg.dims() + [0]
         assert got[:len(oracle)] == oracle[:len(got)]
+
+
+@dataclass(frozen=True)
+class _ReferencePath:
+    """A monomial as the build once kept it: its arrows in written order
+    with its source and target vertices."""
+    arrows: Tuple[int, ...]
+    source: int
+    target: int
+
+    def name(self, quiver):
+        if not self.arrows:
+            return f"e{quiver.vertices[self.source]}"
+        return ".".join(quiver.arrow_names[a] for a in self.arrows)
+
+
+def _reference_build(pres, cutoff):
+    """The algebra build as it was with one path object per monomial and
+    the product pairs found by testing every arrow against every monomial
+    of the previous weight.  Returns (block_of, parents, rmul, names)."""
+    q, field = pres.quiver, pres.field
+    monomials = [[_ReferencePath((), i, i) for i in range(q.n_vertices)]]
+    parents, rmuls = [[]], []
+    m = 1
+    while True:
+        prev = monomials[m - 1]
+        pairs = []
+        for a in range(q.n_arrows):
+            for pos, p in enumerate(prev):
+                if p.source == q.target[a]:
+                    pairs.append((pos, a))
+        pair_index = {pa: k for k, pa in enumerate(pairs)}
+        gens = []
+        if m >= 2:
+            for r, rel in enumerate(pres.relations):
+                for ypos, y in enumerate(monomials[m - 2]):
+                    if y.source != pres.relation_blocks[r][0]:
+                        continue
+                    gen = {}
+                    for coeff, (left, right) in rel:
+                        for xpos, w in rmuls[m - 2].get((ypos, left), {}).items():
+                            idx = pair_index[(xpos, right)]
+                            gen[idx] = gen.get(idx, 0) + coeff * w
+                    gen = field.settle(gen)
+                    if gen:
+                        gens.append(gen)
+        sub = echelonize(gens, len(pairs), field)
+        survivors = [k for k in range(len(pairs)) if k not in sub.pivot_pos]
+        new_pos = {k: n for n, k in enumerate(survivors)}
+        rmul = {}
+        for k, (pos, a) in enumerate(pairs):
+            if k in new_pos:
+                rmul[(pos, a)] = {new_pos[k]: field.one}
+            else:
+                rmul[(pos, a)] = {new_pos[col]: field.neg(c)
+                                  for col, c in sub.rows[sub.pivot_pos[k]].items() if col != k}
+        rmuls.append(rmul)
+        if not survivors:
+            break
+        monomials.append([_ReferencePath(prev[pairs[k][0]].arrows + (pairs[k][1],),
+                                         q.source[pairs[k][1]], prev[pairs[k][0]].target)
+                          for k in survivors])
+        parents.append([pairs[k] for k in survivors])
+        if m >= cutoff:
+            break
+        m += 1
+    block_of = [[(p.target, p.source) for p in ms] for ms in monomials]
+    names = [[p.name(q) for p in ms] for ms in monomials]
+    return block_of, parents, rmuls, names
+
+
+REFERENCE_BUILDS = ([(name, None, field) for name in adedata.listed_types()
+                     for field in (QQ, GF(2), GF(3))]
+                    + [(f"A~{n}", 8, field) for n in (2, 3, 4) for field in (QQ, GF(2), GF(3))])
+
+
+@pytest.mark.parametrize("name,cutoff,field", REFERENCE_BUILDS,
+                         ids=[f"{n}-{f!r}" for n, _c, f in REFERENCE_BUILDS])
+def test_build_matches_the_path_object_reference(name, cutoff, field):
+    """The monomial tree gives the blocks, parents, right-product table (in
+    its pair order) and monomial names of the build that kept a path object
+    per monomial."""
+    alg = Preset(name, field, cutoff=cutoff).algebra
+    block_of, parents, rmul, names = _reference_build(alg.presentation, alg.cutoff)
+    assert alg.block_of == block_of
+    assert alg.parents == parents
+    assert alg._rmul == rmul and [list(t) for t in alg._rmul] == [list(t) for t in rmul]
+    assert [[alg.quiver.path_name(alg.monomial_arrows(m, pos), j)
+             for pos, (j, _i) in enumerate(keys)]
+            for m, keys in enumerate(alg.block_of)] == names
 
 
 def test_d4_total_dimension():
@@ -247,40 +362,57 @@ def test_normal_form_is_projection():
     for _ in range(30):
         m = rng.randint(0, alg.max_weight)
         elem = {}
-        for pos in range(len(alg.monomials[m])):
+        for pos in range(len(alg.block_of[m])):
             c = Fraction(rng.randint(-2, 2))
             if c:
                 elem[(m, pos)] = c
-        # reduce each monomial path again through the normal-form map
+        # reduce each monomial path again, one arrow product at a time
         again = {}
         for (mm, pos), c in elem.items():
-            nf = alg.path_normal_form(alg.monomials[mm][pos])
-            again = alg.elem_add(again, nf, c)
+            nf = alg.vertex_elem(alg.block_of[mm][pos][0])
+            for a in alg.monomial_arrows(mm, pos):
+                nf = alg.multiply(nf, alg.arrow_elem(a))
+            QQ.add_into(again, nf, c)
         assert elem == again
+
+
+def _times_arrow(alg, x, a):
+    """x a read off the build's table of right products by an arrow: zero
+    past the top of a finite algebra, refused past the cutoff of a
+    truncated one."""
+    out = {}
+    for (m, pos), c in x.items():
+        if m + 1 > alg.max_weight:
+            if alg.finite:
+                continue
+            raise WeightOverflowError(f"weight {m + 1} exceeds the cutoff")
+        for npos, w in alg.rmul_table(m).get((pos, a), {}).items():
+            out[(m + 1, npos)] = out.get((m + 1, npos), 0) + c * w
+    return alg.field.settle(out)
 
 
 def _reference_multiply(alg, x, y):
     """The arrow-by-arrow product: x times each monomial of y, one
-    ``rmul_arrow`` step per arrow of the monomial."""
+    ``_times_arrow`` step per arrow of the monomial."""
     out = {}
     for (m, pos), c in y.items():
         if m == 0:
             part = {t: v for t, v in x.items() if alg.block_of[t[0]][t[1]][1] == pos}
-            out = alg.elem_add(out, part, c)
+            alg.field.add_into(out, part, c)
             continue
         cur = x
-        for a in alg.monomials[m][pos].arrows:
-            cur = alg.rmul_arrow(cur, a)
+        for a in alg.monomial_arrows(m, pos):
+            cur = _times_arrow(alg, cur, a)
             if not cur:
                 break
         if cur:
-            out = alg.elem_add(out, cur, c)
+            alg.field.add_into(out, cur, c)
     return out
 
 
 def _monomials(alg):
     return [(m, pos) for m in range(alg.max_weight + 1)
-            for pos in range(len(alg.monomials[m]))]
+            for pos in range(len(alg.block_of[m]))]
 
 
 @pytest.mark.parametrize("name,cutoff", [("A3", None), ("D4", None), ("E6", None),
@@ -314,9 +446,9 @@ def test_multiply_matches_arrow_by_arrow_reference(name, cutoff, field):
             except WeightOverflowError:
                 overflows += 1
                 with pytest.raises(WeightOverflowError):
-                    alg.lmul_arrow(a, {t: one})
+                    alg.multiply(alg.arrow_elem(a), {t: one})
                 continue
-            assert alg.lmul_arrow(a, {t: one}) == want, (a, t)
+            assert alg.multiply(alg.arrow_elem(a), {t: one}) == want, (a, t)
     # only the truncated algebra has products beyond its computed weights
     assert (overflows > 0) == alg.truncated
 
@@ -345,9 +477,11 @@ def test_multiply_associative_and_bilinear():
     for _ in range(40):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
         assert alg.multiply(alg.multiply(x, y), z) == alg.multiply(x, alg.multiply(y, z))
-        lhs = alg.multiply(alg.elem_add(x, y), z)
-        rhs = alg.elem_add(alg.multiply(x, z), alg.multiply(y, z))
-        assert lhs == rhs
+        x_plus_y = dict(x)
+        alg.field.add_into(x_plus_y, y, one)
+        xz_plus_yz = alg.multiply(x, z)
+        alg.field.add_into(xz_plus_yz, alg.multiply(y, z), one)
+        assert alg.multiply(x_plus_y, z) == xz_plus_yz
 
 
 def _socle_basis(alg):
@@ -356,16 +490,16 @@ def _socle_basis(alg):
     q, field = alg.quiver, alg.field
     out = []
     for m in range(alg.max_weight + 1):
-        dim_m = len(alg.monomials[m])
-        next_dim = len(alg.monomials[m + 1]) if m + 1 <= alg.max_weight else 0
+        dim_m = len(alg.block_of[m])
+        next_dim = len(alg.block_of[m + 1]) if m + 1 <= alg.max_weight else 0
         cols = []
         for pos in range(dim_m):
             x = {(m, pos): field.one}
             col = {}
             for a in range(q.n_arrows):
-                for (_m1, npos), v in alg.rmul_arrow(x, a).items():
+                for (_m1, npos), v in alg.multiply(x, alg.arrow_elem(a)).items():
                     col[(2 * a) * next_dim + npos] = v
-                for (_m1, npos), v in alg.lmul_arrow(a, x).items():
+                for (_m1, npos), v in alg.multiply(alg.arrow_elem(a), x).items():
                     col[(2 * a + 1) * next_dim + npos] = v
             cols.append(col)
         ker = kernel(LinearMap(dim_m, 2 * q.n_arrows * max(next_dim, 1), cols, field))
@@ -409,8 +543,9 @@ def test_weight_overflow_on_truncated_algebra():
         PreprojectiveSpec(preset_graph("A~2")), QQ)
     alg = build_graded_algebra(pres, 4)
     top = {(4, 0): alg.field.one}
+    arrow = alg.arrow_elem(alg.quiver.arrows_by_target[alg.block_of[4][0][1]][0])
     with pytest.raises(WeightOverflowError):
-        alg.rmul_arrow(top, 0)
+        alg.multiply(top, arrow)
 
 
 def test_loops_and_multiple_edges_accepted():
