@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import LinearMap, SparseVec, echelonize, kernel
+from .linalg import SparseVec, echelonize, kernel
 from .quiver import QuadraticPresentation, QuiverError
 
 
@@ -294,7 +294,7 @@ class GradedAlgebra:
                     for (_m1, npos), v in diff.items():
                         col[a * next_dim + npos] = v
                 cols.append(col)
-            ker = kernel(LinearMap(len(diag), q.n_arrows * max(next_dim, 1), cols, field))
+            ker = kernel(cols, q.n_arrows * max(next_dim, 1), field)
             for row in ker.rows:
                 out.append({(m, diag[i]): c for i, c in row.items()})
         return out

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .homology import BimoduleHomology, CalculusSpaces, HigherSpaces
 from .koszul import (Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A, ModuleError,
                      _common_grading)
-from .linalg import LinearMap
+from .linalg import rank
 
 
 class NotPreprojectiveError(ValueError):
@@ -344,7 +344,7 @@ def verify_duality(coh: CalculusSpaces, hom: CalculusSpaces,
                       f"p={p}: {dim_c} vs {dim_h}")
         cols = [{k: c for k, c in enumerate(hom.class_of(t)) if not field.is_zero(c)}
                 for t in rep_thetas[p]]
-        r = LinearMap(dim_c, dim_h, cols, field).rank()
+        r = rank(cols, dim_h, field)
         report.record("H(theta) bijective", r == dim_c == dim_h, f"p={p} rank {r}")
 
     # fundamental class: the duality image of the unit 0-class

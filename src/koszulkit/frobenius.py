@@ -55,7 +55,7 @@ from .algebra import Elem, GradedAlgebra, Term
 from .duality import eta_table, theta_table
 from .homology import CalculusSpaces
 from .koszul import Chain, KoszulCalculus, MODULE_A
-from .linalg import LinearMap, SparseVec, echelonize, kernel, rank, rref
+from .linalg import SparseVec, echelonize, kernel, rank, rref
 
 
 class FrobeniusError(ValueError):
@@ -426,7 +426,7 @@ class Degree2Comparison:
         touched: Dict[Term, int] = {}
         cols = [{touched.setdefault(t, len(touched)): c for t, c in col.items()}
                 for col in up.values()]
-        ker_up0 = kernel(LinearMap(len(cols), len(touched), cols, field))
+        ker_up0 = kernel(cols, len(touched), field)
         block_of = kd.algebra.block_of
         ker_up = [{(0, i): c for i, c in row.items()} for row in ker_up0.rows] + [
             {(m, pos): field.one} for m, pos in frob.terms
@@ -542,9 +542,7 @@ class BarOracle:
                                      if (a1, a2, tt) in c2_index}, one)
             return col
 
-        b1 = LinearMap(len(c0), len(c1), [b1_column(t) for t in c0], field)
-        b2 = LinearMap(len(c1), len(c2), [b2_column(p) for p in c1], field)
-        rank_b1 = b1.rank()
-        rank_b2 = b2.rank()
+        rank_b1 = rank([b1_column(t) for t in c0], len(c1), field)
+        rank_b2 = rank([b2_column(p) for p in c1], len(c2), field)
         self.hh0_dim = len(c0) - rank_b1
         self.hh1_dim = len(c1) - rank_b2 - rank_b1

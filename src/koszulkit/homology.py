@@ -52,8 +52,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import backend
 from .koszul import (Chain, Cochain, KoszulCalculus, MODULE_A, MODULE_K, ModuleError,
                      NotClosedError)
-from .linalg import (LinearMap, NotInSubspaceError, QuotientSpace, SparseVec, Subspace,
-                     full_subspace, image, kernel, rank, zero_subspace)
+from .linalg import (NotInSubspaceError, QuotientSpace, SparseVec, Subspace, echelonize,
+                     full_subspace, kernel, rank, zero_subspace)
 
 
 class CoordSpace:
@@ -142,20 +142,21 @@ def _shifted(m: Optional[int], dm: int) -> Optional[int]:
     return None if m is None else m + dm
 
 
-def _homology(mats: Dict[Tuple[int, Optional[int]], LinearMap],
+def _homology(mats: Dict[Tuple[int, Optional[int]], Tuple[List[SparseVec], int]],
               images: Dict[Tuple[int, Optional[int]], Subspace], p: int,
               m: Optional[int], step: int, dim: int, field) -> QuotientSpace:
     """ker(d out of block (p, m)) / im(d into it), for the maps of a complex
-    of degree ``step`` and weight +1 keyed by source block; a missing map
-    is zero.  ``images`` holds the image of each map into a block that is
-    kept, eliminated once: B of that block, and rank(d_out) of its source.
+    of degree ``step`` and weight +1 keyed by source block, each held as its
+    columns and its target dimension; a missing map is zero.  ``images``
+    holds the image of each map into a block that is kept, eliminated once:
+    B of that block, and rank(d_out) of its source.
 
     Where the image of d_out is at hand and dim - rank(d_out) = dim B, the
     homology is zero and Z = B: B is checked to lie in ker(d_out) by
     applying d_out to each of its rows (d o d = 0), and then has the
     dimension of the kernel, whose unique reduced echelon basis it is.
     Elsewhere, where the homology can be nonzero or the map's target is
-    not kept, ``kernel(d_out)`` runs."""
+    not kept, the kernel of d_out runs."""
     d_out = mats.get((p, m))
     b = images.get((p - step, _shifted(m, -1)))
     if b is None:
@@ -164,11 +165,16 @@ def _homology(mats: Dict[Tuple[int, Optional[int]], LinearMap],
     if d_out is None:
         z = full_subspace(dim, field)
     elif img_out is not None and dim - img_out.dim == b.dim:
-        if any(d_out.apply(row) for row in b.rows):
-            raise NotInSubspaceError("denominator is not contained in numerator")
+        cols = d_out[0]
+        for row in b.rows:
+            out: SparseVec = {}
+            for j, x in row.items():
+                field.add_into(out, cols[j], x)
+            if out:
+                raise NotInSubspaceError("denominator is not contained in numerator")
         z = b
     else:
-        z = kernel(d_out)
+        z = kernel(*d_out, field)
     return QuotientSpace(z, b)
 
 
@@ -245,15 +251,14 @@ class CalculusSpaces(_GradedDims):
                 if sp.dim:
                     spaces[(p, m)] = sp
         # b_K between nonzero spaces; _homology reads a missing map as zero
-        mats: Dict[Tuple[int, Optional[int]], LinearMap] = {}
+        mats: Dict[Tuple[int, Optional[int]], Tuple[List[SparseVec], int]] = {}
         for (p, m), src in spaces.items():
             dst = spaces.get((p + step, _shifted(m, 1)))
             if dst is not None:
                 units = [{k: one} for k in range(src.dim)]
-                mats[(p, m)] = LinearMap(src.dim, dst.dim, _block_images(src, dst, units),
-                                         field)
+                mats[(p, m)] = (_block_images(src, dst, units), dst.dim)
         kept = {(p, m) for p, m in spaces if p <= self.p_max and m in weights}
-        images = {(p, m): image(d) for (p, m), d in mats.items()
+        images = {(p, m): echelonize(*d, field) for (p, m), d in mats.items()
                   if (p + step, _shifted(m, 1)) in kept}
         for (p, m), sp in spaces.items():
             if (p, m) in kept:
@@ -392,7 +397,7 @@ class HigherSpaces(_GradedDims):
         field = spaces.kd.field
         step = 1 if spaces.side == "coh" else -1
         self.blocks: Dict[Tuple[int, Optional[int]], QuotientSpace] = {}
-        mats: Dict[Tuple[int, Optional[int]], LinearMap] = {}
+        mats: Dict[Tuple[int, Optional[int]], Tuple[List[SparseVec], int]] = {}
         for (p, m), blk in spaces.blocks.items():
             tblk = spaces.blocks.get((p + step, _shifted(m, 1)))
             if not blk.dim or tblk is None or not tblk.dim:
@@ -401,9 +406,9 @@ class HigherSpaces(_GradedDims):
                                  higher=True)
             cols = [{k: c for k, c in enumerate(tblk.quotient.coords(img))
                      if not field.is_zero(c)} for img in imgs]
-            mats[(p, m)] = LinearMap(blk.dim, tblk.dim, cols, field)
+            mats[(p, m)] = (cols, tblk.dim)
         # every map's target is a nonzero block, and all of those are kept
-        images = {key: image(d) for key, d in mats.items()}
+        images = {key: echelonize(*d, field) for key, d in mats.items()}
         for (p, m), blk in spaces.blocks.items():
             if blk.dim:
                 self.blocks[(p, m)] = _homology(mats, images, p, m, step, blk.dim, field)

@@ -3,7 +3,9 @@
 The homological generators W_p live inside the weight-p path space, and one
 loop builds them all: it lists the weight-p paths of each vertex block and
 keeps every path for p <= 1 (the vertex and arrow spaces), the relations at
-p = 2, and above that the intersection of the two shifted copies of W_{p-1}.
+p = 2, and above that the intersection of V (x) W_{p-1} and W_{p-1} (x) V,
+read per block off one reduction of their two spanning lists
+(:func:`koszulkit.linalg.intersect`).
 Every basis vector is vertex-pair homogeneous, and each vertex block
 of W_p is kept as the reduced echelon subspace of its path space
 (:class:`koszulkit.linalg.Subspace`), so a vector of W_p has its
@@ -70,8 +72,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Elem, GradedAlgebra
-from .linalg import (SparseVec, SpanSolver, Subspace, echelonize, full_subspace,
-                     intersect)
+from .linalg import SparseVec, SpanSolver, Subspace, echelonize, full_subspace, intersect
 from .quiver import paths_of_weight, relation_vector
 
 
@@ -221,9 +222,8 @@ class KoszulCalculus:
                 for key in sorted(ws.block_paths):
                     if key not in left_span or key not in right_span:
                         continue
-                    ambient = len(ws.block_paths[key])
-                    sub = intersect(echelonize(left_span[key], ambient, field),
-                                    echelonize(right_span[key], ambient, field))
+                    sub = intersect(left_span[key], right_span[key],
+                                    len(ws.block_paths[key]), field)
                     if sub.dim:
                         ws.block_space[key] = sub
             ws.finish()

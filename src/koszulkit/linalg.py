@@ -1,20 +1,28 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Vectors are sparse maps ``index -> scalar`` (zeros never stored); matrices
-are lists of sparse rows or columns.  Every elimination is sparse and has
-two entry points:
+are lists of sparse rows or columns.  Each function takes its rows (or a
+map's columns), the number of coordinates they live in and the field, and
+runs one sparse elimination:
 
 - ``rank(rows, ambient, field)`` runs the forward phase only and returns the
   dimension of the row span; no basis is built;
 - ``rref(rows, ambient, field)`` adds back-substitution and returns the
-  reduced row echelon basis (keys ascending) with its pivot columns.
+  reduced row echelon basis (keys ascending) with its pivot columns;
+- ``echelonize(rows, ambient, field)`` holds that basis as a ``Subspace``;
+- ``kernel(cols, codim, field)`` is the null space of the map whose columns
+  are given, with ``codim`` coordinates in its target;
+- ``intersect(us, vs, ambient, field)`` is the intersection of two spans.
 
-Rows are taken in input order and each is reduced on its leftmost nonzero
-column, so every derived basis (kernels, intersections, quotient
-representatives) is reproducible byte for byte.  A kernel is read off one
-``rref`` of the rows with the columns relabelled right to left: its
-free-column solutions are then already the reduced echelon basis (see
-``kernel``), so no second elimination runs.  The one dict-row
+Coordinates outside ``0..ambient-1`` are refused with
+``AmbientMismatchError``.  Rows are taken in input order and each is
+reduced on its leftmost nonzero column, so every derived basis (kernels,
+intersections, quotient representatives) is reproducible byte for byte.
+A kernel is read off one ``rref`` of the rows with the columns relabelled
+right to left: its free-column solutions are then already the reduced
+echelon basis (see ``kernel``).  An intersection is read off one ``rref``
+of the doubled rows (x, x) and (y, 0) (Zassenhaus, see ``intersect``), so
+neither span is eliminated on its own.  The one dict-row
 eliminator is here and serves Q and every odd p: a row enters through
 ``Field.settle``, is reduced with ``Field.add_into`` and scaled to a leading
 1 with ``Field.scale``, so its scalars follow :mod:`koszulkit.fields` (over
@@ -149,31 +157,10 @@ def full_subspace(ambient: int, field: Field) -> Subspace:
     return Subspace(ambient, field, rows, list(range(ambient)))
 
 
-class LinearMap:
-    """A linear map in coordinates, stored column-wise (images of basis vectors)."""
-
-    def __init__(self, domain_dim: int, codomain_dim: int, cols: List[SparseVec], field: Field):
-        if len(cols) != domain_dim:
-            raise ValueError("one column per domain basis vector required")
-        self.domain_dim = domain_dim
-        self.codomain_dim = codomain_dim
-        self.cols = cols
-        self.field = field
-
-    def rank(self) -> int:
-        return rank(self.cols, self.codomain_dim, self.field)
-
-    def apply(self, v: SparseVec) -> SparseVec:
-        """The image of a domain vector, zeros dropped."""
-        out: SparseVec = {}
-        for j, x in v.items():
-            self.field.add_into(out, self.cols[j], x)
-        return out
-
-
-def kernel(m: LinearMap) -> Subspace:
-    """Null space of a linear map as its reduced echelon basis, from one
-    elimination; rank-nullity holds exactly.
+def kernel(cols: Sequence[SparseVec], codim: int, field: Field) -> Subspace:
+    """Null space of the map with the given columns into ``codim``
+    coordinates, as its reduced echelon basis, from one elimination;
+    rank-nullity holds exactly.
 
     The rows are reduced with the columns relabelled c -> n-1-c, so each
     reduced row is x_P + sum r_F x_F = 0 over free columns F left of its
@@ -181,14 +168,16 @@ def kernel(m: LinearMap) -> Subspace:
     then leads at f and is zero at every other free column: these vectors
     are the unique reduced echelon basis, with the free columns as pivots.
     A map out of or into the zero space needs no elimination."""
-    n, field = m.domain_dim, m.field
-    if not n or not m.codomain_dim:
-        return full_subspace(n, field)
+    n = len(cols)
     last = n - 1
-    flipped: List[SparseVec] = [dict() for _ in range(m.codomain_dim)]
-    for j, col in enumerate(m.cols):
+    flipped: List[SparseVec] = [dict() for _ in range(codim)]
+    for j, col in enumerate(cols):
         for i, x in col.items():
+            if not 0 <= i < codim:
+                raise AmbientMismatchError(f"coordinate {i} outside ambient {codim}")
             flipped[i][last - j] = x
+    if not n or not codim:
+        return full_subspace(n, field)
     red, pivots = rref(flipped, n, field)
     pivot_set = {last - c for c in pivots}
     free = [f for f in range(n) if f not in pivot_set]
@@ -202,33 +191,25 @@ def kernel(m: LinearMap) -> Subspace:
     return Subspace(n, field, [basis[f] for f in free], free)
 
 
-def image(m: LinearMap) -> Subspace:
-    if not m.domain_dim or not m.codomain_dim:
-        return zero_subspace(m.codomain_dim, m.field)
-    return echelonize(m.cols, m.codomain_dim, m.field)
+def intersect(us: Sequence[SparseVec], vs: Sequence[SparseVec], ambient: int,
+              field: Field) -> Subspace:
+    """Intersection of the spans of ``us`` and ``vs`` (Zassenhaus), from one
+    elimination.
 
-
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space."""
-    u.field.require_same(v.field)
-    if u.ambient != v.ambient:
-        raise AmbientMismatchError(f"ambient mismatch: {u.ambient} vs {v.ambient}")
-    field = u.field
-    if u.dim == 0 or v.dim == 0:
-        return zero_subspace(u.ambient, field)
-    # solve sum a_i u_i - sum b_j v_j = 0; columns indexed by (a, b)
-    cols: List[SparseVec] = [dict(r) for r in u.rows]
-    cols += [field.scale(r, field.neg(field.one)) for r in v.rows]
-    m = LinearMap(u.dim + v.dim, u.ambient, cols, field)
-    ker = kernel(m)
-    vecs = []
-    for w in ker.rows:
-        vec: SparseVec = {}
-        for i, c in w.items():
-            if i < u.dim:
-                field.add_into(vec, u.rows[i], c)
-        vecs.append(vec)
-    return echelonize(vecs, u.ambient, field)
+    The rows (x, x) for x in us and (y, 0) for y in vs, the right half
+    shifted by ``ambient``, are reduced together.  A row of the span with
+    a zero left half is (sum a_i u_i, sum a_i u_i) + (sum b_j v_j, 0) with
+    sum a_i u_i = -sum b_j v_j, so its right half lies in both spans, and
+    every vector of both is one.  Those rows are the reduced rows with a
+    pivot in the right half: their right halves are the unique reduced
+    echelon basis of the intersection."""
+    for span in (us, vs):
+        _check_ambient(span, ambient)
+    rows = [{**x, **{ambient + i: c for i, c in x.items()}} for x in us]
+    red, pivots = rref(rows + list(vs), 2 * ambient, field)
+    k = sum(c < ambient for c in pivots)  # pivots ascend: the tail is the intersection
+    basis = [{i - ambient: c for i, c in row.items()} for row in red[k:]]
+    return Subspace(ambient, field, basis, [c - ambient for c in pivots[k:]])
 
 
 class SpanSolver:

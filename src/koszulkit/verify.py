@@ -23,7 +23,7 @@ from .fields import GF, QQ, Field
 from .frobenius import Degree2Comparison, FrobeniusStructure
 from .homology import CalculusSpaces, HigherSpaces, higher_calculus, koszul_homology
 from .koszul import Chain, Cochain, KoszulCalculus, MODULE_A
-from .linalg import LinearMap, SparseVec, kernel, rank
+from .linalg import SparseVec, kernel, rank
 from .presets import (NamedGenerators, Preset, PresetError, expected_nakayama_on_arrows,
                       socle_generators)
 
@@ -264,7 +264,10 @@ def verify_ade(types: Sequence[str], chars: Sequence[int]) -> CheckLog:
     (type, char) job after another in this process.
 
     An empty or repeated list of types or characteristics is refused, and
-    so is a characteristic that is neither 0 nor a prime.
+    so is a characteristic that is neither 0 nor a prime.  A job that
+    raises a ``ValueError`` is recorded as a failed ``<type>.char<c>.job``
+    entry with the error, its triple left out of the triple checks, and
+    the run goes on.
     """
     for what, items in (("types", types), ("characteristics", chars)):
         repeated = [str(x) for x in dict.fromkeys(items) if items.count(x) > 1]
@@ -281,10 +284,14 @@ def verify_ade(types: Sequence[str], chars: Sequence[int]) -> CheckLog:
     computed: Dict[Tuple[str, int], Tuple[int, int, int]] = {}
     for t in types:
         for c in chars:
-            entries, computed[(t, c)] = _run_verify_job((t, c))
+            try:
+                entries, computed[(t, c)] = _run_verify_job((t, c))
+            except ValueError as exc:
+                log.record(f"{t}.char{c}.job", False, f"{type(exc).__name__}: {exc}")
+                continue
             log.entries.extend(entries)
     for char in chars:
-        triples = {t: computed[(t, char)] for t in types}
+        triples = {t: computed[(t, char)] for t in types if (t, char) in computed}
         # distinguishability among the computed set
         seen: Dict[Tuple[int, int, int], str] = {}
         for t, tri in triples.items():
@@ -506,7 +513,6 @@ def direct_higher0_dim(alg) -> int:
     field = alg.field
     center = alg.center_basis()
     terms = alg.terms
-    n_unknowns = len(center) + len(terms)
     # column of each unknown, keyed by equation (arrow, term): a center
     # element z gives z a, a monomial v gives -(v a - a v)
     minus = field.neg(field.one)
@@ -526,6 +532,6 @@ def direct_higher0_dim(alg) -> int:
     # kernel of the stacked system, projected to the center coordinates
     eq_index = {key: i for i, key in enumerate(sorted({key for col in keyed for key in col}))}
     cols: List[SparseVec] = [{eq_index[key]: c for key, c in col.items()} for col in keyed]
-    ker = kernel(LinearMap(n_unknowns, len(eq_index), cols, field))
+    ker = kernel(cols, len(eq_index), field)
     proj = [{k: c for k, c in vec.items() if k < len(center)} for vec in ker.rows]
     return rank(proj, len(center), field)

@@ -69,7 +69,7 @@ def test_cohomology_dims_field_independent_where_tables_say_so():
 def test_duality_route_matches_direct_homology():
     """Homology dimensions computed directly equal the duality-image ranks."""
     from koszulkit import duality as du
-    from koszulkit.linalg import LinearMap, image
+    from koszulkit.linalg import echelonize
     pr = Preset("D4", GF(2))
     kd = KoszulCalculus(pr.algebra, 3)
     coh = koszul_homology(kd, MODULE_A, "coh")
@@ -81,5 +81,6 @@ def test_duality_route_matches_direct_homology():
         for rep in coh.representatives(p):
             vec = hom.class_of(du.theta(kd, rep, w0))
             cols.append({k: c for k, c in enumerate(vec) if not field.is_zero(c)})
-        rank = image(LinearMap(coh.dim(p), hom.dim(2 - p), cols, field)).dim
+        assert len(cols) == coh.dim(p)
+        rank = echelonize(cols, hom.dim(2 - p), field).dim
         assert rank == coh.dim(p) == hom.dim(2 - p)

@@ -318,7 +318,8 @@ def test_degree2_comparison_a3(monkeypatch):
     comp = TypeCharComputation("A3", 0, with_frobenius=True)
     domains = []
     monkeypatch.setattr("koszulkit.frobenius.kernel",
-                        lambda m: domains.append(m.domain_dim) or kernel(m))
+                        lambda cols, codim, field: domains.append(len(cols))
+                        or kernel(cols, codim, field))
     cmp2 = Degree2Comparison(comp.kd, comp.frob, comp.coh, comp.hom)
     # ker(delta_up) comes from one kernel over the vertex columns
     assert domains == [3]
@@ -697,6 +698,31 @@ def test_a_changed_right_arrow_product_turns_a_verify_ade_entry_red(name, char,
         table[key] = {**table[key], pos: self.field.add(c, self.field.one)}
     monkeypatch.setattr(GradedAlgebra, "_build", changed_build)
     assert _red_entries(name, char)
+
+
+def test_a_job_that_raises_is_one_red_entry_and_the_run_goes_on(monkeypatch):
+    """The first nonzero ``_rmul[1]`` entry of A5/0 changed by +1 after the
+    build: b_K no longer squares to zero and the A5 job raises
+    NotInSubspaceError from the homology.  verify-ade records it as one red
+    ``A5.char0.job`` entry, keeps its triple out of the triple checks, and
+    runs the untouched A6/0 job after it with every entry present."""
+    want, _triple = _run_verify_job(("A6", 0))
+    real = GradedAlgebra._build
+    changed = []
+
+    def changed_build(self):
+        real(self)
+        if not changed:
+            table = self._rmul[1]
+            key = next(k for k, nf in table.items() if nf)
+            (pos, c), *_ = table[key].items()
+            table[key] = {**table[key], pos: self.field.add(c, self.field.one)}
+            changed.append(key)
+    monkeypatch.setattr(GradedAlgebra, "_build", changed_build)
+    (key, ok, detail), *rest = verify_ade(["A5", "A6"], [0]).entries
+    assert changed and (key, ok) == ("A5.char0.job", False)
+    assert detail == "NotInSubspaceError: denominator is not contained in numerator"
+    assert rest == want
 
 
 @pytest.mark.parametrize("name,char", ADE_MUTATION_CASES, ids=ADE_MUTATION_IDS)

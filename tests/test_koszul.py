@@ -10,7 +10,6 @@ from koszulkit.fields import GF, QQ
 from koszulkit.homology import BimoduleHomology, higher_calculus, koszul_homology
 from koszulkit.koszul import (Chain, Cochain, DegreeError, KoszulCalculus, MODULE_A,
                               MODULE_K, ModuleError, NotClosedError)
-from koszulkit.linalg import echelonize
 from koszulkit.presets import Preset, preset_graph
 from koszulkit.quiver import (Graph, PreprojectiveSpec, paths_of_weight,
                               preprojective_presentation, presentation_from_json)
@@ -59,9 +58,7 @@ def test_w3_vanishes_by_direct_intersection(a3):
             if vr:
                 right_rows.append(vr)
     from koszulkit.linalg import intersect
-    u_sub = echelonize(right_rows, len(paths3), field)
-    v_sub = echelonize(left_rows, len(paths3), field)
-    assert intersect(u_sub, v_sub).dim == 0
+    assert intersect(right_rows, left_rows, len(paths3), field).dim == 0
 
 
 def test_a2_w_spaces_have_dimension_two():
@@ -69,6 +66,68 @@ def test_a2_w_spaces_have_dimension_two():
     kd = KoszulCalculus(pr.algebra, 8)
     for p in range(2, 9):
         assert kd.w(p).dim == 2
+
+
+_W_CASES = [(name, None, 3) for name in adedata.listed_types()] + [
+    ("A2", None, 6), ("k[x,y,z]", 6, 3), ("A~3", 8, 3), ("D~4", 8, 3)]
+_W_FIELDS = [QQ, GF(2), GF(3)]
+
+
+def _w_case_algebra(name, cutoff, field):
+    if name == "k[x,y,z]":
+        return build_graded_algebra(presentation_from_json(POLYNOMIAL_XYZ, field), cutoff)
+    return Preset(name, field, cutoff=cutoff).algebra
+
+
+def _w_blocks(kd):
+    return [(ws.p, ws.flat, ws.relation_coords,
+             [(key, sub.ambient, sub.pivots, [list(r.items()) for r in sub.rows])
+              for key, sub in ws.block_space.items()]) for ws in kd.wspaces]
+
+
+@pytest.mark.parametrize("field", _W_FIELDS, ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("name,cutoff,p_max", _W_CASES,
+                         ids=[n if c is None else f"{n}@{c}" for n, c, _p in _W_CASES])
+def test_w_blocks_match_the_two_step_intersection(name, cutoff, p_max, field,
+                                                  monkeypatch):
+    """Every block of every W space, its rows (entries and key order), its
+    pivots and the relation coordinates of W_2, is the same when the
+    intersections are taken the two-step way, each span echelonized first.
+    W_3 is zero on the Dynkin and extended Dynkin types, nonzero on A2 and
+    k[x, y, z]."""
+    from koszulkit import koszul
+    from test_linalg import reference_intersect
+    alg = _w_case_algebra(name, cutoff, field)
+    got = _w_blocks(KoszulCalculus(alg, p_max))
+    calls = []
+    monkeypatch.setattr(koszul, "intersect",
+                        lambda *args: calls.append(1) or reference_intersect(*args))
+    assert got == _w_blocks(KoszulCalculus(alg, p_max))
+    assert calls
+    assert bool(got[3][3]) == (name in ("A2", "k[x,y,z]"))
+
+
+@pytest.mark.parametrize("name,cutoff,p_max", [("E6", None, 3), ("A2", None, 6),
+                                               ("k[x,y,z]", 6, 3)],
+                         ids=["E6", "A2", "k[x,y,z]"])
+def test_each_intersected_w_block_makes_one_elimination(name, cutoff, p_max, monkeypatch):
+    """A block of W_p, p >= 3, is one intersect of its two spanning lists,
+    and each intersect runs exactly one rref."""
+    from koszulkit import koszul, linalg
+    alg = _w_case_algebra(name, cutoff, QQ)
+    calls, per_block = [], []
+    real_rref, real_intersect = linalg.rref, koszul.intersect
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or real_rref(*args))
+
+    def counted(*args):
+        before = len(calls)
+        sub = real_intersect(*args)
+        per_block.append(len(calls) - before)
+        return sub
+    monkeypatch.setattr(koszul, "intersect", counted)
+    kd = KoszulCalculus(alg, p_max)
+    assert per_block and per_block == [1] * len(per_block)
+    assert sum(len(kd.w(p).block_space) for p in range(3, p_max + 2)) <= len(per_block)
 
 
 def test_w_past_the_computed_degrees():
@@ -1446,17 +1505,16 @@ def test_splits_reconstruct_their_w_vectors(name, field):
 
 
 def _block_map(kd, src, step):
-    """b_K out of one block's space, into the space at (p + step, m + 1), or
-    None when that space is zero."""
+    """b_K out of one block's space, into the space at (p + step, m + 1), as
+    its columns and target dimension, or None when that space is zero."""
     from koszulkit.homology import CoordSpace, _block_images
-    from koszulkit.linalg import LinearMap
     if src.p + step < 0:
         return None
     dst = CoordSpace(kd, src.p + step, src.m + 1, MODULE_A, src.side)
     if not dst.dim:
         return None
     units = [{k: kd.field.one} for k in range(src.dim)]
-    return LinearMap(src.dim, dst.dim, _block_images(src, dst, units), kd.field)
+    return _block_images(src, dst, units), dst.dim
 
 
 _Z_CASES = ([(name, field, None) for name in adedata.listed_types()
@@ -1475,7 +1533,8 @@ def test_cycle_spaces_from_rank_nullity_equal_the_kernels(name, field, cutoff):
     for side, step in (("coh", 1), ("hom", -1)):
         for key, blk in koszul_homology(kd, MODULE_A, side).blocks.items():
             d_out = _block_map(kd, blk.space, step)
-            ref = full_subspace(blk.space.dim, field) if d_out is None else kernel(d_out)
+            ref = (full_subspace(blk.space.dim, field) if d_out is None
+                   else kernel(*d_out, field))
             z = blk.quotient.z
             assert (z.rows, z.pivots) == (ref.rows, ref.pivots), (side, key)
             shared += z is blk.quotient.b and d_out is not None
@@ -1504,10 +1563,11 @@ def test_a_flipped_entry_is_caught_where_z_is_b(name, field, monkeypatch):
         if d_out is None or blk.quotient.z is not b or not b.dim:
             continue
         j = b.pivots[0]
-        for i in range(d_out.codomain_dim):
-            cols = list(d_out.cols)
+        d_cols, codim = d_out
+        for i in range(codim):
+            cols = list(d_cols)
             cols[j] = flipped(cols[j], i)
-            if linalg.rank(cols, d_out.codomain_dim, field) == d_out.rank():
+            if linalg.rank(cols, codim, field) == linalg.rank(d_cols, codim, field):
                 fault = (p, m, j, i)
                 break
         if fault:
@@ -1523,9 +1583,9 @@ def test_a_flipped_entry_is_caught_where_z_is_b(name, field, monkeypatch):
             faulty.append(cols)
         return cols
 
-    def recorded_kernel(mp):
-        kernels.append(mp.cols)
-        return real_kernel(mp)
+    def recorded_kernel(cols, codim, field):
+        kernels.append(cols)
+        return real_kernel(cols, codim, field)
     monkeypatch.setattr(homology, "_block_images", block_images)
     monkeypatch.setattr(homology, "kernel", recorded_kernel)
     with pytest.raises(linalg.NotInSubspaceError):

@@ -17,12 +17,13 @@ def vec_add_scaled(u, v, c, field):
     return out
 
 
-def zero_map(domain_dim, codomain_dim, field):
-    return la.LinearMap(domain_dim, codomain_dim, [{} for _ in range(domain_dim)], field)
+def zero_map(domain_dim, codomain_dim):
+    """The columns of the zero map and its target dimension."""
+    return [{} for _ in range(domain_dim)], codomain_dim
 
 
 def identity_map(dim, field):
-    return la.LinearMap(dim, dim, [{i: field.one} for i in range(dim)], field)
+    return [{i: field.one} for i in range(dim)], dim
 
 
 def test_echelonize_scaling_to_reduced_form():
@@ -47,8 +48,8 @@ def test_echelonize_idempotent():
 
 def test_mixed_field_tags_rejected():
     with pytest.raises(FieldMismatchError):
-        la.intersect(la.echelonize([{0: 1}], 2, GF(3)),
-                     la.echelonize([{0: Fraction(1)}], 2, QQ))
+        la.QuotientSpace(la.echelonize([{0: 1}], 2, GF(3)),
+                         la.echelonize([{0: Fraction(1)}], 2, QQ))
 
 
 def _brute_force_weight3_relation_rank():
@@ -87,22 +88,20 @@ def test_weight3_relation_rows_have_full_rank():
 
 
 def test_kernel_identity_and_zero():
-    ident = identity_map(3, QQ)
-    assert la.kernel(ident).dim == 0
-    zero = zero_map(3, 3, QQ)
-    assert la.kernel(zero).dim == 3
+    assert la.kernel(*identity_map(3, QQ), QQ).dim == 0
+    assert la.kernel(*zero_map(3, 3), QQ).dim == 3
 
 
-def _reference_kernel(m):
+def _reference_kernel(cols, codim, field):
     """The two-elimination kernel: free-column solutions of the row reduction,
     then a second reduction of them to the reduced echelon basis."""
-    field = m.field
-    rows = [{} for _ in range(m.codomain_dim)]
-    for j, col in enumerate(m.cols):
+    n = len(cols)
+    rows = [{} for _ in range(codim)]
+    for j, col in enumerate(cols):
         for i, x in col.items():
             rows[i][j] = x
-    red, pivots = la.rref(rows, m.domain_dim, field)
-    free = [f for f in range(m.domain_dim) if f not in set(pivots)]
+    red, pivots = la.rref(rows, n, field)
+    free = [f for f in range(n) if f not in set(pivots)]
     basis = []
     for f in free:
         v = {f: field.one}
@@ -111,7 +110,7 @@ def _reference_kernel(m):
             if x is not None:
                 v[c] = field.neg(x)
         basis.append(v)
-    return la.echelonize(basis, m.domain_dim, field)
+    return la.echelonize(basis, n, field)
 
 
 def _random_map(rng, field, n, m, density):
@@ -119,7 +118,7 @@ def _random_map(rng, field, n, m, density):
                else list(range(1, field.char)))
     cols = [{i: rng.choice(scalars) for i in range(m) if rng.random() < density}
             for _ in range(n)]
-    return la.LinearMap(n, m, cols, field)
+    return cols, m
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
@@ -128,26 +127,26 @@ def test_kernel_matches_two_elimination_reference(field):
     for entry and key order included, as eliminating twice."""
     rng = random.Random(12)
     one = field.one
-    maps = [la.LinearMap(0, 4, [], field),                            # zero domain
-            la.LinearMap(3, 0, [{}, {}, {}], field),                  # zero codomain
+    maps = [([], 4),                                                  # zero domain
+            ([{}, {}, {}], 0),                                        # zero codomain
             identity_map(5, field),                                   # full rank
-            la.LinearMap(3, 5, [{0: one}, {1: one, 4: one}, {2: one}], field),
-            zero_map(4, 3, field)]                                    # the zero map
+            ([{0: one}, {1: one, 4: one}, {2: one}], 5),
+            zero_map(4, 3)]                                           # the zero map
     for _ in range(120):
         maps.append(_random_map(rng, field, rng.randint(1, 14), rng.randint(1, 10),
                                 rng.choice([0.15, 0.3, 0.6])))
     nontrivial = 0
-    for mp in maps:
-        got, want = la.kernel(mp), _reference_kernel(mp)
-        assert got.ambient == want.ambient == mp.domain_dim
+    for cols, codim in maps:
+        got, want = la.kernel(cols, codim, field), _reference_kernel(cols, codim, field)
+        assert got.ambient == want.ambient == len(cols)
         assert got.pivots == want.pivots
         assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want.rows]
         for row in got.rows:
             image = {}
             for j, c in row.items():
-                field.add_into(image, mp.cols[j], c)
+                field.add_into(image, cols[j], c)
             assert not image
-        nontrivial += 0 < got.dim < mp.domain_dim
+        nontrivial += 0 < got.dim < len(cols)
     assert nontrivial > 20
 
 
@@ -159,26 +158,119 @@ def test_kernel_of_weight1_cochain_differential_is_hyperplane():
     hyperplane where it vanishes: dimension 3 inside dimension 4.
     """
     cols = [{0: Fraction(s)} for s in (1, -1, 1, -1)]
-    m = la.LinearMap(4, 1, cols, QQ)
-    ker = la.kernel(m)
+    ker = la.kernel(cols, 1, QQ)
     assert ker.dim == 3
     for row in ker.rows:
         assert sum(row.get(i, 0) * s for i, s in zip(range(4), (1, -1, 1, -1))) == 0
 
 
 def test_intersect_examples():
-    u = la.echelonize([{0: Fraction(1)}, {1: Fraction(1)}], 2, QQ)
-    v = la.echelonize([{0: Fraction(1), 1: Fraction(1)}], 2, QQ)
-    w = la.intersect(u, v)
+    u = [{0: Fraction(1)}, {1: Fraction(1)}]
+    v = [{0: Fraction(1), 1: Fraction(1)}]
+    w = la.intersect(u, v, 2, QQ)
     assert w.dim == 1 and w.rows == [{0: Fraction(1), 1: Fraction(1)}]
-    same = la.intersect(u, u)
-    assert same.rows == u.rows
+    same = la.intersect(u, u, 2, QQ)
+    assert same.rows == la.echelonize(u, 2, QQ).rows
 
 
 def test_intersect_ambient_mismatch():
+    """A row of either list with an entry outside 0..ambient-1 is refused
+    before the rows are doubled: a key of ambient + i would land in the
+    right half."""
+    for us, vs in [([{2: 1}], [{0: 1}]), ([{0: 1}], [{0: 1, 2: 1}]),
+                   ([{-1: 1}], [{0: 1}]), ([{0: 1}], [{-2: 1}])]:
+        with pytest.raises(la.AmbientMismatchError):
+            la.intersect(us, vs, 2, QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("cols,codim", [([{0: 1}, {-1: 1}], 3), ([{3: 1}], 3),
+                                        ([{0: 1}], 0), ([{}, {-3: 1}], 3)],
+                         ids=["negative", "past-end", "zero-codim", "negative-wraps"])
+def test_kernel_refuses_columns_outside_the_codomain(field, cols, codim):
+    """A column key outside 0..codim-1 is refused, as rank and echelonize
+    refuse it; a negative key used to index the transposed rows from the end
+    and give a wrong kernel."""
     with pytest.raises(la.AmbientMismatchError):
-        la.intersect(la.echelonize([{0: Fraction(1)}], 2, QQ),
-                     la.echelonize([{0: Fraction(1)}], 3, QQ))
+        la.kernel(cols, codim, field)
+    with pytest.raises(la.AmbientMismatchError):
+        la.rank(cols, codim, field)
+
+
+def reference_intersect(us, vs, ambient, field):
+    """The two-step intersection: each span echelonized, the kernel of the
+    stacked map (u_i | -v_j), and the u-parts of the kernel vectors summed
+    and echelonized again."""
+    u, v = la.echelonize(us, ambient, field), la.echelonize(vs, ambient, field)
+    if u.dim == 0 or v.dim == 0:
+        return la.zero_subspace(ambient, field)
+    cols = [dict(r) for r in u.rows] + [field.scale(r, field.neg(field.one)) for r in v.rows]
+    vecs = []
+    for w in la.kernel(cols, ambient, field).rows:
+        vec = {}
+        for i, c in w.items():
+            if i < u.dim:
+                field.add_into(vec, u.rows[i], c)
+        vecs.append(vec)
+    return la.echelonize(vecs, ambient, field)
+
+
+@st.composite
+def _span_pairs(draw):
+    """Two spanning lists: unrelated, one empty, equal, or each holding
+    repeats and combinations of the other's vectors."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(2**61 - 1)]))
+    ambient = draw(st.integers(1, 10))
+    scalar = _scalars(field)
+    vec = st.dictionaries(st.integers(0, ambient - 1), scalar, max_size=6).map(
+        lambda r: {j: c for j, c in r.items() if not field.is_zero(c)})
+    us = draw(st.lists(vec, max_size=6))
+    kind = draw(st.sampled_from(["unrelated", "empty", "equal", "dependent"]))
+    if kind == "unrelated":
+        vs = draw(st.lists(vec, max_size=6))
+    elif kind == "empty":
+        vs = []
+    elif kind == "equal":
+        vs = list(us)
+    else:
+        combos = [_combination(us, draw(st.lists(scalar, min_size=len(us),
+                                                  max_size=len(us))), field)
+                  for _ in range(draw(st.integers(0, 3)))]
+        vs = combos + draw(st.lists(vec, max_size=2)) + us[:1]
+        us = us + us[:1]
+    if draw(st.booleans()):
+        us, vs = vs, us
+    return field, ambient, us, vs
+
+
+@given(_span_pairs())
+@settings(max_examples=200, deadline=None)
+def test_intersect_matches_the_two_step_reference(case):
+    """One Zassenhaus reduction gives the reduced echelon basis of the
+    two-step reference, entry for entry and key order included."""
+    field, ambient, us, vs = case
+    got, want = la.intersect(us, vs, ambient, field), reference_intersect(us, vs, ambient,
+                                                                          field)
+    assert got.ambient == want.ambient == ambient
+    assert got.pivots == want.pivots
+    assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want.rows]
+    u, v = la.echelonize(us, ambient, field), la.echelonize(vs, ambient, field)
+    assert all(u.contains(row) and v.contains(row) for row in got.rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+def test_intersect_runs_one_elimination(field, monkeypatch):
+    """intersect reduces the doubled rows once, and nothing else; empty
+    spanning lists included."""
+    calls = []
+    real = la.rref
+    monkeypatch.setattr(la, "rref", lambda rows, ncols, fld: calls.append(ncols)
+                        or real(rows, ncols, fld))
+    one = field.one
+    for us, vs in [([{0: one}, {1: one}], [{0: one, 1: one}]), ([], [{0: one}]), ([], [])]:
+        calls.clear()
+        la.intersect(us, vs, 3, field)
+        assert calls == [6]
 
 
 def _random_subspace(rng, ambient, field, max_rows=4):
@@ -197,7 +289,7 @@ def test_dimension_formula_random(field):
         u = _random_subspace(rng, ambient, field)
         v = _random_subspace(rng, ambient, field)
         total = la.echelonize(u.rows + v.rows, ambient, field)
-        inter = la.intersect(u, v)
+        inter = la.intersect(u.rows, v.rows, ambient, field)
         assert u.dim + v.dim == total.dim + inter.dim
 
 
@@ -208,8 +300,7 @@ def test_rank_nullity_random(n, m, data):
     for _ in range(n):
         col = {i: Fraction(data.draw(st.integers(-2, 2))) for i in range(m)}
         cols.append({i: c for i, c in col.items() if c})
-    mp = la.LinearMap(n, m, cols, QQ)
-    assert la.kernel(mp).dim + la.image(mp).dim == n
+    assert la.kernel(cols, m, QQ).dim + la.echelonize(cols, m, QQ).dim == n
 
 
 def test_quotient_coords_examples():

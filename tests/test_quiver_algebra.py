@@ -10,7 +10,7 @@ from koszulkit import adedata
 from koszulkit.algebra import (InfiniteDimensionalError, WeightOverflowError,
                                build_graded_algebra)
 from koszulkit.fields import GF, QQ
-from koszulkit.linalg import LinearMap, echelonize, kernel
+from koszulkit.linalg import echelonize, kernel
 from koszulkit.presets import GraphAlgebra, Preset, preset_graph, socle_generators
 from koszulkit.quiver import (Graph, PreprojectiveSpec, Quiver, QuiverError,
                               dynkin_constants, graph_from_json, paths_of_weight,
@@ -502,7 +502,7 @@ def _socle_basis(alg):
                 for (_m1, npos), v in alg.multiply(alg.arrow_elem(a), x).items():
                     col[(2 * a + 1) * next_dim + npos] = v
             cols.append(col)
-        ker = kernel(LinearMap(dim_m, 2 * q.n_arrows * max(next_dim, 1), cols, field))
+        ker = kernel(cols, 2 * q.n_arrows * max(next_dim, 1), field)
         out.extend({(m, i): c for i, c in row.items()} for row in ker.rows)
     return out
 
