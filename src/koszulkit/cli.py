@@ -30,8 +30,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--weight-cutoff", type=int, default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--force-rational", action="store_true",
-                   help="allow the rational E8 bimodule complex (Ae, koszulity)")
     p.add_argument("--compact", action="store_true", help="single-line JSON")
 
 
@@ -44,7 +42,6 @@ def _config_from_args(args, analyses: List[str]) -> RunConfig:
         max_degree=args.max_degree,
         weight_cutoff=args.weight_cutoff,
         analyses=analyses,
-        force_rational=args.force_rational,
     )
 
 

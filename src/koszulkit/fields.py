@@ -238,15 +238,12 @@ def GF(p: int) -> PrimeField:
 
 
 def field_from_tag(tag: str) -> Field:
-    """Parse a field tag as used by the CLI: ``Q`` or ``F:<p>``."""
-    tag = tag.strip()
-    if tag in ("Q", "QQ", "0"):
+    """Parse a field tag as used by the CLI: exactly ``Q`` or ``F:<p>``, p in
+    decimal without leading zeros, so that one field has one spelling."""
+    if tag == "Q":
         return QQ
-    if tag.startswith("F:") and tag[2:].isdecimal():
-        return GF(int(tag[2:]))
-    if tag.startswith("F") and tag[1:].isdecimal():
-        return GF(int(tag[1:]))
-    if tag.isdecimal():
-        p = int(tag)
-        return QQ if p == 0 else GF(p)
+    digits = tag[2:]
+    if tag[:2] == "F:" and digits.isascii() and digits.isdecimal() \
+            and digits == str(int(digits)):
+        return GF(int(digits))
     raise ValueError(f"unrecognized field tag {tag!r} (use Q or F:<p>)")

@@ -3,9 +3,10 @@
 The homological generators W_p live inside the weight-p path space, and one
 loop builds them all: it lists the weight-p paths of each vertex block and
 keeps every path for p <= 1 (the vertex and arrow spaces), the relations at
-p = 2, and above that the intersection of V (x) W_{p-1} and W_{p-1} (x) V,
-read per block off one reduction of their two spanning lists
-(:func:`koszulkit.linalg.intersect`).
+p = 2 with each basis vector's coordinates over them, read per block off
+one reduction (:class:`koszulkit.linalg.SpanSolver`), and above that the
+intersection of V (x) W_{p-1} and W_{p-1} (x) V, read per block off one
+reduction of their two spanning lists (:func:`koszulkit.linalg.intersect`).
 Every basis vector is vertex-pair homogeneous, and each vertex block
 of W_p is kept as the reduced echelon subspace of its path space
 (:class:`koszulkit.linalg.Subspace`), so a vector of W_p has its
@@ -72,7 +73,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Elem, GradedAlgebra
-from .linalg import SparseVec, SpanSolver, Subspace, echelonize, full_subspace, intersect
+from .linalg import SparseVec, SpanSolver, Subspace, full_subspace, intersect
 from .quiver import paths_of_weight, relation_vector
 
 
@@ -191,15 +192,12 @@ class KoszulCalculus:
                     rels = rel_by_block[key]
                     vecs = [relation_vector(pres, r, ws.block_path_index[key])
                             for r in rels]
-                    sub = echelonize(vecs, len(ws.block_paths[key]), field)
-                    if sub.dim:
-                        ws.block_space[key] = sub
-                        solver = SpanSolver(vecs, sub.ambient, field)
-                        for vec in sub.rows:
-                            sol = solver.solve(vec)
-                            ws.relation_coords.append(
-                                {rels[t]: c for t, c in enumerate(sol)
-                                 if not field.is_zero(c)})
+                    solver = SpanSolver(vecs, len(ws.block_paths[key]), field)
+                    if solver.span.dim:
+                        ws.block_space[key] = solver.span
+                        ws.relation_coords.extend(
+                            {rels[t]: c for t, c in coords.items()}
+                            for coords in solver.coords)
             else:
                 # spanning vectors of V (x) W_{p-1} and W_{p-1} (x) V per block
                 prev = self.wspaces[p - 1]

@@ -12,7 +12,9 @@ runs one sparse elimination:
 - ``echelonize(rows, ambient, field)`` holds that basis as a ``Subspace``;
 - ``kernel(cols, codim, field)`` is the null space of the map whose columns
   are given, with ``codim`` coordinates in its target;
-- ``intersect(us, vs, ambient, field)`` is the intersection of two spans.
+- ``intersect(us, vs, ambient, field)`` is the intersection of two spans;
+- ``SpanSolver(vectors, ambient, field)`` is a span with the coordinates of
+  its basis rows over the spanning list.
 
 Coordinates outside ``0..ambient-1`` are refused with
 ``AmbientMismatchError``.  Rows are taken in input order and each is
@@ -213,48 +215,25 @@ def intersect(us: Sequence[SparseVec], vs: Sequence[SparseVec], ambient: int,
 
 
 class SpanSolver:
-    """Solve for coordinates of vectors in the span of a fixed sequence.
+    """The span of a fixed list of vectors, with each basis row's
+    coordinates over that list, from one elimination.
 
-    The spanning vectors need not be independent; coordinates returned are
-    the deterministic ones obtained from the tracked row reduction.
-    """
+    The rows v_k + e_(ambient+k) are reduced together.  Each reduced row
+    with its pivot below ``ambient`` is (b, t) with b = sum_k t_k v_k, and
+    the b are the reduced echelon basis of the span, which is unique, so
+    ``span`` is the ``Subspace`` that ``echelonize`` builds and ``coords[i]``
+    holds the nonzero t_k of ``span.rows[i]``, keys ascending."""
 
     def __init__(self, vectors: Sequence[SparseVec], ambient: int, field: Field):
-        self.vectors = list(vectors)
-        self.ambient = ambient
-        self.field = field
-        n = len(self.vectors)
-        # reduce rows while tracking the transform in trailing coordinates
-        shifted = []
-        for k, vec in enumerate(self.vectors):
-            row = dict(vec)
-            row[ambient + k] = field.one
-            shifted.append(row)
-        red, pivots = rref(shifted, ambient + n, field)
-        self._n = n
-        # per pivot inside the ambient space: the row's ambient part and its
-        # transform part, shifted back to vector indices
-        self._split = {c: ({i: y for i, y in row.items() if i < ambient},
-                           {i - ambient: y for i, y in row.items() if i >= ambient})
-                       for row, c in zip(red, pivots) if c < ambient}
-
-    def solve(self, target: SparseVec) -> Optional[List[object]]:
-        """Coefficients c with sum c_k * vectors[k] = target, or None.
-
-        Reduces in place over the pivots that target meets, as
-        :meth:`Subspace.reduce` does."""
-        field = self.field
-        split = self._split
-        v = dict(target)
-        coeffs: SparseVec = {}
-        for c in sorted(c for c in v if c in split):
-            x = v[c]
-            head, tail = split[c]
-            field.add_into(v, head, field.neg(x))
-            field.add_into(coeffs, tail, x)
-        if v:
-            return None
-        return [coeffs.get(k, field.zero) for k in range(self._n)]
+        _check_ambient(vectors, ambient)
+        rows = [{**vec, ambient + k: field.one} for k, vec in enumerate(vectors)]
+        red, pivots = rref(rows, ambient + len(rows), field)
+        k = sum(c < ambient for c in pivots)  # pivots ascend: the head is the span
+        self.span = Subspace(ambient, field,
+                             [{i: c for i, c in row.items() if i < ambient} for row in red[:k]],
+                             pivots[:k])
+        self.coords: List[SparseVec] = [
+            {i - ambient: c for i, c in row.items() if i >= ambient} for row in red[:k]]
 
 
 class NotInSubspaceError(ValueError):

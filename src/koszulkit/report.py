@@ -28,7 +28,7 @@ from .fields import Field, field_from_tag
 from .frobenius import BarOracle, Degree2Comparison, FrobeniusStructure
 from .homology import CalculusSpaces, HigherSpaces, higher_calculus, koszul_homology
 from .koszul import Cochain, KoszulCalculus, MODULE_A, MODULE_K
-from .presets import GraphAlgebra, Preset, normalize_preset_name, socle_generators
+from .presets import GraphAlgebra, Preset, socle_generators
 from .quiver import graph_from_json, presentation_from_json
 from .verify import PropertySuite
 
@@ -48,7 +48,6 @@ class RunConfig:
     max_degree: int = 3
     weight_cutoff: Optional[int] = None
     analyses: Sequence[str] = ("calculus", "higher", "duality")
-    force_rational: bool = False
 
     def validate(self) -> None:
         if (self.preset is None) == (self.input_file is None):
@@ -71,7 +70,8 @@ class RunConfig:
             "max_degree": self.max_degree,
             "weight_cutoff": self.weight_cutoff,
             "analyses": sorted(self.analyses),
-            "force_rational": self.force_rational,
+            # no longer settable; the key stays until the golden digests are re-recorded
+            "force_rational": False,
             "property_trials": PROPERTY_TRIALS,
         }
 
@@ -182,13 +182,7 @@ def run(config: RunConfig) -> Dict:
     with timings.measure("build"):
         graph_alg = None
         if config.preset is not None:
-            name = normalize_preset_name(config.preset)
-            if (name == "E8" and field.char == 0 and not config.force_rational
-                    and (config.coefficients == "Ae" or "koszulity" in config.analyses)):
-                raise RunError(
-                    "the rational E8 bimodule complex is the cost ceiling; pass "
-                    "force_rational to insist")
-            graph_alg = Preset(name, field, cutoff=config.weight_cutoff)
+            graph_alg = Preset(config.preset, field, cutoff=config.weight_cutoff)
             report["preset"] = graph_alg.name
         else:
             try:

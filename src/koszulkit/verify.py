@@ -65,10 +65,6 @@ class TypeCharComputation:
         if with_frobenius:
             self.ensure_frobenius()
 
-    @property
-    def frob(self) -> Optional[FrobeniusStructure]:
-        return self._frob
-
     def ensure_frobenius(self) -> FrobeniusStructure:
         if self._frob is None:
             self._frob = FrobeniusStructure(self.preset.algebra,

@@ -425,9 +425,22 @@ def test_trivial_coefficients_between_two_nonzero_spaces(tmp_path):
     assert doc["warnings"][0].startswith("weight cutoff 6 reached without a zero component")
 
 
-def test_rational_e8_guard():
-    assert main(["calculus", "--preset", "E8", "--field", "Q",
-                 "--analyses", "koszulity"]) == 3
+def test_rational_e8_ae_route(tmp_path):
+    """The rational E8 bimodule complex runs like any other input."""
+    out = tmp_path / "e8.json"
+    assert main(["calculus", "--preset", "E8", "--field", "Q", "--coefficients", "Ae",
+                 "--analyses", "koszulity", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "ok"
+    assert doc["koszulity"]["h_dims"] == {"0": 1240, "1": 0, "2": 1240, "3": 0}
+    assert doc["enveloping_coefficients"]["hk_dims"] == {"0": 1240, "1": 0, "2": 1240}
+
+
+def test_force_rational_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["koszulity", "--preset", "E8", "--force-rational"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force-rational" in capsys.readouterr().err
 
 
 def test_rational_e8_calculus_runs_without_the_flag(tmp_path):
@@ -482,13 +495,50 @@ def test_prime_beyond_the_certified_bound_is_refused(capsys):
                             "3317044064679887385961981\n")
 
 
-@pytest.mark.parametrize("tag", ["F:x", "F:", "F:²", "F²", "x"])
+@pytest.mark.parametrize("tag", ["F:x", "F:", "F:²", "F²", "x", "QQ", "0", "F3", "3",
+                                 "F:03", "F:٣", " Q", "F:3 "])
 def test_unrecognized_field_tag_is_refused(capsys, tag):
-    """A modulus that is not a decimal digit string names the tag, not int()."""
+    """A modulus that is not a decimal digit string names the tag, not int(),
+    and each field has one spelling, which the report echoes."""
     assert main(["calculus", "--preset", "A3", "--field", tag]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: unrecognized field tag {tag!r} (use Q or F:<p>)\n"
+
+
+@pytest.mark.parametrize("tag", ["Q", "F:3"])
+def test_field_tags_parse(tmp_path, tag):
+    out = tmp_path / "a2.json"
+    assert main(["calculus", "--preset", "A2", "--field", tag, "--analyses", "calculus",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["field"] == tag
+
+
+def test_duality_on_a_presentation_file_is_skipped(tmp_path):
+    """A presentation file does not say that it is preprojective, so the
+    duality checklist is not run on it, even where it is."""
+    path = tmp_path / "pa2.json"
+    path.write_text(json.dumps({"vertices": ["0", "1"], "arrows": _ARROWS,
+                                "relations": [[{"coeff": "1", "path": ["a", "b"]}],
+                                              [{"coeff": "1", "path": ["b", "a"]}]]}))
+    out = tmp_path / "report.json"
+    assert main(["dualize", "--file", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "warning" and "duality" not in doc
+    assert doc["warnings"] == ["duality analysis needs a preprojective presentation; skipped"]
+
+
+def test_a_failing_property_is_an_error(tmp_path, monkeypatch, capsys):
+    from koszulkit.verify import PropertySuite
+    monkeypatch.setattr(PropertySuite, "_assoc_cup", lambda self: False)
+    out = tmp_path / "a2.json"
+    assert main(["calculus", "--preset", "A2", "--analyses", "calculus,properties",
+                 "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "error" and doc["properties"]["ok"] is False
+    assert doc["failures"] == doc["properties"]["failures"] == \
+        ["(f cup g) cup h assoc"] * 20
+    assert "failure: (f cup g) cup h assoc\n" in capsys.readouterr().err
 
 
 def test_ae_coefficients_route(tmp_path):

@@ -320,7 +320,7 @@ def test_degree2_comparison_a3(monkeypatch):
     monkeypatch.setattr("koszulkit.frobenius.kernel",
                         lambda cols, codim, field: domains.append(len(cols))
                         or kernel(cols, codim, field))
-    cmp2 = Degree2Comparison(comp.kd, comp.frob, comp.coh, comp.hom)
+    cmp2 = Degree2Comparison(comp.kd, comp.ensure_frobenius(), comp.coh, comp.hom)
     # ker(delta_up) comes from one kernel over the vertex columns
     assert domains == [3]
     assert cmp2.hh2_dim == 1            # n - m_A - 1
@@ -836,7 +836,7 @@ def _frobenius_failures(comp):
     """What catches a fault put into comp's Frobenius data: the message of a
     FrobeniusError from dual_basis, else the frobenius checks that fail."""
     try:
-        comp.frob.dual_basis()
+        comp.ensure_frobenius().dual_basis()
     except FrobeniusError as exc:
         return {str(exc)}
     log = hochschild2_checks(comp.name, comp.char, comp=comp)
@@ -855,7 +855,7 @@ def test_a_changed_left_arrow_product_is_caught(name, char, where):
     changed where it meets a nonzero (w', u), fails a frobenius check or
     leaves a Gram block singular."""
     comp = TypeCharComputation(name, char, with_frobenius=True)
-    frob, alg = comp.frob, comp.preset.algebra
+    frob, alg = comp.ensure_frobenius(), comp.preset.algebra
     one = frob.field.one
     k = {"low": 1, "middle": frob.top // 2, "high": frob.top - 2}[where]
     n = frob.top - k
@@ -878,7 +878,7 @@ def test_a_changed_left_arrow_product_is_caught(name, char, where):
 @pytest.mark.parametrize("name,char", MUTATION_CASES, ids=MUTATION_IDS)
 def test_a_changed_nakayama_scalar_fails_the_symmetry_check(name, char):
     comp = TypeCharComputation(name, char, with_frobenius=True)
-    frob = comp.frob
+    frob = comp.ensure_frobenius()
     scalars = frob.nakayama_arrow_scalars()
     beta, c = scalars[0]
     scalars[0] = (beta, frob.field.neg(c) if char != 2 else frob.field.zero)
@@ -893,7 +893,7 @@ def test_a_changed_eps_value_is_caught(name, char, solved):
     the Gram table no longer matches nu.  Over F:2 the only change is to
     zero, which leaves a Gram block singular."""
     comp = TypeCharComputation(name, char, with_frobenius=True)
-    frob, field = comp.frob, comp.field
+    frob, field = comp.ensure_frobenius(), comp.field
     if solved:
         frob.nakayama_arrow_scalars()
     pos = frob._top_pos[0]
@@ -916,7 +916,7 @@ def test_associativity_triples_can_be_nonzero(name, char):
     form reads, changed once the table holds every product the check takes,
     fails the check."""
     comp = TypeCharComputation(name, char, with_frobenius=True)
-    frob, alg, field = comp.frob, comp.preset.algebra, comp.field
+    frob, alg, field = comp.ensure_frobenius(), comp.preset.algebra, comp.field
     triples = frob.paired_triples(random.Random(11), 20)
     assert len(triples) == 20
     values = []

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -128,6 +129,61 @@ def test_each_intersected_w_block_makes_one_elimination(name, cutoff, p_max, mon
     kd = KoszulCalculus(alg, p_max)
     assert per_block and per_block == [1] * len(per_block)
     assert sum(len(kd.w(p).block_space) for p in range(3, p_max + 2)) <= len(per_block)
+
+
+_W2_CASES = [(name, None) for name in adedata.listed_types()] + [
+    ("A~2", 8), ("A~3", 8), ("A~4", 8), ("k[x,y,z]", 6)]
+
+
+@pytest.mark.parametrize("field", _W_FIELDS, ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("name,cutoff", _W2_CASES,
+                         ids=[n if c is None else f"{n}@{c}" for n, c in _W2_CASES])
+def test_w_blocks_match_the_two_step_span_solver(name, cutoff, field, monkeypatch):
+    """Every W block and the relation coordinates of W_2 are the same when
+    each W_2 block is echelonized first and its basis rows solved over the
+    relations by a second elimination."""
+    from koszulkit import koszul
+    from test_linalg import ReferenceSpanSolver
+    alg = _w_case_algebra(name, cutoff, field)
+    got = _w_blocks(KoszulCalculus(alg, 3))
+    monkeypatch.setattr(koszul, "SpanSolver", ReferenceSpanSolver)
+    assert got == _w_blocks(KoszulCalculus(alg, 3))
+    assert got[2][2]
+
+
+@pytest.mark.parametrize("name,cutoff,field", [("E6", None, QQ), ("D5", None, GF(2)),
+                                               ("A~2", 8, GF(3)), ("k[x,y,z]", 6, QQ)],
+                         ids=["E6-Q", "D5-F2", "A~2@8-F3", "k[x,y,z]-Q"])
+def test_each_w2_block_makes_one_elimination(name, cutoff, field, monkeypatch):
+    """A block of W_2 is one SpanSolver over the block's relations, and
+    each SpanSolver runs exactly one rref."""
+    from koszulkit import koszul, linalg
+    alg = _w_case_algebra(name, cutoff, field)
+    calls, per_block = [], []
+    real_rref, real_solver = linalg.rref, koszul.SpanSolver
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or real_rref(*args))
+
+    def counted(*args):
+        before = len(calls)
+        solver = real_solver(*args)
+        per_block.append(len(calls) - before)
+        return solver
+    monkeypatch.setattr(koszul, "SpanSolver", counted)
+    kd = KoszulCalculus(alg, 1)  # W_0, W_1 and W_2
+    assert per_block == [1] * len(set(alg.presentation.relation_blocks))
+    assert len(calls) == len(per_block)
+    assert len(kd.w(2).block_space) == len(per_block)
+
+
+def test_w_coords_refuse_a_vector_outside_the_block(a3):
+    _pr, kd = a3
+    ws = kd.w(2)
+    key, sub = next((key, sub) for key, sub in ws.block_space.items()
+                    if sub.ambient > sub.dim)
+    assert ws.coords(key, sub.rows[0]) == [(ws.flat_of_block[key][0], kd.field.one)]
+    outside = next(j for j in range(sub.ambient) if j not in sub.pivots)
+    with pytest.raises(ValueError, match=re.escape(f"vector outside W_2 in block {key}")):
+        ws.coords(key, {outside: kd.field.one})
 
 
 def test_w_past_the_computed_degrees():

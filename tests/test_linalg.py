@@ -341,15 +341,57 @@ def test_quotient_coords_additive():
         assert lhs == rhs
 
 
+class ReferenceSpanSolver:
+    """The two-step span: the vectors echelonized on their own, then each
+    basis row solved over them by reducing it against a second elimination
+    of the rows v_k + e_(ambient+k), collecting the trailing coordinates."""
+
+    def __init__(self, vectors, ambient, field):
+        self.span = la.echelonize(vectors, ambient, field)
+        rows = [{**v, ambient + k: field.one} for k, v in enumerate(vectors)]
+        red, pivots = la.rref(rows, ambient + len(rows), field)
+        split = {c: ({i: y for i, y in row.items() if i < ambient},
+                     {i - ambient: y for i, y in row.items() if i >= ambient})
+                 for row, c in zip(red, pivots) if c < ambient}
+        self.coords = []
+        for target in self.span.rows:
+            v, coeffs = dict(target), {}
+            for c in sorted(c for c in v if c in split):
+                x = v[c]
+                head, tail = split[c]
+                field.add_into(v, head, field.neg(x))
+                field.add_into(coeffs, tail, x)
+            assert not v
+            sol = [coeffs.get(k, field.zero) for k in range(len(vectors))]
+            self.coords.append({k: c for k, c in enumerate(sol) if not field.is_zero(c)})
+
+
+def _check_span_solver(vectors, ambient, field):
+    """SpanSolver's span is echelonize's, and each coordinate row, keys
+    ascending and no zeros, recombines the vectors into its basis row."""
+    solver = la.SpanSolver(vectors, ambient, field)
+    want = la.echelonize(vectors, ambient, field)
+    assert solver.span.pivots == want.pivots
+    assert [list(r.items()) for r in solver.span.rows] == \
+        [list(r.items()) for r in want.rows]
+    assert len(solver.coords) == want.dim
+    for row, coords in zip(solver.span.rows, solver.coords):
+        assert list(coords) == sorted(coords)
+        assert all(0 <= k < len(vectors) and not field.is_zero(c) for k, c in coords.items())
+        assert _combination([vectors[k] for k in coords], coords.values(), field) == row
+    return solver
+
+
 def test_span_solver_consistency():
-    vecs = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1)}]
-    solver = la.SpanSolver(vecs, 2, QQ)
-    sol = solver.solve({0: Fraction(3), 1: Fraction(5)})
-    out: dict = {}
-    for c, v in zip(sol, vecs):
-        out = vec_add_scaled(out, v, c, QQ)
-    assert out == {0: Fraction(3), 1: Fraction(5)}
-    assert solver.solve({0: Fraction(1)}) is not None
+    one = Fraction(1)
+    vecs = [{0: one, 1: one}, {1: one}, {0: one}]
+    solver = _check_span_solver(vecs, 2, QQ)
+    assert solver.span.rows == [{0: one}, {1: one}]
+    # v0 - v1 - v2 = 0 leads at the tail column of v0, so no row uses v0
+    assert solver.coords == [{2: one}, {1: one}]
+    assert la.SpanSolver([], 2, QQ).span.dim == 0
+    with pytest.raises(la.AmbientMismatchError):
+        la.SpanSolver([{2: one}], 2, QQ)
 
 
 def test_prime_test_matches_trial_division():
@@ -501,13 +543,10 @@ def test_in_place_reduce_and_solve_match_copy_per_pivot(case):
     for v in members:
         coords = z.coords(v)
         assert _combination(z.rows, coords, field) == v
-    # SpanSolver reduces the same way, tracking the coefficients
-    solver = la.SpanSolver(span, ambient, field)
-    for v in members + others:
-        sol = solver.solve(v)
-        assert (sol is None) == (not z.contains(v))
-        if sol is not None:
-            assert _combination(span, sol, field) == v
+    # SpanSolver spans z, each coordinate row recombining the list into its
+    # basis row, as the two-step reference solves it
+    solver = _check_span_solver(span, ambient, field)
+    assert solver.coords == ReferenceSpanSolver(span, ambient, field).coords
     # QuotientSpace.coords round trip: sum coords * representatives, plus
     # the part of v that reducing modulo B removes (a member of B), is v
     b = la.echelonize(sub_span, ambient, field)
