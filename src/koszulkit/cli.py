@@ -20,6 +20,13 @@ from .report import ANALYSES, RunConfig, RunError, run, write_report
 from .verify import verify_ade
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is bad input: it exits 3, not argparse's 2."""
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", help="built-in graph (A1.., D4.., E6/E7/E8, A~2.., D~4)")
@@ -75,7 +82,7 @@ def _emit(report, args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="koszulkit",
         description="Exact Koszul calculus of quadratic quiver algebras")
     parser.add_argument("--version", action="version", version=__version__)

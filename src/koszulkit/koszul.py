@@ -581,13 +581,6 @@ class KoszulCalculus:
             prod = Chain(self, z.q - f.p, self._out_module(f.module, z.module), {})
         return prod
 
-    def cup_bracket(self, f: "Cochain", g: "Cochain") -> "Cochain":
-        return self.cup(f, g).add(self.cup(g, f), self.field.sign(f.p * g.p + 1))
-
-    def cap_bracket(self, f: "Cochain", z: "Chain") -> "Chain":
-        return self.cap(f, z, "left").add(self.cap(f, z, "right"),
-                                          self.field.sign(f.p * z.q + 1))
-
 
 def _common_grading(elems: Sequence["KoszulElement"]) -> Tuple[int, str]:
     """The degree and module shared by the factors of a product table."""

@@ -115,13 +115,14 @@ def test_reports_byte_identical_to_recorded_digests(name, tag):
 
 
 #: the same for the verification analyses, recorded before the Frobenius data
-#: moved to the monomial basis and the property suite lost its duplicate
-#: samplers
+#: moved to the monomial basis; the two properties digests were re-recorded
+#: when the sampled suite (1,302 checks) gave way to one entry per identity
+#: on fixed bases (15 checks) and the report gained properties.vacuous
 RECORDED_ANALYSIS_DIGESTS = {
     ("A3", "Q", "hochschild2"): "fd38fa34da32b1fe858c5ea5514c493b33e4fdae08767a2bc2c7e67c819ff037",
-    ("A3", "Q", "properties"): "17bf6f0fa5e2ee2e9030aa9a1e34a96348320d3ab4a9d315a701740c37c55388",
+    ("A3", "Q", "properties"): "b9be4c6d495089b43cf034ba1f63f90547d7a6f779fdd41602925ef435b2696a",
     ("E6", "F:3", "hochschild2"): "4576a2bebce101810353654bba336bfeb44c01754b0a6e11324c9f2faf6b5227",
-    ("E6", "F:3", "properties"): "062d7d5e9ab7355604a3b44abd24cf68821b112b1775172eaece22877fcb1c92",
+    ("E6", "F:3", "properties"): "1ea8d7066994fa8c3a6e92f317bb559763134989903e88a8a8e3ba5a2243f3db",
 }
 
 
@@ -437,9 +438,10 @@ def test_rational_e8_ae_route(tmp_path):
 
 
 def test_force_rational_is_not_an_option(capsys):
+    """An unknown flag is bad input: exit 3, like every usage error."""
     with pytest.raises(SystemExit) as exc:
         main(["koszulity", "--preset", "E8", "--force-rational"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     assert "unrecognized arguments: --force-rational" in capsys.readouterr().err
 
 
@@ -459,8 +461,8 @@ def test_bad_preset_exit_code():
 
 def test_max_degree_two_reads_only_computed_w_spaces(tmp_path, monkeypatch):
     """At --max-degree 2 the W spaces of A2 are computed in degrees 0-3, each
-    of dimension 2: the property suite draws bK o bK out of degrees 0 and 1,
-    so the run reads no W space past degree 3 and exits 0."""
+    of dimension 2: the identity checks apply bK o bK to the units of
+    degrees 0 and 1, so the run reads no W space past degree 3 and exits 0."""
     from koszulkit.koszul import KoszulCalculus
     degrees = set()
     real = KoszulCalculus.w
@@ -529,16 +531,32 @@ def test_duality_on_a_presentation_file_is_skipped(tmp_path):
 
 
 def test_a_failing_property_is_an_error(tmp_path, monkeypatch, capsys):
-    from koszulkit.verify import PropertySuite
-    monkeypatch.setattr(PropertySuite, "_assoc_cup", lambda self: False)
-    out = tmp_path / "a2.json"
-    assert main(["calculus", "--preset", "A2", "--analyses", "calculus,properties",
+    """A product fault, one coefficient of the (1, 1) split table negated
+    after the structure constants are reported, fails two identities: one
+    by unequal sides, one by a cap product that has no class.  Both are
+    failures of the report, which exits 2, not errors of its input."""
+    real = report_module.identity_checks
+
+    def faulty(coh, hom, preprojective):
+        kd = coh.kd
+        row = next(r for r in kd.split_coords(1, 1) if r)
+        key = next(iter(row))
+        row[key] = kd.field.neg(row[key])
+        kd._rows_memo.clear()
+        return real(coh, hom, preprojective)
+    monkeypatch.setattr(report_module, "identity_checks", faulty)
+    out = tmp_path / "a3.json"
+    assert main(["calculus", "--preset", "A3", "--analyses", "calculus,properties",
                  "--out", str(out)]) == 2
     doc = json.loads(out.read_text())
     assert doc["status"] == "error" and doc["properties"]["ok"] is False
-    assert doc["failures"] == doc["properties"]["failures"] == \
-        ["(f cup g) cup h assoc"] * 20
-    assert "failure: (f cup g) cup h assoc\n" in capsys.readouterr().err
+    failures = ["b^K = -[eA, -]_cap: 7 of 8 comparisons with a nonzero side, 1 unequal",
+                "class cap graded symmetric: a product has no class: not a cycle: "
+                "differential is nonzero"]
+    assert doc["failures"] == doc["properties"]["failures"] == failures
+    assert doc["properties"]["checks"] == 15 and doc["properties"]["vacuous"] == []
+    err = capsys.readouterr().err
+    assert all(f"failure: {f}\n" in err for f in failures)
 
 
 def test_ae_coefficients_route(tmp_path):

@@ -238,3 +238,30 @@ def test_no_unpassed_defaults():
                            or (position is not None and n_args > position)
                            for n_args, starred, keywords in calls.get(name, []))]
     assert not unpassed, f"parameters whose default no call overrides: {unpassed}"
+
+
+def test_only_the_frobenius_triples_draw_at_random():
+    """Only verify.py imports random, and only hochschild2_checks uses it,
+    each time as a generator with a literal seed for its Frobenius triples:
+    the identity checks run on fixed bases, and a sampled check does not
+    come back."""
+    importers = sorted(
+        path.name for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "random" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random"))
+    assert importers == ["verify.py"]
+    tree = ast.parse((SRC / "verify.py").read_text())
+    users = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and node.id == "random":
+                    users.setdefault(func.name, []).append(node)
+    assert list(users) == ["hochschild2_checks"]
+    seeded = [node.func.value for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "Random" and len(node.args) == 1
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, int)]
+    assert users["hochschild2_checks"] == seeded

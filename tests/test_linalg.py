@@ -432,7 +432,7 @@ def _dense_rref(rows, ambient, field):
         for i in range(len(m)):
             if i != r and not field.is_zero(m[i][c]):
                 f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+                m[i] = [field.add(x, field.neg(field.mul(f, y))) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return [{j: x for j, x in enumerate(m[i]) if not field.is_zero(x)}
